@@ -6,7 +6,6 @@ import (
 	"math/cmplx"
 
 	"github.com/mmtag/mmtag/internal/frame"
-	"github.com/mmtag/mmtag/internal/phy"
 	"github.com/mmtag/mmtag/internal/reader"
 	"github.com/mmtag/mmtag/internal/rng"
 	"github.com/mmtag/mmtag/internal/units"
@@ -60,10 +59,6 @@ func (l *Link) RunCollision(payloadA, payloadB []byte, bw units.ReaderBandwidth,
 	if err != nil {
 		return res, err
 	}
-	w, err := phy.NewRectWaveform(SamplesPerSymbol)
-	if err != nil {
-		return res, err
-	}
 	amp := ampFor(b.ReceivedDBm)
 
 	decodeSum := func(txs ...[]complex128) (*frame.Decoded, error) {
@@ -85,13 +80,13 @@ func (l *Link) RunCollision(payloadA, payloadB []byte, bw units.ReaderBandwidth,
 		noiseW := units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
 			l.Reader.NoiseFigureDB) * symbolRate * SamplesPerSymbol
 		src.AWGN(rx, noiseW)
-		dec, _, err := reader.DecodeBurst(rx, w)
+		dec, _, err := reader.DecodeBurst(rx, rectWaveform)
 		return dec, err
 	}
 
 	// 1. Simultaneous: superpose the synthesized waveforms.
-	txA := w.Synthesize(symsA)
-	txB := w.Synthesize(symsB)
+	txA := rectWaveform.Synthesize(symsA)
+	txB := rectWaveform.Synthesize(symsB)
 	if dec, err := decodeSum(txA, txB); err == nil && dec.Trailer.OK {
 		res.SimultaneousDecoded = true
 		res.DecodedTagID = dec.Header.TagID

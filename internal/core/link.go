@@ -52,6 +52,12 @@ const CalibrationLossDB = 20.0
 // SamplesPerSymbol × symbol rate).
 const SamplesPerSymbol = 4
 
+// rectWaveform is the hard-switched waveform every burst is synthesized
+// and decoded with. It is built once and only read, so concurrent bursts
+// share it. NewRectWaveform fails only for fewer than one sample per
+// symbol, so its error is dropped.
+var rectWaveform, _ = phy.NewRectWaveform(SamplesPerSymbol)
+
 // Link is one reader–tag pair in an environment.
 type Link struct {
 	// Reader holds the RF configuration.
@@ -267,11 +273,7 @@ func (l *Link) CaptureWaveformWS(ws *dsp.Workspace, payload []byte, mcs frame.MC
 	if err != nil {
 		return cap, err
 	}
-	w, err := phy.NewRectWaveform(SamplesPerSymbol)
-	if err != nil {
-		return cap, err
-	}
-	tx := w.SynthesizeWS(ws, syms)
+	tx := rectWaveform.SynthesizeWS(ws, syms)
 	if t := signal.Active(); t != nil {
 		t.TxWaveform(tx)
 	}
@@ -364,13 +366,9 @@ func (l *Link) RunWaveformMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS
 		return res, err
 	}
 	res.ExpectedSNRdB = ExpectedDecisionSNRdB(cap.Budget.SNRdB[bw.Label])
-	w, err := phy.NewRectWaveform(SamplesPerSymbol)
-	if err != nil {
-		return res, err
-	}
 	rx := cap.Samples
 	tap := signal.Active()
-	dec, stats, err := reader.DecodeBurstWS(ws, rx, w)
+	dec, stats, err := reader.DecodeBurstWS(ws, rx, rectWaveform)
 	if err != nil {
 		// Failure to decode is a measurement outcome, not an API error:
 		// report every payload bit as lost.

@@ -180,11 +180,14 @@ func (ff *FIRFFT) ProcessWS(ws *Workspace, x []complex128) []complex128 {
 
 // XCorrWS computes XCorr (r[k] = Σ_n x[n+k]·conj(y[n]), lags
 // k = 0…len(x)−len(y)) choosing between the direct loop and FFT-based
-// circular correlation by estimated cost. The direct path skips exact-zero
-// reference taps, so sparse templates (e.g. an upsampled preamble) pay
-// only for their nonzero chips and produce bit-identical sums to a strided
-// loop over those chips. The returned slice is owned by ws and valid
-// until the next ws.Reset.
+// circular correlation by estimated cost. The direct path runs tap-major:
+// each nonzero reference tap, in ascending index order, adds its products
+// into every lag, so each lag sums the same products in the same order
+// from +0 as a per-lag loop over the nonzero taps (bit-identical), while
+// the lags' additions are independent of each other. Exact-zero taps are
+// skipped, so sparse templates (e.g. an upsampled preamble) pay only for
+// their nonzero chips. The returned slice is owned by ws and valid until
+// the next ws.Reset.
 func XCorrWS(ws *Workspace, x, y []complex128) []complex128 {
 	if len(y) == 0 || len(x) < len(y) {
 		return nil
@@ -198,37 +201,15 @@ func XCorrWS(ws *Workspace, x, y []complex128) []complex128 {
 	}
 	if xcorrDirectCheaper(lags, nnz, len(x)) {
 		out := ws.Complex(lags)
-		if nnz == len(y) {
-			for k := 0; k < lags; k++ {
-				var acc complex128
-				for n, yv := range y {
-					acc += x[k+n] * complex(real(yv), -imag(yv))
-				}
-				out[k] = acc
-			}
-			return out
-		}
-		// Gather the nonzero taps once (conjugated, ascending index) so a
-		// sparse template pays per lag only for its nonzero chips — the
-		// same summands in the same order as the dense loop, hence
-		// bit-identical, at the cost of a strided loop over the chips.
-		cv := ws.Complex(nnz)
-		ci := ws.Float(nnz)
-		j := 0
 		for n, yv := range y {
 			if yv == 0 {
 				continue
 			}
-			cv[j] = complex(real(yv), -imag(yv))
-			ci[j] = float64(n)
-			j++
-		}
-		for k := 0; k < lags; k++ {
-			var acc complex128
-			for j, v := range cv {
-				acc += x[k+int(ci[j])] * v
+			c := complex(real(yv), -imag(yv))
+			xs := x[n : n+len(out)]
+			for k := range out {
+				out[k] += xs[k] * c
 			}
-			out[k] = acc
 		}
 		return out
 	}
@@ -272,36 +253,16 @@ func XCorrRealWS(ws *Workspace, x, y []float64) []float64 {
 		}
 	}
 	if xcorrDirectCheaper(lags, nnz, len(x)) {
+		// Tap-major over the nonzero taps, as in XCorrWS.
 		out := ws.Float(lags)
-		if nnz == len(y) {
-			for k := 0; k < lags; k++ {
-				var acc float64
-				for n, yv := range y {
-					acc += x[k+n] * yv
-				}
-				out[k] = acc
-			}
-			return out
-		}
-		// As in XCorrWS: gather the nonzero chips once, keeping the dense
-		// loop's ascending-index summation order (bit-identical results).
-		cv := ws.Float(nnz)
-		ci := ws.Float(nnz)
-		j := 0
 		for n, yv := range y {
 			if yv == 0 {
 				continue
 			}
-			cv[j] = yv
-			ci[j] = float64(n)
-			j++
-		}
-		for k := 0; k < lags; k++ {
-			var acc float64
-			for j, v := range cv {
-				acc += x[k+int(ci[j])] * v
+			xs := x[n : n+len(out)]
+			for k := range out {
+				out[k] += xs[k] * yv
 			}
-			out[k] = acc
 		}
 		return out
 	}

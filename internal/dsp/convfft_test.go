@@ -190,6 +190,150 @@ func TestXCorrRealWSMatchesReference(t *testing.T) {
 	}
 }
 
+// xcorrLagMajor is the direct correlation XCorrWS and XCorrRealWS ran
+// before their tap-major rewrite, kept as their bit-exact reference: one
+// accumulator per lag over every tap of a dense template, or over the
+// gathered nonzero taps of a sparse one.
+func xcorrLagMajor[T float64 | complex128](x, y []T, conj func(T) T) []T {
+	lags := len(x) - len(y) + 1
+	out := make([]T, lags)
+	var cv []T
+	var ci []int
+	for n, yv := range y {
+		if yv != 0 {
+			cv = append(cv, conj(yv))
+			ci = append(ci, n)
+		}
+	}
+	if len(cv) == len(y) {
+		for k := 0; k < lags; k++ {
+			var acc T
+			for n, yv := range y {
+				acc += x[k+n] * conj(yv)
+			}
+			out[k] = acc
+		}
+		return out
+	}
+	for k := 0; k < lags; k++ {
+		var acc T
+		for j, v := range cv {
+			acc += x[k+ci[j]] * v
+		}
+		out[k] = acc
+	}
+	return out
+}
+
+func realConj(v float64) float64 { return v }
+
+// sameFloatBits reports whether a and b hold the same bits.
+func sameFloatBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestXCorrDirectMatchesLagMajor: the tap-major direct paths of XCorrWS
+// and XCorrRealWS reproduce the lag-major reference bit for bit on every
+// template shape, on the direct side of the cost crossover.
+func TestXCorrDirectMatchesLagMajor(t *testing.T) {
+	// The template shapes the direct path serves: dense, every 4th tap
+	// (an upsampled preamble), a single tap, all zero.
+	templates := []struct {
+		name string
+		keep func(n, ly int) bool
+	}{
+		{"dense", func(int, int) bool { return true }},
+		{"every-4th", func(n, _ int) bool { return n%4 == 0 }},
+		{"single-tap", func(n, ly int) bool { return n == ly/2 }},
+		{"all-zero", func(int, int) bool { return false }},
+	}
+	rng := rand.New(rand.NewSource(29))
+	w := NewWorkspace()
+	for _, c := range []struct{ lx, ly int }{{2, 1}, {8, 3}, {100, 13}, {300, 49}, {1000, 52}, {2516, 49}} {
+		for _, tm := range templates {
+			x := randComplex(rng, c.lx)
+			for i := range x {
+				if i%11 == 0 {
+					x[i] = complex(math.Copysign(0, -1), math.Copysign(0, -1))
+				}
+			}
+			y := randComplex(rng, c.ly)
+			xr, yr := make([]float64, c.lx), make([]float64, c.ly)
+			for i := range x {
+				xr[i] = real(x[i])
+			}
+			nnz := 0
+			for n := range y {
+				if !tm.keep(n, c.ly) {
+					y[n] = 0
+				} else {
+					nnz++
+				}
+				yr[n] = real(y[n])
+			}
+			lags := c.lx - c.ly + 1
+			if !xcorrDirectCheaper(lags, nnz, c.lx) {
+				t.Fatalf("%dx%d %s: case is on the FFT side of the crossover", c.lx, c.ly, tm.name)
+			}
+			want := xcorrLagMajor(x, y, cmplx.Conj)
+			got := XCorrWS(w, x, y)
+			for k := range want {
+				if !sameFloatBits(real(got[k]), real(want[k])) || !sameFloatBits(imag(got[k]), imag(want[k])) {
+					t.Fatalf("XCorrWS %dx%d %s lag %d: %v, lag-major %v", c.lx, c.ly, tm.name, k, got[k], want[k])
+				}
+			}
+			wantR := xcorrLagMajor(xr, yr, realConj)
+			gotR := XCorrRealWS(w, xr, yr)
+			for k := range wantR {
+				if !sameFloatBits(gotR[k], wantR[k]) {
+					t.Fatalf("XCorrRealWS %dx%d %s lag %d: %v, lag-major %v", c.lx, c.ly, tm.name, k, gotR[k], wantR[k])
+				}
+			}
+			w.Reset()
+		}
+	}
+}
+
+// FuzzXCorrRealDirect compares XCorrRealWS's direct path with the
+// lag-major reference bit for bit. Each byte becomes a small value with
+// an inexact binary expansion, so every summation order rounds
+// differently and zero taps are common.
+func FuzzXCorrRealDirect(f *testing.F) {
+	x := []byte{3, 250, 17, 0, 99, 128, 7, 201, 54, 13, 77, 240, 1, 160, 33, 90}
+	f.Add(x, []byte{5, 9, 251, 2})                // dense
+	f.Add(x, []byte{5, 0, 0, 0, 200, 0, 0, 0, 7}) // every 4th tap
+	f.Add(x, []byte{0, 0, 42, 0, 0})              // single tap
+	f.Add(x, []byte{0, 0, 0})                     // all zero
+	f.Add(x, x)                                   // one lag
+	decode := func(b []byte) []float64 {
+		v := make([]float64, len(b))
+		for i, c := range b {
+			v[i] = float64(int8(c)) / 7
+		}
+		return v
+	}
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		x, y := decode(xb), decode(yb)
+		if len(y) == 0 || len(x) < len(y) {
+			t.Skip()
+		}
+		nnz := 0
+		for _, v := range y {
+			if v != 0 {
+				nnz++
+			}
+		}
+		if !xcorrDirectCheaper(len(x)-len(y)+1, nnz, len(x)) {
+			t.Skip()
+		}
+		want := xcorrLagMajor(x, y, realConj)
+		got := XCorrRealWS(nil, x, y)
+		for k := range want {
+			if !sameFloatBits(got[k], want[k]) {
+				t.Fatalf("lag %d: %v, lag-major %v", k, got[k], want[k])
+			}
+		}
+	})
+}
+
 // TestConvXCorrZeroAlloc: the frequency-domain paths stay allocation-free
 // on a warm workspace.
 func TestConvXCorrZeroAlloc(t *testing.T) {

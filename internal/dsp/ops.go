@@ -168,6 +168,10 @@ func MovingAverage(x []complex128, w int) []complex128 {
 // MovingAverageInto writes the causal moving average of x into dst and
 // returns dst[:len(x)]. len(dst) must be ≥ len(x), and dst must not
 // alias x (the running sum re-reads x[i−w] after dst[i−w] is written).
+//
+// Each component is divided by the real sample count. For finite input
+// that equals complex division by complex(n, 0) except for the sign of
+// an exact-zero part, and the magnitudes agree for every input.
 func MovingAverageInto(dst, x []complex128, w int) []complex128 {
 	dst = dst[:len(x)]
 	if w <= 1 {
@@ -184,7 +188,8 @@ func MovingAverageInto(dst, x []complex128, w int) []complex128 {
 		if i+1 < w {
 			n = i + 1
 		}
-		dst[i] = acc / complex(float64(n), 0)
+		fn := float64(n)
+		dst[i] = complex(real(acc)/fn, imag(acc)/fn)
 	}
 	return dst
 }

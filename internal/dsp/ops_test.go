@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/cmplx"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +155,67 @@ func TestMovingAverageConstantSignal(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// movingAverageComplexDiv is the moving average MovingAverageInto ran
+// before it divided by a real count, kept as its reference.
+func movingAverageComplexDiv(x []complex128, w int) []complex128 {
+	dst := make([]complex128, len(x))
+	var acc complex128
+	for i := range x {
+		acc += x[i]
+		if i >= w {
+			acc -= x[i-w]
+		}
+		n := w
+		if i+1 < w {
+			n = i + 1
+		}
+		dst[i] = acc / complex(float64(n), 0)
+	}
+	return dst
+}
+
+// TestMovingAverageIntoMatchesComplexDivision: on finite input the
+// components equal the complex division's (== treats the signs of zero
+// alike), and the magnitudes DetectBurstWS reads next are equal bit for
+// bit on any input, infinities and NaNs included.
+func TestMovingAverageIntoMatchesComplexDivision(t *testing.T) {
+	check := func(x []complex128, w int, finite bool) {
+		t.Helper()
+		want := movingAverageComplexDiv(x, w)
+		got := MovingAverageInto(make([]complex128, len(x)), x, w)
+		for i := range want {
+			if finite && got[i] != want[i] {
+				t.Fatalf("window %d sample %d: %v, complex division %v", w, i, got[i], want[i])
+			}
+			if g, h := math.Float64bits(cmplx.Abs(got[i])), math.Float64bits(cmplx.Abs(want[i])); g != h {
+				t.Fatalf("window %d sample %d: |%v| != |%v|", w, i, got[i], want[i])
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	finite := []float64{0, math.Copysign(0, -1), 1, -2.5, 1e300, -1e-300, 5e-324}
+	for _, w := range []int{2, 3, 4, 13} {
+		x := make([]complex128, 4000)
+		for i := range x {
+			if i%5 == 0 {
+				x[i] = complex(finite[rng.Intn(len(finite))], finite[rng.Intn(len(finite))])
+			} else {
+				x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+		}
+		check(x, w, true)
+	}
+	// A NaN or infinity stays in the running sum, so each pair of special
+	// components gets its own short input: alone (divided by 1) and summed
+	// with a finite sample (divided by 2).
+	special := append([]float64{math.Inf(1), math.Inf(-1), math.NaN()}, finite...)
+	for _, re := range special {
+		for _, im := range special {
+			check([]complex128{complex(re, im), 0.3 - 0.7i}, 2, false)
+		}
 	}
 }
 

@@ -33,7 +33,15 @@ func splitMix64(x *uint64) uint64 {
 // New returns a Source seeded from seed. Distinct seeds give statistically
 // independent streams.
 func New(seed uint64) *Source {
-	var s Source
+	s := new(Source)
+	s.seed(seed)
+	return s
+}
+
+// seed expands seed into the generator state. It lives outside New so
+// that New and Sequence.At inline, which keeps a Source that does not
+// escape its caller off the heap.
+func (s *Source) seed(seed uint64) {
 	x := seed
 	for i := range s.s {
 		s.s[i] = splitMix64(&x)
@@ -43,22 +51,28 @@ func New(seed uint64) *Source {
 	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
 		s.s[0] = 1
 	}
-	return &s
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// xoshiro is one xoshiro256★★ step on a state passed by value, so a loop
+// that draws many values can hold the state in registers.
+func xoshiro(s0, s1, s2, s3 uint64) (r, n0, n1, n2, n3 uint64) {
+	r = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	return r, s0, s1, s2, rotl(s3, 45)
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (s *Source) Uint64() uint64 {
-	result := rotl(s.s[1]*5, 7) * 9
-	t := s.s[1] << 17
-	s.s[2] ^= s.s[0]
-	s.s[3] ^= s.s[1]
-	s.s[1] ^= s.s[2]
-	s.s[0] ^= s.s[3]
-	s.s[2] ^= t
-	s.s[3] = rotl(s.s[3], 45)
-	return result
+	var r uint64
+	r, s.s[0], s.s[1], s.s[2], s.s[3] = xoshiro(s.s[0], s.s[1], s.s[2], s.s[3])
+	return r
 }
 
 // Split derives an independent child stream from this one. The parent
@@ -96,10 +110,17 @@ func NewSequence(seed uint64) Sequence {
 // order-independent: At(i) always returns a generator in the same
 // state, and distinct indices give statistically independent streams.
 func (q Sequence) At(i uint64) *Source {
-	// Mix the index through SplitMix64 before handing it to New (which
+	s := new(Source)
+	s.seedAt(q.base, i)
+	return s
+}
+
+// seedAt seeds sub-stream i of the family with the given base.
+func (s *Source) seedAt(base, i uint64) {
+	// Mix the index through SplitMix64 before seeding (which
 	// SplitMix64-expands again) so consecutive indices land far apart.
-	x := q.base + (i+1)*0x9e3779b97f4a7c15
-	return New(splitMix64(&x))
+	x := base + (i+1)*0x9e3779b97f4a7c15
+	s.seed(splitMix64(&x))
 }
 
 // Float64 returns a uniform sample in [0, 1) with 53 bits of precision.
@@ -192,14 +213,67 @@ func (s *Source) ComplexNorm() complex128 {
 	return complex(s.Norm()*invSqrt2, s.Norm()*invSqrt2)
 }
 
+// awgnBlock is how many polar candidates AWGN draws before it transforms
+// them: enough for the transforms' logs, divides and square roots to
+// overlap, few enough for the scratch to stay on the stack.
+const awgnBlock = 256
+
 // AWGN adds complex white Gaussian noise of the given power (variance per
-// sample) to x in place and returns it.
+// sample) to x in place and returns it. Sample i adds σ·ComplexNorm():
+// the draws, the generator state left behind and every output bit are
+// those of len(x) ComplexNorm calls, pending spare included. Candidates
+// are drawn a block at a time, so the rejection branch stays out of the
+// transform loops.
 func (s *Source) AWGN(x []complex128, noisePower float64) []complex128 {
+	const invSqrt2 = 0.7071067811865476
 	sigma := math.Sqrt(noisePower)
-	for i := range x {
-		x[i] += complex(sigma, 0) * s.ComplexNorm()
+	var u, v, f [awgnBlock]float64
+	for blk := x; len(blk) > 0; {
+		n := min(len(blk), awgnBlock)
+		s.polarCandidates(u[:n], v[:n], f[:n])
+		for i, q := range f[:n] {
+			f[i] = math.Sqrt(-2 * math.Log(q) / q)
+		}
+		if s.hasSpare {
+			// A pending spare shifts the pairing by one Gaussian: sample i
+			// takes the spare and pair i's u, and pair i's v becomes the
+			// next spare.
+			spare := s.spare
+			for i := range blk[:n] {
+				blk[i] += complex(sigma, 0) * complex(spare*invSqrt2, u[i]*f[i]*invSqrt2)
+				spare = v[i] * f[i]
+			}
+			s.spare = spare
+		} else {
+			for i := range blk[:n] {
+				blk[i] += complex(sigma, 0) * complex(u[i]*f[i]*invSqrt2, v[i]*f[i]*invSqrt2)
+			}
+		}
+		blk = blk[n:]
 	}
 	return x
+}
+
+// polarCandidates fills u, v and q = u²+v² with accepted Marsaglia polar
+// candidates (0 < q < 1), consuming the generator exactly as one Norm
+// call per candidate does.
+func (s *Source) polarCandidates(u, v, q []float64) {
+	s0, s1, s2, s3 := s.s[0], s.s[1], s.s[2], s.s[3]
+	for i := range u {
+		for {
+			var r uint64
+			r, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			ui := 2*(float64(r>>11)/(1<<53)) - 1
+			r, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+			vi := 2*(float64(r>>11)/(1<<53)) - 1
+			qi := ui*ui + vi*vi
+			if qi > 0 && qi < 1 {
+				u[i], v[i], q[i] = ui, vi, qi
+				break
+			}
+		}
+	}
+	s.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Exp returns an exponentially distributed sample with the given mean.

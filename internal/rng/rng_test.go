@@ -145,6 +145,59 @@ func TestAWGNPower(t *testing.T) {
 	}
 }
 
+// awgnComplexNorm is the per-sample AWGN loop that AWGN's block-drawn
+// form replaced, kept as its bit-exact reference.
+func awgnComplexNorm(s *Source, x []complex128, noisePower float64) []complex128 {
+	sigma := math.Sqrt(noisePower)
+	for i := range x {
+		x[i] += complex(sigma, 0) * s.ComplexNorm()
+	}
+	return x
+}
+
+// TestAWGNMatchesComplexNormLoop: AWGN must add the reference loop's
+// samples bit for bit and leave the generator, including a pending polar
+// spare, where the reference leaves it, across block boundaries.
+func TestAWGNMatchesComplexNormLoop(t *testing.T) {
+	lengths := []int{0, 1, awgnBlock - 1, awgnBlock, awgnBlock + 1, 2516, 5000}
+	for seed := uint64(0); seed < 200; seed++ {
+		power := []float64{1, 0.25, 1e-9, 3.7e-13}[seed%4]
+		for _, n := range lengths {
+			for _, spare := range []bool{false, true} {
+				want, got := New(seed), New(seed)
+				if spare {
+					want.Norm()
+					got.Norm()
+				}
+				in := New(^seed)
+				xw := make([]complex128, n)
+				for i := range xw {
+					if i%7 != 0 { // keep some exact zeros in the input
+						xw[i] = complex(in.Float64()-0.5, in.Float64()-0.5)
+					}
+				}
+				xg := append([]complex128(nil), xw...)
+				awgnComplexNorm(want, xw, power)
+				got.AWGN(xg, power)
+				for i := range xw {
+					if math.Float64bits(real(xg[i])) != math.Float64bits(real(xw[i])) ||
+						math.Float64bits(imag(xg[i])) != math.Float64bits(imag(xw[i])) {
+						t.Fatalf("seed %d len %d spare %v sample %d: AWGN %v, reference %v",
+							seed, n, spare, i, xg[i], xw[i])
+					}
+				}
+				if got.s != want.s || got.hasSpare != want.hasSpare ||
+					(want.hasSpare && math.Float64bits(got.spare) != math.Float64bits(want.spare)) {
+					t.Fatalf("seed %d len %d spare %v: generator state diverged", seed, n, spare)
+				}
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %d len %d spare %v: next Uint64 %#x, reference %#x", seed, n, spare, g, w)
+				}
+			}
+		}
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	s := New(10)
 	const n = 200000

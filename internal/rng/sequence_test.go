@@ -41,6 +41,21 @@ func TestSequenceIndicesAreDistinct(t *testing.T) {
 	}
 }
 
+// TestSequenceAtStaysOnStack: At and New inline, so a per-frame source
+// that does not escape its caller is not heap-allocated.
+func TestSequenceAtStaysOnStack(t *testing.T) {
+	seq := NewSequence(1)
+	buf := make([]byte, 64)
+	i := uint64(0)
+	if n := testing.AllocsPerRun(100, func() {
+		seq.At(i).Bytes(buf)
+		New(i).Bytes(buf)
+		i++
+	}); n != 0 {
+		t.Fatalf("seq.At(i).Bytes and New(i).Bytes allocate %v/op, want 0", n)
+	}
+}
+
 func TestSplitSeqAdvancesParentOnce(t *testing.T) {
 	a, b := New(5), New(5)
 	a.SplitSeq()
