@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-json1 bench-json3 bench-json4 bench-json5 bench-json6 bench-json7 bench-json8 bench-gate bench-gate3 bench-gate4 bench-gate5 bench-gate6 bench-gate7 bench-gate8 bench-trend bench-history grid-smoke vet fmt experiments figures clean
+.PHONY: all build test race outputs bench bench-json bench-gate grid-smoke vet fmt experiments figures clean
 
 all: build test
 
@@ -23,127 +23,19 @@ outputs:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# Machine-readable parallel-sweep benchmarks (BENCH_2.json). Override
-# BENCH_OUT to write elsewhere (the CI bench job generates a fresh file
-# and gates it against the committed baseline with tools/benchgate).
-BENCH_OUT ?= $(CURDIR)/BENCH_2.json
+# Measure every micro-benchmark the BENCH_N.json history tracks (best of
+# three each) into one mmtag-bench/9 file. BENCH_OUT defaults to a path
+# outside the repository, so a bare `make bench-json` never overwrites
+# the committed history.
+BENCH_OUT ?= /tmp/mmtag_bench_fresh.json
 bench-json:
-	MMTAG_BENCH2_JSON=$(BENCH_OUT) $(GO) test -run 'TestWriteBenchJSON2' -v .
+	MMTAG_BENCH_JSON=$(BENCH_OUT) $(GO) test -run '^TestWriteBenchJSON$$' -v .
 
-# Machine-readable instrumentation-overhead benchmarks (BENCH_1.json,
-# the PR-1 trajectory file).
-bench-json1:
-	MMTAG_BENCH_JSON=$(CURDIR)/BENCH_1.json $(GO) test -run 'TestWriteBenchJSON$$' -v .
-
-# Machine-readable event-log overhead benchmarks (BENCH_3.json).
-BENCH3_OUT ?= $(CURDIR)/BENCH_3.json
-bench-json3:
-	MMTAG_BENCH3_JSON=$(BENCH3_OUT) $(GO) test -run 'TestWriteBenchJSON3' -v .
-
-# Machine-readable zero-allocation hot-path benchmarks (BENCH_4.json):
-# workspace-backed burst/modem/FFT/FIR figures with allocs/op recorded.
-BENCH4_OUT ?= $(CURDIR)/BENCH_4.json
-bench-json4:
-	MMTAG_BENCH4_JSON=$(BENCH4_OUT) $(GO) test -run 'TestWriteBenchJSON4' -v .
-
-# Machine-readable signal-tap overhead benchmarks (BENCH_5.json):
-# taps-enabled and flight-recorder burst figures with allocs/op recorded,
-# plus the in-test assertions that taps stay allocation-free.
-BENCH5_OUT ?= $(CURDIR)/BENCH_5.json
-bench-json5:
-	MMTAG_BENCH5_JSON=$(BENCH5_OUT) $(GO) test -run 'TestWriteBenchJSON5' -v .
-
-# Machine-readable frequency-domain fast-path benchmarks (BENCH_6.json):
-# overlap-save convolution, radix-4 vs radix-2 FFT, real-input FFT, FFT
-# preamble search and batched demodulation, with allocs/op recorded.
-BENCH6_OUT ?= $(CURDIR)/BENCH_6.json
-bench-json6:
-	MMTAG_BENCH6_JSON=$(BENCH6_OUT) $(GO) test -run 'TestWriteBenchJSON6' -v .
-
-# Time-series sampler overhead (BENCH_7.json): sampled vs metrics-only
-# burst allocation profile (asserted equal in-test) plus the
-# allocation-free Record micro-benchmarks.
-BENCH7_OUT ?= $(CURDIR)/BENCH_7.json
-bench-json7:
-	MMTAG_BENCH7_JSON=$(BENCH7_OUT) $(GO) test -run 'TestWriteBenchJSON7' -v .
-
-# Streaming decode pipeline (BENCH_8.json): zero-alloc serial Decoder
-# figures plus the stage-parallel pipelined-vs-serial speedup on 4
-# workers, with allocs/op recorded.
-BENCH8_OUT ?= $(CURDIR)/BENCH_8.json
-bench-json8:
-	MMTAG_BENCH8_JSON=$(BENCH8_OUT) $(GO) test -run 'TestWriteBenchJSON8' -v .
-
-# Compare a fresh benchmark run against the committed baseline.
-bench-gate:
-	$(MAKE) bench-json BENCH_OUT=/tmp/mmtag_bench_fresh.json
-	$(GO) run ./tools/benchgate -baseline $(CURDIR)/BENCH_2.json -fresh /tmp/mmtag_bench_fresh.json
-
-# Same gate for the event-log overhead file (no speedup claim).
-bench-gate3:
-	$(MAKE) bench-json3 BENCH3_OUT=/tmp/mmtag_bench3_fresh.json
-	$(GO) run ./tools/benchgate -baseline $(CURDIR)/BENCH_3.json -fresh /tmp/mmtag_bench3_fresh.json -require-speedup 0
-
-# Zero-allocation gate: ns/op is machine-scaled via the calibration
-# benchmark, allocs/op is compared raw (it is machine-independent).
-bench-gate4:
-	$(MAKE) bench-json4 BENCH4_OUT=/tmp/mmtag_bench4_fresh.json
-	$(GO) run ./tools/benchgate -baseline $(CURDIR)/BENCH_4.json -fresh /tmp/mmtag_bench4_fresh.json -require-speedup 0 -require-sweep-speedup 1.0
-
-# Signal-tap overhead gate: same machine-scaled ns/op + raw allocs/op
-# comparison for the BENCH_5 taps/flight-recorder figures. The hard
-# contract here is the allocation profile (compared raw and tight);
-# burst-level ns/op is noisy on loaded runners, so it gets extra slack.
-bench-gate5:
-	$(MAKE) bench-json5 BENCH5_OUT=/tmp/mmtag_bench5_fresh.json
-	$(GO) run ./tools/benchgate -baseline $(CURDIR)/BENCH_5.json -fresh /tmp/mmtag_bench5_fresh.json -require-speedup 0 -tolerance 0.40
-
-# Frequency-domain fast-path gate: beyond the usual machine-scaled
-# ns/op + raw allocs/op comparison, the -ratio gates assert the PR's
-# headline speedups inside the fresh run itself (both sides measured on
-# the same machine, so no calibration noise): FFT convolution ≥ 5× over
-# the direct 63-tap block filter, and the radix-4 plan ahead of the
-# plain radix-2 kernel.
-bench-gate6:
-	$(MAKE) bench-json6 BENCH6_OUT=/tmp/mmtag_bench6_fresh.json
-	$(GO) run ./tools/benchgate -baseline $(CURDIR)/BENCH_6.json -fresh /tmp/mmtag_bench6_fresh.json \
-		-require-speedup 0 -tolerance 0.40 \
-		-ratio "fir_block_inplace/fir_fft_block_ws>=5" \
-		-ratio "fft_radix2_1024/fft_radix4_1024_ws>=1.2"
-
-# Sampler overhead gate: machine-scaled ns/op + raw allocs/op. The hard
-# contract (sampled burst allocs == metrics-only burst allocs, Record
-# == 0 allocs) is asserted inside TestWriteBenchJSON7 itself, so the
-# fresh file cannot even be produced if sampling starts allocating.
-bench-gate7:
-	$(MAKE) bench-json7 BENCH7_OUT=/tmp/mmtag_bench7_fresh.json
-	$(GO) run ./tools/benchgate -baseline $(CURDIR)/BENCH_7.json -fresh /tmp/mmtag_bench7_fresh.json -require-speedup 0 -tolerance 0.40
-
-# Streaming decode gate: the serial Decoder's allocs/op stay pinned (raw
-# comparison; stream_decode_frame is asserted == 0 inside the JSON writer
-# itself) and the stage-parallel pipeline holds its ≥2× speedup over the
-# single-burst serial loop wherever the machine has ≥4 CPUs (the @4
-# qualifier skips the ratio on smaller containers).
-bench-gate8:
-	$(MAKE) bench-json8 BENCH8_OUT=/tmp/mmtag_bench8_fresh.json
-	$(GO) run ./tools/benchgate -baseline $(CURDIR)/BENCH_8.json -fresh /tmp/mmtag_bench8_fresh.json \
-		-require-speedup 0 -tolerance 0.40 \
-		-ratio "stream_decode_serial/stream_decode_pipelined>=2.0@4"
-
-# Markdown trend table across the whole BENCH_N.json history.
-bench-trend:
-	$(GO) run ./tools/benchgate -trend BENCH_2.json BENCH_3.json BENCH_4.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json
-
-# Cross-PR history report + regression gate: regenerate the current
-# fast-path figures, render the per-metric trend over BENCH_1…8 plus the
-# fresh run (ns/op scaled through the calibration benchmark), and fail
-# when any allocation-tracked benchmark regresses past the best count
-# ever recorded for it.
-bench-history:
-	$(MAKE) bench-json8 BENCH8_OUT=/tmp/mmtag_bench8_fresh.json
-	$(GO) run ./tools/benchgate -history \
-		BENCH_1.json BENCH_2.json BENCH_3.json BENCH_4.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json \
-		/tmp/mmtag_bench8_fresh.json
+# Gate a fresh run against bench_gates.json and the BENCH_N.json history:
+# prints the markdown report and fails on any ns/op, allocs/op, presence
+# or ratio gate (tools/benchgate).
+bench-gate: bench-json
+	$(GO) run ./tools/benchgate -gates bench_gates.json $(BENCH_OUT)
 
 # Grid smoke: run the committed smoke grid at two worker counts, verify
 # every cell manifest, and assert the deterministic artifacts are

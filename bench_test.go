@@ -174,7 +174,7 @@ func BenchmarkWaveformBurst(b *testing.B) {
 	obs.Disable()
 	event.Disable()
 	signal.Disable()
-	benchBurst(b)
+	benchBurst(b, false)
 }
 
 // BenchmarkBudgetOnly measures the analytic link-budget path alone — the
@@ -192,29 +192,54 @@ func BenchmarkBudgetOnly(b *testing.B) {
 	}
 }
 
-// benchBurst is the shared body of the instrumented-vs-Nop burst
-// benchmarks: one complete waveform burst per iteration, drawing every
-// sample buffer from a run-long workspace — the steady-state hot path
-// every sweep and the ARQ engine now execute.
-func benchBurst(b *testing.B) {
-	b.Helper()
+// newBurst builds the pinned burst every burst benchmark and the
+// allocation-contract test run — a 64-byte payload at 4 ft, every sample
+// buffer drawn from a run-long workspace, the steady-state hot path every
+// sweep and the ARQ engine execute — and returns a func that sends one
+// burst and fails tb unless it decodes exactly when the link is healthy.
+// degraded drops the reader's self-interference isolation below the §9
+// working point so every burst fails and exercises the failure path.
+//
+// Eight warm-up bursts run first, so the workspace's FFT plans, the
+// tap's snapshot buffers and (when a flight recorder is attached) every
+// ring slot are grown before measurement — the steady state the
+// zero-allocation contracts cover. Install the observability layers
+// under test before calling it.
+func newBurst(tb testing.TB, degraded bool) func(testing.TB) {
+	tb.Helper()
 	link, err := mmtag.NewLink(mmtag.Feet(4))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	if degraded {
+		link.Reader.IsolationDB = 20
 	}
 	src := mmtag.NewSource(1)
 	ws := mmtag.NewWorkspace()
 	payload := make([]byte, 64)
 	bw := link.Reader.Bandwidths[1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	burst := func(tb testing.TB) {
 		res, err := link.RunWaveformWS(ws, payload, bw, src)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if !res.Decoded {
-			b.Fatal("burst failed at 4 ft")
+		if res.Decoded == degraded {
+			tb.Fatalf("burst decoded=%v with degraded=%v", res.Decoded, degraded)
 		}
+	}
+	for i := 0; i < 8; i++ {
+		burst(tb)
+	}
+	return burst
+}
+
+// benchBurst is the shared body of the burst benchmarks: one warmed
+// burst per iteration.
+func benchBurst(b *testing.B, degraded bool) {
+	burst := newBurst(b, degraded)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst(b)
 	}
 }
 
@@ -225,7 +250,7 @@ func benchBurst(b *testing.B) {
 func BenchmarkWaveformBurstMetricsEnabled(b *testing.B) {
 	obs.Enable()
 	defer obs.Disable()
-	benchBurst(b)
+	benchBurst(b, false)
 }
 
 // BenchmarkObsDisabled measures one instrumentation call with no
@@ -246,89 +271,6 @@ func BenchmarkObsEnabled(b *testing.B) {
 		obs.Inc("bench_total", obs.L("bw", "2GHz"))
 	}
 }
-
-// benchRecord is one row of BENCH_1.json.
-type benchRecord struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// TestWriteBenchJSON emits a machine-readable benchmark trajectory file
-// so later PRs can track instrumentation overhead. It only runs when
-// MMTAG_BENCH_JSON names the output path (the Makefile's bench-json
-// target); plain `go test` skips it.
-func TestWriteBenchJSON(t *testing.T) {
-	path := os.Getenv("MMTAG_BENCH_JSON")
-	if path == "" {
-		t.Skip("set MMTAG_BENCH_JSON=<path> to emit the benchmark JSON")
-	}
-	obs.Disable()
-	// Best-of-three per benchmark: the minimum ns/op is the usual
-	// noise-robust estimator when the machine has background load.
-	run := func(name string, fn func(b *testing.B)) benchRecord {
-		best := testing.Benchmark(fn)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		t.Logf("%s: %d ns/op, %d allocs/op", name, best.NsPerOp(), best.AllocsPerOp())
-		return benchRecord{
-			Name:        name,
-			NsPerOp:     float64(best.NsPerOp()),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-		}
-	}
-	records := []benchRecord{
-		run("waveform_burst_nop", BenchmarkWaveformBurst),
-		run("waveform_burst_metrics_enabled", BenchmarkWaveformBurstMetricsEnabled),
-		run("budget_only_nop", BenchmarkBudgetOnly),
-		run("obs_call_disabled", BenchmarkObsDisabled),
-		run("obs_counter_enabled", BenchmarkObsEnabled),
-	}
-	overheadPct := func(base, with float64) float64 {
-		if base <= 0 {
-			return 0
-		}
-		return (with - base) / base * 100
-	}
-	out := struct {
-		Schema     string        `json:"schema"`
-		Note       string        `json:"note"`
-		Benchmarks []benchRecord `json:"benchmarks"`
-		// NopOverheadPctVsSeed compares the instrumented-but-disabled
-		// burst against the uninstrumented seed measurement taken on the
-		// same machine immediately before this layer landed.
-		SeedBurstNsPerOp     float64 `json:"seed_burst_ns_per_op"`
-		NopOverheadPctVsSeed float64 `json:"nop_overhead_pct_vs_seed"`
-		EnabledOverheadPct   float64 `json:"enabled_overhead_pct_vs_nop"`
-	}{
-		Schema:     "mmtag-bench/1",
-		Note:       "regenerate with `make bench-json`; numbers are machine-dependent",
-		Benchmarks: records,
-		// Seed baseline: BenchmarkWaveformBurst on the pre-obs tree
-		// (PR 0), same machine class as BENCH_1.json was generated on.
-		SeedBurstNsPerOp:     seedBurstNsPerOp,
-		NopOverheadPctVsSeed: overheadPct(seedBurstNsPerOp, records[0].NsPerOp),
-		EnabledOverheadPct:   overheadPct(records[0].NsPerOp, records[1].NsPerOp),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// seedBurstNsPerOp is BenchmarkWaveformBurst measured on the seed tree
-// (before internal/obs existed): best of three runs taken back-to-back
-// with the committed BENCH_1.json on the same machine. Update it only
-// when regenerating the file on comparable hardware.
-const seedBurstNsPerOp = 199607
 
 // mcBenchBits sizes the Monte-Carlo scaling benchmarks: 2^18 bits is 32
 // shards of the phy chunk size — enough to keep every worker busy while
@@ -401,102 +343,6 @@ func BenchmarkAngleSweepWorkers1(b *testing.B) { benchAngleSweepWorkers(b, 1) }
 // BenchmarkAngleSweepWorkers4 is the 4-way angle sweep.
 func BenchmarkAngleSweepWorkers4(b *testing.B) { benchAngleSweepWorkers(b, 4) }
 
-// bench2Record is one row of BENCH_2.json.
-type bench2Record struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// TestWriteBenchJSON2 emits BENCH_2.json: the parallel-sweep benchmark
-// trajectory the CI bench gate compares against (tools/benchgate). It
-// only runs when MMTAG_BENCH2_JSON names the output path (the
-// Makefile's bench-json target); plain `go test` skips it.
-func TestWriteBenchJSON2(t *testing.T) {
-	path := os.Getenv("MMTAG_BENCH2_JSON")
-	if path == "" {
-		t.Skip("set MMTAG_BENCH2_JSON=<path> to emit the benchmark JSON")
-	}
-	obs.Disable()
-	run := func(name string, fn func(b *testing.B)) bench2Record {
-		best := testing.Benchmark(fn)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		t.Logf("%s: %d ns/op", name, best.NsPerOp())
-		return bench2Record{
-			Name:        name,
-			NsPerOp:     float64(best.NsPerOp()),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-		}
-	}
-	records := []bench2Record{
-		// calibration_ook_modem is a pure single-thread CPU benchmark used
-		// by tools/benchgate to normalize machine speed out of
-		// cross-machine comparisons. Keep it first.
-		run("calibration_ook_modem", BenchmarkOOKModem),
-		run("monte_carlo_ber_workers_1", BenchmarkMonteCarloBERWorkers1),
-		run("monte_carlo_ber_workers_2", BenchmarkMonteCarloBERWorkers2),
-		run("monte_carlo_ber_workers_4", BenchmarkMonteCarloBERWorkers4),
-		run("monte_carlo_ber_workers_max", BenchmarkMonteCarloBERWorkersMax),
-		run("angle_sweep_workers_1", BenchmarkAngleSweepWorkers1),
-		run("angle_sweep_workers_4", BenchmarkAngleSweepWorkers4),
-		run("waveform_burst_nop", BenchmarkWaveformBurst),
-	}
-	byName := func(name string) bench2Record {
-		for _, r := range records {
-			if r.Name == name {
-				return r
-			}
-		}
-		t.Fatalf("missing record %s", name)
-		return bench2Record{}
-	}
-	ratio := func(a, b bench2Record) float64 {
-		if b.NsPerOp <= 0 {
-			return 0
-		}
-		return a.NsPerOp / b.NsPerOp
-	}
-	w1 := byName("monte_carlo_ber_workers_1")
-	out := struct {
-		Schema     string         `json:"schema"`
-		Note       string         `json:"note"`
-		NumCPU     int            `json:"num_cpu"`
-		GoVersion  string         `json:"go_version"`
-		Benchmarks []bench2Record `json:"benchmarks"`
-		// Speedups are workers_1 ns/op over workers_N ns/op: > 1 means the
-		// fan-out pays. On a 1-CPU machine they sit near 1 by construction;
-		// the benchgate speedup assertion therefore only arms when num_cpu
-		// is at least 4.
-		MCSpeedup2W   float64 `json:"mc_ber_speedup_workers_2"`
-		MCSpeedup4W   float64 `json:"mc_ber_speedup_workers_4"`
-		MCSpeedupMax  float64 `json:"mc_ber_speedup_workers_max"`
-		SweepSpeedup4 float64 `json:"angle_sweep_speedup_workers_4"`
-	}{
-		Schema:        "mmtag-bench/2",
-		Note:          "regenerate with `make bench-json`; ns/op is machine-dependent, speedups depend on num_cpu",
-		NumCPU:        runtime.NumCPU(),
-		GoVersion:     runtime.Version(),
-		Benchmarks:    records,
-		MCSpeedup2W:   ratio(w1, byName("monte_carlo_ber_workers_2")),
-		MCSpeedup4W:   ratio(w1, byName("monte_carlo_ber_workers_4")),
-		MCSpeedupMax:  ratio(w1, byName("monte_carlo_ber_workers_max")),
-		SweepSpeedup4: ratio(byName("angle_sweep_workers_1"), byName("angle_sweep_workers_4")),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // BenchmarkEventEmitDisabled measures one instrumented event site with
 // no log installed — the idiom every hot path uses (`event.Enabled()`
 // guard before building the field slice), so this is the cost paid per
@@ -531,95 +377,7 @@ func BenchmarkWaveformBurstEventsEnabled(b *testing.B) {
 	obs.Disable()
 	event.EnableWith(event.New(1 << 16))
 	defer event.Disable()
-	benchBurst(b)
-}
-
-// bench3Record is one row of BENCH_3.json.
-type bench3Record struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// TestWriteBenchJSON3 emits BENCH_3.json: the event-log overhead
-// trajectory (emit cost on/off, burst cost with events on) that the CI
-// bench job gates with `tools/benchgate -require-speedup 0`. It only
-// runs when MMTAG_BENCH3_JSON names the output path (the Makefile's
-// bench-json3 target); plain `go test` skips it.
-func TestWriteBenchJSON3(t *testing.T) {
-	path := os.Getenv("MMTAG_BENCH3_JSON")
-	if path == "" {
-		t.Skip("set MMTAG_BENCH3_JSON=<path> to emit the benchmark JSON")
-	}
-	obs.Disable()
-	event.Disable()
-	run := func(name string, fn func(b *testing.B)) bench3Record {
-		best := testing.Benchmark(fn)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		t.Logf("%s: %d ns/op, %d allocs/op", name, best.NsPerOp(), best.AllocsPerOp())
-		return bench3Record{
-			Name:        name,
-			NsPerOp:     float64(best.NsPerOp()),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-		}
-	}
-	records := []bench3Record{
-		// Same single-thread calibration benchmark as BENCH_2.json, kept
-		// first so benchgate can normalize machine speed across files
-		// generated on different hardware.
-		run("calibration_ook_modem", BenchmarkOOKModem),
-		run("event_emit_disabled", BenchmarkEventEmitDisabled),
-		run("event_emit_enabled", BenchmarkEventEmitEnabled),
-		run("waveform_burst_nop", BenchmarkWaveformBurst),
-		run("waveform_burst_events_enabled", BenchmarkWaveformBurstEventsEnabled),
-	}
-	byName := func(name string) bench3Record {
-		for _, r := range records {
-			if r.Name == name {
-				return r
-			}
-		}
-		t.Fatalf("missing record %s", name)
-		return bench3Record{}
-	}
-	overheadPct := func(base, with float64) float64 {
-		if base <= 0 {
-			return 0
-		}
-		return (with - base) / base * 100
-	}
-	nop := byName("waveform_burst_nop")
-	out := struct {
-		Schema     string         `json:"schema"`
-		Note       string         `json:"note"`
-		NumCPU     int            `json:"num_cpu"`
-		GoVersion  string         `json:"go_version"`
-		Benchmarks []bench3Record `json:"benchmarks"`
-		// EventsOverheadPct is the burst-path cost of live event capture
-		// relative to the disabled path — the number the PR holds under
-		// the benchgate tolerance.
-		EventsOverheadPct float64 `json:"events_overhead_pct_vs_nop"`
-	}{
-		Schema:            "mmtag-bench/3",
-		Note:              "regenerate with `make bench-json3`; ns/op is machine-dependent",
-		NumCPU:            runtime.NumCPU(),
-		GoVersion:         runtime.Version(),
-		Benchmarks:        records,
-		EventsOverheadPct: overheadPct(nop.NsPerOp, byName("waveform_burst_events_enabled").NsPerOp),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	benchBurst(b, false)
 }
 
 // ---------------------------------------------------------------------
@@ -683,113 +441,6 @@ func BenchmarkFIRBlockInPlace(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fir.ProcessInPlace(buf)
-	}
-}
-
-// bench4Record is one row of BENCH_4.json.
-type bench4Record struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// TestWriteBenchJSON4 emits BENCH_4.json: the allocation profile of the
-// zero-allocation DSP hot path (workspaced burst, modem, BER and sweep
-// benchmarks plus the FFT/FIR kernels) that the CI bench-gate4 job holds
-// with `tools/benchgate -alloc-tolerance`. It only runs when
-// MMTAG_BENCH4_JSON names the output path (the Makefile's bench-json4
-// target); plain `go test` skips it.
-func TestWriteBenchJSON4(t *testing.T) {
-	path := os.Getenv("MMTAG_BENCH4_JSON")
-	if path == "" {
-		t.Skip("set MMTAG_BENCH4_JSON=<path> to emit the benchmark JSON")
-	}
-	obs.Disable()
-	event.Disable()
-	run := func(name string, fn func(b *testing.B)) bench4Record {
-		best := testing.Benchmark(fn)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		t.Logf("%s: %d ns/op, %d allocs/op, %d B/op",
-			name, best.NsPerOp(), best.AllocsPerOp(), best.AllocedBytesPerOp())
-		return bench4Record{
-			Name:        name,
-			NsPerOp:     float64(best.NsPerOp()),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-		}
-	}
-	records := []bench4Record{
-		// Machine-speed calibration first, as in BENCH_2/BENCH_3.
-		run("calibration_ook_modem", BenchmarkOOKModem),
-		run("waveform_burst_nop", BenchmarkWaveformBurst),
-		run("waveform_burst_events_enabled", BenchmarkWaveformBurstEventsEnabled),
-		run("event_emit_enabled", BenchmarkEventEmitEnabled),
-		run("fft_radix2_1024_ws", BenchmarkFFTRadix2WS),
-		run("fft_bluestein_1000_ws", BenchmarkFFTBluesteinWS),
-		run("fir_block_inplace", BenchmarkFIRBlockInPlace),
-		run("monte_carlo_ber_workers_1", BenchmarkMonteCarloBERWorkers1),
-		run("monte_carlo_ber_workers_4", BenchmarkMonteCarloBERWorkers4),
-		run("angle_sweep_workers_1", BenchmarkAngleSweepWorkers1),
-		run("angle_sweep_workers_4", BenchmarkAngleSweepWorkers4),
-	}
-	byName := func(name string) bench4Record {
-		for _, r := range records {
-			if r.Name == name {
-				return r
-			}
-		}
-		t.Fatalf("missing record %s", name)
-		return bench4Record{}
-	}
-	ratio := func(a, b bench4Record) float64 {
-		if b.NsPerOp <= 0 {
-			return 0
-		}
-		return a.NsPerOp / b.NsPerOp
-	}
-	overheadPct := func(base, with float64) float64 {
-		if base <= 0 {
-			return 0
-		}
-		return (with - base) / base * 100
-	}
-	nop := byName("waveform_burst_nop")
-	out := struct {
-		Schema     string         `json:"schema"`
-		Note       string         `json:"note"`
-		NumCPU     int            `json:"num_cpu"`
-		GoVersion  string         `json:"go_version"`
-		Benchmarks []bench4Record `json:"benchmarks"`
-		// EventsOverheadPct tracks the same figure BENCH_3 records, after
-		// the reusable-encode-buffer rework of the event log.
-		EventsOverheadPct float64 `json:"events_overhead_pct_vs_nop"`
-		// MCSpeedup4W mirrors BENCH_2's field for struct compatibility.
-		MCSpeedup4W float64 `json:"mc_ber_speedup_workers_4"`
-		// SweepSpeedup4 is workers_1 over workers_4 for AngleSweep — the
-		// batching fix holds this at ≥ 1 on multi-core machines (benchgate
-		// -require-sweep-speedup).
-		SweepSpeedup4 float64 `json:"angle_sweep_speedup_workers_4"`
-	}{
-		Schema:            "mmtag-bench/4",
-		Note:              "regenerate with `make bench-json4`; ns/op is machine-dependent, allocs/op is not",
-		NumCPU:            runtime.NumCPU(),
-		GoVersion:         runtime.Version(),
-		Benchmarks:        records,
-		EventsOverheadPct: overheadPct(nop.NsPerOp, byName("waveform_burst_events_enabled").NsPerOp),
-		MCSpeedup4W:       ratio(byName("monte_carlo_ber_workers_1"), byName("monte_carlo_ber_workers_4")),
-		SweepSpeedup4:     ratio(byName("angle_sweep_workers_1"), byName("angle_sweep_workers_4")),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -987,51 +638,9 @@ func BenchmarkPlanarTag(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Signal-tap overhead benchmarks (BENCH_5.json): the observability
-// contract of the flight-recorder PR — signal taps add zero steady-state
-// allocations to the burst hot path, and the flight recorder reuses its
-// ring slots once warm.
-
-// benchTappedBurst is the shared body of the signal-tap benchmarks: the
-// workspaced burst loop with a warm-up pass outside the timed region so
-// the workspace's FFT plans, the tap's reusable snapshot buffers and
-// (when a flight recorder is attached) every ring slot are grown before
-// measurement — the steady state the zero-allocation contract covers.
-// degraded drops the reader's self-interference isolation below the §9
-// working point so every burst fails and exercises the failure path.
-func benchTappedBurst(b *testing.B, degraded bool) {
-	b.Helper()
-	link, err := mmtag.NewLink(mmtag.Feet(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if degraded {
-		link.Reader.IsolationDB = 20
-	}
-	src := mmtag.NewSource(1)
-	ws := mmtag.NewWorkspace()
-	payload := make([]byte, 64)
-	bw := link.Reader.Bandwidths[1]
-	for i := 0; i < 8; i++ {
-		res, err := link.RunWaveformWS(ws, payload, bw, src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Decoded == degraded {
-			b.Fatalf("warm-up decoded=%v with degraded=%v", res.Decoded, degraded)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := link.RunWaveformWS(ws, payload, bw, src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Decoded == degraded {
-			b.Fatal("unexpected decode outcome mid-run")
-		}
-	}
-}
+// Signal-tap overhead benchmarks (BENCH_5.json): signal taps add zero
+// steady-state allocations to the burst hot path, and the flight
+// recorder reuses its ring slots once warm (TestBurstAllocContracts).
 
 // BenchmarkWaveformBurstTapsEnabled is BenchmarkWaveformBurst with the
 // signal taps installed (metrics and events off): the delta against the
@@ -1043,7 +652,7 @@ func BenchmarkWaveformBurstTapsEnabled(b *testing.B) {
 	event.Disable()
 	signal.Enable()
 	defer signal.Disable()
-	benchTappedBurst(b, false)
+	benchBurst(b, false)
 }
 
 // BenchmarkWaveformBurstFailNop measures the failing-burst path with
@@ -1054,7 +663,7 @@ func BenchmarkWaveformBurstFailNop(b *testing.B) {
 	obs.Disable()
 	event.Disable()
 	signal.Disable()
-	benchTappedBurst(b, true)
+	benchBurst(b, true)
 }
 
 // BenchmarkWaveformBurstFlightRec measures the failure path with a
@@ -1067,125 +676,7 @@ func BenchmarkWaveformBurstFlightRec(b *testing.B) {
 	tap := signal.Enable()
 	tap.SetFlightRecorder(8)
 	defer signal.Disable()
-	benchTappedBurst(b, true)
-}
-
-// bench5Record is one row of BENCH_5.json.
-type bench5Record struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// TestWriteBenchJSON5 emits BENCH_5.json: the signal-tap overhead
-// profile the CI bench-gate5 job holds with `tools/benchgate
-// -alloc-tolerance`. Beyond recording, it asserts the PR's two
-// allocation contracts directly: taps-enabled steady state allocates no
-// more than the Nop path, and the taps-disabled path has not regressed
-// against the committed BENCH_4 baseline. It only runs when
-// MMTAG_BENCH5_JSON names the output path (the Makefile's bench-json5
-// target); plain `go test` skips it.
-func TestWriteBenchJSON5(t *testing.T) {
-	path := os.Getenv("MMTAG_BENCH5_JSON")
-	if path == "" {
-		t.Skip("set MMTAG_BENCH5_JSON=<path> to emit the benchmark JSON")
-	}
-	obs.Disable()
-	event.Disable()
-	signal.Disable()
-	run := func(name string, fn func(b *testing.B)) bench5Record {
-		best := testing.Benchmark(fn)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		t.Logf("%s: %d ns/op, %d allocs/op, %d B/op",
-			name, best.NsPerOp(), best.AllocsPerOp(), best.AllocedBytesPerOp())
-		return bench5Record{
-			Name:        name,
-			NsPerOp:     float64(best.NsPerOp()),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-		}
-	}
-	records := []bench5Record{
-		// Machine-speed calibration first, as in BENCH_2/3/4.
-		run("calibration_ook_modem", BenchmarkOOKModem),
-		run("waveform_burst_nop", BenchmarkWaveformBurst),
-		run("waveform_burst_taps_enabled", BenchmarkWaveformBurstTapsEnabled),
-		run("waveform_burst_fail_nop", BenchmarkWaveformBurstFailNop),
-		run("waveform_burst_flightrec", BenchmarkWaveformBurstFlightRec),
-	}
-	byName := func(name string) bench5Record {
-		for _, r := range records {
-			if r.Name == name {
-				return r
-			}
-		}
-		t.Fatalf("missing record %s", name)
-		return bench5Record{}
-	}
-	nop := byName("waveform_burst_nop")
-	taps := byName("waveform_burst_taps_enabled")
-	if taps.AllocsPerOp > nop.AllocsPerOp {
-		t.Errorf("signal taps allocate on the burst hot path: %d allocs/op enabled vs %d nop",
-			taps.AllocsPerOp, nop.AllocsPerOp)
-	}
-	failNop := byName("waveform_burst_fail_nop")
-	flight := byName("waveform_burst_flightrec")
-	if flight.AllocsPerOp > failNop.AllocsPerOp {
-		t.Errorf("flight recorder allocates in steady state: %d allocs/op vs %d on the bare fail path",
-			flight.AllocsPerOp, failNop.AllocsPerOp)
-	}
-	// The taps-disabled path must stay at the BENCH_4 allocation budget:
-	// adding the tap sites cannot cost the Nop path anything.
-	if data, err := os.ReadFile("BENCH_4.json"); err == nil {
-		var b4 struct {
-			Benchmarks []bench5Record `json:"benchmarks"`
-		}
-		if err := json.Unmarshal(data, &b4); err != nil {
-			t.Fatalf("BENCH_4.json: %v", err)
-		}
-		for _, r := range b4.Benchmarks {
-			if r.Name == "waveform_burst_nop" && nop.AllocsPerOp > r.AllocsPerOp+2 {
-				t.Errorf("taps-disabled burst regressed vs BENCH_4: %d allocs/op, baseline %d",
-					nop.AllocsPerOp, r.AllocsPerOp)
-			}
-		}
-	}
-	overheadPct := func(base, with float64) float64 {
-		if base <= 0 {
-			return 0
-		}
-		return (with - base) / base * 100
-	}
-	out := struct {
-		Schema     string         `json:"schema"`
-		Note       string         `json:"note"`
-		NumCPU     int            `json:"num_cpu"`
-		GoVersion  string         `json:"go_version"`
-		Benchmarks []bench5Record `json:"benchmarks"`
-		// TapsOverheadPct is the burst-path cost of live signal capture
-		// relative to the disabled path — the number the PR holds under
-		// the benchgate tolerance.
-		TapsOverheadPct float64 `json:"taps_overhead_pct_vs_nop"`
-	}{
-		Schema:          "mmtag-bench/5",
-		Note:            "regenerate with `make bench-json5`; ns/op is machine-dependent, allocs/op is not",
-		NumCPU:          runtime.NumCPU(),
-		GoVersion:       runtime.Version(),
-		Benchmarks:      records,
-		TapsOverheadPct: overheadPct(nop.NsPerOp, taps.NsPerOp),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	benchBurst(b, true)
 }
 
 // ---------------------------------------------------------------------
@@ -1194,7 +685,7 @@ func TestWriteBenchJSON5(t *testing.T) {
 // figures, plus the batched demodulation path. The headline claims —
 // FFT convolution beats the direct 63-tap block filter by the gated
 // factor, and the radix-4 plan beats the plain radix-2 kernel — are
-// enforced in CI by benchgate's -ratio gates over these records.
+// enforced in CI by the ratio gates in bench_gates.json.
 
 // BenchmarkFFTRadix2Kernel measures the plain iterative radix-2 kernel
 // (package-level FFTInPlace, no workspace, no plan) on a 1024-point
@@ -1357,110 +848,14 @@ func BenchmarkDecodeBurstBatch(b *testing.B) {
 	}
 }
 
-// bench6Record is one row of BENCH_6.json.
-type bench6Record struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// TestWriteBenchJSON6 emits BENCH_6.json: the frequency-domain fast-path
-// profile the CI bench-gate6 job holds with tools/benchgate, including
-// the -ratio gates that pin the FFT-convolution and radix-4 speedups.
-// It only runs when MMTAG_BENCH6_JSON names the output path (the
-// Makefile's bench-json6 target); plain `go test` skips it.
-func TestWriteBenchJSON6(t *testing.T) {
-	path := os.Getenv("MMTAG_BENCH6_JSON")
-	if path == "" {
-		t.Skip("set MMTAG_BENCH6_JSON=<path> to emit the benchmark JSON")
-	}
-	obs.Disable()
-	event.Disable()
-	signal.Disable()
-	run := func(name string, fn func(b *testing.B)) bench6Record {
-		best := testing.Benchmark(fn)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		t.Logf("%s: %d ns/op, %d allocs/op, %d B/op",
-			name, best.NsPerOp(), best.AllocsPerOp(), best.AllocedBytesPerOp())
-		return bench6Record{
-			Name:        name,
-			NsPerOp:     float64(best.NsPerOp()),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-		}
-	}
-	records := []bench6Record{
-		// Machine-speed calibration first, as in BENCH_2 through BENCH_5.
-		run("calibration_ook_modem", BenchmarkOOKModem),
-		run("fft_radix2_1024", BenchmarkFFTRadix2Kernel),
-		run("fft_radix4_1024_ws", BenchmarkFFTRadix4WS),
-		run("rfft_4096_ws", BenchmarkRFFTWS),
-		run("fir_block_inplace", BenchmarkFIRBlockInPlace),
-		run("fir_fft_block_ws", BenchmarkFIRFFTBlockWS),
-		run("xcorr_direct_4096x256", BenchmarkXCorrDirect),
-		run("xcorr_fft_4096x256_ws", BenchmarkXCorrFFTWS),
-		run("decode_burst_batch8_ws", BenchmarkDecodeBurstBatch),
-	}
-	byName := func(name string) bench6Record {
-		for _, r := range records {
-			if r.Name == name {
-				return r
-			}
-		}
-		t.Fatalf("missing record %s", name)
-		return bench6Record{}
-	}
-	ratio := func(num, den bench6Record) float64 {
-		if den.NsPerOp <= 0 {
-			return 0
-		}
-		return num.NsPerOp / den.NsPerOp
-	}
-	out := struct {
-		Schema     string         `json:"schema"`
-		Note       string         `json:"note"`
-		NumCPU     int            `json:"num_cpu"`
-		GoVersion  string         `json:"go_version"`
-		Benchmarks []bench6Record `json:"benchmarks"`
-		// The three headline speedups of the frequency-domain fast path.
-		// FFTConvSpeedup and Radix4Speedup are re-derived and gated from
-		// the raw records by benchgate -ratio; they are recorded here so
-		// the committed file tells the story on its own.
-		FFTConvSpeedup float64 `json:"fft_conv_speedup_vs_direct_fir"`
-		Radix4Speedup  float64 `json:"radix4_speedup_vs_radix2"`
-		XCorrSpeedup   float64 `json:"xcorr_fft_speedup_vs_direct"`
-	}{
-		Schema:         "mmtag-bench/6",
-		Note:           "regenerate with `make bench-json6`; ns/op is machine-dependent, allocs/op is not",
-		NumCPU:         runtime.NumCPU(),
-		GoVersion:      runtime.Version(),
-		Benchmarks:     records,
-		FFTConvSpeedup: ratio(byName("fir_block_inplace"), byName("fir_fft_block_ws")),
-		Radix4Speedup:  ratio(byName("fft_radix2_1024"), byName("fft_radix4_1024_ws")),
-		XCorrSpeedup:   ratio(byName("xcorr_direct_4096x256"), byName("xcorr_fft_4096x256_ws")),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- Time-series sampler overhead (BENCH_7.json) -------------------
 //
 // The sampler's contract is that folding every metric update into the
 // virtual-time store adds zero allocations to the per-burst hot path:
 // BenchmarkWaveformBurstSampled must report exactly the allocs/op of
 // BenchmarkWaveformBurstMetricsEnabled, and the Record micro-benches
-// must be allocation-free in steady state. TestWriteBenchJSON7 asserts
-// both before emitting the file.
+// must be allocation-free in steady state. TestBurstAllocContracts and
+// internal/obs/tsdb's TestRecordSteadyStateZeroAlloc hold both.
 
 func BenchmarkWaveformBurstSampled(b *testing.B) {
 	reg := obs.Enable()
@@ -1468,7 +863,7 @@ func BenchmarkWaveformBurstSampled(b *testing.B) {
 	if _, err := tsdb.Attach(reg, 1e-6); err != nil {
 		b.Fatal(err)
 	}
-	benchBurst(b)
+	benchBurst(b, false)
 }
 
 func BenchmarkTSDBRecordCounter(b *testing.B) {
@@ -1502,106 +897,16 @@ func BenchmarkTSDBRecordHistogram(b *testing.B) {
 	}
 }
 
-// bench7Record is one row of BENCH_7.json.
-type bench7Record struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-}
-
-// TestWriteBenchJSON7 emits BENCH_7.json: the time-series sampler
-// overhead figures, with the zero-extra-allocation contract asserted
-// in-test (sampled burst == metrics-only burst, Record micro-benches
-// == 0 allocs/op).
-func TestWriteBenchJSON7(t *testing.T) {
-	path := os.Getenv("MMTAG_BENCH7_JSON")
-	if path == "" {
-		t.Skip("set MMTAG_BENCH7_JSON=<path> to emit the benchmark JSON")
-	}
-	obs.Disable()
-	event.Disable()
-	signal.Disable()
-	run := func(name string, fn func(b *testing.B)) bench7Record {
-		best := testing.Benchmark(fn)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		t.Logf("%s: %d ns/op, %d allocs/op, %d B/op",
-			name, best.NsPerOp(), best.AllocsPerOp(), best.AllocedBytesPerOp())
-		return bench7Record{
-			Name:        name,
-			NsPerOp:     float64(best.NsPerOp()),
-			AllocsPerOp: best.AllocsPerOp(),
-			BytesPerOp:  best.AllocedBytesPerOp(),
-		}
-	}
-	records := []bench7Record{
-		// Machine-speed calibration first, as in BENCH_2 through BENCH_6.
-		run("calibration_ook_modem", BenchmarkOOKModem),
-		run("waveform_burst_nop", BenchmarkWaveformBurst),
-		run("waveform_burst_metrics", BenchmarkWaveformBurstMetricsEnabled),
-		run("waveform_burst_sampled", BenchmarkWaveformBurstSampled),
-		run("tsdb_record_counter", BenchmarkTSDBRecordCounter),
-		run("tsdb_record_histogram", BenchmarkTSDBRecordHistogram),
-	}
-	byName := func(name string) bench7Record {
-		for _, r := range records {
-			if r.Name == name {
-				return r
-			}
-		}
-		t.Fatalf("missing record %s", name)
-		return bench7Record{}
-	}
-	metrics := byName("waveform_burst_metrics")
-	sampled := byName("waveform_burst_sampled")
-	if sampled.AllocsPerOp != metrics.AllocsPerOp {
-		t.Fatalf("sampling changed the burst allocation profile: %d allocs/op sampled vs %d metrics-only",
-			sampled.AllocsPerOp, metrics.AllocsPerOp)
-	}
-	for _, name := range []string{"tsdb_record_counter", "tsdb_record_histogram"} {
-		if r := byName(name); r.AllocsPerOp != 0 {
-			t.Fatalf("%s: %d allocs/op, want 0 (steady-state Record must not allocate)", name, r.AllocsPerOp)
-		}
-	}
-	out := struct {
-		Schema     string         `json:"schema"`
-		Note       string         `json:"note"`
-		NumCPU     int            `json:"num_cpu"`
-		GoVersion  string         `json:"go_version"`
-		Benchmarks []bench7Record `json:"benchmarks"`
-		// SamplerAllocDelta is the asserted-zero allocation cost of
-		// attaching the sampler to the per-burst hot path.
-		SamplerAllocDelta int64 `json:"sampler_alloc_delta_per_burst"`
-	}{
-		Schema:            "mmtag-bench/7",
-		Note:              "regenerate with `make bench-json7`; ns/op is machine-dependent, allocs/op is not",
-		NumCPU:            runtime.NumCPU(),
-		GoVersion:         runtime.Version(),
-		Benchmarks:        records,
-		SamplerAllocDelta: sampled.AllocsPerOp - metrics.AllocsPerOp,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // --- Streaming decode pipeline (BENCH_8.json) ----------------------
 //
 // The streaming session layer's contract is twofold: the serial
 // streaming Decoder is allocation-free per frame in steady state, and
 // the stage-parallel pipeline beats a serial single-burst decode loop
 // by ≥2× on 4 workers (sync, demod and decode overlap across frames).
-// TestWriteBenchJSON8 asserts the alloc half in-test; the speedup half
-// is gated by benchgate -ratio with a min-CPU qualifier so single-core
-// CI containers skip it instead of measuring scheduler thrash.
+// internal/stream's TestDecoderSteadyStateAllocs holds the alloc half;
+// the speedup half is a ratio gate in bench_gates.json with a min-CPU
+// qualifier, so single-core CI containers skip it instead of measuring
+// scheduler thrash.
 
 // streamBenchFrames is the stream length each serial/pipelined op
 // decodes, so the two ns/op figures are directly comparable.
@@ -1692,88 +997,94 @@ func BenchmarkStreamDecodePipelined(b *testing.B) {
 	}
 }
 
-// bench8Record is one row of BENCH_8.json.
-type bench8Record struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+// ---------------------------------------------------------------------
+// The micro-benchmark JSON.
+
+// benchTable is every micro-benchmark the BENCH_N.json history tracks,
+// under its record name. calibration_ook_modem stays first: benchgate
+// scales each history file's ns/op through it. The benchmarks a ratio
+// gate in bench_gates.json divides are neighbours, so a change in
+// machine load between the two measurements stays small.
+var benchTable = []struct {
+	name string
+	fn   func(*testing.B)
+}{
+	{"calibration_ook_modem", BenchmarkOOKModem},
+	{"monte_carlo_ber_workers_1", BenchmarkMonteCarloBERWorkers1},
+	{"monte_carlo_ber_workers_2", BenchmarkMonteCarloBERWorkers2},
+	{"monte_carlo_ber_workers_4", BenchmarkMonteCarloBERWorkers4},
+	{"monte_carlo_ber_workers_max", BenchmarkMonteCarloBERWorkersMax},
+	{"angle_sweep_workers_1", BenchmarkAngleSweepWorkers1},
+	{"angle_sweep_workers_4", BenchmarkAngleSweepWorkers4},
+	{"waveform_burst_nop", BenchmarkWaveformBurst},
+	{"event_emit_disabled", BenchmarkEventEmitDisabled},
+	{"event_emit_enabled", BenchmarkEventEmitEnabled},
+	{"waveform_burst_events_enabled", BenchmarkWaveformBurstEventsEnabled},
+	{"fft_radix2_1024_ws", BenchmarkFFTRadix2WS},
+	{"fft_bluestein_1000_ws", BenchmarkFFTBluesteinWS},
+	{"waveform_burst_taps_enabled", BenchmarkWaveformBurstTapsEnabled},
+	{"waveform_burst_fail_nop", BenchmarkWaveformBurstFailNop},
+	{"waveform_burst_flightrec", BenchmarkWaveformBurstFlightRec},
+	{"fft_radix2_1024", BenchmarkFFTRadix2Kernel},
+	{"fft_radix4_1024_ws", BenchmarkFFTRadix4WS},
+	{"rfft_4096_ws", BenchmarkRFFTWS},
+	{"fir_block_inplace", BenchmarkFIRBlockInPlace},
+	{"fir_fft_block_ws", BenchmarkFIRFFTBlockWS},
+	{"xcorr_direct_4096x256", BenchmarkXCorrDirect},
+	{"xcorr_fft_4096x256_ws", BenchmarkXCorrFFTWS},
+	{"decode_burst_batch8_ws", BenchmarkDecodeBurstBatch},
+	{"waveform_burst_metrics", BenchmarkWaveformBurstMetricsEnabled},
+	{"waveform_burst_sampled", BenchmarkWaveformBurstSampled},
+	{"tsdb_record_counter", BenchmarkTSDBRecordCounter},
+	{"tsdb_record_histogram", BenchmarkTSDBRecordHistogram},
+	{"stream_decode_frame", BenchmarkStreamDecodeFrame},
+	{"stream_decode_serial", BenchmarkStreamDecodeSerial},
+	{"stream_decode_pipelined", BenchmarkStreamDecodePipelined},
 }
 
-// TestWriteBenchJSON8 emits BENCH_8.json: the streaming decode figures,
-// with the zero-allocation steady-state contract asserted in-test and
-// the pipelined-vs-serial speedup recorded for the benchgate ratio gate
-// (stream_decode_serial/stream_decode_pipelined ≥ 2.0 on ≥4 CPUs).
-func TestWriteBenchJSON8(t *testing.T) {
-	path := os.Getenv("MMTAG_BENCH8_JSON")
+// TestWriteBenchJSON measures every benchTable entry, best of three,
+// and writes the mmtag-bench/9 file tools/benchgate gates against
+// bench_gates.json. It only runs when MMTAG_BENCH_JSON names the output
+// path (make bench-json); plain go test skips it.
+func TestWriteBenchJSON(t *testing.T) {
+	path := os.Getenv("MMTAG_BENCH_JSON")
 	if path == "" {
-		t.Skip("set MMTAG_BENCH8_JSON=<path> to emit the benchmark JSON")
+		t.Skip("set MMTAG_BENCH_JSON=<path> to emit the benchmark JSON")
+	}
+	type record struct {
+		Name        string  `json:"name"`
+		NsPerOp     float64 `json:"ns_per_op"`
+		AllocsPerOp int64   `json:"allocs_per_op"`
+		BytesPerOp  int64   `json:"bytes_per_op"`
 	}
 	obs.Disable()
 	event.Disable()
 	signal.Disable()
-	run := func(name string, fn func(b *testing.B)) bench8Record {
-		best := testing.Benchmark(fn)
-		for i := 0; i < 2; i++ {
-			if r := testing.Benchmark(fn); r.NsPerOp() < best.NsPerOp() {
+	records := make([]record, len(benchTable))
+	for i, bm := range benchTable {
+		// The minimum ns/op is the usual noise-robust estimator when the
+		// machine has background load.
+		best := testing.Benchmark(bm.fn)
+		for k := 0; k < 2; k++ {
+			if r := testing.Benchmark(bm.fn); r.NsPerOp() < best.NsPerOp() {
 				best = r
 			}
 		}
 		t.Logf("%s: %d ns/op, %d allocs/op, %d B/op",
-			name, best.NsPerOp(), best.AllocsPerOp(), best.AllocedBytesPerOp())
-		return bench8Record{
-			Name:        name,
+			bm.name, best.NsPerOp(), best.AllocsPerOp(), best.AllocedBytesPerOp())
+		records[i] = record{
+			Name:        bm.name,
 			NsPerOp:     float64(best.NsPerOp()),
 			AllocsPerOp: best.AllocsPerOp(),
 			BytesPerOp:  best.AllocedBytesPerOp(),
 		}
 	}
-	records := []bench8Record{
-		// Machine-speed calibration first, as in BENCH_2 through BENCH_7.
-		run("calibration_ook_modem", BenchmarkOOKModem),
-		run("stream_decode_frame", BenchmarkStreamDecodeFrame),
-		run("stream_decode_serial", BenchmarkStreamDecodeSerial),
-		run("stream_decode_pipelined", BenchmarkStreamDecodePipelined),
-	}
-	byName := func(name string) bench8Record {
-		for _, r := range records {
-			if r.Name == name {
-				return r
-			}
-		}
-		t.Fatalf("missing record %s", name)
-		return bench8Record{}
-	}
-	if r := byName("stream_decode_frame"); r.AllocsPerOp != 0 {
-		t.Fatalf("stream_decode_frame: %d allocs/op, want 0 (steady-state decode must not allocate)", r.AllocsPerOp)
-	}
-	serial := byName("stream_decode_serial")
-	pipelined := byName("stream_decode_pipelined")
-	speedup := 0.0
-	if pipelined.NsPerOp > 0 {
-		speedup = serial.NsPerOp / pipelined.NsPerOp
-	}
-	out := struct {
-		Schema     string         `json:"schema"`
-		Note       string         `json:"note"`
-		NumCPU     int            `json:"num_cpu"`
-		GoVersion  string         `json:"go_version"`
-		Frames     int            `json:"frames_per_op"`
-		Benchmarks []bench8Record `json:"benchmarks"`
-		// PipelineSpeedup is re-derived and gated from the raw records by
-		// benchgate -ratio "stream_decode_serial/stream_decode_pipelined>=2.0@4";
-		// it is recorded here so the committed file tells the story on its own.
-		PipelineSpeedup float64 `json:"pipeline_speedup_workers_4"`
-	}{
-		Schema:          "mmtag-bench/8",
-		Note:            "regenerate with `make bench-json8`; ns/op is machine-dependent, allocs/op is not",
-		NumCPU:          runtime.NumCPU(),
-		GoVersion:       runtime.Version(),
-		Frames:          streamBenchFrames,
-		Benchmarks:      records,
-		PipelineSpeedup: speedup,
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
+	data, err := json.MarshalIndent(struct {
+		Schema     string   `json:"schema"`
+		NumCPU     int      `json:"num_cpu"`
+		GoVersion  string   `json:"go_version"`
+		Benchmarks []record `json:"benchmarks"`
+	}{"mmtag-bench/9", runtime.NumCPU(), runtime.Version(), records}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,63 @@
+//go:build !race
+
+package mmtag_test
+
+import (
+	"testing"
+
+	"github.com/mmtag/mmtag/internal/obs"
+	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/signal"
+	"github.com/mmtag/mmtag/internal/obs/tsdb"
+)
+
+// nopBurstAllocBudget is BENCH_4.json's waveform_burst_nop count (15
+// allocs/op) plus the alloc_slack of 2 in bench_gates.json: the
+// observability hook sites may cost the all-off burst nothing.
+const nopBurstAllocBudget = 15 + 2
+
+// TestBurstAllocContracts holds, in plain go test, the burst-level
+// allocation relations the telemetry layers promise: the all-off burst
+// stays within nopBurstAllocBudget, signal taps add nothing to the
+// healthy burst and the flight recorder nothing to the failing one
+// (BENCH_5.json), and the time-series sampler adds nothing over the
+// metrics registry it samples (BENCH_7.json). The file is left out of
+// -race builds: the race detector makes sync.Pool drop a random share of
+// Puts, so the failure path's allocation count is not stable there.
+func TestBurstAllocContracts(t *testing.T) {
+	allocs := func(degraded bool, install func()) float64 {
+		t.Helper()
+		obs.Disable()
+		event.Disable()
+		signal.Disable()
+		defer obs.Disable()
+		defer signal.Disable()
+		install()
+		burst := newBurst(t, degraded)
+		return testing.AllocsPerRun(100, func() { burst(t) })
+	}
+	nop := allocs(false, func() {})
+	taps := allocs(false, func() { signal.Enable() })
+	fail := allocs(true, func() {})
+	flight := allocs(true, func() { signal.Enable().SetFlightRecorder(8) })
+	metrics := allocs(false, func() { obs.Enable() })
+	sampled := allocs(false, func() {
+		if _, err := tsdb.Attach(obs.Enable(), 1e-6); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs/burst: nop %.0f, taps %.0f, fail %.0f, flightrec %.0f, metrics %.0f, sampled %.0f",
+		nop, taps, fail, flight, metrics, sampled)
+	if nop > nopBurstAllocBudget {
+		t.Errorf("all-off burst: %.0f allocs, budget %d", nop, nopBurstAllocBudget)
+	}
+	if taps > nop {
+		t.Errorf("signal taps allocate on the burst hot path: %.0f allocs enabled vs %.0f off", taps, nop)
+	}
+	if flight > fail {
+		t.Errorf("flight recorder allocates in steady state: %.0f allocs vs %.0f on the bare fail path", flight, fail)
+	}
+	if sampled != metrics {
+		t.Errorf("sampling changed the burst allocation profile: %.0f allocs sampled vs %.0f metrics-only", sampled, metrics)
+	}
+}

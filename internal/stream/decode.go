@@ -177,7 +177,7 @@ func (s Shape) decodeInto(ws *dsp.Workspace, j *job) {
 }
 
 // Decoder is a single-goroutine streaming decoder: one workspace, one
-// job, zero steady-state allocations per frame (gated in BENCH_8.json).
+// job, zero steady-state allocations per frame (asserted by the tests).
 // It is the serial baseline the stage-parallel pipeline is measured
 // against. Not safe for concurrent use.
 type Decoder struct {

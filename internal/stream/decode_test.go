@@ -132,8 +132,8 @@ func TestNewShapeValidation(t *testing.T) {
 }
 
 // TestDecoderSteadyStateAllocs: after warmup, a streaming Decoder must
-// decode frames with zero allocations — the gate BENCH_8.json holds in
-// CI, asserted here so plain `go test` catches regressions too.
+// decode frames with zero allocations, as BENCH_8.json's
+// stream_decode_frame records.
 func TestDecoderSteadyStateAllocs(t *testing.T) {
 	const frameBytes = 64
 	w, _ := phy.NewRectWaveform(core.SamplesPerSymbol)

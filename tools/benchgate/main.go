@@ -1,173 +1,60 @@
-// Command benchgate is the CI benchmark regression gate: it compares a
-// freshly generated BENCH_2.json against the committed baseline and
-// fails (exit 1) when a tracked benchmark regresses beyond the
-// tolerance, or when the parallel Monte-Carlo speedup the PR promises
-// is missing on a machine with enough cores to show it.
+// Command benchgate is the micro-benchmark regression gate. It checks one
+// fresh run of the root package's TestWriteBenchJSON (make bench-json)
+// against the committed BENCH_N.json history, with the bounds set in a
+// gates file:
 //
-// Cross-machine noise: raw ns/op is meaningless between a laptop and a
-// CI runner, so when both files carry the single-threaded
-// calibration_ook_modem record the gate rescales the baseline by the
-// calibration ratio before comparing. On the same machine the ratio is
-// ≈1 and the gate degrades to a plain comparison.
+//	benchgate -gates bench_gates.json FRESH.json
 //
-// Allocations are not subject to machine noise, so allocs/op is gated
-// unscaled: mmtag-bench/4 files carry allocs_per_op and bytes_per_op on
-// every record, and a fresh run may not exceed the baseline's count by
-// more than -alloc-tolerance (fractional) plus -alloc-slack (absolute,
-// absorbing testing.B accounting jitter on tiny counts).
+// It prints a markdown report and exits 1 when a gate fails, 2 when an
+// input is malformed. The report has three tables, one per kind of gate:
 //
-// Usage:
+//   - ns/op per benchmark across the history, each file rescaled onto the
+//     fresh run's machine by the ratio of the two calibration_ook_modem
+//     records (a file without one prints raw, marked *). A history file
+//     with an ns_tolerance is gated: the fresh ns/op may exceed the file's
+//     scaled figure by at most that fraction.
+//   - allocs/op, compared raw because allocation counts do not depend on
+//     the machine: the fresh count may not exceed the best count any
+//     history file recorded × (1 + alloc_tolerance) + alloc_slack, the
+//     slack absorbing testing.B accounting jitter on tiny counts. Every
+//     record of a gated history file must be present in the fresh run.
+//   - same-run ratios "num/den>=min[@cpus]" over the fresh ns/op: both
+//     sides come from one machine, so no calibration applies. den may
+//     list several benchmarks separated by commas, and the fastest of them
+//     is used. "@N" skips the gate when the fresh run had fewer than N
+//     CPUs, where the parallel hardware the claim needs is absent.
 //
-//	benchgate -baseline BENCH_2.json -fresh fresh.json [-tolerance 0.20]
-//	          [-require-speedup 2.0] [-speedup-min-cpus 4] [-allow-missing]
-//	          [-alloc-tolerance 0.10] [-alloc-slack 2]
-//	          [-require-sweep-speedup 1.0]
-//	          [-ratio "fir_block_inplace/fir_fft_block_ws>=5"]...
-//	benchgate -trend BENCH_2.json BENCH_3.json BENCH_4.json BENCH_5.json
-//	benchgate -history BENCH_1.json ... BENCH_6.json fresh.json
-//
-// mmtag-bench/1 through mmtag-bench/8 files (parallel sweeps, event-log
-// overhead, allocation profile, signal-tap overhead, frequency-domain
-// fast path, time-series sampler overhead, streaming decode pipeline)
-// are accepted; in pair-gate mode the two files must share a schema.
-// Pass -require-speedup 0 for files that make no parallel-speedup claim
-// (BENCH_3.json), and -allow-missing to tolerate benchmarks present in
-// the baseline but absent from the fresh run (e.g. a baseline generated
-// by a newer tree).
-//
-// -ratio (repeatable) asserts a same-machine speedup inside the FRESH
-// file alone: "num/den>=min" fails the gate when fresh ns/op of num
-// divided by fresh ns/op of den is below min. Because both records come
-// from the same run, no calibration scaling applies — this is how the
-// mmtag-bench/6 gate pins "FFT convolution ≥ 5× over the direct block
-// filter" and "the radix-4 plan beats the radix-2 kernel" on whatever
-// machine CI lands on. An optional "@N" qualifier ("num/den>=min@4")
-// skips the gate when the fresh run's machine has fewer than N CPUs —
-// the mmtag-bench/8 pipeline-speedup gate uses it so single-core CI
-// containers don't fail a claim the hardware cannot express.
-//
-// -trend switches to report mode: instead of gating a pair, it reads
-// every file named on the command line (any mmtag-bench/* schema) and
-// prints a markdown table of ns/op — and, where recorded, allocs/op —
-// per benchmark across the whole BENCH_N.json history, so a PR's perf
-// story is visible at a glance. Trend mode never fails the build.
-//
-// -history is trend's gating sibling: the last argument is the current
-// run, everything before it is the committed BENCH_N history. It prints
-// a per-metric markdown report — ns/op scaled onto the current machine
-// through the shared calibration benchmark, with each benchmark's delta
-// against its best historical value, and allocs/op compared raw — and
-// exits 1 when any allocation-tracked benchmark regresses beyond
-// -alloc-tolerance/-alloc-slack of the best count ever recorded for it.
-// ns/op deltas are informational only (cross-machine noise survives even
-// calibration), allocation counts are machine-independent and gate hard.
+// Every input is an mmtag-bench/N file whose benchmarks rows carry name,
+// ns_per_op and allocs_per_op; other fields are ignored. History paths in
+// the gates file are relative to the gates file.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 )
 
+// calibrationName is the single-thread benchmark every gated file
+// carries for machine-speed normalization.
+const calibrationName = "calibration_ook_modem"
+
 type record struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"`
-	// AllocsPerOp and BytesPerOp are recorded by mmtag-bench/4 files;
-	// earlier schemas omit them (zero means "no data" there, and the
-	// alloc gate only runs on /4 pairs, where zero means zero).
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	BytesPerOp  float64 `json:"bytes_per_op,omitempty"`
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 type benchFile struct {
-	Schema       string   `json:"schema"`
-	NumCPU       int      `json:"num_cpu"`
-	Benchmarks   []record `json:"benchmarks"`
-	MCSpeedup4W  float64  `json:"mc_ber_speedup_workers_4"`
-	MCSpeedupMax float64  `json:"mc_ber_speedup_workers_max"`
-	// SweepSpeedup4W is the AngleSweep workers-4 over workers-1 ratio
-	// recorded by mmtag-bench/4 files (the batching regression fix).
-	SweepSpeedup4W float64 `json:"angle_sweep_speedup_workers_4,omitempty"`
-}
-
-// calibrationName is the pure single-thread benchmark both files must
-// share for machine-speed normalization.
-const calibrationName = "calibration_ook_modem"
-
-// ratioGate is one parsed -ratio assertion: fresh ns/op of num divided
-// by fresh ns/op of den must be at least min. A trailing "@N" qualifier
-// ("num/den>=min@4") skips the gate on machines with fewer than N CPUs —
-// for speedups that only exist with real parallel hardware.
-type ratioGate struct {
-	num, den string
-	min      float64
-	minCPUs  int
-}
-
-// ratioFlags collects repeated -ratio flags.
-type ratioFlags []ratioGate
-
-func (r *ratioFlags) String() string {
-	parts := make([]string, len(*r))
-	for i, g := range *r {
-		parts[i] = fmt.Sprintf("%s/%s>=%g", g.num, g.den, g.min)
-		if g.minCPUs > 0 {
-			parts[i] += fmt.Sprintf("@%d", g.minCPUs)
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
-func (r *ratioFlags) Set(s string) error {
-	expr, minStr, ok := strings.Cut(s, ">=")
-	if !ok {
-		return fmt.Errorf("ratio %q: want num/den>=min[@cpus]", s)
-	}
-	num, den, ok := strings.Cut(strings.TrimSpace(expr), "/")
-	if !ok || num == "" || den == "" {
-		return fmt.Errorf("ratio %q: want num/den>=min[@cpus]", s)
-	}
-	minCPUs := 0
-	if val, cpus, ok := strings.Cut(minStr, "@"); ok {
-		n, err := strconv.Atoi(strings.TrimSpace(cpus))
-		if err != nil || n <= 0 {
-			return fmt.Errorf("ratio %q: bad @cpus qualifier", s)
-		}
-		minCPUs, minStr = n, val
-	}
-	min, err := strconv.ParseFloat(strings.TrimSpace(minStr), 64)
-	if err != nil {
-		return fmt.Errorf("ratio %q: bad minimum: %v", s, err)
-	}
-	*r = append(*r, ratioGate{num: strings.TrimSpace(num), den: strings.TrimSpace(den), min: min, minCPUs: minCPUs})
-	return nil
-}
-
-func load(path string) (benchFile, error) {
-	var f benchFile
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return f, err
-	}
-	if err := json.Unmarshal(data, &f); err != nil {
-		return f, fmt.Errorf("%s: %w", path, err)
-	}
-	switch f.Schema {
-	case "mmtag-bench/1", "mmtag-bench/2", "mmtag-bench/3", "mmtag-bench/4", "mmtag-bench/5", "mmtag-bench/6", "mmtag-bench/7", "mmtag-bench/8":
-	default:
-		return f, fmt.Errorf("%s: schema %q, want mmtag-bench/1 through /8", path, f.Schema)
-	}
-	return f, nil
-}
-
-// hasAllocGate reports whether a schema records allocs/op on every
-// benchmark (so the unscaled allocation gate is meaningful).
-func hasAllocGate(schema string) bool {
-	return schema == "mmtag-bench/4" || schema == "mmtag-bench/5" || schema == "mmtag-bench/6" ||
-		schema == "mmtag-bench/7" || schema == "mmtag-bench/8"
+	Schema     string   `json:"schema"`
+	NumCPU     int      `json:"num_cpu"`
+	Benchmarks []record `json:"benchmarks"`
 }
 
 func (f benchFile) lookup(name string) (record, bool) {
@@ -179,466 +66,348 @@ func (f benchFile) lookup(name string) (record, bool) {
 	return record{}, false
 }
 
-func main() {
-	baselinePath := flag.String("baseline", "BENCH_2.json", "committed baseline benchmark file")
-	freshPath := flag.String("fresh", "", "freshly generated benchmark file to gate")
-	tolerance := flag.Float64("tolerance", 0.20, "maximum allowed fractional ns/op regression per benchmark")
-	requireSpeedup := flag.Float64("require-speedup", 2.0, "minimum Monte-Carlo speedup at 4+ workers; <= 0 skips the speedup assertion")
-	speedupMinCPUs := flag.Int("speedup-min-cpus", 4, "only assert the speedup when the fresh run had at least this many CPUs")
-	allowMissing := flag.Bool("allow-missing", false, "warn instead of fail when a baseline benchmark is missing from the fresh run")
-	allocTolerance := flag.Float64("alloc-tolerance", 0.10, "maximum fractional allocs/op regression (mmtag-bench/4 files only)")
-	allocSlack := flag.Float64("alloc-slack", 2, "absolute allocs/op headroom on top of the tolerance (absorbs testing.B jitter on tiny counts)")
-	requireSweepSpeedup := flag.Float64("require-sweep-speedup", 0, "minimum AngleSweep speedup at 4 workers; <= 0 skips (asserted only at speedup-min-cpus)")
-	var ratios ratioFlags
-	flag.Var(&ratios, "ratio", `same-run ns/op ratio assertion "num/den>=min" over the fresh file (repeatable)`)
-	trendMode := flag.Bool("trend", false, "report mode: print a markdown trend table across the BENCH_N.json files named as arguments (never fails)")
-	historyMode := flag.Bool("history", false, "history-gate mode: like -trend but the last argument is the current run; exits 1 when an allocation-tracked benchmark regresses past its best historical count")
-	flag.Parse()
-	if *trendMode {
-		if err := trend(flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		return
+// gates is the gates file (bench_gates.json).
+type gates struct {
+	// History lists the committed files in order. A file without an
+	// ns_tolerance is report-only.
+	History []struct {
+		File        string  `json:"file"`
+		NsTolerance float64 `json:"ns_tolerance"`
+	} `json:"history"`
+	AllocTolerance float64  `json:"alloc_tolerance"`
+	AllocSlack     float64  `json:"alloc_slack"`
+	Ratios         []string `json:"ratios"`
+}
+
+// ratioGate is one parsed ratio: fresh ns/op of num over the fastest of
+// dens must be at least min on a machine with at least minCPUs CPUs.
+type ratioGate struct {
+	num     string
+	dens    []string
+	min     float64
+	minCPUs int
+}
+
+func parseRatio(s string) (ratioGate, error) {
+	bad := fmt.Errorf("ratio %q: want num/den[,den...]>=min[@cpus]", s)
+	expr, bound, ok := strings.Cut(s, ">=")
+	if !ok {
+		return ratioGate{}, bad
 	}
-	if *historyMode {
-		failed, err := history(flag.Args(), *allocTolerance, *allocSlack)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
-		if failed {
-			fmt.Println()
-			fmt.Println("benchgate -history: FAIL")
-			os.Exit(1)
-		}
-		fmt.Println()
-		fmt.Println("benchgate -history: ok")
-		return
+	num, dens, ok := strings.Cut(expr, "/")
+	g := ratioGate{num: strings.TrimSpace(num)}
+	if !ok || g.num == "" {
+		return ratioGate{}, bad
 	}
-	if *freshPath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -fresh is required")
-		os.Exit(2)
+	for _, d := range strings.Split(dens, ",") {
+		if d = strings.TrimSpace(d); d == "" {
+			return ratioGate{}, bad
+		}
+		g.dens = append(g.dens, d)
 	}
-	base, err := load(*baselinePath)
+	if val, cpus, ok := strings.Cut(bound, "@"); ok {
+		n, err := strconv.Atoi(strings.TrimSpace(cpus))
+		if err != nil || n <= 0 {
+			return ratioGate{}, fmt.Errorf("ratio %q: bad @cpus qualifier", s)
+		}
+		g.minCPUs, bound = n, val
+	}
+	v, err := strconv.ParseFloat(strings.TrimSpace(bound), 64)
+	if err != nil || !(v > 0) {
+		return ratioGate{}, fmt.Errorf("ratio %q: bad minimum", s)
+	}
+	g.min = v
+	return g, nil
+}
+
+func (g ratioGate) String() string {
+	return g.num + "/" + strings.Join(g.dens, ",")
+}
+
+func loadGates(path string) (gates, []ratioGate, error) {
+	var g gates
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return g, nil, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
+		return g, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(g.History) == 0 {
+		return g, nil, fmt.Errorf("%s: empty history", path)
+	}
+	for _, h := range g.History {
+		if h.File == "" || h.NsTolerance < 0 {
+			return g, nil, fmt.Errorf("%s: history entry %q: want a file and an ns_tolerance ≥ 0", path, h.File)
+		}
+	}
+	if g.AllocTolerance < 0 || g.AllocSlack < 0 {
+		return g, nil, fmt.Errorf("%s: alloc_tolerance and alloc_slack must be ≥ 0", path)
+	}
+	ratios := make([]ratioGate, len(g.Ratios))
+	for i, s := range g.Ratios {
+		if ratios[i], err = parseRatio(s); err != nil {
+			return g, nil, fmt.Errorf("%s: %w", path, err)
+		}
+	}
+	return g, ratios, nil
+}
+
+func load(path string) (benchFile, error) {
+	var f benchFile
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return f, err
+	}
+	if err := json.Unmarshal(data, &f); err != nil {
+		return f, fmt.Errorf("%s: %w", path, err)
+	}
+	if !strings.HasPrefix(f.Schema, "mmtag-bench/") {
+		return f, fmt.Errorf("%s: schema %q, want mmtag-bench/N", path, f.Schema)
+	}
+	return f, nil
+}
+
+// column is one history file in the report.
+type column struct {
+	name  string
+	file  benchFile
+	tol   float64 // ns/op tolerance; 0 = report-only
+	scale float64 // fresh over this file's calibration ns/op; 0 = none
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("benchgate", flag.ContinueOnError)
+	gatesPath := fs.String("gates", "bench_gates.json", "gates file: history files with their ns/op tolerances, alloc bounds and ratio gates")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate -gates bench_gates.json FRESH.json")
+		return 2
+	}
+	failed, err := check(stdout, *gatesPath, fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		return 2
 	}
-	fresh, err := load(*freshPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
-	}
-	if base.Schema != fresh.Schema {
-		fmt.Fprintf(os.Stderr, "benchgate: schema mismatch: baseline %s, fresh %s\n", base.Schema, fresh.Schema)
-		os.Exit(2)
-	}
-
-	// Machine-speed normalization via the shared calibration benchmark.
-	scale := 1.0
-	bc, okB := base.lookup(calibrationName)
-	fc, okF := fresh.lookup(calibrationName)
-	if okB && okF && bc.NsPerOp > 0 {
-		scale = fc.NsPerOp / bc.NsPerOp
-		fmt.Printf("calibration: baseline %.0f ns/op, fresh %.0f ns/op → machine scale %.3f\n",
-			bc.NsPerOp, fc.NsPerOp, scale)
-	} else {
-		fmt.Println("calibration benchmark missing from one file; comparing raw ns/op")
-	}
-
-	failed := false
-	fmt.Printf("%-34s %14s %14s %9s\n", "benchmark", "baseline(ns)", "fresh(ns)", "delta")
-	for _, b := range base.Benchmarks {
-		if b.Name == calibrationName || b.NsPerOp <= 0 {
-			continue
-		}
-		f, ok := fresh.lookup(b.Name)
-		if !ok {
-			if *allowMissing {
-				fmt.Printf("%-34s %14.0f %14s %9s  skipped (missing from fresh run)\n", b.Name, b.NsPerOp, "-", "-")
-			} else {
-				fmt.Printf("%-34s %14.0f %14s %9s  FAIL (missing from fresh run)\n", b.Name, b.NsPerOp, "-", "-")
-				failed = true
-			}
-			continue
-		}
-		allowed := b.NsPerOp * scale
-		delta := f.NsPerOp/allowed - 1
-		verdict := "ok"
-		if delta > *tolerance {
-			verdict = fmt.Sprintf("FAIL (> %.0f%% regression)", *tolerance*100)
-			failed = true
-		}
-		fmt.Printf("%-34s %14.0f %14.0f %+8.1f%%  %s\n", b.Name, allowed, f.NsPerOp, delta*100, verdict)
-	}
-
-	// Allocation gate: allocs/op is deterministic (no machine scaling),
-	// so it is compared raw. Only mmtag-bench/4 and /5 files record it;
-	// on older schemas a zero count means "not measured", so the gate is
-	// skipped.
-	if hasAllocGate(base.Schema) {
-		fmt.Printf("\n%-34s %14s %14s  %s\n", "benchmark", "base allocs", "fresh allocs", "alloc gate")
-		for _, b := range base.Benchmarks {
-			f, ok := fresh.lookup(b.Name)
-			if !ok {
-				continue // already handled (or waived) by the ns/op loop
-			}
-			limit := b.AllocsPerOp*(1+*allocTolerance) + *allocSlack
-			verdict := "ok"
-			if f.AllocsPerOp > limit {
-				verdict = fmt.Sprintf("FAIL (> %.1f allowed)", limit)
-				failed = true
-			}
-			fmt.Printf("%-34s %14.1f %14.1f  %s\n", b.Name, b.AllocsPerOp, f.AllocsPerOp, verdict)
-		}
-	}
-
-	// Same-run ratio gates: both sides come from the fresh file, so the
-	// asserted speedup is machine-independent — no calibration scaling.
-	for _, g := range ratios {
-		if g.minCPUs > 0 && fresh.NumCPU < g.minCPUs {
-			fmt.Printf("ratio %s/%s: skipped (fresh run has %d CPUs, gate needs ≥ %d)\n",
-				g.num, g.den, fresh.NumCPU, g.minCPUs)
-			continue
-		}
-		num, okN := fresh.lookup(g.num)
-		den, okD := fresh.lookup(g.den)
-		if !okN || !okD {
-			fmt.Printf("ratio %s/%s: FAIL (benchmark missing from fresh run)\n", g.num, g.den)
-			failed = true
-			continue
-		}
-		if den.NsPerOp <= 0 {
-			fmt.Printf("ratio %s/%s: FAIL (denominator has no ns/op)\n", g.num, g.den)
-			failed = true
-			continue
-		}
-		got := num.NsPerOp / den.NsPerOp
-		if got < g.min {
-			fmt.Printf("ratio %s/%s: %.2fx — FAIL (need ≥ %.2fx)\n", g.num, g.den, got, g.min)
-			failed = true
-		} else {
-			fmt.Printf("ratio %s/%s: %.2fx — ok (need ≥ %.2fx)\n", g.num, g.den, got, g.min)
-		}
-	}
-
-	// The parallel payoff the PR exists for: ≥2× Monte-Carlo speedup at
-	// 4+ workers, asserted only where the hardware can express it and
-	// only for files that make the claim (-require-speedup > 0).
-	if *requireSpeedup <= 0 {
-		fmt.Println("speedup: assertion disabled (-require-speedup <= 0)")
-	} else if fresh.NumCPU >= *speedupMinCPUs {
-		best := fresh.MCSpeedup4W
-		if fresh.MCSpeedupMax > best {
-			best = fresh.MCSpeedupMax
-		}
-		if best < *requireSpeedup {
-			fmt.Printf("speedup: best Monte-Carlo speedup %.2fx on %d CPUs — FAIL (need ≥ %.1fx)\n",
-				best, fresh.NumCPU, *requireSpeedup)
-			failed = true
-		} else {
-			fmt.Printf("speedup: best Monte-Carlo speedup %.2fx on %d CPUs — ok\n", best, fresh.NumCPU)
-		}
-	} else {
-		fmt.Printf("speedup: fresh run had %d CPU(s) < %d; speedup assertion skipped\n",
-			fresh.NumCPU, *speedupMinCPUs)
-	}
-
-	// The angle-sweep batching fix: parallel must not be slower than
-	// sequential once the machine has cores to spend.
-	if *requireSweepSpeedup > 0 {
-		if fresh.NumCPU >= *speedupMinCPUs {
-			if fresh.SweepSpeedup4W < *requireSweepSpeedup {
-				fmt.Printf("sweep: AngleSweep speedup %.2fx at 4 workers — FAIL (need ≥ %.2fx)\n",
-					fresh.SweepSpeedup4W, *requireSweepSpeedup)
-				failed = true
-			} else {
-				fmt.Printf("sweep: AngleSweep speedup %.2fx at 4 workers — ok\n", fresh.SweepSpeedup4W)
-			}
-		} else {
-			fmt.Printf("sweep: fresh run had %d CPU(s) < %d; sweep assertion skipped\n",
-				fresh.NumCPU, *speedupMinCPUs)
-		}
-	}
-
 	if failed {
-		fmt.Println("benchgate: FAIL")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "\nbenchgate: FAIL")
+		return 1
 	}
-	fmt.Println("benchgate: ok")
+	fmt.Fprintln(stdout, "\nbenchgate: ok")
+	return 0
 }
 
-// trend renders the cross-schema markdown report: one ns/op table over
-// every benchmark seen in any input file (rows in first-seen order,
-// columns in argument order), then an allocs/op table restricted to the
-// files whose schema records allocation counts.
-func trend(paths []string) error {
-	if len(paths) == 0 {
-		return fmt.Errorf("-trend needs at least one BENCH_N.json argument")
+// check loads the inputs, prints the report and reports whether any
+// gate failed.
+func check(w io.Writer, gatesPath, freshPath string) (failed bool, err error) {
+	g, ratios, err := loadGates(gatesPath)
+	if err != nil {
+		return false, err
 	}
-	type column struct {
-		path string
-		file benchFile
+	fresh, err := load(freshPath)
+	if err != nil {
+		return false, err
 	}
-	cols := make([]column, 0, len(paths))
-	for _, p := range paths {
-		f, err := load(p)
-		if err != nil {
-			return err
-		}
-		cols = append(cols, column{path: p, file: f})
-	}
-
-	// Union of benchmark names, in first-seen order across the history.
-	var names []string
-	seen := make(map[string]bool)
-	for _, c := range cols {
-		for _, r := range c.file.Benchmarks {
-			if !seen[r.Name] {
-				seen[r.Name] = true
-				names = append(names, r.Name)
-			}
-		}
-	}
-
-	fmt.Println("## Benchmark trend (ns/op)")
-	fmt.Println()
-	fmt.Print("| benchmark |")
-	for _, c := range cols {
-		fmt.Printf(" %s (%s) |", c.path, c.file.Schema)
-	}
-	fmt.Println()
-	fmt.Print("|---|")
-	for range cols {
-		fmt.Print("---:|")
-	}
-	fmt.Println()
-	for _, name := range names {
-		fmt.Printf("| %s |", name)
-		for _, c := range cols {
-			if r, ok := c.file.lookup(name); ok && r.NsPerOp > 0 {
-				fmt.Printf(" %.0f |", r.NsPerOp)
-			} else {
-				fmt.Print(" – |")
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Print("| *mc speedup (4w)* |")
-	for _, c := range cols {
-		if c.file.MCSpeedup4W > 0 {
-			fmt.Printf(" %.2fx |", c.file.MCSpeedup4W)
-		} else {
-			fmt.Print(" – |")
-		}
-	}
-	fmt.Println()
-
-	// Allocation columns exist only where the schema records them.
-	var allocCols []column
-	for _, c := range cols {
-		if hasAllocGate(c.file.Schema) {
-			allocCols = append(allocCols, c)
-		}
-	}
-	if len(allocCols) == 0 {
-		return nil
-	}
-	fmt.Println()
-	fmt.Println("## Allocation trend (allocs/op)")
-	fmt.Println()
-	fmt.Print("| benchmark |")
-	for _, c := range allocCols {
-		fmt.Printf(" %s |", c.path)
-	}
-	fmt.Println()
-	fmt.Print("|---|")
-	for range allocCols {
-		fmt.Print("---:|")
-	}
-	fmt.Println()
-	for _, name := range names {
-		any := false
-		row := fmt.Sprintf("| %s |", name)
-		for _, c := range allocCols {
-			if r, ok := c.file.lookup(name); ok {
-				row += fmt.Sprintf(" %.1f |", r.AllocsPerOp)
-				any = true
-			} else {
-				row += " – |"
-			}
-		}
-		if any {
-			fmt.Println(row)
-		}
-	}
-	return nil
-}
-
-// tracksAllocs reports whether a record's allocation count is a real
-// measurement: schemas with the alloc gate record every benchmark (zero
-// means zero), while on earlier schemas only a positive count proves the
-// run measured allocations at all.
-func tracksAllocs(schema string, r record) bool {
-	return hasAllocGate(schema) || r.AllocsPerOp > 0
-}
-
-// history renders the cross-PR trend report and gates the current run
-// against the best value each metric ever recorded. The last path is
-// the current run; the ones before it are the committed BENCH_N files in
-// PR order.
-//
-// ns/op rows are rescaled onto the current machine through the shared
-// calibration benchmark (columns without one print raw, marked with *)
-// and the delta against the best scaled historical value is reported —
-// informationally, because even calibrated ns/op carries cross-machine
-// noise. allocs/op is machine-independent, so the current count must not
-// exceed the best historical count by more than tol (fractional) plus
-// slack (absolute); any benchmark that does fails the gate.
-func history(paths []string, tol, slack float64) (failed bool, err error) {
-	if len(paths) < 2 {
-		return false, fmt.Errorf("-history needs the BENCH_N files plus the current run (last argument)")
-	}
-	type column struct {
-		path  string
-		file  benchFile
-		scale float64 // multiply this column's ns/op by scale to land on the current machine
-	}
-	cols := make([]column, 0, len(paths))
-	for _, p := range paths {
-		f, err := load(p)
+	freshCal, _ := fresh.lookup(calibrationName)
+	cols := make([]column, len(g.History))
+	for i, h := range g.History {
+		f, err := load(filepath.Join(filepath.Dir(gatesPath), h.File))
 		if err != nil {
 			return false, err
 		}
-		cols = append(cols, column{path: p, file: f, scale: 0})
-	}
-	cur := &cols[len(cols)-1]
-	cur.scale = 1
-	if cal, ok := cur.file.lookup(calibrationName); ok && cal.NsPerOp > 0 {
-		for i := range cols[:len(cols)-1] {
-			if c, ok := cols[i].file.lookup(calibrationName); ok && c.NsPerOp > 0 {
-				cols[i].scale = cal.NsPerOp / c.NsPerOp
-			}
+		cols[i] = column{name: h.File, file: f, tol: h.NsTolerance}
+		cal, ok := f.lookup(calibrationName)
+		if h.NsTolerance > 0 && !(ok && cal.NsPerOp > 0) {
+			return false, fmt.Errorf("%s has an ns_tolerance but no %s record", h.File, calibrationName)
+		}
+		if ok && cal.NsPerOp > 0 && freshCal.NsPerOp > 0 {
+			cols[i].scale = freshCal.NsPerOp / cal.NsPerOp
 		}
 	}
 
-	// Union of benchmark names in first-seen order across the history.
+	// Rows: every benchmark name, in first-seen order across the history
+	// and then the fresh run.
 	var names []string
 	seen := make(map[string]bool)
-	for _, c := range cols {
-		for _, r := range c.file.Benchmarks {
+	add := func(f benchFile) {
+		for _, r := range f.Benchmarks {
 			if !seen[r.Name] {
 				seen[r.Name] = true
 				names = append(names, r.Name)
 			}
 		}
 	}
+	for _, c := range cols {
+		add(c.file)
+	}
+	add(fresh)
+	nsFailed := nsTable(w, cols, fresh, names)
+	allocFailed := allocTable(w, cols, fresh, names, g.AllocTolerance, g.AllocSlack)
+	ratioFailed := ratioTable(w, fresh, ratios)
+	return nsFailed || allocFailed || ratioFailed, nil
+}
 
-	fmt.Println("## Benchmark history (ns/op, scaled to the current machine)")
-	fmt.Println()
-	fmt.Print("| benchmark |")
-	for _, c := range cols[:len(cols)-1] {
-		fmt.Printf(" %s |", c.path)
+// header prints a table heading: the benchmark column, one column per
+// history file (with its ns/op tolerance when withTol), then tail.
+func header(w io.Writer, cols []column, withTol bool, tail ...string) {
+	fmt.Fprint(w, "| benchmark |")
+	for _, c := range cols {
+		if withTol && c.tol > 0 {
+			fmt.Fprintf(w, " %s ≤%+.0f%% |", c.name, c.tol*100)
+		} else {
+			fmt.Fprintf(w, " %s |", c.name)
+		}
 	}
-	fmt.Print(" current | best | Δ vs best |")
-	fmt.Println()
-	fmt.Print("|---|")
-	for range cols {
-		fmt.Print("---:|")
-	}
-	fmt.Println("---:|---:|")
+	fmt.Fprintln(w, " "+strings.Join(tail, " | ")+" |")
+	fmt.Fprintln(w, "|---|"+strings.Repeat("---:|", len(cols)+len(tail)-1)+"---|")
+}
+
+// nsTable prints the calibrated ns/op history and gates the fresh run
+// against every history file that has a tolerance.
+func nsTable(w io.Writer, cols []column, fresh benchFile, names []string) (failed bool) {
+	fmt.Fprintln(w, "## Benchmark history (ns/op, scaled to the current machine)")
+	fmt.Fprintln(w)
+	header(w, cols, true, "current", "best", "Δ vs best", "gate")
 	for _, name := range names {
 		if name == calibrationName {
 			continue
 		}
-		fmt.Printf("| %s |", name)
-		best := 0.0
+		cur, haveCur := fresh.lookup(name)
+		fmt.Fprintf(w, "| %s |", name)
+		best, gated := 0.0, false
+		var over []string
 		for _, c := range cols {
 			r, ok := c.file.lookup(name)
-			if !ok || r.NsPerOp <= 0 {
-				fmt.Print(" – |")
+			switch {
+			case !ok || r.NsPerOp <= 0:
+				fmt.Fprint(w, " – |")
+				continue
+			case c.scale == 0:
+				fmt.Fprintf(w, " %.0f\\* |", r.NsPerOp)
 				continue
 			}
-			if c.scale > 0 {
-				scaled := r.NsPerOp * c.scale
-				fmt.Printf(" %.0f |", scaled)
-				if best == 0 || scaled < best {
-					best = scaled
+			scaled := r.NsPerOp * c.scale
+			fmt.Fprintf(w, " %.0f |", scaled)
+			if best == 0 || scaled < best {
+				best = scaled
+			}
+			if c.tol > 0 && haveCur {
+				gated = true
+				if d := cur.NsPerOp/scaled - 1; d > c.tol {
+					over = append(over, fmt.Sprintf("%+.0f%% vs %s", d*100, c.name))
 				}
-			} else {
-				// No calibration on this column: raw, excluded from best.
-				fmt.Printf(" %.0f\\* |", r.NsPerOp)
 			}
 		}
-		curRec, ok := cur.file.lookup(name)
-		if best > 0 {
-			fmt.Printf(" %.0f |", best)
+		if haveCur {
+			fmt.Fprintf(w, " %.0f |", cur.NsPerOp)
 		} else {
-			fmt.Print(" – |")
+			fmt.Fprint(w, " – |")
 		}
-		if ok && curRec.NsPerOp > 0 && best > 0 {
-			fmt.Printf(" %+.1f%% |\n", (curRec.NsPerOp/best-1)*100)
+		if best > 0 && haveCur {
+			fmt.Fprintf(w, " %.0f | %+.1f%% |", best, (cur.NsPerOp/best-1)*100)
 		} else {
-			fmt.Println(" – |")
+			fmt.Fprint(w, " – | – |")
+		}
+		switch {
+		case len(over) > 0:
+			fmt.Fprintf(w, " **FAIL** (%s) |\n", strings.Join(over, ", "))
+			failed = true
+		case gated:
+			fmt.Fprintln(w, " ok |")
+		default:
+			fmt.Fprintln(w, " – |")
 		}
 	}
-	fmt.Println()
-	fmt.Println("\\* raw ns/op (file carries no calibration benchmark); excluded from best")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "\\* raw ns/op (file carries no calibration benchmark); excluded from best")
+	return failed
+}
 
-	fmt.Println()
-	fmt.Println("## Allocation history (allocs/op) — gated against best")
-	fmt.Println()
-	fmt.Print("| benchmark |")
-	for _, c := range cols[:len(cols)-1] {
-		fmt.Printf(" %s |", c.path)
-	}
-	fmt.Println(" current | best | gate |")
-	fmt.Print("|---|")
-	for range cols {
-		fmt.Print("---:|")
-	}
-	fmt.Println("---:|---|")
+// allocTable prints the allocs/op history and gates the fresh run
+// against the best count ever recorded, and every record of a gated
+// history file for presence.
+func allocTable(w io.Writer, cols []column, fresh benchFile, names []string, tol, slack float64) (failed bool) {
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "## Allocation history (allocs/op), gated at best × %.2f + %g\n\n", 1+tol, slack)
+	header(w, cols, false, "current", "best", "gate")
 	for _, name := range names {
-		if name == calibrationName {
-			continue
-		}
-		row := fmt.Sprintf("| %s |", name)
-		best, haveBest := 0.0, false
-		for _, c := range cols[:len(cols)-1] {
+		fmt.Fprintf(w, "| %s |", name)
+		best, haveBest, required := 0.0, false, false
+		for _, c := range cols {
 			r, ok := c.file.lookup(name)
-			if !ok || !tracksAllocs(c.file.Schema, r) {
-				row += " – |"
+			if !ok {
+				fmt.Fprint(w, " – |")
 				continue
 			}
-			row += fmt.Sprintf(" %.1f |", r.AllocsPerOp)
+			fmt.Fprintf(w, " %.1f |", r.AllocsPerOp)
 			if !haveBest || r.AllocsPerOp < best {
 				best, haveBest = r.AllocsPerOp, true
 			}
+			required = required || c.tol > 0
 		}
-		curRec, ok := cur.file.lookup(name)
-		if !ok || !tracksAllocs(cur.file.Schema, curRec) {
-			if haveBest {
-				// Historical-only benchmark: keep the trend row, nothing
-				// to gate.
-				fmt.Printf("%s – | %.1f | – |\n", row, best)
-			}
+		cur, haveCur := fresh.lookup(name)
+		switch {
+		case !haveCur && required:
+			fmt.Fprintf(w, " – | %.1f | **FAIL** (missing from current run) |\n", best)
+			failed = true
+		case !haveCur:
+			fmt.Fprintf(w, " – | %.1f | – |\n", best)
+		case !haveBest:
+			fmt.Fprintf(w, " %.1f | – | new |\n", cur.AllocsPerOp)
+		case cur.AllocsPerOp > best*(1+tol)+slack:
+			fmt.Fprintf(w, " %.1f | %.1f | **FAIL** (> %.1f allowed) |\n", cur.AllocsPerOp, best, best*(1+tol)+slack)
+			failed = true
+		default:
+			fmt.Fprintf(w, " %.1f | %.1f | ok |\n", cur.AllocsPerOp, best)
+		}
+	}
+	return failed
+}
+
+// ratioTable evaluates the same-run ratio gates on the fresh file.
+func ratioTable(w io.Writer, fresh benchFile, ratios []ratioGate) (failed bool) {
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "## Ratio gates (current run, %d CPUs)\n\n", fresh.NumCPU)
+	fmt.Fprintln(w, "| ratio | value | min | gate |")
+	fmt.Fprintln(w, "|---|---:|---:|---|")
+	for _, g := range ratios {
+		bound := fmt.Sprintf("%g", g.min)
+		if g.minCPUs > 0 {
+			bound += fmt.Sprintf(" @%d CPUs", g.minCPUs)
+		}
+		fmt.Fprintf(w, "| %s |", g)
+		if fresh.NumCPU < g.minCPUs {
+			fmt.Fprintf(w, " – | %s | skipped (unverified below %d CPUs) |\n", bound, g.minCPUs)
 			continue
 		}
-		row += fmt.Sprintf(" %.1f |", curRec.AllocsPerOp)
-		switch {
-		case !haveBest:
-			row += " – | new |"
-		default:
-			limit := best*(1+tol) + slack
-			if curRec.AllocsPerOp > limit {
-				row += fmt.Sprintf(" %.1f | **FAIL** (> %.1f allowed) |", best, limit)
-				failed = true
-			} else {
-				row += fmt.Sprintf(" %.1f | ok |", best)
+		num, ok := fresh.lookup(g.num)
+		var den record
+		for i, name := range g.dens {
+			r, found := fresh.lookup(name)
+			ok = ok && found
+			if i == 0 || r.NsPerOp < den.NsPerOp {
+				den = r
 			}
 		}
-		fmt.Println(row)
+		switch {
+		case !ok:
+			fmt.Fprintf(w, " – | %s | **FAIL** (benchmark missing from current run) |\n", bound)
+			failed = true
+		case den.NsPerOp <= 0:
+			fmt.Fprintf(w, " – | %s | **FAIL** (%s has no ns/op) |\n", bound, den.Name)
+			failed = true
+		case num.NsPerOp/den.NsPerOp < g.min:
+			fmt.Fprintf(w, " %.2fx | %s | **FAIL** |\n", num.NsPerOp/den.NsPerOp, bound)
+			failed = true
+		default:
+			fmt.Fprintf(w, " %.2fx | %s | ok |\n", num.NsPerOp/den.NsPerOp, bound)
+		}
 	}
-	return failed, nil
+	return failed
 }
