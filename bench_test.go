@@ -130,7 +130,7 @@ func BenchmarkMultiTagMAC(b *testing.B) {
 // full waveform-level decoding at each point.
 func BenchmarkSelfInterference(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := mmtag.SelfInterference(uint64(i + 1))
+		r, err := mmtag.SelfInterference(mmtag.NewWorkspace(), uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -546,7 +546,7 @@ func BenchmarkRateAdaptation(b *testing.B) {
 // including ten waveform decodes per K.
 func BenchmarkFadingMargin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := mmtag.FadingMargin(uint64(i + 1))
+		r, err := mmtag.FadingMargin(mmtag.NewWorkspace(), uint64(i+1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -803,9 +803,9 @@ func BenchmarkXCorrFFTWS(b *testing.B) {
 }
 
 // BenchmarkDecodeBurstBatch measures batched demodulation: eight
-// captured bursts decoded back to back through one reader pipeline
-// (one workspace reset per burst, buffers shared across the batch).
-// ns/op is per batch of eight.
+// captured bursts decoded back to back through reader.DecodeBurstWS on
+// one workspace (one reset per burst, buffers and FFT plans shared
+// across the batch). ns/op is per batch of eight.
 func BenchmarkDecodeBurstBatch(b *testing.B) {
 	w, err := phy.NewRectWaveform(8)
 	if err != nil {
@@ -825,23 +825,22 @@ func BenchmarkDecodeBurstBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		samples := w.Synthesize(syms)
+		samples := w.SynthesizeWS(nil, syms)
 		rx := make([]complex128, 100+len(samples)+60)
 		copy(rx[100:], samples)
 		bursts = append(bursts, rx)
 	}
-	p := reader.NewPipeline()
+	ws := dsp.NewWorkspace()
 	decode := func() {
-		err := p.DecodeBurstBatch(bursts, w, func(i int, f *frame.Decoded, _ reader.RxStats, err error) {
+		for i, rx := range bursts {
+			ws.Reset()
+			f, _, err := reader.DecodeBurstWS(ws, rx, w)
 			if err != nil || !f.Trailer.OK {
 				b.Fatalf("burst %d failed: %v", i, err)
 			}
-		})
-		if err != nil {
-			b.Fatal(err)
 		}
 	}
-	decode() // warm the pipeline workspace
+	decode() // warm the workspace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		decode()
@@ -935,7 +934,7 @@ func benchStreamSetup(tb testing.TB) (stream.Shape, [][]complex128) {
 	for i := range bursts {
 		src := seq.At(uint64(i))
 		payload := src.Bytes(make([]byte, frameBytes))
-		cap, err := l.CaptureWaveform(payload, frame.MCSOOK, bw, src)
+		cap, err := l.CaptureWaveformWS(nil, payload, frame.MCSOOK, bw, src)
 		if err != nil {
 			tb.Fatal(err)
 		}

@@ -156,7 +156,7 @@ func record(args []string) error {
 	} else if *mcsName != "ook" {
 		return fmt.Errorf("unknown mcs %q", *mcsName)
 	}
-	cap, err := link.CaptureWaveform([]byte(*payload), mcs, bw, rng.New(*seed))
+	cap, err := link.CaptureWaveformWS(nil, []byte(*payload), mcs, bw, rng.New(*seed))
 	if err != nil {
 		return err
 	}
@@ -207,7 +207,7 @@ func decode(args []string) error {
 	if err != nil {
 		return err
 	}
-	dec, stats, err := reader.DecodeBurst(samples, w)
+	dec, stats, err := reader.DecodeBurstWS(nil, samples, w)
 	if err != nil {
 		// A failed decode is the interesting case for a flight-recorder
 		// capture: archive the telemetry before reporting it.

@@ -47,7 +47,12 @@
 // Flags:
 //
 //	-csv           emit CSV instead of an aligned table
-//	-points N      sweep resolution where applicable
+//	-points N      sweep resolution where applicable (the element
+//	               count for beamwidth, the Monte-Carlo trials for
+//	               anticol and impair, the frame count for arq and
+//	               stream); the experiments run through the grid driver
+//	               registry, so -points means what a grid cell's
+//	               "points" means
 //	-seed N        randomness seed for the stochastic experiments
 //	-bits N        Monte-Carlo bits for the BER experiment
 //	-metrics PATH  collect metrics during the run and write them to PATH
@@ -97,6 +102,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/experiments"
 	"github.com/mmtag/mmtag/internal/grid"
 	"github.com/mmtag/mmtag/internal/obs"
@@ -478,7 +484,7 @@ func emit(w io.Writer, name string, opt options) error {
 	if opt.svg {
 		return emitSVG(w, name, opt)
 	}
-	tab, err := tableFor(name, opt)
+	tab, _, err := grid.RunDriver(name, grid.Params{Points: opt.points, Bits: opt.bits, Seed: opt.seed}, dsp.NewWorkspace())
 	if err != nil {
 		return err
 	}
@@ -523,131 +529,4 @@ func emitSVG(w io.Writer, name string, opt options) error {
 	}
 	fmt.Fprint(w, svg)
 	return nil
-}
-
-func tableFor(name string, opt options) (experiments.Table, error) {
-	switch name {
-	case "fig6":
-		r, err := experiments.Figure6(opt.points)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "fig7":
-		r, err := experiments.Figure7(opt.points)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "retro":
-		r, err := experiments.Retrodirectivity(opt.points)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "beamwidth":
-		r, err := experiments.Beamwidth(6)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "compare":
-		r, err := experiments.Comparison()
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "ber":
-		r, err := experiments.BERValidation(opt.bits, opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "mac":
-		r, err := experiments.MultiTag(nil, opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "selfint":
-		r, err := experiments.SelfInterference(opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "energy":
-		r, err := experiments.EnergyFeasibility(opt.points)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "anticol":
-		r, err := experiments.AntiCollision(nil, 0, opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "blockage":
-		r, err := experiments.Blockage()
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "rateadapt":
-		r, err := experiments.RateAdaptation(opt.points)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "fading":
-		r, err := experiments.FadingMargin(opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "bands":
-		r, err := experiments.BandScaling()
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "coded":
-		r, err := experiments.CodedBER(opt.bits, opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "arq":
-		r, err := experiments.ARQGoodput(opt.points, opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "planar":
-		r, err := experiments.PlanarTag()
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "arraysize":
-		r, err := experiments.ArraySizeAblation(nil)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "impair":
-		r, err := experiments.ImpairmentAblation(nil, 0, opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	case "stream":
-		r, err := experiments.StreamThroughput(opt.points, opt.seed)
-		if err != nil {
-			return experiments.Table{}, err
-		}
-		return r.Table(), nil
-	default:
-		return experiments.Table{}, fmt.Errorf("unknown experiment %q", name)
-	}
 }

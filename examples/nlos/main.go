@@ -82,7 +82,7 @@ func main() {
 		b.ReceivedDBm, mmtag.FormatRate(b.RateBps))
 
 	// Prove it with bits: a full waveform burst over the bounce.
-	res, err := link.RunWaveform([]byte("around the corner"), link.Reader.Bandwidths[2], mmtag.NewSource(7))
+	res, err := link.RunWaveformWS(nil, []byte("around the corner"), link.Reader.Bandwidths[2], mmtag.NewSource(7))
 	if err != nil {
 		log.Fatal(err)
 	}

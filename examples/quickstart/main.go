@@ -65,7 +65,7 @@ func main() {
 	//    sync → demod → CRC.
 	payload := []byte("hello from a batteryless tag")
 	src := mmtag.NewSource(2024)
-	res, err := link.RunWaveform(payload, link.Reader.Bandwidths[1], src)
+	res, err := link.RunWaveformWS(nil, payload, link.Reader.Bandwidths[1], src)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestFacadeCaptureWaveform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := link.CaptureWaveform([]byte("x"), frame.MCSOOK, link.Reader.Bandwidths[1], mmtag.NewSource(1))
+	cap, err := link.CaptureWaveformWS(nil, []byte("x"), frame.MCSOOK, link.Reader.Bandwidths[1], mmtag.NewSource(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestFacadeCaptureWaveform(t *testing.T) {
 func TestFacadeFadingLink(t *testing.T) {
 	link, _ := mmtag.NewLink(mmtag.Feet(4))
 	link.Fading = &mmtag.Fading{KdB: 15, DopplerHz: 100}
-	res, err := link.RunWaveform([]byte("fade"), link.Reader.Bandwidths[2], mmtag.NewSource(3))
+	res, err := link.RunWaveformWS(nil, []byte("fade"), link.Reader.Bandwidths[2], mmtag.NewSource(3))
 	if err != nil {
 		t.Fatal(err)
 	}

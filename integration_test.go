@@ -23,7 +23,7 @@ func TestCaptureFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte("persisted through a file")
-	cap, err := link.CaptureWaveform(payload, frame.MCSOOK, link.Reader.Bandwidths[1], mmtag.NewSource(5))
+	cap, err := link.CaptureWaveformWS(nil, payload, frame.MCSOOK, link.Reader.Bandwidths[1], mmtag.NewSource(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCaptureFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := reader.DecodeBurst(samples, w)
+	dec, _, err := reader.DecodeBurstWS(nil, samples, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestASK4WaveformCleanDecode(t *testing.T) {
 	src := rng.New(5)
 	payload := []byte("four-level backscatter payload!!")
 	bw := l.Reader.Bandwidths[2] // 20 MHz
-	res, err := l.RunWaveformMCS(payload, frame.MCSASK4, bw, src)
+	res, err := l.RunWaveformMCSWS(nil, payload, frame.MCSASK4, bw, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func TestASK4NeedsMoreSNRThanOOK(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		l, _ := NewDefaultLink(units.FeetToMeters(8))
 		bw := l.Reader.Bandwidths[1]
-		ro, err := l.RunWaveformMCS(payload, frame.MCSOOK, bw, rng.New(seed))
+		ro, err := l.RunWaveformMCSWS(nil, payload, frame.MCSOOK, bw, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra, err := l.RunWaveformMCS(payload, frame.MCSASK4, bw, rng.New(seed))
+		ra, err := l.RunWaveformMCSWS(nil, payload, frame.MCSASK4, bw, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,11 +65,11 @@ func TestASK4BurstShorter(t *testing.T) {
 	l, _ := NewDefaultLink(1)
 	b, _ := l.ComputeBudget()
 	payload := make([]byte, 40)
-	ook, err := l.Tag.BurstMCS(payload, frame.MCSOOK, b.TagBearingRad, l.Reader.FreqHz)
+	ook, err := l.Tag.BurstMCSWS(nil, payload, frame.MCSOOK, b.TagBearingRad, l.Reader.FreqHz)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ask, err := l.Tag.BurstMCS(payload, frame.MCSASK4, b.TagBearingRad, l.Reader.FreqHz)
+	ask, err := l.Tag.BurstMCSWS(nil, payload, frame.MCSASK4, b.TagBearingRad, l.Reader.FreqHz)
 	if err != nil {
 		t.Fatal(err)
 	}

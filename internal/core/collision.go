@@ -49,7 +49,7 @@ func (l *Link) RunCollision(payloadA, payloadB []byte, bw units.ReaderBandwidth,
 		saved := l.Tag.ID
 		l.Tag.ID = id
 		defer func() { l.Tag.ID = saved }()
-		return l.Tag.Burst(payload, b.TagBearingRad, l.Reader.FreqHz)
+		return l.Tag.BurstMCSWS(nil, payload, frame.MCSOOK, b.TagBearingRad, l.Reader.FreqHz)
 	}
 	symsA, err := mkSyms(0xA001, payloadA)
 	if err != nil {
@@ -80,13 +80,13 @@ func (l *Link) RunCollision(payloadA, payloadB []byte, bw units.ReaderBandwidth,
 		noiseW := units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
 			l.Reader.NoiseFigureDB) * symbolRate * SamplesPerSymbol
 		src.AWGN(rx, noiseW)
-		dec, _, err := reader.DecodeBurst(rx, rectWaveform)
+		dec, _, err := reader.DecodeBurstWS(nil, rx, rectWaveform)
 		return dec, err
 	}
 
 	// 1. Simultaneous: superpose the synthesized waveforms.
-	txA := rectWaveform.Synthesize(symsA)
-	txB := rectWaveform.Synthesize(symsB)
+	txA := rectWaveform.SynthesizeWS(nil, symsA)
+	txB := rectWaveform.SynthesizeWS(nil, symsB)
 	if dec, err := decodeSum(txA, txB); err == nil && dec.Trailer.OK {
 		res.SimultaneousDecoded = true
 		res.DecodedTagID = dec.Header.TagID

@@ -5,7 +5,7 @@
 //   - a link-budget path (Budget) that computes received tag power, SNR
 //     per receiver bandwidth and the achievable data rate exactly the way
 //     paper Fig. 7 does, and
-//   - a waveform path (RunWaveform) that synthesizes the tag's modulated
+//   - a waveform path (RunWaveformWS) that synthesizes the tag's modulated
 //     backscatter at complex baseband, pushes it through the channel,
 //     self-interference and receiver noise, and runs the full
 //     sync/demod/decode pipeline.
@@ -209,16 +209,11 @@ type WaveformResult struct {
 	ExpectedSNRdB float64
 }
 
-// RunWaveform synthesizes, transmits and decodes one tag burst carrying
-// payload through the selected receiver bandwidth, with AWGN and TX
-// leakage, returning measured quality against the budget's predictions.
-// The payload is OOK; see RunWaveformMCS for multi-level schemes.
-func (l *Link) RunWaveform(payload []byte, bw units.ReaderBandwidth, src *rng.Source) (WaveformResult, error) {
-	return l.RunWaveformMCS(payload, frame.MCSOOK, bw, src)
-}
-
-// RunWaveformWS is RunWaveform drawing every sample buffer from ws (see
-// RunWaveformMCSWS).
+// RunWaveformWS synthesizes, transmits and decodes one tag burst
+// carrying payload through the selected receiver bandwidth, with AWGN
+// and TX leakage, returning measured quality against the budget's
+// predictions. The payload is OOK; see RunWaveformMCSWS for multi-level
+// schemes and for how ws is used.
 func (l *Link) RunWaveformWS(ws *dsp.Workspace, payload []byte, bw units.ReaderBandwidth, src *rng.Source) (WaveformResult, error) {
 	return l.RunWaveformMCSWS(ws, payload, frame.MCSOOK, bw, src)
 }
@@ -237,18 +232,13 @@ type Capture struct {
 	BandwidthLabel string
 }
 
-// CaptureWaveform synthesizes the receiver capture for one burst without
-// decoding it: tag frame + switch waveform, channel scaling, optional
-// fading, TX leakage, receiver noise, and the pre-burst leakage
-// calibration. RunWaveformMCS = CaptureWaveform + reader.DecodeBurst.
-func (l *Link) CaptureWaveform(payload []byte, mcs frame.MCS, bw units.ReaderBandwidth, src *rng.Source) (Capture, error) {
-	return l.CaptureWaveformWS(nil, payload, mcs, bw, src)
-}
-
-// CaptureWaveformWS is CaptureWaveform drawing the symbol, waveform and
-// capture buffers from ws. The returned Capture.Samples reference ws
-// memory: they are valid until the next ws.Reset. A nil ws allocates,
-// which is exactly CaptureWaveform.
+// CaptureWaveformWS synthesizes the receiver capture for one burst
+// without decoding it: tag frame + switch waveform, channel scaling,
+// optional fading, TX leakage, receiver noise, and the pre-burst leakage
+// calibration. RunWaveformMCSWS = CaptureWaveformWS +
+// reader.DecodeBurstWS. The symbol, waveform and capture buffers come
+// from ws, so the returned Capture.Samples are valid until the next
+// ws.Reset. A nil ws allocates.
 func (l *Link) CaptureWaveformWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, bw units.ReaderBandwidth, src *rng.Source) (Capture, error) {
 	var cap Capture
 	// Labels are only materialized when a registry is installed so the
@@ -334,22 +324,16 @@ func (l *Link) CaptureWaveformWS(ws *dsp.Workspace, payload []byte, mcs frame.MC
 	return cap, nil
 }
 
-// RunWaveformMCS is RunWaveform with an explicit payload modulation:
-// MCSOOK (1 bit/symbol) or MCSASK4 (2 bits/symbol, realized by driving
-// subsets of the tag's Van Atta pairs). The symbol rate is always half
-// the receiver bandwidth, so 4-ASK doubles the bit rate at the cost of a
-// tighter SNR requirement.
-func (l *Link) RunWaveformMCS(payload []byte, mcs frame.MCS, bw units.ReaderBandwidth, src *rng.Source) (WaveformResult, error) {
-	return l.RunWaveformMCSWS(nil, payload, mcs, bw, src)
-}
-
-// RunWaveformMCSWS is RunWaveformMCS with a caller-owned workspace: the
-// capture and the whole decode pipeline draw their buffers from ws, so
+// RunWaveformMCSWS is RunWaveformWS with an explicit payload
+// modulation: MCSOOK (1 bit/symbol) or MCSASK4 (2 bits/symbol, realized
+// by driving subsets of the tag's Van Atta pairs). The symbol rate is
+// always half the receiver bandwidth, so 4-ASK doubles the bit rate at
+// the cost of a tighter SNR requirement. The capture and the whole
+// decode pipeline draw their buffers from the caller-owned ws, so
 // repeated bursts on one goroutine allocate nothing in steady state. The
 // workspace is Reset at entry — this call owns the frame — and the
 // returned result copies the decoded payload out, so nothing in
-// WaveformResult references ws memory. A nil ws allocates, which is
-// exactly RunWaveformMCS.
+// WaveformResult references ws memory. A nil ws allocates.
 func (l *Link) RunWaveformMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, bw units.ReaderBandwidth, src *rng.Source) (WaveformResult, error) {
 	ws.Reset()
 	var res WaveformResult

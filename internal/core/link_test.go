@@ -157,7 +157,7 @@ func TestRunWaveformCleanDecode(t *testing.T) {
 	payload := []byte("mmTag says hi")
 	// 20 MHz bandwidth at 3 ft: enormous SNR margin.
 	bw := l.Reader.Bandwidths[2]
-	res, err := l.RunWaveform(payload, bw, src)
+	res, err := l.RunWaveformWS(nil, payload, bw, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestWaveformSNRTracksBudget(t *testing.T) {
 	l, _ := NewDefaultLink(units.FeetToMeters(6))
 	src := rng.New(7)
 	bw := l.Reader.Bandwidths[1] // 200 MHz
-	res, err := l.RunWaveform(bytes.Repeat([]byte{0x5A}, 64), bw, src)
+	res, err := l.RunWaveformWS(nil, bytes.Repeat([]byte{0x5A}, 64), bw, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestWaveformFailsBeyondRange(t *testing.T) {
 	l, _ := NewDefaultLink(units.FeetToMeters(30))
 	src := rng.New(9)
 	bw := l.Reader.Bandwidths[0] // 2 GHz: hopeless at 30 ft
-	res, err := l.RunWaveform([]byte("far away"), bw, src)
+	res, err := l.RunWaveformWS(nil, []byte("far away"), bw, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +212,13 @@ func TestWaveformSeveredEnvironment(t *testing.T) {
 	l, _ := NewDefaultLink(2)
 	l.Env.Blockers = []geom.Segment{{A: geom.Vec{X: 1, Y: -1}, B: geom.Vec{X: 1, Y: 1}}}
 	src := rng.New(1)
-	if _, err := l.RunWaveform([]byte("x"), l.Reader.Bandwidths[2], src); err == nil {
+	if _, err := l.RunWaveformWS(nil, []byte("x"), l.Reader.Bandwidths[2], src); err == nil {
 		t.Error("severed link should error")
 	}
 }
 
 // TestRunWaveformWSMatchesAllocating: bursts drawn through a reused
-// workspace must be result-identical to the allocating path at the same
+// workspace must be result-identical to a nil workspace at the same
 // seed, burst after burst (the workspace only moves buffers, never math).
 func TestRunWaveformWSMatchesAllocating(t *testing.T) {
 	l, _ := NewDefaultLink(units.FeetToMeters(3))
@@ -226,7 +226,7 @@ func TestRunWaveformWSMatchesAllocating(t *testing.T) {
 	bw := l.Reader.Bandwidths[2]
 	ws := dsp.NewWorkspace()
 	for seed := uint64(1); seed <= 3; seed++ {
-		want, err := l.RunWaveform(payload, bw, rng.New(seed))
+		want, err := l.RunWaveformWS(nil, payload, bw, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestRunWaveformWSMatchesAllocating(t *testing.T) {
 		if got.Decoded != want.Decoded || got.TagID != want.TagID ||
 			got.BitErrors != want.BitErrors || got.TotalBits != want.TotalBits ||
 			got.MeasuredSNRdB != want.MeasuredSNRdB || got.ExpectedSNRdB != want.ExpectedSNRdB {
-			t.Fatalf("seed %d: WS result %+v diverged from allocating %+v", seed, got, want)
+			t.Fatalf("seed %d: WS result %+v diverged from nil-ws %+v", seed, got, want)
 		}
 		if !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("seed %d: WS payload %q, want %q", seed, got.Payload, want.Payload)
@@ -245,13 +245,13 @@ func TestRunWaveformWSMatchesAllocating(t *testing.T) {
 	}
 }
 
-// TestCaptureWaveformAllocatingWrapper: the nil-workspace wrapper must
-// produce the same capture as the WS path at the same seed.
+// TestCaptureWaveformAllocatingWrapper: a nil workspace must produce the
+// same capture as a real one at the same seed.
 func TestCaptureWaveformAllocatingWrapper(t *testing.T) {
 	l, _ := NewDefaultLink(units.FeetToMeters(3))
 	payload := []byte("capture")
 	bw := l.Reader.Bandwidths[2]
-	cap1, err := l.CaptureWaveform(payload, frame.MCSOOK, bw, rng.New(4))
+	cap1, err := l.CaptureWaveformWS(nil, payload, frame.MCSOOK, bw, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,21 +135,10 @@ func FFTShift(x []complex128) []complex128 {
 	return out
 }
 
-// FFTShiftFloats is FFTShift for real-valued per-bin data (e.g. a
-// periodogram's power bins), rotating zero frequency to the middle.
-// Returns a new slice.
-func FFTShiftFloats(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
-// FFTShiftFloatsInto is FFTShiftFloats writing into dst (len(dst) must
-// be ≥ len(x), dst must not alias x) and returning dst[:len(x)] — the
-// allocation-free form for callers with a reusable buffer.
+// FFTShiftFloatsInto is FFTShift for real-valued per-bin data (e.g. a
+// periodogram's power bins), rotating zero frequency to the middle. It
+// writes into dst (len(dst) must be ≥ len(x), dst must not alias x) and
+// returns dst[:len(x)].
 func FFTShiftFloatsInto(dst, x []float64) []float64 {
 	n := len(x)
 	dst = dst[:n]

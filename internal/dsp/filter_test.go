@@ -10,14 +10,14 @@ import (
 func TestWindowsEndpoints(t *testing.T) {
 	n := 33
 	for _, w := range []Window{Hann, Blackman} {
-		win := MakeWindow(w, n)
+		win := MakeWindowInto(make([]float64, n), w)
 		if math.Abs(win[0]) > 1e-12 || math.Abs(win[n-1]) > 1e-12 {
 			t.Errorf("%v window should reach ~0 at the ends: %g %g", w, win[0], win[n-1])
 		}
 	}
 	// All windows peak at (or near) 1 in the middle and are symmetric.
 	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman, Kaiser} {
-		win := MakeWindow(w, n)
+		win := MakeWindowInto(make([]float64, n), w)
 		if math.Abs(win[n/2]-1) > 0.01 {
 			t.Errorf("%v window center %g, want ≈1", w, win[n/2])
 		}
@@ -31,7 +31,7 @@ func TestWindowsEndpoints(t *testing.T) {
 
 func TestWindowSinglePoint(t *testing.T) {
 	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman, Kaiser} {
-		win := MakeWindow(w, 1)
+		win := MakeWindowInto(make([]float64, 1), w)
 		if len(win) != 1 || win[0] != 1 {
 			t.Errorf("%v single-point window: %v", w, win)
 		}
@@ -168,7 +168,7 @@ func TestRRCPairIsNyquist(t *testing.T) {
 	for i, v := range h {
 		hc[i] = complex(v, 0)
 	}
-	rc := Conv(hc, hc)
+	rc := ConvWS(nil, hc, hc)
 	mid := (len(rc) - 1) / 2
 	peak := cmplx.Abs(rc[mid])
 	for k := 1; k <= 3; k++ {
@@ -192,7 +192,7 @@ func TestShapeSymbolsCenters(t *testing.T) {
 	sps := 4
 	h, _ := RaisedCosine(0.25, sps, 8)
 	syms := []complex128{1, 0, 1, 1, 0, 1, 0, 0, 1, 1}
-	x := ShapeSymbols(syms, h, sps)
+	x := ShapeSymbolsWS(nil, syms, h, sps)
 	if len(x) != len(syms)*sps {
 		t.Fatalf("length %d, want %d", len(x), len(syms)*sps)
 	}
@@ -296,7 +296,7 @@ func TestPeriodogramTonePower(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Rect(1, 2*math.Pi*10*float64(i)/float64(n))
 	}
-	p := Periodogram(x, Rectangular)
+	p := PeriodogramWS(nil, x, Rectangular)
 	var sum float64
 	for _, v := range p {
 		sum += v

@@ -144,7 +144,7 @@ func DesignLowpass(cutoffNorm float64, taps int, w Window) ([]float64, error) {
 		return nil, fmt.Errorf("dsp: lowpass needs at least 1 tap, got %d", taps)
 	}
 	h := make([]float64, taps)
-	win := MakeWindow(w, taps)
+	win := MakeWindowInto(make([]float64, taps), w)
 	mid := float64(taps-1) / 2
 	for i := range h {
 		t := float64(i) - mid

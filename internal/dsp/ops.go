@@ -76,14 +76,10 @@ func Delay(x []complex128, d int) []complex128 {
 	return out
 }
 
-// Conv returns the full linear convolution of x and h
+// ConvWS returns the full linear convolution of x and h
 // (length len(x)+len(h)−1). For large inputs it switches to overlap-save
-// FFT convolution (see ConvOSWS).
-func Conv(x, h []complex128) []complex128 { return ConvWS(nil, x, h) }
-
-// ConvWS is Conv with workspace-backed scratch and output: the returned
-// slice is owned by ws and valid until the next ws.Reset. A nil ws
-// allocates, which is exactly Conv.
+// FFT convolution (see ConvOSWS). Scratch and output come from ws: the
+// returned slice is valid until the next ws.Reset. A nil ws allocates.
 func ConvWS(ws *Workspace, x, h []complex128) []complex128 {
 	if len(x) == 0 || len(h) == 0 {
 		return nil
@@ -158,16 +154,11 @@ func Normalize(x []complex128) []complex128 {
 	return Scale(x, 1/math.Sqrt(p))
 }
 
-// MovingAverage returns the causal moving average of x with window w
-// (output sample i averages x[max(0,i−w+1) … i]). Used as the simplest
-// OOK envelope smoother.
-func MovingAverage(x []complex128, w int) []complex128 {
-	return MovingAverageInto(make([]complex128, len(x)), x, w)
-}
-
-// MovingAverageInto writes the causal moving average of x into dst and
-// returns dst[:len(x)]. len(dst) must be ≥ len(x), and dst must not
-// alias x (the running sum re-reads x[i−w] after dst[i−w] is written).
+// MovingAverageInto writes the causal moving average of x with window w
+// (output sample i averages x[max(0,i−w+1) … i]) into dst and returns
+// dst[:len(x)]. Used as the simplest OOK envelope smoother. len(dst)
+// must be ≥ len(x), and dst must not alias x (the running sum re-reads
+// x[i−w] after dst[i−w] is written).
 //
 // Each component is divided by the real sample count. For finite input
 // that equals complex division by complex(n, 0) except for the sign of
@@ -194,12 +185,8 @@ func MovingAverageInto(dst, x []complex128, w int) []complex128 {
 	return dst
 }
 
-// Magnitudes returns |x[i]| for every sample.
-func Magnitudes(x []complex128) []float64 {
-	return MagnitudesInto(make([]float64, len(x)), x)
-}
-
-// MagnitudesInto writes |x[i]| into dst and returns dst[:len(x)].
+// MagnitudesInto writes |x[i]| for every sample into dst and returns
+// dst[:len(x)].
 // len(dst) must be ≥ len(x).
 func MagnitudesInto(dst []float64, x []complex128) []float64 {
 	dst = dst[:len(x)]

@@ -70,7 +70,7 @@ func TestConvMatchesDirect(t *testing.T) {
 	// FFT path (long kernel) must agree with the direct path.
 	x := testSignal(300)
 	h := testSignal(100)
-	got := Conv(x, h)
+	got := ConvWS(nil, x, h)
 	// Direct reference.
 	want := make([]complex128, len(x)+len(h)-1)
 	for i, xv := range x {
@@ -83,7 +83,7 @@ func TestConvMatchesDirect(t *testing.T) {
 
 func TestConvIdentity(t *testing.T) {
 	x := testSignal(20)
-	got := Conv(x, []complex128{1})
+	got := ConvWS(nil, x, []complex128{1})
 	complexNear(t, got, x, 1e-12, "conv with delta")
 }
 
@@ -91,8 +91,8 @@ func TestConvCommutative(t *testing.T) {
 	f := func(seedA, seedB uint8) bool {
 		a := testSignal(3 + int(seedA)%20)
 		b := testSignal(3 + int(seedB)%20)
-		ab := Conv(a, b)
-		ba := Conv(b, a)
+		ab := ConvWS(nil, a, b)
+		ba := ConvWS(nil, b, a)
 		for i := range ab {
 			if cmplx.Abs(ab[i]-ba[i]) > 1e-9 {
 				return false
@@ -131,11 +131,11 @@ func TestPeakIndexEmpty(t *testing.T) {
 
 func TestMovingAverage(t *testing.T) {
 	x := []complex128{2, 4, 6, 8}
-	y := MovingAverage(x, 2)
+	y := MovingAverageInto(make([]complex128, len(x)), x, 2)
 	want := []complex128{2, 3, 5, 7}
 	complexNear(t, y, want, 1e-12, "moving average")
 	// Window 1 is identity.
-	complexNear(t, MovingAverage(x, 1), x, 0, "window-1 moving average")
+	complexNear(t, MovingAverageInto(make([]complex128, len(x)), x, 1), x, 0, "window-1 moving average")
 }
 
 func TestMovingAverageConstantSignal(t *testing.T) {
@@ -145,7 +145,7 @@ func TestMovingAverageConstantSignal(t *testing.T) {
 		for i := range x {
 			x[i] = 5 - 2i
 		}
-		y := MovingAverage(x, win)
+		y := MovingAverageInto(make([]complex128, len(x)), x, win)
 		for _, v := range y {
 			if cmplx.Abs(v-(5-2i)) > 1e-9 {
 				return false
@@ -225,7 +225,7 @@ func TestAddAndMagnitudes(t *testing.T) {
 	if x[0] != 11 || x[1] != 22 {
 		t.Errorf("add: %v", x)
 	}
-	m := Magnitudes([]complex128{3 + 4i, -1})
+	m := MagnitudesInto(make([]float64, 2), []complex128{3 + 4i, -1})
 	if m[0] != 5 || m[1] != 1 {
 		t.Errorf("magnitudes: %v", m)
 	}

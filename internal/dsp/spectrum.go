@@ -6,17 +6,12 @@ import (
 	"math/cmplx"
 )
 
-// Periodogram returns the power spectral estimate |FFT(x·w)|²/(N·U) for a
-// single windowed block, where U compensates the window's power loss. The
-// output has len(x) bins in natural FFT order; use FFTShift for plotting
-// order.
-func Periodogram(x []complex128, w Window) []float64 {
-	return PeriodogramWS(nil, x, w)
-}
-
-// PeriodogramWS is Periodogram with the window, FFT buffer and output
-// checked out of ws (and the FFT run through ws's cached plans for
-// non-power-of-two lengths). Real-valued inputs (zero imaginary part
+// PeriodogramWS returns the power spectral estimate |FFT(x·w)|²/(N·U)
+// for a single windowed block, where U compensates the window's power
+// loss. The output has len(x) bins in natural FFT order; use
+// FFTShiftFloatsInto for plotting order. The window, FFT buffer and
+// output are checked out of ws (and the FFT runs through ws's cached
+// plans). Real-valued inputs (zero imaginary part
 // throughout, e.g. OOK envelopes) are detected and routed through the
 // packed real-input transform, which halves the FFT work; the mirror
 // half of the spectrum is filled in by conjugate symmetry. The returned
@@ -87,7 +82,7 @@ func Welch(x []complex128, segLen int, w Window) ([]float64, error) {
 	acc := make([]float64, segLen)
 	count := 0
 	for start := 0; start+segLen <= len(x); start += hop {
-		p := Periodogram(x[start:start+segLen], w)
+		p := PeriodogramWS(nil, x[start:start+segLen], w)
 		for i, v := range p {
 			acc[i] += v
 		}

@@ -32,15 +32,9 @@ func (w Window) String() string {
 	}
 }
 
-// MakeWindow returns the n-point window of the given type. Kaiser uses a
-// default beta of 8.6 (≈ Blackman-like sidelobes); use KaiserWindow for an
-// explicit beta.
-func MakeWindow(w Window, n int) []float64 {
-	return MakeWindowInto(make([]float64, n), w)
-}
-
 // MakeWindowInto fills dst with the len(dst)-point window of the given
-// type and returns dst — the allocation-free form of MakeWindow.
+// type and returns dst. Kaiser uses a default beta of 8.6 (≈
+// Blackman-like sidelobes); use KaiserWindow for an explicit beta.
 func MakeWindowInto(dst []float64, w Window) []float64 {
 	switch w {
 	case Hann:

@@ -25,8 +25,9 @@ import (
 //   - A Workspace is NOT safe for concurrent use. Parallel fan-outs give
 //     each worker goroutine its own (par.ForEachWith and friends).
 //   - A nil *Workspace is valid everywhere: every method falls back to
-//     plain allocation, which is how the pre-workspace signatures keep
-//     their exact behavior as thin wrappers.
+//     plain allocation and throwaway plans, with the same arithmetic as
+//     a real workspace, so passing nil is the allocating form of every
+//     …WS function.
 //
 // FFT plans (cached Bluestein chirp factors and the precomputed forward
 // transform of the chirp kernel, keyed by length and direction) survive
@@ -120,9 +121,11 @@ func (w *Workspace) Reset() {
 	w.bbufs.reset()
 }
 
-// FFTInPlace computes the DFT of x in place for any length: radix-2 for
-// powers of two, plan-cached Bluestein otherwise. Zero allocations once
-// the plan for len(x) exists.
+// FFTInPlace computes the DFT of x in place for any length: radix-2
+// below 32 points, a cached radix-4 plan for larger powers of two, and
+// plan-cached Bluestein otherwise. Zero allocations once the plan for
+// len(x) exists. A nil workspace builds throwaway plans and returns the
+// same bits.
 func (w *Workspace) FFTInPlace(x []complex128) { w.fft(x, false) }
 
 // IFFTInPlace computes the normalized inverse DFT of x in place for any
@@ -135,7 +138,7 @@ func (w *Workspace) fft(x []complex128, inverse bool) {
 		return
 	}
 	if IsPowerOfTwo(n) {
-		if w != nil && n >= pow2PlanMin {
+		if n >= pow2PlanMin {
 			p := w.pow2Plan(n)
 			if inverse {
 				p.inverse(x)
@@ -169,8 +172,7 @@ func (w *Workspace) pow2Plan(n int) *pow2Plan {
 }
 
 // plan returns the cached Bluestein plan for (n, inverse), building it on
-// first use. A nil workspace builds a throwaway plan (the allocating
-// compatibility path).
+// first use. A nil workspace builds a throwaway plan.
 func (w *Workspace) plan(n int, inverse bool) *fftPlan {
 	if w == nil {
 		return newFFTPlan(n, inverse)

@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 )
 
@@ -19,8 +20,8 @@ func floatNear(t *testing.T, got, want []float64, tol float64, msg string) {
 
 // TestWorkspaceCheckoutZeroed pins the make-equivalence contract: a
 // checked-out buffer is zeroed even when it recycles a dirtied buffer
-// from a previous frame, so nil-workspace wrappers and workspace paths
-// see identical initial contents.
+// from a previous frame, so nil-workspace calls and workspace calls see
+// identical initial contents.
 func TestWorkspaceCheckoutZeroed(t *testing.T) {
 	ws := NewWorkspace()
 	c := ws.Complex(16)
@@ -61,8 +62,8 @@ func TestWorkspaceRecyclesBackingArrays(t *testing.T) {
 	}
 }
 
-// TestWorkspaceNilFallsBackToMake checks the nil-receiver compatibility
-// path used by every allocating wrapper.
+// TestWorkspaceNilFallsBackToMake checks the nil-receiver path every
+// …WS function takes when called with a nil workspace.
 func TestWorkspaceNilFallsBackToMake(t *testing.T) {
 	var ws *Workspace
 	if got := ws.Complex(8); len(got) != 8 {
@@ -117,21 +118,22 @@ func TestPlanSurvivesReset(t *testing.T) {
 }
 
 // TestConvWSMatchesConv covers both ConvWS paths (direct for short
-// inputs, FFT overlap for long) against the allocating wrapper.
+// inputs, FFT overlap for long): a workspace must give the same bits as
+// a nil one.
 func TestConvWSMatchesConv(t *testing.T) {
 	ws := NewWorkspace()
 	for _, sizes := range [][2]int{{8, 5}, {100, 65}, {130, 70}} {
 		x := testSignal(sizes[0])
 		h := testSignal(sizes[1])
-		want := Conv(x, h)
+		want := ConvWS(nil, x, h)
 		got := ConvWS(ws, x, h)
-		complexNear(t, got, want, 1e-9, "conv")
+		complexNear(t, got, want, 0, "conv")
 		ws.Reset()
 	}
 }
 
-// TestShapeSymbolsWSMatchesShapeSymbols: the workspaced pulse shaper must
-// be sample-identical to the allocating one.
+// TestShapeSymbolsWSMatchesShapeSymbols: the pulse shaper on a workspace
+// must be sample-identical to the one on a nil workspace.
 func TestShapeSymbolsWSMatchesShapeSymbols(t *testing.T) {
 	ws := NewWorkspace()
 	pulse, err := RaisedCosine(0.35, 4, 6)
@@ -139,7 +141,7 @@ func TestShapeSymbolsWSMatchesShapeSymbols(t *testing.T) {
 		t.Fatal(err)
 	}
 	syms := testSignal(33)
-	want := ShapeSymbols(syms, pulse, 4)
+	want := ShapeSymbolsWS(nil, syms, pulse, 4)
 	got := ShapeSymbolsWS(ws, syms, pulse, 4)
 	complexNear(t, got, want, 0, "shape")
 	// Second frame over recycled buffers must still match.
@@ -149,14 +151,14 @@ func TestShapeSymbolsWSMatchesShapeSymbols(t *testing.T) {
 }
 
 // TestPeriodogramWSMatchesPeriodogram covers power-of-two and Bluestein
-// FFT lengths through the workspace spectral path.
+// FFT lengths: a workspace must give the same bits as a nil one.
 func TestPeriodogramWSMatchesPeriodogram(t *testing.T) {
 	ws := NewWorkspace()
 	for _, n := range []int{64, 100} {
 		x := testSignal(n)
-		want := Periodogram(x, Hann)
+		want := PeriodogramWS(nil, x, Hann)
 		got := PeriodogramWS(ws, x, Hann)
-		floatNear(t, got, want, 1e-12, "periodogram")
+		floatNear(t, got, want, 0, "periodogram")
 		ws.Reset()
 	}
 	if got := PeriodogramWS(ws, nil, Hann); got != nil {
@@ -164,11 +166,11 @@ func TestPeriodogramWSMatchesPeriodogram(t *testing.T) {
 	}
 }
 
-// TestMakeWindowIntoMatchesMakeWindow: the in-place window fill against
-// the allocating form for every window type.
+// TestMakeWindowIntoMatchesMakeWindow: filling a dirty buffer must give
+// the same window as filling a fresh one, for every window type.
 func TestMakeWindowIntoMatchesMakeWindow(t *testing.T) {
 	for _, w := range []Window{Rectangular, Hann, Hamming, Blackman, Kaiser} {
-		want := MakeWindow(w, 33)
+		want := MakeWindowInto(make([]float64, 33), w)
 		dst := make([]float64, 33)
 		for i := range dst {
 			dst[i] = math.NaN() // must be fully overwritten
@@ -178,23 +180,31 @@ func TestMakeWindowIntoMatchesMakeWindow(t *testing.T) {
 	}
 }
 
-// TestMovingAverageIntoMatchesMovingAverage pins the in-place moving
-// average (which must not alias its input — it re-reads x[i−w]) to the
-// allocating form.
+// TestMovingAverageIntoMatchesMovingAverage pins the moving average
+// (which must not alias its input — it re-reads x[i−w]) into a dirty,
+// oversized buffer to the same average into a fresh one.
 func TestMovingAverageIntoMatchesMovingAverage(t *testing.T) {
 	x := testSignal(50)
 	for _, w := range []int{1, 4, 7} {
-		want := MovingAverage(x, w)
-		got := MovingAverageInto(make([]complex128, len(x)), x, w)
+		want := MovingAverageInto(make([]complex128, len(x)), x, w)
+		dst := make([]complex128, len(x)+3)
+		for i := range dst {
+			dst[i] = complex(math.NaN(), math.NaN())
+		}
+		got := MovingAverageInto(dst, x, w)
 		complexNear(t, got, want, 0, "moving average")
 	}
 }
 
-// TestMagnitudesIntoMatchesMagnitudes pins the in-place magnitude fill.
+// TestMagnitudesIntoMatchesMagnitudes pins the magnitude fill to
+// cmplx.Abs per sample.
 func TestMagnitudesIntoMatchesMagnitudes(t *testing.T) {
 	x := testSignal(40)
-	want := Magnitudes(x)
-	got := MagnitudesInto(make([]float64, len(x)), x)
+	want := make([]float64, len(x))
+	for i, v := range x {
+		want[i] = cmplx.Abs(v)
+	}
+	got := MagnitudesInto(make([]float64, len(x)+2), x)
 	floatNear(t, got, want, 0, "magnitudes")
 }
 
@@ -348,4 +358,56 @@ func TestApplyWindowShorterPrefix(t *testing.T) {
 	ApplyWindow(x, w)
 	want := []complex128{0.5, 0.25, 1, 1}
 	complexNear(t, x, want, 0, "prefix window")
+}
+
+// TestNilWorkspaceFFTBitIdentical: a nil workspace builds throwaway
+// plans but must run the same kernels as a real one, so every spectral
+// result is bit-identical with or without a workspace — including the
+// power-of-two lengths ≥ 32 that take the radix-4 plans.
+func TestNilWorkspaceFFTBitIdentical(t *testing.T) {
+	sameBits := func(n int, what string, got, want []float64) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("n=%d %s: length %d vs %d", n, what, len(got), len(want))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d %s: bin %d: nil ws %v, ws %v", n, what, i, got[i], want[i])
+			}
+		}
+	}
+	sameComplexBits := func(n int, what string, got, want []complex128) {
+		t.Helper()
+		re := func(x []complex128) []float64 {
+			out := make([]float64, 0, 2*len(x))
+			for _, v := range x {
+				out = append(out, real(v), imag(v))
+			}
+			return out
+		}
+		sameBits(n, what, re(got), re(want))
+	}
+	for _, n := range []int{16, 32, 64, 1000, 1024} {
+		ws := NewWorkspace()
+		x := testSignal(n)
+		sameBits(n, "PeriodogramWS", PeriodogramWS(nil, x, Hann), PeriodogramWS(ws, x, Hann))
+
+		r := make([]float64, n)
+		for i, v := range x {
+			r[i] = real(v)
+		}
+		specNil := RFFTWS(nil, r)
+		specWS := RFFTWS(ws, r)
+		sameComplexBits(n, "RFFTWS", specNil, specWS)
+		sameBits(n, "IRFFTWS", IRFFTWS(nil, specNil, n), IRFFTWS(ws, specWS, n))
+
+		a := append([]complex128(nil), x...)
+		b := append([]complex128(nil), x...)
+		(*Workspace)(nil).FFTInPlace(a)
+		ws.FFTInPlace(b)
+		sameComplexBits(n, "FFTInPlace", a, b)
+		(*Workspace)(nil).IFFTInPlace(a)
+		ws.IFFTInPlace(b)
+		sameComplexBits(n, "IFFTInPlace", a, b)
+	}
 }

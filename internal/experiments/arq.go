@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/mmtag/mmtag/internal/core"
+	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/mac"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/par"
@@ -66,7 +67,7 @@ func ARQGoodput(nFrames int, seed uint64) (ARQResult, error) {
 		if err != nil {
 			return ARQPoint{}, err
 		}
-		r, err := mac.RunARQ(l, bw, nFrames, cfg, rng.New(seed))
+		r, err := mac.RunARQWS(dsp.NewWorkspace(), l, bw, nFrames, cfg, rng.New(seed))
 		if err != nil {
 			return ARQPoint{}, err
 		}

@@ -13,7 +13,7 @@
 //	E5  Comparison        baseline-vs-mmTag throughput table
 //	E6  BERValidation     Monte-Carlo OOK BER vs analytic at Fig. 7 points
 //	E7  MultiTag          SDM + Aloha network throughput (§9 extension)
-//	E8  SelfInterference  rate vs reader isolation (§9 extension)
+//	E8  SelfInterferenceWS rate vs reader isolation (§9 extension)
 //	A1  ArraySizeAblation range/rate vs element count (§8 remark)
 //	A2  ImpairmentAblation retro gain vs phase error & switch leakage
 package experiments

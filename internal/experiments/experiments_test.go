@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"github.com/mmtag/mmtag/internal/dsp"
 )
 
 func TestTableRenderAndCSV(t *testing.T) {
@@ -242,7 +244,7 @@ func TestMultiTagExperiment(t *testing.T) {
 }
 
 func TestSelfInterferenceExperiment(t *testing.T) {
-	r, err := SelfInterference(3)
+	r, err := SelfInterferenceWS(dsp.NewWorkspace(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}

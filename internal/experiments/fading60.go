@@ -34,15 +34,10 @@ type FadingResult struct {
 	Points []FadingPoint
 }
 
-// FadingMargin sweeps Rician K factors.
-func FadingMargin(seed uint64) (FadingResult, error) {
-	// One workspace reused by every fading-check burst across the sweep.
-	return FadingMarginWS(dsp.NewWorkspace(), seed)
-}
-
-// FadingMarginWS is FadingMargin on a caller-owned workspace — the grid
-// runner hands each worker's workspace down here so cells reuse scratch
-// across the cells one worker executes.
+// FadingMarginWS sweeps Rician K factors. Every fading-check burst of
+// the sweep reuses ws; the grid runner hands each worker's workspace
+// down here so cells reuse scratch across the cells one worker executes.
+// A nil ws gets a private workspace for the sweep.
 func FadingMarginWS(ws *dsp.Workspace, seed uint64) (FadingResult, error) {
 	var res FadingResult
 	payload := make([]byte, 24)

@@ -1,9 +1,13 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"github.com/mmtag/mmtag/internal/dsp"
+)
 
 func TestFadingMarginExperiment(t *testing.T) {
-	r, err := FadingMargin(4)
+	r, err := FadingMarginWS(dsp.NewWorkspace(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,16 +33,11 @@ type SelfIntResult struct {
 	MinWorkingIsolationDB float64
 }
 
-// SelfInterference sweeps reader isolation at the 4 ft geometry.
-func SelfInterference(seed uint64) (SelfIntResult, error) {
-	// One workspace for the whole sweep: every burst recycles the previous
-	// isolation point's sample buffers.
-	return SelfInterferenceWS(dsp.NewWorkspace(), seed)
-}
-
-// SelfInterferenceWS is SelfInterference on a caller-owned workspace —
-// the grid runner hands each worker's workspace down here so cells
-// reuse scratch across the cells one worker executes.
+// SelfInterferenceWS sweeps reader isolation at the 4 ft geometry. Every
+// burst of the sweep recycles the previous isolation point's sample
+// buffers from ws; the grid runner hands each worker's workspace down
+// here so cells reuse scratch across the cells one worker executes. A
+// nil ws gets a private workspace for the sweep.
 func SelfInterferenceWS(ws *dsp.Workspace, seed uint64) (SelfIntResult, error) {
 	var res SelfIntResult
 	payload := bytes.Repeat([]byte{0xA7}, 32)

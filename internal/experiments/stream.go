@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/mmtag/mmtag/internal/core"
+	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/render"
@@ -100,7 +101,7 @@ func StreamThroughput(nFrames int, seed uint64) (StreamResult, error) {
 		bw := l.Reader.Bandwidths[0] // 2 GHz
 		capacity := bw.BandwidthHz * units.OOKSpectralEfficiency / float64(burstSyms)
 		load := streamLoads[i]
-		r, err := stream.RunFlow(l, bw, flowFrames, stream.FlowConfig{
+		r, err := stream.RunFlowWS(dsp.NewWorkspace(), l, bw, flowFrames, stream.FlowConfig{
 			Tags:       4,
 			Window:     4,
 			FrameBytes: streamFrameBytes,

@@ -8,11 +8,12 @@ import (
 	"github.com/mmtag/mmtag/internal/experiments"
 )
 
-// Params are the knobs a grid cell hands its driver. Zero values mean
-// "driver default", matching the cmd/mmtag flag semantics.
+// Params are the knobs a grid cell or the cmd/mmtag flags hand a
+// driver. Zero values mean "driver default".
 type Params struct {
-	// Points is the sweep resolution (fig6/fig7/retro/...), the frame
-	// count (arq) or unused, driver depending.
+	// Points is the sweep resolution (fig6/fig7/retro/...), the element
+	// count (beamwidth), the trial count (anticol, impair), the frame
+	// count (arq, stream) or unused, driver depending.
 	Points int
 	// Bits is the Monte-Carlo size (ber, coded).
 	Bits int
@@ -26,9 +27,9 @@ type Params struct {
 // without a waveform stage ignore it.
 type runFunc func(p Params, ws *dsp.Workspace) (experiments.Table, map[string]float64, error)
 
-// drivers is the registry: every cmd/mmtag experiment that makes sense
-// as a grid cell. The summary metrics are the result structs' headline
-// scalars — the quantities the paper's claims hang on.
+// drivers is the registry: every cmd/mmtag experiment, each of which is
+// also a grid cell driver. The summary metrics are the result structs'
+// headline scalars — the quantities the paper's claims hang on.
 var drivers = map[string]runFunc{
 	"fig6": func(p Params, _ *dsp.Workspace) (experiments.Table, map[string]float64, error) {
 		r, err := experiments.Figure6(p.Points)
@@ -263,13 +264,21 @@ func Drivers() []string {
 	return names
 }
 
+// RunDriver runs the named experiment with p on ws and returns its
+// rendered table and summary metrics. cmd/mmtag's experiment
+// subcommands and every grid cell run through it, so the two share one
+// experiment table.
+func RunDriver(name string, p Params, ws *dsp.Workspace) (experiments.Table, map[string]float64, error) {
+	fn, ok := drivers[name]
+	if !ok {
+		return experiments.Table{}, nil, fmt.Errorf("unknown experiment %q", name)
+	}
+	return fn(p, ws)
+}
+
 // runCell executes one cell on the given workspace.
 func runCell(c Cell, ws *dsp.Workspace) (experiments.Table, map[string]float64, error) {
-	fn, ok := drivers[c.Driver]
-	if !ok {
-		return experiments.Table{}, nil, fmt.Errorf("grid: unknown driver %q", c.Driver)
-	}
-	tab, metrics, err := fn(Params{Points: c.Points, Bits: c.Bits, Seed: c.Seed}, ws)
+	tab, metrics, err := RunDriver(c.Driver, Params{Points: c.Points, Bits: c.Bits, Seed: c.Seed}, ws)
 	if err != nil {
 		return experiments.Table{}, nil, fmt.Errorf("grid: cell %s: %w", c.ID, err)
 	}

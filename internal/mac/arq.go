@@ -62,19 +62,14 @@ type ARQResult struct {
 	AirTimeS float64
 }
 
-// RunARQ delivers nFrames over the waveform-level link at the given
+// RunARQWS delivers nFrames over the waveform-level link at the given
 // receiver bandwidth. The exchange is paced by a discrete-event engine:
 // every burst occupies its real air time (burst symbols / symbol rate)
 // on the virtual clock, each decode outcome schedules either the
 // retransmission or the next frame, and AirTimeS reports where the time
 // went. Every burst is a full synthesis + decode; the result is
-// deterministic for a fixed source.
-func RunARQ(l *core.Link, bw units.ReaderBandwidth, nFrames int, cfg ARQConfig, src *rng.Source) (ARQResult, error) {
-	return RunARQWS(dsp.NewWorkspace(), l, bw, nFrames, cfg, src)
-}
-
-// RunARQWS is RunARQ with a caller-owned workspace: every burst in the
-// run draws its sample buffers from ws, so the per-burst allocations are
+// deterministic for a fixed source. Every burst draws its sample
+// buffers from the caller-owned ws, so the per-burst allocations are
 // amortized across the whole exchange. Parallel sweeps pass their
 // worker's workspace; results are identical for any ws (including nil,
 // which allocates per burst).
@@ -101,7 +96,7 @@ func RunARQWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames
 	failures := 0
 	var runErr error
 	frameIdx, attempt := 0, 0
-	// One payload buffer for the whole run: RunWaveform does not retain
+	// One payload buffer for the whole run: RunWaveformWS does not retain
 	// it, and retransmissions reuse the frame's bytes unchanged.
 	payloadBuf := make([]byte, cfg.FrameBytes)
 	var payload []byte

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/mmtag/mmtag/internal/core"
+	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/rng"
 	"github.com/mmtag/mmtag/internal/units"
 )
@@ -20,7 +21,7 @@ func arqLink(t *testing.T, ft float64) *core.Link {
 func TestARQCleanLink(t *testing.T) {
 	l := arqLink(t, 3)
 	bw := l.Reader.Bandwidths[2] // 20 MHz: enormous margin
-	res, err := RunARQ(l, bw, 10, DefaultARQConfig(), rng.New(1))
+	res, err := RunARQWS(dsp.NewWorkspace(), l, bw, 10, DefaultARQConfig(), rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestARQMarginalLinkRetransmits(t *testing.T) {
 	// frames fail and ARQ earns its keep (or exhausts retries).
 	l := arqLink(t, 9)
 	bw := l.Reader.Bandwidths[0]
-	res, err := RunARQ(l, bw, 8, DefaultARQConfig(), rng.New(2))
+	res, err := RunARQWS(dsp.NewWorkspace(), l, bw, 8, DefaultARQConfig(), rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +68,13 @@ func TestARQMarginalLinkRetransmits(t *testing.T) {
 func TestARQValidation(t *testing.T) {
 	l := arqLink(t, 3)
 	bw := l.Reader.Bandwidths[2]
-	if _, err := RunARQ(l, bw, 0, DefaultARQConfig(), rng.New(1)); err == nil {
+	if _, err := RunARQWS(dsp.NewWorkspace(), l, bw, 0, DefaultARQConfig(), rng.New(1)); err == nil {
 		t.Error("zero frames should fail")
 	}
-	if _, err := RunARQ(l, bw, 1, ARQConfig{FrameBytes: 0}, rng.New(1)); err == nil {
+	if _, err := RunARQWS(dsp.NewWorkspace(), l, bw, 1, ARQConfig{FrameBytes: 0}, rng.New(1)); err == nil {
 		t.Error("zero frame bytes should fail")
 	}
-	if _, err := RunARQ(l, bw, 1, ARQConfig{FrameBytes: 8, MaxRetries: -1}, rng.New(1)); err == nil {
+	if _, err := RunARQWS(dsp.NewWorkspace(), l, bw, 1, ARQConfig{FrameBytes: 8, MaxRetries: -1}, rng.New(1)); err == nil {
 		t.Error("negative retries should fail")
 	}
 }
@@ -81,11 +82,11 @@ func TestARQValidation(t *testing.T) {
 func TestARQDeterministic(t *testing.T) {
 	l1, l2 := arqLink(t, 7), arqLink(t, 7)
 	bw := l1.Reader.Bandwidths[0]
-	a, err := RunARQ(l1, bw, 6, DefaultARQConfig(), rng.New(5))
+	a, err := RunARQWS(dsp.NewWorkspace(), l1, bw, 6, DefaultARQConfig(), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunARQ(l2, bw, 6, DefaultARQConfig(), rng.New(5))
+	b, err := RunARQWS(dsp.NewWorkspace(), l2, bw, 6, DefaultARQConfig(), rng.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}

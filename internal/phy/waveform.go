@@ -51,23 +51,11 @@ func NewRectWaveform(sps int) (Waveform, error) {
 	return Waveform{SPS: sps, Pulse: dsp.RectPulse(sps)}, nil
 }
 
-// Synthesize renders symbols to samples (len(symbols)·SPS samples).
-func (w Waveform) Synthesize(symbols []complex128) []complex128 {
-	return dsp.ShapeSymbols(symbols, w.Pulse, w.SPS)
-}
-
-// SynthesizeWS is Synthesize with workspace-backed scratch and output
-// (valid until the next ws.Reset; nil ws allocates).
+// SynthesizeWS renders symbols to samples (len(symbols)·SPS samples)
+// with workspace-backed scratch and output (valid until the next
+// ws.Reset; nil ws allocates).
 func (w Waveform) SynthesizeWS(ws *dsp.Workspace, symbols []complex128) []complex128 {
 	return dsp.ShapeSymbolsWS(ws, symbols, w.Pulse, w.SPS)
-}
-
-// MatchedFilter correlates the received samples against the pulse and
-// returns one decision statistic per symbol period, sampling at the
-// center of each period starting from startSample. Decision values are
-// normalized by the pulse energy so symbol amplitudes are preserved.
-func (w Waveform) MatchedFilter(samples []complex128, startSample, nSymbols int) ([]complex128, error) {
-	return w.MatchedFilterWS(nil, samples, startSample, nSymbols)
 }
 
 // matchedFilterDirectMax is the longest pulse still correlated by the
@@ -77,10 +65,13 @@ func (w Waveform) MatchedFilter(samples []complex128, startSample, nSymbols int)
 // burst hot path's numerics bit-identical.
 const matchedFilterDirectMax = 32
 
-// MatchedFilterWS is MatchedFilter with the decision buffer checked out
-// of ws (valid until the next ws.Reset; nil ws allocates). Long shaping
-// pulses (raised-cosine with many samples per symbol) take the
-// frequency-domain path.
+// MatchedFilterWS correlates the received samples against the pulse and
+// returns one decision statistic per symbol period, sampling at the
+// center of each period starting from startSample. Decision values are
+// normalized by the pulse energy so symbol amplitudes are preserved. The
+// decision buffer is checked out of ws (valid until the next ws.Reset;
+// nil ws allocates). Long shaping pulses (raised-cosine with many
+// samples per symbol) take the frequency-domain path.
 func (w Waveform) MatchedFilterWS(ws *dsp.Workspace, samples []complex128, startSample, nSymbols int) ([]complex128, error) {
 	if startSample < 0 {
 		return nil, fmt.Errorf("phy: negative start sample %d", startSample)
@@ -115,7 +106,7 @@ func (w Waveform) MatchedFilterWS(ws *dsp.Workspace, samples []complex128, start
 	out := ws.Complex(nSymbols)[:0]
 	for k := 0; k < nSymbols; k++ {
 		// startSample + k·SPS is the *center* of symbol k (the
-		// ShapeSymbols contract); pulse sample i sits i − (len−1)/2
+		// ShapeSymbolsWS contract); pulse sample i sits i − (len−1)/2
 		// samples from the center.
 		base := startSample + k*w.SPS - (len(w.Pulse)-1)/2
 		var acc complex128
@@ -131,16 +122,12 @@ func (w Waveform) MatchedFilterWS(ws *dsp.Workspace, samples []complex128, start
 	return out, nil
 }
 
-// DetectBurst finds a Barker-preambled OOK burst in samples: it computes
-// the envelope, correlates with the preamble's ±1 chip pattern at symbol
-// rate, and returns the sample index of the first payload symbol (i.e.
-// just after the preamble) plus the correlation peak metric.
-func (w Waveform) DetectBurst(samples []complex128, leakage float64) (payloadStart int, metric float64, err error) {
-	return w.DetectBurstWS(nil, samples, leakage)
-}
-
-// DetectBurstWS is DetectBurst with the envelope, template and
-// correlation buffers checked out of ws (nil ws allocates).
+// DetectBurstWS finds a Barker-preambled OOK burst in samples: it
+// computes the envelope, correlates with the preamble's ±1 chip pattern
+// at symbol rate, and returns the sample index of the first payload
+// symbol (i.e. just after the preamble) plus the correlation peak
+// metric. The envelope, template and correlation buffers are checked out
+// of ws (nil ws allocates).
 func (w Waveform) DetectBurstWS(ws *dsp.Workspace, samples []complex128, leakage float64) (payloadStart int, metric float64, err error) {
 	n := len(Preamble13)
 	need := (n + 1) * w.SPS
@@ -207,16 +194,11 @@ func (w Waveform) DetectBurstWS(ws *dsp.Workspace, samples []complex128, leakage
 	return center0 + n*w.SPS, bestV, nil
 }
 
-// MeasureSNR estimates the SNR of OOK decision statistics by two-cluster
-// splitting: symbols above/below the midpoint of the extremes form the
-// high and low clusters; SNR = (μ_hi−μ_lo)²·(avg symbol power fraction) /
-// (2·σ²). It returns the estimated average-SNR in dB.
-func MeasureSNR(decisions []complex128) (float64, error) {
-	return MeasureSNRWS(nil, decisions)
-}
-
-// MeasureSNRWS is MeasureSNR with the magnitude buffer checked out of ws
-// (nil ws allocates).
+// MeasureSNRWS estimates the SNR of OOK decision statistics by
+// two-cluster splitting: symbols above/below the midpoint of the extremes
+// form the high and low clusters; SNR = (μ_hi−μ_lo)²·(avg symbol power
+// fraction) / (2·σ²). It returns the estimated average-SNR in dB. The
+// magnitude buffer is checked out of ws (nil ws allocates).
 func MeasureSNRWS(ws *dsp.Workspace, decisions []complex128) (float64, error) {
 	if len(decisions) < 4 {
 		return 0, fmt.Errorf("phy: need ≥ 4 decisions to estimate SNR")

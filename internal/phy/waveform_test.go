@@ -17,11 +17,11 @@ func TestRectWaveformRoundTrip(t *testing.T) {
 	src := rng.New(5)
 	bits := src.Bits(make([]byte, 64))
 	syms, _ := OOK{}.Modulate(nil, bits)
-	samples := w.Synthesize(syms)
+	samples := w.SynthesizeWS(nil, syms)
 	if len(samples) != 64*8 {
 		t.Fatalf("sample count %d", len(samples))
 	}
-	dec, err := w.MatchedFilter(samples, 0, 64)
+	dec, err := w.MatchedFilterWS(nil, samples, 0, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestMatchedFilterGainInvariance(t *testing.T) {
 	for _, sps := range []int{1, 4, 16} {
 		w, _ := NewRectWaveform(sps)
 		syms := []complex128{1, 0.5i, -0.25, 1}
-		dec, err := w.MatchedFilter(w.Synthesize(syms), 0, len(syms))
+		dec, err := w.MatchedFilterWS(nil, w.SynthesizeWS(nil, syms), 0, len(syms))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func TestMatchedFilterGainInvariance(t *testing.T) {
 
 func TestMatchedFilterErrors(t *testing.T) {
 	w, _ := NewRectWaveform(4)
-	if _, err := w.MatchedFilter(nil, -1, 1); err == nil {
+	if _, err := w.MatchedFilterWS(nil, nil, -1, 1); err == nil {
 		t.Error("negative start should fail")
 	}
 	bad := Waveform{SPS: 4, Pulse: []float64{0, 0}}
-	if _, err := bad.MatchedFilter(make([]complex128, 8), 0, 1); err == nil {
+	if _, err := bad.MatchedFilterWS(nil, make([]complex128, 8), 0, 1); err == nil {
 		t.Error("zero-energy pulse should fail")
 	}
 }
@@ -98,11 +98,11 @@ func TestDetectBurstFindsPayload(t *testing.T) {
 	syms := PreambleSymbols(0)
 	ps, _ := OOK{}.Modulate(nil, payloadBits)
 	syms = append(syms, ps...)
-	burst := w.Synthesize(syms)
+	burst := w.SynthesizeWS(nil, syms)
 	// Park the burst after some leading silence.
 	rx := make([]complex128, 100+len(burst)+50)
 	copy(rx[100:], burst)
-	start, metric, err := w.DetectBurst(rx, 0)
+	start, metric, err := w.DetectBurstWS(nil, rx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDetectBurstFindsPayload(t *testing.T) {
 		t.Errorf("correlation metric %g", metric)
 	}
 	// Decode from the detected offset.
-	dec, err := w.MatchedFilter(rx, start, len(payloadBits))
+	dec, err := w.MatchedFilterWS(nil, rx, start, len(payloadBits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +137,15 @@ func TestDetectBurstWithNoise(t *testing.T) {
 	syms := PreambleSymbols(0)
 	ps, _ := OOK{}.Modulate(nil, payloadBits)
 	syms = append(syms, ps...)
-	burst := w.Synthesize(syms)
+	burst := w.SynthesizeWS(nil, syms)
 	rx := make([]complex128, 64+len(burst)+32)
 	copy(rx[64:], burst)
 	src.AWGN(rx, 0.01) // 20 dB SNR on the high level
-	start, _, err := w.DetectBurst(rx, 0)
+	start, _, err := w.DetectBurstWS(nil, rx, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := w.MatchedFilter(rx, start, len(payloadBits))
+	dec, err := w.MatchedFilterWS(nil, rx, start, len(payloadBits))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDetectBurstWithNoise(t *testing.T) {
 
 func TestDetectBurstTooShort(t *testing.T) {
 	w, _ := NewRectWaveform(8)
-	if _, _, err := w.DetectBurst(make([]complex128, 20), 0); err == nil {
+	if _, _, err := w.DetectBurstWS(nil, make([]complex128, 20), 0); err == nil {
 		t.Error("short capture should fail")
 	}
 }
@@ -176,21 +176,21 @@ func TestMeasureSNR(t *testing.T) {
 	snr := math.Pow(10, 1.5)
 	noise := 0.5 / snr
 	src.AWGN(syms, noise)
-	got, err := MeasureSNR(syms)
+	got, err := MeasureSNRWS(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got-15) > 1.5 {
 		t.Errorf("estimated SNR %g dB, want ≈15", got)
 	}
-	if _, err := MeasureSNR(syms[:2]); err == nil {
+	if _, err := MeasureSNRWS(nil, syms[:2]); err == nil {
 		t.Error("too few decisions should fail")
 	}
 	flat := make([]complex128, 16)
 	for i := range flat {
 		flat[i] = 1
 	}
-	if _, err := MeasureSNR(flat); err == nil {
+	if _, err := MeasureSNRWS(nil, flat); err == nil {
 		t.Error("unimodal decisions should fail")
 	}
 }
@@ -229,7 +229,7 @@ func TestSynthesizeEnergyMatchesEnvelope(t *testing.T) {
 		bits[i] = byte(i % 2)
 	}
 	syms, _ := OOK{}.Modulate(nil, bits)
-	x := w.Synthesize(syms)
+	x := w.SynthesizeWS(nil, syms)
 	// (Loose tolerance: the first symbol's pulse is edge-truncated.)
 	if p := dsp.Power(x); math.Abs(p-0.5) > 0.01 {
 		t.Errorf("50%% duty OOK power %g, want 0.5", p)
@@ -237,7 +237,7 @@ func TestSynthesizeEnergyMatchesEnvelope(t *testing.T) {
 }
 
 // TestSynthesizeWSMatchesSynthesize: workspace-backed synthesis must be
-// sample-identical to the allocating path, including across Reset frames.
+// sample-identical to a nil workspace, including across Reset frames.
 func TestSynthesizeWSMatchesSynthesize(t *testing.T) {
 	w, err := NewRectWaveform(8)
 	if err != nil {
@@ -249,7 +249,7 @@ func TestSynthesizeWSMatchesSynthesize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := w.Synthesize(syms)
+	want := w.SynthesizeWS(nil, syms)
 	ws := dsp.NewWorkspace()
 	for frame := 0; frame < 3; frame++ {
 		ws.Reset()
@@ -261,13 +261,6 @@ func TestSynthesizeWSMatchesSynthesize(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("frame %d: sample %d = %v, want %v", frame, i, got[i], want[i])
 			}
-		}
-	}
-	// nil workspace is exactly the allocating path.
-	got := w.SynthesizeWS(nil, syms)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("nil-ws sample %d diverged", i)
 		}
 	}
 }

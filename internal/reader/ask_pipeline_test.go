@@ -43,7 +43,7 @@ func synthBurstMCS(t *testing.T, tagID uint16, payload []byte, mcs frame.MCS, le
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w.Synthesize(syms)
+	return w.SynthesizeWS(nil, syms)
 }
 
 func TestDecodeBurstASK4Clean(t *testing.T) {
@@ -52,7 +52,7 @@ func TestDecodeBurstASK4Clean(t *testing.T) {
 	rx := make([]complex128, 160+len(samples)+80)
 	copy(rx[160:], samples)
 	w, _ := phy.NewRectWaveform(8)
-	dec, stats, err := DecodeBurst(rx, w)
+	dec, stats, err := DecodeBurstWS(nil, rx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestDecodeBurstASK4ModerateNoise(t *testing.T) {
 	copy(rx[96:], samples)
 	src.AWGN(rx, 0.002) // very comfortable for 4 levels
 	w, _ := phy.NewRectWaveform(8)
-	dec, _, err := DecodeBurst(rx, w)
+	dec, _, err := DecodeBurstWS(nil, rx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestDecideASK4Direct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecideASK4(syms)
+	got, err := DecideASK4WS(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestDecideASK4Direct(t *testing.T) {
 	if errs != 0 {
 		t.Errorf("%d errors on clean levels", errs)
 	}
-	if _, err := DecideASK4(nil); err == nil {
+	if _, err := DecideASK4WS(nil, nil); err == nil {
 		t.Error("empty decisions should fail")
 	}
 	flat := make([]complex128, 16)
 	for i := range flat {
 		flat[i] = 0.5
 	}
-	if _, err := DecideASK4(flat); err == nil {
+	if _, err := DecideASK4WS(nil, flat); err == nil {
 		t.Error("degenerate rails should fail")
 	}
 }
@@ -124,7 +124,7 @@ func TestDecideASK4ScaleInvariance(t *testing.T) {
 	for i := range syms {
 		syms[i] = syms[i]*complex(3.7e-4, 0) + complex(2e-5, 0)
 	}
-	got, err := DecideASK4(syms)
+	got, err := DecideASK4WS(nil, syms)
 	if err != nil {
 		t.Fatal(err)
 	}

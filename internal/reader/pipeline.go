@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/frame"
@@ -19,13 +18,6 @@ import (
 // metrics) separate it from demodulation/framing failures with
 // errors.Is.
 var ErrSync = errors.New("reader: sync failed")
-
-// ErrPipelineBusy reports a concurrent DecodeBurst/DecodeBurstBatch on
-// one Pipeline. The shared workspace would be silently corrupted by
-// interleaved Resets, so overlapping use is detected and refused instead;
-// parallel decoders create one Pipeline per goroutine (or use
-// internal/stream's stage-parallel pipeline).
-var ErrPipelineBusy = errors.New("reader: pipeline already in use")
 
 func init() {
 	// The preamble metric is an unnormalized correlation peak at √W
@@ -59,18 +51,13 @@ type RxStats struct {
 	HasQuality bool
 }
 
-// DecideOOK makes hard OOK decisions with an adaptive two-cluster
+// DecideOOKWS makes hard OOK decisions with an adaptive two-cluster
 // threshold: it splits decision magnitudes at the midpoint of the
 // extremes, recomputes the cluster means, and thresholds at their
 // average. Self-interference and unknown channel gain shift both OOK
-// levels; the adaptive threshold absorbs that, unlike a fixed one.
-func DecideOOK(decisions []complex128) (bits []byte, threshold float64, err error) {
-	return DecideOOKWS(nil, decisions)
-}
-
-// DecideOOKWS is DecideOOK with the magnitude and bit buffers checked
-// out of ws; the returned bits are valid until the next ws.Reset. A nil
-// ws allocates.
+// levels; the adaptive threshold absorbs that, unlike a fixed one. The
+// magnitude and bit buffers are checked out of ws; the returned bits are
+// valid until the next ws.Reset. A nil ws allocates.
 func DecideOOKWS(ws *dsp.Workspace, decisions []complex128) (bits []byte, threshold float64, err error) {
 	if len(decisions) == 0 {
 		return nil, 0, fmt.Errorf("reader: no decisions")
@@ -110,16 +97,11 @@ func DecideOOKWS(ws *dsp.Workspace, decisions []complex128) (bits []byte, thresh
 	return bits, threshold, nil
 }
 
-// DecideASK4 makes hard 4-ASK decisions: it estimates the low and high
-// amplitude rails from the extreme deciles, normalizes each decision into
-// [0,1], and Gray-demaps with the nearest of the four uniform levels.
-func DecideASK4(decisions []complex128) (bits []byte, err error) {
-	return DecideASK4WS(nil, decisions)
-}
-
-// DecideASK4WS is DecideASK4 with the magnitude, sort, normalization and
-// bit buffers checked out of ws (valid until the next ws.Reset; nil ws
-// allocates).
+// DecideASK4WS makes hard 4-ASK decisions: it estimates the low and high
+// amplitude rails from the extreme deciles, normalizes each decision
+// into [0,1], and Gray-demaps with the nearest of the four uniform
+// levels. The magnitude, sort, normalization and bit buffers are checked
+// out of ws (valid until the next ws.Reset; nil ws allocates).
 func DecideASK4WS(ws *dsp.Workspace, decisions []complex128) (bits []byte, err error) {
 	if len(decisions) == 0 {
 		return nil, fmt.Errorf("reader: no decisions")
@@ -150,80 +132,16 @@ func DecideASK4WS(ws *dsp.Workspace, decisions []complex128) (bits []byte, err e
 	return (phy.ASK{M: 4}).Demodulate(ws.Bytes(2 * len(mags))[:0], norm), nil
 }
 
-// Pipeline is a reusable receive chain: it owns a dsp.Workspace so
-// repeated DecodeBurst calls reuse every correlation, normalization and
-// bit-slicing buffer instead of reallocating them per burst. A Pipeline
-// is not safe for concurrent use; parallel sweeps create one per worker.
-// Overlapping calls are detected (the in-use flag below) and fail with
-// ErrPipelineBusy rather than corrupting the workspace.
-type Pipeline struct {
-	ws    *dsp.Workspace
-	inUse atomic.Bool
-}
-
-// NewPipeline returns a receive pipeline with a fresh workspace.
-func NewPipeline() *Pipeline { return &Pipeline{ws: dsp.NewWorkspace()} }
-
-// Workspace exposes the pipeline's arena so callers that capture and
-// decode in one frame (e.g. the link layer) can share it.
-func (p *Pipeline) Workspace() *dsp.Workspace { return p.ws }
-
-// DecodeBurst decodes one burst, recycling the previous call's buffers
-// first. The returned frame references workspace memory: it is valid
-// only until the next call on this pipeline (copy the payload out to
-// keep it). A call overlapping another DecodeBurst/DecodeBurstBatch on
-// the same pipeline fails with ErrPipelineBusy.
-func (p *Pipeline) DecodeBurst(samples []complex128, w phy.Waveform) (*frame.Decoded, RxStats, error) {
-	if !p.inUse.CompareAndSwap(false, true) {
-		return nil, RxStats{}, ErrPipelineBusy
-	}
-	defer p.inUse.Store(false)
-	p.ws.Reset()
-	return DecodeBurstWS(p.ws, samples, w)
-}
-
-// DecodeBurstBatch decodes a batch of same-shaped bursts through this
-// pipeline's single workspace. Ordering is part of the contract: visit
-// is invoked exactly once per burst, in increasing index order (0, 1, …,
-// len(bursts)-1), and each (frame, stats, err) triple is identical to
-// what a one-at-a-time DecodeBurst loop over the same bursts would
-// produce — batch decoding is an amortization, never a reordering (see
-// TestDecodeBurstBatchOrderPinned). The workspace is Reset between
-// bursts (recycling every scratch buffer) while its cached FFT plans
-// survive, so the whole batch shares one set of twiddle tables and
-// stabilized buffers — the per-burst decode is allocation-free after the
-// first burst. The decoded frame and stats passed to visit reference
-// workspace memory and are valid ONLY during that visit call; copy out
-// anything that must be kept. A call overlapping another
-// DecodeBurst/DecodeBurstBatch on the same pipeline fails with
-// ErrPipelineBusy before visiting anything.
-func (p *Pipeline) DecodeBurstBatch(bursts [][]complex128, w phy.Waveform, visit func(i int, f *frame.Decoded, stats RxStats, err error)) error {
-	if !p.inUse.CompareAndSwap(false, true) {
-		return ErrPipelineBusy
-	}
-	defer p.inUse.Store(false)
-	for i, samples := range bursts {
-		p.ws.Reset()
-		f, stats, err := DecodeBurstWS(p.ws, samples, w)
-		visit(i, f, stats, err)
-	}
-	return nil
-}
-
-// DecodeBurst runs the full receive pipeline on captured baseband
+// DecodeBurstWS runs the full receive pipeline on captured baseband
 // samples: Barker sync, matched filtering, adaptive decisions, and
 // layered frame decoding. The header (always OOK) is decoded first to
 // learn the payload length and MCS, then the remainder of the burst with
-// the scheme the header names.
-func DecodeBurst(samples []complex128, w phy.Waveform) (*frame.Decoded, RxStats, error) {
-	return DecodeBurstWS(nil, samples, w)
-}
-
-// DecodeBurstWS is DecodeBurst drawing every scratch buffer from ws. It
+// the scheme the header names. Every scratch buffer comes from ws. It
 // never Resets ws — it composes with a caller that captured the samples
-// from the same arena — so the returned frame's payload references ws
-// memory and is valid only until the caller's next Reset. A nil ws
-// allocates, which is exactly DecodeBurst.
+// from the same arena, and a caller decoding many bursts on one
+// workspace Resets it between them — so the returned frame's payload
+// references ws memory and is valid only until the caller's next Reset.
+// A nil ws allocates.
 func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*frame.Decoded, RxStats, error) {
 	var stats RxStats
 	span := obs.StartSpan("reader.decode")

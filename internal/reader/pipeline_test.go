@@ -2,14 +2,12 @@ package reader
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"math/cmplx"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
+	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/frame"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/phy"
@@ -34,7 +32,7 @@ func synthBurst(t *testing.T, tagID uint16, payload []byte, leakage float64, sps
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w.Synthesize(syms)
+	return w.SynthesizeWS(nil, syms)
 }
 
 func TestDecideOOKAdaptiveThreshold(t *testing.T) {
@@ -47,7 +45,7 @@ func TestDecideOOKAdaptiveThreshold(t *testing.T) {
 	for i := range dec {
 		dec[i] = dec[i]*complex(0.01, 0) + offset
 	}
-	got, thr, err := DecideOOK(dec)
+	got, thr, err := DecideOOKWS(nil, dec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +64,12 @@ func TestDecideOOKAdaptiveThreshold(t *testing.T) {
 }
 
 func TestDecideOOKDegenerate(t *testing.T) {
-	if _, _, err := DecideOOK(nil); err == nil {
+	if _, _, err := DecideOOKWS(nil, nil); err == nil {
 		t.Error("empty decisions should fail")
 	}
 	// All-identical magnitudes must not crash.
 	flat := []complex128{1, 1, 1, 1}
-	bits, _, err := DecideOOK(flat)
+	bits, _, err := DecideOOKWS(nil, flat)
 	if err != nil || len(bits) != 4 {
 		t.Errorf("flat decisions: %v %v", bits, err)
 	}
@@ -84,7 +82,7 @@ func TestDecodeBurstCleanChannel(t *testing.T) {
 	rx := make([]complex128, 200+len(samples)+100)
 	copy(rx[200:], samples)
 	w, _ := phy.NewRectWaveform(8)
-	dec, stats, err := DecodeBurst(rx, w)
+	dec, stats, err := DecodeBurstWS(nil, rx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,22 +103,23 @@ func TestDecodeBurstCleanChannel(t *testing.T) {
 	}
 }
 
-// TestPipelineReuseMatchesOneShot: decoding the same capture through a
-// reusable Pipeline (recycled workspace buffers) must be identical to
-// the one-shot allocating DecodeBurst, call after call.
+// TestPipelineReuseMatchesOneShot: decoding the same capture again on
+// one caller-owned workspace (Reset between bursts, recycled buffers)
+// must be identical to a decode on a nil workspace, call after call.
 func TestPipelineReuseMatchesOneShot(t *testing.T) {
 	payload := []byte("workspace reuse burst")
 	samples := synthBurst(t, 0x1234, payload, 0.05, 8)
 	rx := make([]complex128, 150+len(samples)+80)
 	copy(rx[150:], samples)
 	w, _ := phy.NewRectWaveform(8)
-	want, wantStats, err := DecodeBurst(rx, w)
+	want, wantStats, err := DecodeBurstWS(nil, rx, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline()
+	ws := dsp.NewWorkspace()
 	for i := 0; i < 3; i++ {
-		got, stats, err := p.DecodeBurst(rx, w)
+		ws.Reset()
+		got, stats, err := DecodeBurstWS(ws, rx, w)
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
@@ -136,9 +135,10 @@ func TestPipelineReuseMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestDecodeBurstBatchMatchesOneShot: batch decoding through one
-// pipeline must yield the same frames as independent one-shot decodes,
-// and the per-burst visit must observe valid workspace-backed results.
+// TestDecodeBurstBatchMatchesOneShot: decoding a batch of different
+// bursts back to back on one workspace (Reset between bursts) must yield
+// the same frames and stats as independent nil-workspace decodes, read
+// before the next Reset recycles them.
 func TestDecodeBurstBatchMatchesOneShot(t *testing.T) {
 	w, _ := phy.NewRectWaveform(8)
 	payloads := [][]byte{
@@ -154,13 +154,14 @@ func TestDecodeBurstBatchMatchesOneShot(t *testing.T) {
 		copy(rx[120:], samples)
 		bursts = append(bursts, rx)
 	}
-	visited := 0
-	p := NewPipeline()
-	batchErr := p.DecodeBurstBatch(bursts, w, func(i int, f *frame.Decoded, stats RxStats, err error) {
+	ws := dsp.NewWorkspace()
+	for i, rx := range bursts {
+		ws.Reset()
+		f, stats, err := DecodeBurstWS(ws, rx, w)
 		if err != nil {
 			t.Fatalf("burst %d: %v", i, err)
 		}
-		want, wantStats, err := DecodeBurst(bursts[i], w)
+		want, wantStats, err := DecodeBurstWS(nil, rx, w)
 		if err != nil {
 			t.Fatalf("one-shot %d: %v", i, err)
 		}
@@ -170,19 +171,12 @@ func TestDecodeBurstBatchMatchesOneShot(t *testing.T) {
 		if !reflect.DeepEqual(stats, wantStats) {
 			t.Fatalf("burst %d: stats %+v, want %+v", i, stats, wantStats)
 		}
-		visited++
-	})
-	if batchErr != nil {
-		t.Fatalf("batch: %v", batchErr)
-	}
-	if visited != len(bursts) {
-		t.Fatalf("visited %d bursts, want %d", visited, len(bursts))
 	}
 }
 
-// TestBatchDecodeWorkerInvariance: fanning a burst batch across per-worker
-// pipelines must produce byte-identical payloads for any worker count
-// (the demod path has no cross-burst state).
+// TestBatchDecodeWorkerInvariance: fanning a burst batch across
+// per-worker workspaces must produce byte-identical payloads for any
+// worker count (the demod path has no cross-burst state).
 func TestBatchDecodeWorkerInvariance(t *testing.T) {
 	w, _ := phy.NewRectWaveform(8)
 	const nBursts = 8
@@ -199,8 +193,9 @@ func TestBatchDecodeWorkerInvariance(t *testing.T) {
 		prev := par.SetWorkers(workers)
 		defer par.SetWorkers(prev)
 		out := make([][]byte, nBursts)
-		par.ForEachWith(nBursts, NewPipeline, func(p *Pipeline, i int) {
-			f, _, err := p.DecodeBurst(bursts[i], w)
+		par.ForEachWith(nBursts, dsp.NewWorkspace, func(ws *dsp.Workspace, i int) {
+			ws.Reset()
+			f, _, err := DecodeBurstWS(ws, bursts[i], w)
 			if err != nil {
 				t.Errorf("burst %d: %v", i, err)
 				return
@@ -219,28 +214,29 @@ func TestBatchDecodeWorkerInvariance(t *testing.T) {
 }
 
 // TestPipelineSteadyStateAllocs bounds the per-burst allocation count of
-// the reusable pipeline: after the first call sizes the workspace pools,
-// a decode may allocate only the returned frame.Decoded and the few
-// fixed-size header values — nothing proportional to the burst.
+// DecodeBurstWS on a reused workspace: after the first call sizes the
+// workspace pools, a decode may allocate only the returned frame.Decoded
+// and the few fixed-size header values — nothing proportional to the
+// burst.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
 	payload := make([]byte, 64)
 	samples := synthBurst(t, 0x42, payload, 0.05, 8)
 	rx := make([]complex128, 100+len(samples)+60)
 	copy(rx[100:], samples)
 	w, _ := phy.NewRectWaveform(8)
-	p := NewPipeline()
-	if _, _, err := p.DecodeBurst(rx, w); err != nil {
-		t.Fatal(err)
-	}
-	n := testing.AllocsPerRun(10, func() {
-		if _, _, err := p.DecodeBurst(rx, w); err != nil {
+	ws := dsp.NewWorkspace()
+	decode := func() {
+		ws.Reset()
+		if _, _, err := DecodeBurstWS(ws, rx, w); err != nil {
 			t.Fatal(err)
 		}
-	})
-	// The one-shot path allocates proportionally to the burst (dozens of
-	// buffers); the pipeline must stay at a small constant.
+	}
+	decode()
+	n := testing.AllocsPerRun(10, decode)
+	// A nil workspace allocates proportionally to the burst (dozens of
+	// buffers); a reused one must stay at a small constant.
 	if n > 6 {
-		t.Errorf("pipeline decode: %v allocs/run, want ≤ 6", n)
+		t.Errorf("workspace decode: %v allocs/run, want ≤ 6", n)
 	}
 }
 
@@ -253,7 +249,7 @@ func TestDecodeBurstNoisy(t *testing.T) {
 	// ≈17 dB decision SNR after the 8-sample matched filter gain.
 	src.AWGN(rx, 0.05)
 	w, _ := phy.NewRectWaveform(8)
-	dec, stats, err := DecodeBurst(rx, w)
+	dec, stats, err := DecodeBurstWS(nil, rx, w)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -275,148 +271,12 @@ func TestDecodeBurstGarbage(t *testing.T) {
 	src.AWGN(noise, 1)
 	// Pure noise: either sync fails, header parsing fails, or the CRC
 	// flags the frame — it must never return a verified frame.
-	dec, _, err := DecodeBurst(noise, w)
+	dec, _, err := DecodeBurstWS(nil, noise, w)
 	if err == nil && dec.Trailer.OK {
 		t.Error("garbage decoded as a valid frame")
 	}
 	// Far too short for even the preamble.
-	if _, _, err := DecodeBurst(make([]complex128, 10), w); err == nil {
+	if _, _, err := DecodeBurstWS(nil, make([]complex128, 10), w); err == nil {
 		t.Error("short capture should fail")
-	}
-}
-
-func TestPipelineWorkspaceShared(t *testing.T) {
-	p := NewPipeline()
-	if p.Workspace() == nil {
-		t.Fatal("pipeline workspace is nil")
-	}
-	if p.Workspace() != p.Workspace() {
-		t.Fatal("Workspace must return the pipeline's own arena")
-	}
-}
-
-// TestDecodeBurstBatchOrderPinned: the batch visit order is part of the
-// API contract — strictly increasing index order, with each result
-// identical to the one-at-a-time decode sequence. The test fails if the
-// batch path ever reorders, skips or duplicates a burst.
-func TestDecodeBurstBatchOrderPinned(t *testing.T) {
-	w, _ := phy.NewRectWaveform(8)
-	const nBursts = 6
-	var bursts [][]complex128
-	for i := 0; i < nBursts; i++ {
-		payload := rng.New(uint64(100 + i)).Bytes(make([]byte, 8+i*5))
-		samples := synthBurst(t, uint16(i), payload, 0.05, 8)
-		rx := make([]complex128, 80+len(samples)+40)
-		copy(rx[80:], samples)
-		bursts = append(bursts, rx)
-	}
-	// Reference stream: a one-at-a-time DecodeBurst loop in index order.
-	type result struct {
-		tagID   uint16
-		payload []byte
-		ok      bool
-		err     bool
-	}
-	var want []result
-	ref := NewPipeline()
-	for _, rx := range bursts {
-		f, _, err := ref.DecodeBurst(rx, w)
-		r := result{err: err != nil}
-		if err == nil {
-			r.tagID = f.Header.TagID
-			r.payload = append([]byte(nil), f.Payload.Data...)
-			r.ok = f.Trailer.OK
-		}
-		want = append(want, r)
-	}
-	var order []int
-	var got []result
-	err := NewPipeline().DecodeBurstBatch(bursts, w, func(i int, f *frame.Decoded, _ RxStats, err error) {
-		order = append(order, i)
-		r := result{err: err != nil}
-		if err == nil {
-			r.tagID = f.Header.TagID
-			r.payload = append([]byte(nil), f.Payload.Data...)
-			r.ok = f.Trailer.OK
-		}
-		got = append(got, r)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != nBursts {
-		t.Fatalf("visited %d bursts, want %d", len(order), nBursts)
-	}
-	for i, idx := range order {
-		if idx != i {
-			t.Fatalf("visit order %v diverged from increasing index order", order)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("batch results diverged from one-at-a-time decode:\n got %+v\nwant %+v", got, want)
-	}
-}
-
-// TestPipelineConcurrentUseGuard: overlapping use of one Pipeline must
-// fail with ErrPipelineBusy instead of silently corrupting the shared
-// workspace. Run under -race in CI: the guard also keeps the workspace
-// data-race-free because only the CAS winner touches it.
-func TestPipelineConcurrentUseGuard(t *testing.T) {
-	payload := []byte("contended pipeline burst")
-	samples := synthBurst(t, 0x7777, payload, 0.05, 8)
-	rx := make([]complex128, 150+len(samples)+80)
-	copy(rx[150:], samples)
-	w, _ := phy.NewRectWaveform(8)
-	p := NewPipeline()
-
-	const goroutines = 8
-	const iters = 25
-	var busy, decoded atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				f, _, err := p.DecodeBurst(rx, w)
-				switch {
-				case errors.Is(err, ErrPipelineBusy):
-					busy.Add(1)
-				case err != nil:
-					t.Errorf("unexpected decode error: %v", err)
-				default:
-					// The CAS winner must always see an intact decode.
-					if f.Header.TagID != 0x7777 || !f.Trailer.OK {
-						t.Errorf("winner decoded corrupt frame: tag %04x ok=%v",
-							f.Header.TagID, f.Trailer.OK)
-					}
-					decoded.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if decoded.Load() == 0 {
-		t.Fatal("no goroutine ever won the pipeline")
-	}
-	// Same guard on the batch entry point, deterministically: hold the
-	// flag from inside a visit callback and re-enter.
-	bursts := [][]complex128{rx}
-	err := p.DecodeBurstBatch(bursts, w, func(int, *frame.Decoded, RxStats, error) {
-		if _, _, err := p.DecodeBurst(rx, w); !errors.Is(err, ErrPipelineBusy) {
-			t.Errorf("re-entrant DecodeBurst: err=%v, want ErrPipelineBusy", err)
-		}
-		if err := p.DecodeBurstBatch(bursts, w, func(int, *frame.Decoded, RxStats, error) {
-			t.Error("re-entrant batch visited a burst")
-		}); !errors.Is(err, ErrPipelineBusy) {
-			t.Errorf("re-entrant DecodeBurstBatch: err=%v, want ErrPipelineBusy", err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The flag must be released after both paths return.
-	if _, _, err := p.DecodeBurst(rx, w); err != nil {
-		t.Fatalf("pipeline stayed busy after release: %v", err)
 	}
 }

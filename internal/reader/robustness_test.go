@@ -20,7 +20,7 @@ func TestDecodeBurstNeverFalselyVerifies(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		noise := make([]complex128, 2048)
 		src.AWGN(noise, 1)
-		dec, _, err := DecodeBurst(noise, w)
+		dec, _, err := DecodeBurstWS(nil, noise, w)
 		if err == nil && dec.Trailer.OK {
 			verified++
 		}
@@ -43,7 +43,7 @@ func TestDecodeBurstDCOffsetRobust(t *testing.T) {
 			rx[i] = rx[i]*complex(0.003, 0) + complex(0.001, -0.0005)
 		}
 		src.AWGN(rx, 1e-9)
-		dec, _, err := DecodeBurst(rx, w)
+		dec, _, err := DecodeBurstWS(nil, rx, w)
 		if err != nil {
 			// DC offsets shift the envelope floor; the envelope
 			// correlator still syncs because the template is zero-mean.
@@ -66,7 +66,7 @@ func TestDecodeBurstTagIDSweep(t *testing.T) {
 		samples := synthBurst(t, id, payload, 0.05, 4)
 		rx := make([]complex128, 64+len(samples)+32)
 		copy(rx[64:], samples)
-		dec, _, err := DecodeBurst(rx, w)
+		dec, _, err := DecodeBurstWS(nil, rx, w)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

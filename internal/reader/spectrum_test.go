@@ -46,7 +46,7 @@ func TestSpectrumOfOOKBurst(t *testing.T) {
 	bits := src.Bits(make([]byte, 2048))
 	syms, _ := (phy.OOK{}).Modulate(nil, bits)
 	w, _ := phy.NewRectWaveform(8)
-	x := w.Synthesize(syms)
+	x := w.SynthesizeWS(nil, syms)
 	m, err := MeasureSpectrum(x, 512)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 
 // Shape describes the fixed burst geometry of a streaming session: the
 // waveform and the frame size every burst carries. Streaming decode
-// differs from reader.DecodeBurst in exactly one way — the payload length
+// differs from reader.DecodeBurstWS in exactly one way — the payload length
 // is known up front (a session negotiates it once), so the demod stage
 // can matched-filter the whole burst in one pass instead of stopping to
 // parse the header first. On header-clean bursts the decisions, adaptive
@@ -85,21 +85,40 @@ type Frame struct {
 // job-owned (grown once, reused across the stream) so stages never share
 // workspace memory across goroutines.
 type job struct {
-	idx     int
-	buf     []complex128 // capture buffer handed to Gen for reuse
-	samples []complex128 // the burst to decode (buf or a Gen-owned slice)
-	dec     []complex128 // matched-filter decisions, copied out of stage ws
-	raw     []byte       // reassembled frame bytes
-	payload []byte       // decoded payload, copied out of the parse view
-	out     Frame
-	fatal   bool // infrastructure failure: abort the stream
+	idx      int
+	buf      []complex128 // capture buffer handed to Gen for reuse
+	samples  []complex128 // the burst to decode (buf or a Gen-owned slice)
+	dec      []complex128 // matched-filter decisions, copied out of stage ws
+	raw      []byte       // reassembled frame bytes
+	payload  []byte       // decoded payload, copied out of the parse view
+	out      Frame
+	fatal    bool // infrastructure failure: abort the stream
+	panicVal any  // recovered panic of a pipeline stage (implies fatal)
 }
 
 func (j *job) reset(idx int) {
 	j.idx = idx
 	j.samples = nil
 	j.fatal = false
+	j.panicVal = nil
 	j.out = Frame{Index: idx}
+}
+
+// generate fills j's samples from gen, keeping a generator-grown buffer
+// for the job's next lap. A gen error is an infrastructure failure: it
+// marks the job fatal and is returned.
+func (j *job) generate(ws *dsp.Workspace, gen Gen) error {
+	samples, err := gen(ws, j.idx, j.buf)
+	if err != nil {
+		j.out.Err = err
+		j.fatal = true
+		return err
+	}
+	j.samples = samples
+	if cap(samples) > cap(j.buf) {
+		j.buf = samples[:cap(samples)]
+	}
+	return nil
 }
 
 // stageSync locates the burst preamble. Sync failures are per-frame

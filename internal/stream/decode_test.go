@@ -29,7 +29,7 @@ func captureBursts(t *testing.T, n int, frameBytes int, rangeFt float64, seed ui
 	for i := 0; i < n; i++ {
 		src := seq.At(uint64(i))
 		payload := src.Bytes(make([]byte, frameBytes))
-		cap, err := l.CaptureWaveform(payload, frame.MCSOOK, bw, src)
+		cap, err := l.CaptureWaveformWS(nil, payload, frame.MCSOOK, bw, src)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -86,11 +86,6 @@ type flowTag struct {
 	next   int // next never-transmitted per-tag seq
 }
 
-// RunFlow is RunFlowWS with a private workspace.
-func RunFlow(l *core.Link, bw units.ReaderBandwidth, nFrames int, cfg FlowConfig, src *rng.Source) (FlowResult, error) {
-	return RunFlowWS(dsp.NewWorkspace(), l, bw, nFrames, cfg, src)
-}
-
 // RunFlowWS runs nFrames frames through per-tag sliding-window flow
 // control on the virtual clock. Frame k belongs to tag k mod Tags; the
 // channel serves tags round-robin, each burst occupying its air time on

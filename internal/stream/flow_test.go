@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/mmtag/mmtag/internal/core"
+	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/rng"
 	"github.com/mmtag/mmtag/internal/units"
 )
@@ -25,7 +26,7 @@ func flowLink(t *testing.T, rangeFt float64, bwIdx int) (*core.Link, units.Reade
 func TestFlowCleanChannelDeliversAll(t *testing.T) {
 	l, bw := flowLink(t, 4, 2)
 	const n = 40
-	res, err := RunFlow(l, bw, n, FlowConfig{Tags: 4, Window: 4, FrameBytes: 32, MaxRetries: 2}, rng.New(8))
+	res, err := RunFlowWS(dsp.NewWorkspace(), l, bw, n, FlowConfig{Tags: 4, Window: 4, FrameBytes: 32, MaxRetries: 2}, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestFlowCleanChannelDeliversAll(t *testing.T) {
 func TestFlowDeterminism(t *testing.T) {
 	l, bw := flowLink(t, 4, 0)
 	cfg := FlowConfig{Tags: 3, Window: 2, FrameBytes: 24, MaxRetries: 2, OfferedFPS: 5e5}
-	a, err := RunFlow(l, bw, 30, cfg, rng.New(77))
+	a, err := RunFlowWS(dsp.NewWorkspace(), l, bw, 30, cfg, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFlow(l, bw, 30, cfg, rng.New(77))
+	b, err := RunFlowWS(dsp.NewWorkspace(), l, bw, 30, cfg, rng.New(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestFlowPacedLoadTracksOffered(t *testing.T) {
 	symbolRate := bw.BandwidthHz * units.OOKSpectralEfficiency
 	capacity := symbolRate / float64(13+8*(6+32+2)) // frames/s at 32-byte payload
 	offered := 0.2 * capacity
-	res, err := RunFlow(l, bw, 60, FlowConfig{Tags: 2, Window: 4, FrameBytes: 32, MaxRetries: 2, OfferedFPS: offered}, rng.New(4))
+	res, err := RunFlowWS(dsp.NewWorkspace(), l, bw, 60, FlowConfig{Tags: 2, Window: 4, FrameBytes: 32, MaxRetries: 2, OfferedFPS: offered}, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestFlowPacedLoadTracksOffered(t *testing.T) {
 func TestFlowRetransmitBudget(t *testing.T) {
 	l, bw := flowLink(t, 5, 0) // ~7 dB at 2 GHz: heavy frame loss
 	const n, retries = 30, 1
-	res, err := RunFlow(l, bw, n, FlowConfig{Tags: 2, Window: 3, FrameBytes: 48, MaxRetries: retries}, rng.New(12))
+	res, err := RunFlowWS(dsp.NewWorkspace(), l, bw, n, FlowConfig{Tags: 2, Window: 3, FrameBytes: 48, MaxRetries: retries}, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,10 +126,10 @@ func TestFlowRetransmitBudget(t *testing.T) {
 // TestFlowValidation rejects bad parameters.
 func TestFlowValidation(t *testing.T) {
 	l, bw := flowLink(t, 4, 2)
-	if _, err := RunFlow(l, bw, 0, FlowConfig{}, rng.New(1)); err == nil {
+	if _, err := RunFlowWS(dsp.NewWorkspace(), l, bw, 0, FlowConfig{}, rng.New(1)); err == nil {
 		t.Error("zero frames accepted")
 	}
-	if _, err := RunFlow(l, bw, 4, FlowConfig{Tags: -1}, rng.New(1)); err == nil {
+	if _, err := RunFlowWS(dsp.NewWorkspace(), l, bw, 4, FlowConfig{Tags: -1}, rng.New(1)); err == nil {
 		t.Error("negative tags accepted")
 	}
 }

@@ -100,7 +100,11 @@ func (p *Pipeline) Stats() PipelineStats { return p.stats }
 // every Frame in index order on the caller's goroutine. fold's slices
 // are valid only during the callback. A fold error or Gen error stops
 // the stream at the lowest failing index (later indexes may have been
-// generated speculatively, but are never folded).
+// generated speculatively, but are never folded). A panic in gen, a
+// stage or fold fails the same way, the internal/par way: the pipe
+// drains, every goroutine exits, and the lowest-index panic value is
+// re-raised on the caller — exactly the panic the Workers 1 reference
+// raises.
 func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 	if n < 0 {
 		return fmt.Errorf("stream: negative frame count %d", n)
@@ -162,7 +166,7 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 				for j := range in {
 					if !j.fatal && j.out.Err == nil {
 						ws.Reset()
-						work(ws, j)
+						runJob(work, ws, j)
 					}
 					out <- j
 					maxInt64(wm, int64(len(out)))
@@ -176,17 +180,7 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 	}
 
 	runStage(genQ, syncQ, &watermarks[1], func(ws *dsp.Workspace, j *job) {
-		samples, err := gen(ws, j.idx, j.buf)
-		if err != nil {
-			j.out.Err = err
-			j.fatal = true
-			return
-		}
-		j.samples = samples
-		// Keep generator-grown buffers for the job's next lap.
-		if cap(samples) > cap(j.buf) {
-			j.buf = samples[:cap(samples)]
-		}
+		_ = j.generate(ws, gen) // a gen error rides the fatal job to the fold
 	})
 	runStage(syncQ, demodQ, &watermarks[2], p.shape.stageSync)
 	runStage(demodQ, decodeQ, &watermarks[3], p.shape.stageDemod)
@@ -198,7 +192,10 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 	// i+poolSize can have entered the pipe.
 	ring := make([]*job, poolSize)
 	next := 0
-	var runErr error
+	var (
+		runErr   error
+		panicVal any
+	)
 	for j := range foldQ {
 		ring[j.idx%poolSize] = j
 		for {
@@ -207,13 +204,16 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 				break
 			}
 			ring[next%poolSize] = nil
-			if runErr == nil {
-				if k.fatal {
+			if runErr == nil && panicVal == nil {
+				switch {
+				case k.panicVal != nil:
+					panicVal = k.panicVal
+				case k.fatal:
 					runErr = k.out.Err
-				} else if err := fold(&k.out); err != nil {
-					runErr = err
+				default:
+					panicVal, runErr = callFold(fold, &k.out)
 				}
-				if runErr != nil {
+				if runErr != nil || panicVal != nil {
 					stop.Store(true)
 				}
 			}
@@ -226,7 +226,30 @@ func (p *Pipeline) Run(n int, gen Gen, fold func(f *Frame) error) error {
 		p.stats.QueueMax[i] = int(watermarks[i].Load())
 	}
 	p.stats.InFlightMax = int(inFlightMax.Load())
+	if panicVal != nil {
+		panic(panicVal)
+	}
 	return runErr
+}
+
+// runJob runs one stage's work on j. A panic marks the job fatal and
+// keeps its value for Run to re-raise once the pipe has drained, so the
+// stage goroutine carries on and the process survives.
+func runJob(work func(ws *dsp.Workspace, j *job), ws *dsp.Workspace, j *job) {
+	defer func() {
+		if v := recover(); v != nil {
+			j.fatal = true
+			j.panicVal = v
+		}
+	}()
+	work(ws, j)
+}
+
+// callFold runs fold on f, returning a panic's value instead of
+// unwinding the caller's goroutine while the stages still hold jobs.
+func callFold(fold func(f *Frame) error, f *Frame) (panicVal any, err error) {
+	defer func() { panicVal = recover() }()
+	return nil, fold(f)
 }
 
 // runInline is the workers==1 sequential reference: one goroutine, one
@@ -239,24 +262,10 @@ func (p *Pipeline) runInline(n int, gen Gen, fold func(f *Frame) error) error {
 	for i := 0; i < n; i++ {
 		j.reset(i)
 		ws.Reset()
-		samples, err := gen(ws, i, j.buf)
-		if err != nil {
+		if err := j.generate(ws, gen); err != nil {
 			return err
 		}
-		j.samples = samples
-		if cap(samples) > cap(j.buf) {
-			j.buf = samples[:cap(samples)]
-		}
-		ws.Reset()
-		p.shape.stageSync(ws, j)
-		if j.out.Err == nil {
-			ws.Reset()
-			p.shape.stageDemod(ws, j)
-		}
-		if j.out.Err == nil {
-			ws.Reset()
-			p.shape.stageDecode(ws, j)
-		}
+		p.shape.decodeInto(ws, j)
 		if p.stats.InFlightMax == 0 {
 			p.stats.InFlightMax = 1
 		}

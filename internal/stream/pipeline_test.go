@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
@@ -194,6 +195,103 @@ func TestPipelineFoldErrorStops(t *testing.T) {
 		if last != 10 {
 			t.Fatalf("workers=%d: last folded index %d, want 10", workers, last)
 		}
+	}
+}
+
+// runRecovering runs p and returns the value Run panicked with (nil if
+// it returned normally).
+func runRecovering(p *Pipeline, n int, gen Gen, fold func(f *Frame) error) (v any) {
+	defer func() { v = recover() }()
+	if err := p.Run(n, gen, fold); err != nil {
+		return err
+	}
+	return nil
+}
+
+// settledGoroutines waits for the goroutine count to fall back to base
+// (exiting goroutines take a moment to be reaped) and reports the last
+// count seen.
+func settledGoroutines(base int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200 && n > base; i++ {
+		time.Sleep(5 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestPipelinePanicReraisedAtLowestIndex: a panic in Gen, a stage or
+// fold must not crash the process at Workers ≥ 2. The pipe drains and
+// Run re-raises the lowest-index panic value on the caller — the same
+// value the Workers 1 reference raises — and no goroutine outlives Run.
+func TestPipelinePanicReraisedAtLowestIndex(t *testing.T) {
+	const frameBytes = 32
+	w, _ := phy.NewRectWaveform(core.SamplesPerSymbol)
+	shape, err := NewShape(w, frameBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursts, _ := captureBursts(t, 4, frameBytes, 4, 3)
+	const failAt = 5
+	panicGen := func(_ *dsp.Workspace, idx int, _ []complex128) ([]complex128, error) {
+		if idx >= failAt {
+			panic(fmt.Sprintf("gen panic at frame %d", idx))
+		}
+		return bursts[idx%len(bursts)], nil
+	}
+	noFold := func(*Frame) error { return nil }
+	panicFold := func(f *Frame) error {
+		if f.Index >= failAt {
+			panic(fmt.Sprintf("fold panic at frame %d", f.Index))
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		gen  Gen
+		fold func(*Frame) error
+		want string
+	}{
+		{"gen", panicGen, noFold, "gen panic at frame 5"},
+		{"fold", pregenGen(bursts), panicFold, "fold panic at frame 5"},
+	} {
+		for _, workers := range []int{1, 4} {
+			base := runtime.NumGoroutine()
+			p := NewPipeline(shape, Config{Workers: workers, Depth: 4})
+			if got := runRecovering(p, 200, tc.gen, tc.fold); got != tc.want {
+				t.Fatalf("%s, workers=%d: Run raised %v, want panic %q", tc.name, workers, got, tc.want)
+			}
+			if n := settledGoroutines(base); n > base {
+				t.Fatalf("%s, workers=%d: %d goroutines after Run, baseline %d", tc.name, workers, n, base)
+			}
+		}
+	}
+}
+
+// TestPipelineFoldErrorNoGoroutineLeak: a fold error's early exit must
+// still wind down the feeder and every stage goroutine.
+func TestPipelineFoldErrorNoGoroutineLeak(t *testing.T) {
+	const frameBytes = 32
+	w, _ := phy.NewRectWaveform(core.SamplesPerSymbol)
+	shape, err := NewShape(w, frameBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursts, _ := captureBursts(t, 4, frameBytes, 4, 3)
+	stop := errors.New("fold says stop")
+	base := runtime.NumGoroutine()
+	p := NewPipeline(shape, Config{Workers: 4, Depth: 2})
+	err = p.Run(1000, pregenGen(bursts), func(f *Frame) error {
+		if f.Index == 3 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("err=%v, want fold error", err)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("%d goroutines after Run, baseline %d", n, base)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func TestBurstMCSASK4Structure(t *testing.T) {
 	tg, _ := New(0xC0DE, geom.Pose{})
 	payload := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	syms, err := tg.BurstMCS(payload, frame.MCSASK4, 0, 24e9)
+	syms, err := tg.BurstMCSWS(nil, payload, frame.MCSASK4, 0, 24e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,10 +46,10 @@ func formatLevel(m, leak float64) string {
 
 func TestBurstMCSRejectsUnknown(t *testing.T) {
 	tg, _ := New(1, geom.Pose{})
-	if _, err := tg.BurstMCS([]byte{1}, frame.MCSBPSK, 0, 24e9); err == nil {
+	if _, err := tg.BurstMCSWS(nil, []byte{1}, frame.MCSBPSK, 0, 24e9); err == nil {
 		t.Error("BPSK burst synthesis is unimplemented and must error")
 	}
-	if _, err := tg.BurstMCS([]byte{1}, frame.MCS(99), 0, 24e9); err == nil {
+	if _, err := tg.BurstMCSWS(nil, []byte{1}, frame.MCS(99), 0, 24e9); err == nil {
 		t.Error("invalid MCS must error")
 	}
 }

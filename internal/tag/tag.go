@@ -72,28 +72,18 @@ func (t *Tag) ReflectionStates(theta, f float64) (alpha0, alpha1 complex128) {
 	return t.Aperture.ModulationStates(theta, f)
 }
 
-// Burst frames payload and returns the OOK symbol sequence the switch
-// driver realizes: Barker preamble then header‖payload‖CRC bits, one
-// symbol per bit, amplitude 1 for '0' (reflect) and the aperture's
-// leakage for '1' (absorb) at the given operating point.
-func (t *Tag) Burst(payload []byte, theta, f float64) ([]complex128, error) {
-	return t.BurstMCS(payload, frame.MCSOOK, theta, f)
-}
-
-// BurstMCS frames payload with the given modulation-and-coding scheme.
-// The preamble and the header are always OOK (so any reader can parse
-// them); the payload+CRC section uses the requested scheme. 4-ASK is
-// realized physically by driving *subsets* of the tag's Van Atta pairs:
-// with 3 pairs, activating 0/1/2/3 pairs yields reflection amplitudes
-// 0, ⅓, ⅔, 1 of the full aperture — exactly uniform ASK levels, floored
-// by the switch leakage.
-func (t *Tag) BurstMCS(payload []byte, mcs frame.MCS, theta, f float64) ([]complex128, error) {
-	return t.BurstMCSWS(nil, payload, mcs, theta, f)
-}
-
-// BurstMCSWS is BurstMCS with the frame bytes, bit expansion and symbol
-// buffer checked out of ws; the returned symbols are valid until the
-// next ws.Reset. A nil ws allocates, which is exactly BurstMCS.
+// BurstMCSWS frames payload and returns the symbol sequence the switch
+// driver realizes at the given operating point: Barker preamble then
+// header‖payload‖CRC bits. The preamble and the header are always OOK
+// (so any reader can parse them), one symbol per bit, amplitude 1 for
+// '0' (reflect) and the aperture's leakage for '1' (absorb); the
+// payload+CRC section uses the requested scheme. 4-ASK is realized
+// physically by driving *subsets* of the tag's Van Atta pairs: with 3
+// pairs, activating 0/1/2/3 pairs yields reflection amplitudes 0, ⅓, ⅔,
+// 1 of the full aperture — exactly uniform ASK levels, floored by the
+// switch leakage. The frame bytes, bit expansion and symbol buffer are
+// checked out of ws; the returned symbols are valid until the next
+// ws.Reset. A nil ws allocates.
 func (t *Tag) BurstMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, theta, f float64) ([]complex128, error) {
 	rawLen := frame.HeaderLen + len(payload) + frame.CRCLen
 	raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], t.ID, mcs, payload)

@@ -71,7 +71,7 @@ func TestReflectionStatesContrast(t *testing.T) {
 func TestBurstStructure(t *testing.T) {
 	tg, _ := New(0xBEEF, geom.Pose{})
 	payload := []byte{1, 2, 3}
-	syms, err := tg.Burst(payload, 0, 24e9)
+	syms, err := tg.BurstMCSWS(nil, payload, frame.MCSOOK, 0, 24e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestBurstSymbolCount(t *testing.T) {
 
 func TestBurstRejectsOversizedPayload(t *testing.T) {
 	tg, _ := New(1, geom.Pose{})
-	if _, err := tg.Burst(make([]byte, frame.MaxPayload+1), 0, 24e9); err == nil {
+	if _, err := tg.BurstMCSWS(nil, make([]byte, frame.MaxPayload+1), frame.MCSOOK, 0, 24e9); err == nil {
 		t.Error("oversized payload should fail")
 	}
 }

@@ -139,14 +139,12 @@ type (
 	TelemetryServer = serve.Server
 	// RunningTelemetry is a started telemetry listener (Close to stop).
 	RunningTelemetry = serve.Running
-	// Workspace is a reusable DSP scratch arena: pass one to the *WS
-	// variants (Link.RunWaveformWS and friends) to amortize every hot-path
-	// buffer and FFT plan across repeated bursts. Not safe for concurrent
-	// use — keep one per goroutine. See DESIGN.md §9.
+	// Workspace is a reusable DSP scratch arena: every waveform-level
+	// call takes one (Link.RunWaveformWS and friends) and draws every
+	// hot-path buffer and FFT plan from it, so repeated bursts amortize
+	// them. nil allocates per call. Not safe for concurrent use — keep
+	// one per goroutine. See DESIGN.md §9.
 	Workspace = dsp.Workspace
-	// Pipeline is a reusable receive chain owning its own Workspace; see
-	// NewPipeline.
-	Pipeline = reader.Pipeline
 	// Sampler is the deterministic virtual-time series store every metric
 	// update folds into when sampling is on; see EnableSampling.
 	Sampler = tsdb.Sampler
@@ -401,15 +399,11 @@ func NewVanAtta(n int, freqHz float64) (*VanAttaArray, error) { return vanatta.N
 // simulations.
 func NewSource(seed uint64) *Source { return rng.New(seed) }
 
-// NewWorkspace returns an empty DSP workspace. Results are identical
-// with or without one; a workspace only changes where scratch memory
-// comes from (see DESIGN.md §9 for the ownership rules).
+// NewWorkspace returns an empty DSP workspace. Results are bit-identical
+// with a workspace or with nil; a workspace only changes where scratch
+// memory and FFT plans come from (see DESIGN.md §9 for the ownership
+// rules).
 func NewWorkspace() *Workspace { return dsp.NewWorkspace() }
-
-// NewPipeline returns a reusable burst-receive pipeline: repeated
-// DecodeBurst calls recycle every correlation, normalization and
-// bit-slicing buffer instead of reallocating them per burst.
-func NewPipeline() *Pipeline { return reader.NewPipeline() }
 
 // SetWorkers sets the worker count every parallel sweep in the library
 // uses (Monte-Carlo BER shards, experiment trial fan-outs, angle
@@ -460,8 +454,9 @@ var (
 	BERValidation = experiments.BERValidation
 	// MultiTag runs the §9 multi-tag extension (E7).
 	MultiTag = experiments.MultiTag
-	// SelfInterference runs the §9 isolation sweep (E8).
-	SelfInterference = experiments.SelfInterference
+	// SelfInterference runs the §9 isolation sweep (E8) on a workspace
+	// (nil = a private one).
+	SelfInterference = experiments.SelfInterferenceWS
 	// EnergyFeasibility runs the batteryless-harvest sweep (E9).
 	EnergyFeasibility = experiments.EnergyFeasibility
 	// AntiCollision compares Aloha against the binary query tree (E10).
@@ -470,8 +465,9 @@ var (
 	Blockage = experiments.Blockage
 	// RateAdaptation runs the OOK/4-ASK adaptation sweep (E12).
 	RateAdaptation = experiments.RateAdaptation
-	// FadingMargin runs the Rician-fading margin sweep (E13).
-	FadingMargin = experiments.FadingMargin
+	// FadingMargin runs the Rician-fading margin sweep (E13) on a
+	// workspace (nil = a private one).
+	FadingMargin = experiments.FadingMarginWS
 	// BandScaling runs the 24/39/60 GHz comparison (E14).
 	BandScaling = experiments.BandScaling
 	// CodedBER runs the Hamming(7,4) coded-vs-uncoded sweep (E15).
@@ -501,6 +497,7 @@ var (
 	// events and worker-invariant artifacts.
 	RunStreamSession = stream.RunSession
 	// RunStreamFlow runs the per-tag sliding-window flow control over
-	// real waveform bursts on the virtual clock.
-	RunStreamFlow = stream.RunFlow
+	// real waveform bursts on the virtual clock, drawing every burst's
+	// buffers from a workspace.
+	RunStreamFlow = stream.RunFlowWS
 )

@@ -98,8 +98,8 @@ func TestPaperBandwidthsExposed(t *testing.T) {
 }
 
 // TestFacadeWorkspacePipeline covers the zero-allocation facade entry
-// points: a reused Workspace must reproduce the allocating waveform
-// path, and NewPipeline must hand back a usable burst decoder.
+// point: a reused Workspace must reproduce the nil-workspace waveform
+// path.
 func TestFacadeWorkspacePipeline(t *testing.T) {
 	link, err := mmtag.NewLink(mmtag.Feet(3))
 	if err != nil {
@@ -107,7 +107,7 @@ func TestFacadeWorkspacePipeline(t *testing.T) {
 	}
 	payload := []byte("facade ws")
 	bw := link.Reader.Bandwidths[2]
-	want, err := link.RunWaveform(payload, bw, mmtag.NewSource(21))
+	want, err := link.RunWaveformWS(nil, payload, bw, mmtag.NewSource(21))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +121,5 @@ func TestFacadeWorkspacePipeline(t *testing.T) {
 			got.MeasuredSNRdB != want.MeasuredSNRdB {
 			t.Fatalf("call %d: WS facade result diverged: %+v vs %+v", i, got, want)
 		}
-	}
-	if p := mmtag.NewPipeline(); p == nil {
-		t.Fatal("NewPipeline returned nil")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/mmtag/mmtag"
+	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/mac"
 	"github.com/mmtag/mmtag/internal/rng"
 )
@@ -36,7 +37,7 @@ func TestFacadeMetricsSpanFourPackages(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := mmtag.NewSource(1)
-	if _, err := link.RunWaveform(make([]byte, 16), link.Reader.Bandwidths[1], src); err != nil {
+	if _, err := link.RunWaveformWS(nil, make([]byte, 16), link.Reader.Bandwidths[1], src); err != nil {
 		t.Fatal(err)
 	}
 	tag1, err := mmtag.NewTag(1, mmtag.Pose{Pos: mmtag.Vec{X: 1.5}, Heading: math.Pi})
@@ -54,7 +55,7 @@ func TestFacadeMetricsSpanFourPackages(t *testing.T) {
 	if _, err := mac.RunAloha(8, mac.DefaultAlohaConfig(), rng.New(3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mac.RunARQ(link, link.Reader.Bandwidths[2], 2, mac.DefaultARQConfig(), rng.New(4)); err != nil {
+	if _, err := mac.RunARQWS(dsp.NewWorkspace(), link, link.Reader.Bandwidths[2], 2, mac.DefaultARQConfig(), rng.New(4)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -112,7 +113,7 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := link.RunWaveform(make([]byte, 32), link.Reader.Bandwidths[1], mmtag.NewSource(7))
+		res, err := link.RunWaveformWS(nil, make([]byte, 32), link.Reader.Bandwidths[1], mmtag.NewSource(7))
 		if err != nil {
 			t.Fatal(err)
 		}

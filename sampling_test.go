@@ -31,7 +31,7 @@ func sampledRun(t *testing.T) *mmtag.Sampler {
 	src := mmtag.NewSource(11)
 	payload := make([]byte, 64)
 	for _, bw := range mmtag.PaperBandwidths()[:1] {
-		if _, err := link.RunWaveform(payload, bw, src); err != nil {
+		if _, err := link.RunWaveformWS(nil, payload, bw, src); err != nil {
 			t.Fatal(err)
 		}
 	}
