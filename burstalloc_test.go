@@ -5,10 +5,15 @@ package mmtag_test
 import (
 	"testing"
 
+	"github.com/mmtag/mmtag/internal/core"
+	"github.com/mmtag/mmtag/internal/dsp"
+	"github.com/mmtag/mmtag/internal/mac"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/signal"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
+	"github.com/mmtag/mmtag/internal/rng"
+	"github.com/mmtag/mmtag/internal/units"
 )
 
 // nopBurstAllocBudget is BENCH_4.json's waveform_burst_nop count (15
@@ -59,5 +64,40 @@ func TestBurstAllocContracts(t *testing.T) {
 	}
 	if sampled != metrics {
 		t.Errorf("sampling changed the burst allocation profile: %.0f allocs sampled vs %.0f metrics-only", sampled, metrics)
+	}
+}
+
+// arqAllocsPerTransmission bounds mac.RunARQWS's allocations per burst
+// on a warm workspace. The run builds the link's operating point once,
+// so a retransmission costs the decode's few allocations and the run's
+// setup is shared by every burst; computing the budget per burst costs
+// about 11 more.
+const arqAllocsPerTransmission = 8
+
+// TestARQAllocsPerTransmission runs 40 × 64 B frames at 2 GHz on either
+// side of the gigabit range edge, 4 ft (few retransmissions) and 5.5 ft
+// (many), with the telemetry sinks off.
+func TestARQAllocsPerTransmission(t *testing.T) {
+	obs.Disable()
+	event.Disable()
+	signal.Disable()
+	for _, ft := range []float64{4, 5.5} {
+		l, err := core.NewDefaultLink(units.FeetToMeters(ft))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bw := l.Reader.Bandwidths[0] // 2 GHz
+		ws := dsp.NewWorkspace()
+		var res mac.ARQResult
+		allocs := testing.AllocsPerRun(4, func() {
+			if res, err = mac.RunARQWS(ws, l, bw, 40, mac.DefaultARQConfig(), rng.New(11)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perTx := allocs / float64(res.Transmissions)
+		t.Logf("%g ft: %.0f allocs over %d transmissions, %.1f per transmission", ft, allocs, res.Transmissions, perTx)
+		if perTx > arqAllocsPerTransmission {
+			t.Errorf("%g ft: %.1f allocs per transmission, bound %d", ft, perTx, arqAllocsPerTransmission)
+		}
 	}
 }

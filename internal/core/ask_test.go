@@ -6,6 +6,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/frame"
 	"github.com/mmtag/mmtag/internal/rng"
+	"github.com/mmtag/mmtag/internal/tag"
 	"github.com/mmtag/mmtag/internal/units"
 )
 
@@ -14,8 +15,11 @@ func TestASK4WaveformCleanDecode(t *testing.T) {
 	l, _ := NewDefaultLink(units.FeetToMeters(3))
 	src := rng.New(5)
 	payload := []byte("four-level backscatter payload!!")
-	bw := l.Reader.Bandwidths[2] // 20 MHz
-	res, err := l.RunWaveformMCSWS(nil, payload, frame.MCSASK4, bw, src)
+	op, err := l.OperatingPoint(l.Reader.Bandwidths[2]) // 20 MHz
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := op.RunWS(nil, payload, frame.MCSASK4, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,12 +42,15 @@ func TestASK4NeedsMoreSNRThanOOK(t *testing.T) {
 	var ookErrs, askErrs int
 	for seed := uint64(1); seed <= 8; seed++ {
 		l, _ := NewDefaultLink(units.FeetToMeters(8))
-		bw := l.Reader.Bandwidths[1]
-		ro, err := l.RunWaveformMCSWS(nil, payload, frame.MCSOOK, bw, rng.New(seed))
+		op, err := l.OperatingPoint(l.Reader.Bandwidths[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ra, err := l.RunWaveformMCSWS(nil, payload, frame.MCSASK4, bw, rng.New(seed))
+		ro, err := op.RunWS(nil, payload, frame.MCSOOK, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := op.RunWS(nil, payload, frame.MCSASK4, rng.New(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,12 +71,13 @@ func TestASK4BurstShorter(t *testing.T) {
 	// doubles throughput.
 	l, _ := NewDefaultLink(1)
 	b, _ := l.ComputeBudget()
+	leak := l.Tag.OOKLeakage(b.TagBearingRad, l.Reader.FreqHz)
 	payload := make([]byte, 40)
-	ook, err := l.Tag.BurstMCSWS(nil, payload, frame.MCSOOK, b.TagBearingRad, l.Reader.FreqHz)
+	ook, err := tag.BurstSymbolsWS(nil, l.Tag.ID, leak, payload, frame.MCSOOK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ask, err := l.Tag.BurstMCSWS(nil, payload, frame.MCSASK4, b.TagBearingRad, l.Reader.FreqHz)
+	ask, err := tag.BurstSymbolsWS(nil, l.Tag.ID, leak, payload, frame.MCSASK4)
 	if err != nil {
 		t.Fatal(err)
 	}

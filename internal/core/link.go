@@ -209,13 +209,17 @@ type WaveformResult struct {
 	ExpectedSNRdB float64
 }
 
-// RunWaveformWS synthesizes, transmits and decodes one tag burst
-// carrying payload through the selected receiver bandwidth, with AWGN
-// and TX leakage, returning measured quality against the budget's
-// predictions. The payload is OOK; see RunWaveformMCSWS for multi-level
-// schemes and for how ws is used.
+// RunWaveformWS synthesizes, transmits and decodes one OOK tag burst
+// carrying payload through the selected receiver bandwidth: the link's
+// operating point, then its burst (see OperatingPoint.RunWS for how ws
+// is used). A run of many bursts at one geometry builds the point once
+// and calls RunWS itself.
 func (l *Link) RunWaveformWS(ws *dsp.Workspace, payload []byte, bw units.ReaderBandwidth, src *rng.Source) (WaveformResult, error) {
-	return l.RunWaveformMCSWS(ws, payload, frame.MCSOOK, bw, src)
+	p, err := l.OperatingPoint(bw)
+	if err != nil {
+		return WaveformResult{Budget: p.budget}, err
+	}
+	return p.RunWS(ws, payload, frame.MCSOOK, src)
 }
 
 // Capture is a synthesized receiver capture: the raw complex-baseband
@@ -233,83 +237,144 @@ type Capture struct {
 }
 
 // CaptureWaveformWS synthesizes the receiver capture for one burst
-// without decoding it: tag frame + switch waveform, channel scaling,
-// optional fading, TX leakage, receiver noise, and the pre-burst leakage
-// calibration. RunWaveformMCSWS = CaptureWaveformWS +
-// reader.DecodeBurstWS. The symbol, waveform and capture buffers come
-// from ws, so the returned Capture.Samples are valid until the next
-// ws.Reset. A nil ws allocates.
+// without decoding it: the link's operating point, then its capture,
+// inside the core.synth span and the signal taps as OperatingPoint.RunWS
+// records them. The symbol, waveform and capture buffers come from ws,
+// so the returned Capture.Samples are valid until the next ws.Reset. A
+// nil ws allocates.
 func (l *Link) CaptureWaveformWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, bw units.ReaderBandwidth, src *rng.Source) (Capture, error) {
-	var cap Capture
-	// Labels are only materialized when a registry is installed so the
-	// disabled path stays allocation-free (see BENCH_1.json).
-	var span *obs.Span
-	if obs.Enabled() {
-		span = obs.StartSpan("core.synth", obs.L("bw", bw.Label))
+	p, err := l.OperatingPoint(bw)
+	c := Capture{Budget: p.budget, BandwidthLabel: bw.Label, SampleRateHz: p.sampleRateHz}
+	if err == nil {
+		c.Samples, err = p.synthWS(ws, payload, mcs, src)
 	}
-	defer span.End()
+	return c, err
+}
+
+// errSevered reports a link with no propagation path (or a tag that
+// cannot scatter toward it).
+var errSevered = errors.New("core: link severed (no propagation path)")
+
+// Capture geometry: every capture holds the burst between a pre-burst
+// lead, whose first half calibrates the TX leakage out, and a tail.
+const (
+	leadSamples  = 16 * SamplesPerSymbol
+	guardSamples = 40 * SamplesPerSymbol // lead + tail
+)
+
+// OperatingPoint is one link geometry frozen at one receiver bandwidth.
+// Geometry fixes a burst's received power (the Van Atta response and
+// the two-way link budget); only the payload bits and the noise change
+// from burst to burst. The point computes the budget once and freezes
+// what every capture needs: the tag ID and OOK leakage, the carrier, the
+// TX leakage, the noise power (thermal plus residual self-interference),
+// the sample rate, the fading model and the rect waveform. It is
+// immutable and does not follow later changes to its Link, so any
+// number of goroutines may use one point at once, each with its own
+// workspace, buffer and source. CaptureInto is the only capture recipe.
+type OperatingPoint struct {
+	budget       Budget
+	bw           units.ReaderBandwidth
+	tagID        uint16
+	ookLeak      float64
+	freqHz       float64 // reader carrier, reported to the signal taps
+	carrier      complex128
+	txLeak       complex128
+	noiseW       float64
+	sampleRateHz float64
+	fading       *channel.Fading // the Link's model, copied; nil for none
+}
+
+// OperatingPoint computes the link budget of the current geometry and
+// freezes the capture constants of bandwidth bw. A severed link is an
+// error, returned with a point that holds only the Budget.
+func (l *Link) OperatingPoint(bw units.ReaderBandwidth) (OperatingPoint, error) {
 	b, err := l.ComputeBudget()
 	if err != nil {
-		return cap, err
+		return OperatingPoint{}, err
 	}
-	cap.Budget = b
-	cap.BandwidthLabel = bw.Label
 	if b.Severed {
-		return cap, fmt.Errorf("core: link severed (no propagation path)")
+		return OperatingPoint{budget: b}, errSevered
 	}
-
-	// Tag side: frame + symbols at the operating point.
-	syms, err := l.Tag.BurstMCSWS(ws, payload, mcs, b.TagBearingRad, l.Reader.FreqHz)
-	if err != nil {
-		return cap, err
-	}
-	tx := rectWaveform.SynthesizeWS(ws, syms)
-	if t := signal.Active(); t != nil {
-		t.TxWaveform(tx)
-	}
-
-	// Scale: a '0' symbol (amplitude 1) arrives at the reader with power
-	// b.ReceivedDBm. Work in √W amplitudes.
-	amp := math.Sqrt(units.DBmToWatts(b.ReceivedDBm))
-	carrier := cmplx.Rect(amp, -0.4) // deterministic unknown carrier phase
-	rxLen := len(tx) + 40*SamplesPerSymbol
-	rx := ws.Complex(rxLen)
-	lead := 16 * SamplesPerSymbol
-	for i, v := range tx {
-		rx[lead+i] = v * carrier
+	// The sample rate is SamplesPerSymbol × symbol rate, and the symbol
+	// rate is half the receiver bandwidth for every scheme.
+	sampleRate := bw.BandwidthHz * units.OOKSpectralEfficiency * SamplesPerSymbol
+	p := OperatingPoint{
+		budget:  b,
+		bw:      bw,
+		tagID:   l.Tag.ID,
+		ookLeak: l.Tag.OOKLeakage(b.TagBearingRad, l.Reader.FreqHz),
+		freqHz:  l.Reader.FreqHz,
+		// A '0' symbol (amplitude 1) arrives with power b.ReceivedDBm at
+		// a deterministic unknown carrier phase. Work in √W amplitudes.
+		carrier: cmplx.Rect(math.Sqrt(units.DBmToWatts(b.ReceivedDBm)), -0.4),
+		// TX leakage: a DC term at baseband.
+		txLeak: cmplx.Rect(math.Sqrt(units.DBmToWatts(l.Reader.SelfInterferenceDBm())), 0.9),
+		// Receiver noise over the sampled band, plus residual
+		// self-interference: the calibration removes the static leakage,
+		// but oscillator phase noise decorrelates part of it into in-band
+		// noise bounded by LeakageCancellationDB.
+		noiseW: units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
+			l.Reader.NoiseFigureDB)*sampleRate + units.DBmToWatts(l.Reader.ResidualLeakageDBm()),
+		sampleRateHz: sampleRate,
 	}
 	if l.Fading != nil {
-		series, err := l.Fading.Series(len(tx), bw.BandwidthHz*units.OOKSpectralEfficiency*SamplesPerSymbol, src)
+		f := *l.Fading
+		p.fading = &f
+	}
+	return p, nil
+}
+
+// Budget returns the link budget the point was built from.
+func (p *OperatingPoint) Budget() Budget { return p.budget }
+
+// Waveform returns the shaping waveform every burst is synthesized and
+// decoded with.
+func (p *OperatingPoint) Waveform() phy.Waveform { return rectWaveform }
+
+// CaptureInto synthesizes the receiver capture of one burst carrying
+// payload in scheme mcs: the tag's frame and switch waveform, the
+// carrier, optional fading (its series drawn from src), TX leakage,
+// receiver noise and the pre-burst leakage calibration. It fills dst,
+// growing it with make (never with ws memory) when it is short, and
+// returns the capture rx and the transmitted waveform tx; the symbols
+// and tx come from ws and are valid until its next Reset. A nil ws
+// allocates. It records no span, tap, metric or event.
+func (p *OperatingPoint) CaptureInto(ws *dsp.Workspace, dst []complex128, payload []byte, mcs frame.MCS, src *rng.Source) (rx, tx []complex128, err error) {
+	syms, err := tag.BurstSymbolsWS(ws, p.tagID, p.ookLeak, payload, mcs)
+	if err != nil {
+		return nil, nil, err
+	}
+	tx = rectWaveform.SynthesizeWS(ws, syms)
+	n := len(tx) + guardSamples
+	if cap(dst) < n {
+		dst = make([]complex128, n)
+	}
+	rx = dst[:n]
+	burst := rx[leadSamples : leadSamples+len(tx)]
+	clear(rx[:leadSamples])
+	clear(rx[leadSamples+len(tx):])
+	for i, v := range tx {
+		burst[i] = v * p.carrier
+	}
+	if p.fading != nil {
+		series, err := p.fading.Series(len(tx), p.sampleRateHz, src)
 		if err != nil {
-			return cap, err
+			return nil, nil, err
 		}
-		channel.Apply(rx[lead:lead+len(tx)], series)
+		channel.Apply(burst, series)
 	}
-	// TX leakage: a DC term at baseband.
-	leak := cmplx.Rect(math.Sqrt(units.DBmToWatts(l.Reader.SelfInterferenceDBm())), 0.9)
 	for i := range rx {
-		rx[i] += leak
+		rx[i] += p.txLeak
 	}
-	// Receiver noise over the sampled band: the sample rate is
-	// SamplesPerSymbol × symbol rate = (SamplesPerSymbol/2) × bw. The
-	// symbol rate is half the receiver bandwidth for every scheme.
-	symbolRate := bw.BandwidthHz * units.OOKSpectralEfficiency
-	sampleRate := symbolRate * SamplesPerSymbol
-	cap.SampleRateHz = sampleRate
-	noiseW := units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
-		l.Reader.NoiseFigureDB) * sampleRate
-	// Residual self-interference: the calibration below removes the
-	// static leakage, but oscillator phase noise decorrelates part of it
-	// into in-band noise bounded by LeakageCancellationDB.
-	residualW := units.DBmToWatts(l.Reader.ResidualLeakageDBm())
-	src.AWGN(rx, noiseW+residualW)
+	src.AWGN(rx, p.noiseW)
 
 	// Cancel the static TX leakage: the tag holds its switches on
 	// (absorbing) while idle, so the pre-burst capture contains only the
 	// leakage plus noise, and its mean calibrates the leakage out without
 	// touching the burst's own OOK structure.
 	var mean complex128
-	pre := lead / 2
+	pre := leadSamples / 2
 	for _, v := range rx[:pre] {
 		mean += v
 	}
@@ -317,26 +382,46 @@ func (l *Link) CaptureWaveformWS(ws *dsp.Workspace, payload []byte, mcs frame.MC
 	for i := range rx {
 		rx[i] -= mean
 	}
-	if t := signal.Active(); t != nil {
-		t.ChannelOut(rx)
-	}
-	cap.Samples = rx
-	return cap, nil
+	return rx, tx, nil
 }
 
-// RunWaveformMCSWS is RunWaveformWS with an explicit payload
-// modulation: MCSOOK (1 bit/symbol) or MCSASK4 (2 bits/symbol, realized
-// by driving subsets of the tag's Van Atta pairs). The symbol rate is
-// always half the receiver bandwidth, so 4-ASK doubles the bit rate at
-// the cost of a tighter SNR requirement. The capture and the whole
-// decode pipeline draw their buffers from the caller-owned ws, so
-// repeated bursts on one goroutine allocate nothing in steady state. The
-// workspace is Reset at entry — this call owns the frame — and the
-// returned result copies the decoded payload out, so nothing in
-// WaveformResult references ws memory. A nil ws allocates.
-func (l *Link) RunWaveformMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, bw units.ReaderBandwidth, src *rng.Source) (WaveformResult, error) {
+// synthWS is CaptureInto into a ws buffer, inside the core.synth span,
+// followed by the TxWaveform and ChannelOut taps.
+func (p *OperatingPoint) synthWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, src *rng.Source) ([]complex128, error) {
+	// Labels are only materialized when a registry is installed so the
+	// disabled path stays allocation-free (see BENCH_1.json).
+	var span *obs.Span
+	if obs.Enabled() {
+		span = obs.StartSpan("core.synth", obs.L("bw", p.bw.Label))
+	}
+	defer span.End()
+	n := tag.BurstSymbolCountMCS(len(payload), mcs)*SamplesPerSymbol + guardSamples
+	rx, tx, err := p.CaptureInto(ws, ws.Complex(n), payload, mcs, src)
+	if err != nil {
+		return nil, err
+	}
+	if t := signal.Active(); t != nil {
+		t.TxWaveform(tx)
+		t.ChannelOut(rx)
+	}
+	return rx, nil
+}
+
+// RunWS synthesizes, transmits and decodes one tag burst carrying
+// payload in scheme mcs: MCSOOK (1 bit/symbol) or MCSASK4 (2
+// bits/symbol, realized by driving subsets of the tag's Van Atta
+// pairs). The symbol rate is always half the receiver bandwidth, so
+// 4-ASK doubles the bit rate at the cost of a tighter SNR requirement.
+// It returns measured quality against the budget's predictions. The
+// capture and the whole decode pipeline draw their buffers from the
+// caller-owned ws, so repeated bursts on one goroutine allocate nothing
+// in steady state. The workspace is Reset at entry — this call owns the
+// frame — and the returned result copies the decoded payload out, so
+// nothing in WaveformResult references ws memory. A nil ws allocates.
+func (p *OperatingPoint) RunWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, src *rng.Source) (WaveformResult, error) {
 	ws.Reset()
-	var res WaveformResult
+	res := WaveformResult{Budget: p.budget}
+	bw := p.bw
 	enabled := obs.Enabled()
 	var span *obs.Span
 	if enabled {
@@ -344,13 +429,11 @@ func (l *Link) RunWaveformMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS
 		obs.Inc("core_bursts_attempted_total", obs.L("bw", bw.Label))
 	}
 	defer span.End()
-	cap, err := l.CaptureWaveformWS(ws, payload, mcs, bw, src)
-	res.Budget = cap.Budget
+	rx, err := p.synthWS(ws, payload, mcs, src)
 	if err != nil {
 		return res, err
 	}
-	res.ExpectedSNRdB = ExpectedDecisionSNRdB(cap.Budget.SNRdB[bw.Label])
-	rx := cap.Samples
+	res.ExpectedSNRdB = ExpectedDecisionSNRdB(p.budget.SNRdB[bw.Label])
 	tap := signal.Active()
 	dec, stats, err := reader.DecodeBurstWS(ws, rx, rectWaveform)
 	if err != nil {
@@ -364,7 +447,7 @@ func (l *Link) RunWaveformMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS
 			if errors.Is(err, reader.ErrSync) {
 				trigger = signal.TriggerSyncLoss
 			}
-			tap.RecordFailure(trigger, rx, cap.SampleRateHz, l.Reader.FreqHz,
+			tap.RecordFailure(trigger, rx, p.sampleRateHz, p.freqHz,
 				bw.Label, mcs.String(), math.NaN())
 		}
 		if event.Enabled() {
@@ -411,8 +494,8 @@ func (l *Link) RunWaveformMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS
 	if tap != nil {
 		tap.Commit(signal.Burst{
 			IQ:           rx,
-			SampleRateHz: cap.SampleRateHz,
-			CarrierHz:    l.Reader.FreqHz,
+			SampleRateHz: p.sampleRateHz,
+			CarrierHz:    p.freqHz,
 			Bandwidth:    bw.Label,
 			MCS:          mcs.String(),
 			SyncOffset:   stats.SyncOffset,
@@ -425,8 +508,8 @@ func (l *Link) RunWaveformMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS
 			Decoded:      res.Decoded,
 		})
 		if !res.Decoded {
-			tap.RecordFailure(signal.TriggerCRCFail, rx, cap.SampleRateHz,
-				l.Reader.FreqHz, bw.Label, mcs.String(), stats.SNRdBEst)
+			tap.RecordFailure(signal.TriggerCRCFail, rx, p.sampleRateHz,
+				p.freqHz, bw.Label, mcs.String(), stats.SNRdBEst)
 		}
 	}
 	if event.Enabled() {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
+	"github.com/mmtag/mmtag/internal/frame"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/signal"
@@ -68,11 +69,12 @@ type ARQResult struct {
 // on the virtual clock, each decode outcome schedules either the
 // retransmission or the next frame, and AirTimeS reports where the time
 // went. Every burst is a full synthesis + decode; the result is
-// deterministic for a fixed source. Every burst draws its sample
-// buffers from the caller-owned ws, so the per-burst allocations are
-// amortized across the whole exchange. Parallel sweeps pass their
-// worker's workspace; results are identical for any ws (including nil,
-// which allocates per burst).
+// deterministic for a fixed source. The geometry never moves during a
+// run, so the link's operating point is built once and every burst is
+// its RunWS. Every burst draws its sample buffers from the caller-owned
+// ws, so the per-burst allocations are amortized across the whole
+// exchange. Parallel sweeps pass their worker's workspace; results are
+// identical for any ws (including nil, which allocates per burst).
 func RunARQWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames int, cfg ARQConfig, src *rng.Source) (ARQResult, error) {
 	var res ARQResult
 	if nFrames <= 0 {
@@ -91,13 +93,17 @@ func RunARQWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames
 	burstSymbols := tag.BurstSymbolCount(cfg.FrameBytes)
 	payloadBits := 8 * cfg.FrameBytes
 	burstS := float64(burstSymbols) / symbolRate
+	p, err := l.OperatingPoint(bw)
+	if err != nil {
+		return res, err
+	}
 
 	eng := sim.NewEngine()
 	failures := 0
 	var runErr error
 	frameIdx, attempt := 0, 0
-	// One payload buffer for the whole run: RunWaveformWS does not retain
-	// it, and retransmissions reuse the frame's bytes unchanged.
+	// One payload buffer for the whole run: RunWS does not retain it,
+	// and retransmissions reuse the frame's bytes unchanged.
 	payloadBuf := make([]byte, cfg.FrameBytes)
 	var payload []byte
 	var burst func(now float64)
@@ -112,7 +118,7 @@ func RunARQWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames
 		}
 		res.Transmissions++
 		obs.IncAt(now, "mac_arq_transmissions_total")
-		r, err := l.RunWaveformWS(ws, payload, bw, src)
+		r, err := p.RunWS(ws, payload, frame.MCSOOK, src)
 		if err != nil {
 			runErr = err
 			return

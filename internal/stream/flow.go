@@ -7,6 +7,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
+	"github.com/mmtag/mmtag/internal/frame"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/rng"
@@ -90,8 +91,9 @@ type flowTag struct {
 // control on the virtual clock. Frame k belongs to tag k mod Tags; the
 // channel serves tags round-robin, each burst occupying its air time on
 // the DES engine, and every transmission is a full waveform synthesis +
-// decode (mac.RunARQWS semantics — the reader's poll doubles as the
-// ACK). Deterministic for a fixed source.
+// decode at the link's one operating point (mac.RunARQWS semantics —
+// the reader's poll doubles as the ACK). Deterministic for a fixed
+// source.
 func RunFlowWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames int, cfg FlowConfig, src *rng.Source) (FlowResult, error) {
 	var res FlowResult
 	if nFrames <= 0 {
@@ -115,6 +117,10 @@ func RunFlowWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrame
 	}
 	burstS := float64(tag.BurstSymbolCount(cfg.FrameBytes)) / symbolRate
 	payloadBits := 8 * cfg.FrameBytes
+	p, err := l.OperatingPoint(bw)
+	if err != nil {
+		return res, err
+	}
 
 	tags := make([]flowTag, cfg.Tags)
 	for i := range tags {
@@ -200,7 +206,7 @@ func RunFlowWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrame
 			obs.IncAt(now, "stream_flow_retries_total")
 		}
 		f.attempts++
-		r, err := l.RunWaveformWS(ws, f.payload, bw, src)
+		r, err := p.RunWS(ws, f.payload, frame.MCSOOK, src)
 		if err != nil {
 			runErr = err
 			return

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/cmplx"
 	"time"
 
 	"github.com/mmtag/mmtag/internal/core"
@@ -13,7 +12,6 @@ import (
 	"github.com/mmtag/mmtag/internal/frame"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
-	"github.com/mmtag/mmtag/internal/phy"
 	"github.com/mmtag/mmtag/internal/reader"
 	"github.com/mmtag/mmtag/internal/rng"
 	"github.com/mmtag/mmtag/internal/tag"
@@ -102,86 +100,27 @@ func RunSession(cfg SessionConfig) (SessionResult, error) {
 		return res, err
 	}
 	bw := l.Reader.Bandwidths[0] // widest: the gigabit 2 GHz channel
-	b, err := l.ComputeBudget()
+	op, err := l.OperatingPoint(bw)
 	if err != nil {
 		return res, err
 	}
-	if b.Severed {
-		return res, fmt.Errorf("stream: link severed at %g ft", cfg.RangeFt)
-	}
-	w, err := phy.NewRectWaveform(core.SamplesPerSymbol)
+	shape, err := NewShape(op.Waveform(), cfg.FrameBytes)
 	if err != nil {
 		return res, err
 	}
-	shape, err := NewShape(w, cfg.FrameBytes)
-	if err != nil {
-		return res, err
-	}
-
-	// The operating point is computed once — the per-frame generator is
-	// pure synthesis (tag burst + channel scale + leakage + noise), the
-	// same recipe core.CaptureWaveformWS applies per call.
-	bearing := b.TagBearingRad
-	freqHz := l.Reader.FreqHz
-	// Tag.BurstMCSWS mutates aperture switch state while computing the
-	// modulation constellation, so it cannot be shared across gen workers.
-	// The leakage is a pure function of the fixed operating point: compute
-	// it once and synthesize bursts with stateless phy calls instead.
-	ookLeak := l.Tag.OOKLeakage(bearing, freqHz)
-	tagID := l.Tag.ID
-	amp := math.Sqrt(units.DBmToWatts(b.ReceivedDBm))
-	carrier := cmplx.Rect(amp, -0.4)
-	leak := cmplx.Rect(math.Sqrt(units.DBmToWatts(l.Reader.SelfInterferenceDBm())), 0.9)
 	symbolRate := bw.BandwidthHz * units.OOKSpectralEfficiency
-	sampleRate := symbolRate * core.SamplesPerSymbol
-	noiseW := units.DBmToWatts(units.ThermalNoiseDensityDBmHz(l.Reader.TemperatureK)+
-		l.Reader.NoiseFigureDB)*sampleRate +
-		units.DBmToWatts(l.Reader.ResidualLeakageDBm())
-	burstSyms := tag.BurstSymbolCount(cfg.FrameBytes)
-	burstS := float64(burstSyms) / symbolRate
-	lead := 16 * core.SamplesPerSymbol
-	rxLen := burstSyms*core.SamplesPerSymbol + 40*core.SamplesPerSymbol
-	res.BudgetSNRdB = b.SNRdB[bw.Label]
+	burstS := float64(tag.BurstSymbolCount(cfg.FrameBytes)) / symbolRate
+	res.BudgetSNRdB = op.Budget().SNRdB[bw.Label]
 	res.BurstSeconds = burstS
 
+	// The operating point is computed once; the per-frame generator
+	// draws the payload and captures it from the shared point, which is
+	// safe across gen workers.
 	seq := rng.NewSequence(cfg.Seed)
 	gen := func(ws *dsp.Workspace, i int, dst []complex128) ([]complex128, error) {
 		src := seq.At(uint64(i))
-		payload := src.Bytes(ws.Bytes(cfg.FrameBytes))
-		rawLen := frame.HeaderLen + cfg.FrameBytes + frame.CRCLen
-		raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], tagID, frame.MCSOOK, payload)
-		if err != nil {
-			return nil, err
-		}
-		bits := frame.BitsFromBytes(ws.Bytes(8*rawLen), raw)
-		syms := phy.AppendPreambleSymbols(ws.Complex(burstSyms)[:0], ookLeak)
-		syms, err = (phy.OOK{Leakage: ookLeak}).Modulate(syms, bits)
-		if err != nil {
-			return nil, err
-		}
-		tx := w.SynthesizeWS(ws, syms)
-		if cap(dst) < rxLen {
-			dst = make([]complex128, rxLen)
-		}
-		dst = dst[:rxLen]
-		for k := range dst {
-			dst[k] = leak
-		}
-		for k, v := range tx {
-			dst[lead+k] += v * carrier
-		}
-		src.AWGN(dst, noiseW)
-		// Pre-burst leakage calibration (see core.CaptureWaveformWS).
-		pre := lead / 2
-		var mean complex128
-		for _, v := range dst[:pre] {
-			mean += v
-		}
-		mean /= complex(float64(pre), 0)
-		for k := range dst {
-			dst[k] -= mean
-		}
-		return dst, nil
+		rx, _, err := op.CaptureInto(ws, dst, src.Bytes(ws.Bytes(cfg.FrameBytes)), frame.MCSOOK, src)
+		return rx, err
 	}
 
 	truthBuf := make([]byte, cfg.FrameBytes)

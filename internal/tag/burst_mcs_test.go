@@ -13,7 +13,8 @@ import (
 func TestBurstMCSASK4Structure(t *testing.T) {
 	tg, _ := New(0xC0DE, geom.Pose{})
 	payload := []byte{0xDE, 0xAD, 0xBE, 0xEF}
-	syms, err := tg.BurstMCSWS(nil, payload, frame.MCSASK4, 0, 24e9)
+	leak := tg.OOKLeakage(0, 24e9)
+	syms, err := BurstSymbolsWS(nil, tg.ID, leak, payload, frame.MCSASK4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +24,6 @@ func TestBurstMCSASK4Structure(t *testing.T) {
 	}
 	// Header section is binary OOK; payload section has up to 4 levels
 	// floored at the leakage.
-	leak := tg.OOKLeakage(0, 24e9)
 	head := len(phy.Preamble13) + 8*frame.HeaderLen
 	levels := map[string]bool{}
 	for _, s := range syms[head:] {
@@ -46,10 +46,11 @@ func formatLevel(m, leak float64) string {
 
 func TestBurstMCSRejectsUnknown(t *testing.T) {
 	tg, _ := New(1, geom.Pose{})
-	if _, err := tg.BurstMCSWS(nil, []byte{1}, frame.MCSBPSK, 0, 24e9); err == nil {
+	leak := tg.OOKLeakage(0, 24e9)
+	if _, err := BurstSymbolsWS(nil, 1, leak, []byte{1}, frame.MCSBPSK); err == nil {
 		t.Error("BPSK burst synthesis is unimplemented and must error")
 	}
-	if _, err := tg.BurstMCSWS(nil, []byte{1}, frame.MCS(99), 0, 24e9); err == nil {
+	if _, err := BurstSymbolsWS(nil, 1, leak, []byte{1}, frame.MCS(99)); err == nil {
 		t.Error("invalid MCS must error")
 	}
 }

@@ -72,11 +72,12 @@ func (t *Tag) ReflectionStates(theta, f float64) (alpha0, alpha1 complex128) {
 	return t.Aperture.ModulationStates(theta, f)
 }
 
-// BurstMCSWS frames payload and returns the symbol sequence the switch
-// driver realizes at the given operating point: Barker preamble then
-// header‖payload‖CRC bits. The preamble and the header are always OOK
-// (so any reader can parse them), one symbol per bit, amplitude 1 for
-// '0' (reflect) and the aperture's leakage for '1' (absorb); the
+// BurstSymbolsWS frames payload as tag id's burst and returns the symbol
+// sequence the switch driver realizes: Barker preamble then
+// header‖payload‖CRC bits. leak is the aperture's '1'-state amplitude at
+// the operating point (OOKLeakage). The preamble and the header are
+// always OOK (so any reader can parse them), one symbol per bit,
+// amplitude 1 for '0' (reflect) and leak for '1' (absorb); the
 // payload+CRC section uses the requested scheme. 4-ASK is realized
 // physically by driving *subsets* of the tag's Van Atta pairs: with 3
 // pairs, activating 0/1/2/3 pairs yields reflection amplitudes 0, ⅓, ⅔,
@@ -84,13 +85,12 @@ func (t *Tag) ReflectionStates(theta, f float64) (alpha0, alpha1 complex128) {
 // switch leakage. The frame bytes, bit expansion and symbol buffer are
 // checked out of ws; the returned symbols are valid until the next
 // ws.Reset. A nil ws allocates.
-func (t *Tag) BurstMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, theta, f float64) ([]complex128, error) {
+func BurstSymbolsWS(ws *dsp.Workspace, id uint16, leak float64, payload []byte, mcs frame.MCS) ([]complex128, error) {
 	rawLen := frame.HeaderLen + len(payload) + frame.CRCLen
-	raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], t.ID, mcs, payload)
+	raw, err := frame.AppendEncode(ws.Bytes(rawLen)[:0], id, mcs, payload)
 	if err != nil {
 		return nil, err
 	}
-	leak := t.OOKLeakage(theta, f)
 	syms := phy.AppendPreambleSymbols(ws.Complex(BurstSymbolCountMCS(len(payload), mcs))[:0], leak)
 	bits := frame.BitsFromBytes(ws.Bytes(8*len(raw)), raw)
 	headBits := bits[:frame.HeaderLen*8]
@@ -115,7 +115,7 @@ func (t *Tag) BurstMCSWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, theta
 		}
 		return syms, nil
 	default:
-		return nil, fmt.Errorf("tag %d: unsupported MCS %v", t.ID, mcs)
+		return nil, fmt.Errorf("tag %d: unsupported MCS %v", id, mcs)
 	}
 }
 

@@ -71,7 +71,8 @@ func TestReflectionStatesContrast(t *testing.T) {
 func TestBurstStructure(t *testing.T) {
 	tg, _ := New(0xBEEF, geom.Pose{})
 	payload := []byte{1, 2, 3}
-	syms, err := tg.BurstMCSWS(nil, payload, frame.MCSOOK, 0, 24e9)
+	leak := tg.OOKLeakage(0, 24e9)
+	syms, err := BurstSymbolsWS(nil, tg.ID, leak, payload, frame.MCSOOK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,6 @@ func TestBurstStructure(t *testing.T) {
 		}
 	}
 	// Every symbol is one of the two OOK levels.
-	leak := tg.OOKLeakage(0, 24e9)
 	for i, s := range syms {
 		m := cmplx.Abs(s)
 		if math.Abs(m-1) > 1e-12 && math.Abs(m-leak) > 1e-12 {
@@ -108,7 +108,8 @@ func TestBurstSymbolCount(t *testing.T) {
 
 func TestBurstRejectsOversizedPayload(t *testing.T) {
 	tg, _ := New(1, geom.Pose{})
-	if _, err := tg.BurstMCSWS(nil, make([]byte, frame.MaxPayload+1), frame.MCSOOK, 0, 24e9); err == nil {
+	leak := tg.OOKLeakage(0, 24e9)
+	if _, err := BurstSymbolsWS(nil, 1, leak, make([]byte, frame.MaxPayload+1), frame.MCSOOK); err == nil {
 		t.Error("oversized payload should fail")
 	}
 }

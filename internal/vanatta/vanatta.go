@@ -79,13 +79,19 @@ func (a *Array) SwitchOn() bool { return a.switchOn }
 func (a *Array) pairIndex(n int) int { return a.Geometry.N - 1 - n }
 
 // ReradiatedWeights returns the feed phasors y'_n driving each element
-// when a unit plane wave arrives from theta at frequency f — Eq. 4 with
-// the element circuit applied twice (in at element N−1−n, out at n) and
-// the line's gain/phase in between.
+// when a unit plane wave arrives from theta at frequency f, in the switch
+// state SetSwitch last drove — Eq. 4 with the element circuit applied
+// twice (in at element N−1−n, out at n) and the line's gain/phase in
+// between.
 func (a *Array) ReradiatedWeights(theta float64, f float64) []complex128 {
+	return a.weights(theta, f, a.switchOn)
+}
+
+// weights is ReradiatedWeights for an explicit switch state.
+func (a *Array) weights(theta, f float64, switchOn bool) []complex128 {
 	n := a.Geometry.N
 	rx := a.Geometry.SteeringVector(theta) // x_n of Eq. 1/2 (element pattern included)
-	tElem := a.Element.TransmissionAmplitude(f, a.switchOn)
+	tElem := a.Element.TransmissionAmplitude(f, switchOn)
 	lg := a.Line.PropagationGain(f)
 	out := make([]complex128, n)
 	for i := 0; i < n; i++ {
@@ -145,15 +151,11 @@ func (a *Array) RetroGainDBi(theta, f float64) float64 {
 // for the two switch states at (theta, f): alpha0 for data '0' (switches
 // off, reflective) and alpha1 for data '1' (switches on, absorbed). The
 // OOK constellation the reader sees is {alpha0, alpha1} scaled by the
-// channel.
+// channel. It neither reads nor writes the SetSwitch state, so
+// concurrent calls on one array are safe.
 func (a *Array) ModulationStates(theta, f float64) (alpha0, alpha1 complex128) {
-	saved := a.switchOn
-	defer func() { a.switchOn = saved }()
-	a.switchOn = false
-	alpha0 = a.MonostaticResponse(theta, f)
-	a.switchOn = true
-	alpha1 = a.MonostaticResponse(theta, f)
-	return alpha0, alpha1
+	return a.Geometry.ArrayFactor(a.weights(theta, f, false), theta),
+		a.Geometry.ArrayFactor(a.weights(theta, f, true), theta)
 }
 
 // ModulationDepthDB returns the OOK power extinction ratio
