@@ -382,16 +382,14 @@ func BenchmarkWaveformBurstEventsEnabled(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // DSP kernel benchmarks: the primitives underneath every burst, run
-// through a warmed workspace. All three are zero-allocation in steady
-// state — asserted by TestSteadyStateAllocs in internal/dsp and gated in
+// through a warmed workspace. Both are zero-allocation in steady state — asserted by TestSteadyStateAllocs in internal/dsp and gated in
 // CI via BENCH_4.json.
 
 // BenchmarkFFTRadix2WS measures a 1024-point in-place FFT+IFFT pair
 // through a workspace. Since the frequency-domain fast-path PR the
 // workspace power-of-two dispatch runs the cached mixed radix-4 plan,
 // so this record now tracks that plan; the BENCH_4 record name is kept
-// for baseline continuity, and BENCH_6 carries the explicit
-// radix-2-kernel vs radix-4-plan comparison.
+// for baseline continuity.
 func BenchmarkFFTRadix2WS(b *testing.B) {
 	ws := dsp.NewWorkspace()
 	buf := make([]complex128, 1024)
@@ -422,25 +420,6 @@ func BenchmarkFFTBluesteinWS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ws.FFTInPlace(buf)
 		ws.IFFTInPlace(buf)
-	}
-}
-
-// BenchmarkFIRBlockInPlace measures a 63-tap lowpass over a 4096-sample
-// block filtered in place.
-func BenchmarkFIRBlockInPlace(b *testing.B) {
-	taps, err := dsp.DesignLowpass(0.25, 63, dsp.Hamming)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fir := dsp.NewFIR(taps)
-	buf := make([]complex128, 4096)
-	for i := range buf {
-		buf[i] = complex(float64(i%9)-4, 0)
-	}
-	b.SetBytes(int64(len(buf) * 16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fir.ProcessInPlace(buf)
 	}
 }
 
@@ -680,31 +659,13 @@ func BenchmarkWaveformBurstFlightRec(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Frequency-domain fast-path benchmarks (BENCH_6.json): the overlap-save
-// convolution, real-input FFT, radix-4 kernel and FFT preamble-search
-// figures, plus the batched demodulation path. The headline claims —
-// FFT convolution beats the direct 63-tap block filter by the gated
-// factor, and the radix-4 plan beats the plain radix-2 kernel — are
-// enforced in CI by the ratio gates in bench_gates.json.
+// Frequency-domain fast-path benchmarks (BENCH_6.json): the radix-4 plan
+// and the real-input FFT, plus the batched demodulation path. Their
+// ns/op and allocs/op are gated against the history in bench_gates.json.
 
-// BenchmarkFFTRadix2Kernel measures the plain iterative radix-2 kernel
-// (package-level FFTInPlace, no workspace, no plan) on a 1024-point
-// FFT+IFFT pair — the baseline the cached radix-4 plan is gated against.
-func BenchmarkFFTRadix2Kernel(b *testing.B) {
-	buf := make([]complex128, 1024)
-	for i := range buf {
-		buf[i] = complex(float64(i%7)-3, float64(i%5)-2)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dsp.FFTInPlace(buf)
-		dsp.IFFTInPlace(buf)
-	}
-}
-
-// BenchmarkFFTRadix4WS measures the same 1024-point FFT+IFFT pair
-// through a workspace, which dispatches to the cached mixed radix-4
-// plan (gathered permutation + radix-4 butterfly ladder).
+// BenchmarkFFTRadix4WS measures a 1024-point FFT+IFFT pair through a
+// warmed workspace, which dispatches to the cached mixed radix-4 plan
+// (gathered permutation + radix-4 butterfly ladder).
 func BenchmarkFFTRadix4WS(b *testing.B) {
 	ws := dsp.NewWorkspace()
 	buf := make([]complex128, 1024)
@@ -737,71 +698,6 @@ func BenchmarkRFFTWS(b *testing.B) {
 	}
 }
 
-// BenchmarkFIRFFTBlockWS measures the frequency-domain block filter on
-// exactly the BenchmarkFIRBlockInPlace workload (63-tap lowpass over a
-// 4096-sample block) — the pair the FFT-convolution speedup gate reads.
-func BenchmarkFIRFFTBlockWS(b *testing.B) {
-	taps, err := dsp.DesignLowpass(0.25, 63, dsp.Hamming)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ff := dsp.NewFIRFFTTaps(taps)
-	ws := dsp.NewWorkspace()
-	buf := make([]complex128, 4096)
-	for i := range buf {
-		buf[i] = complex(float64(i%9)-4, 0)
-	}
-	ff.ProcessWS(ws, buf) // warm plans and pools
-	b.SetBytes(int64(len(buf) * 16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Reset()
-		ff.ProcessWS(ws, buf)
-	}
-}
-
-// benchXCorrInputs builds the preamble-search-shaped correlation
-// workload: a 4096-sample capture scanned by a dense 256-sample
-// reference (dense enough that the cost model picks the FFT path).
-func benchXCorrInputs() (x, y []complex128) {
-	x = make([]complex128, 4096)
-	for i := range x {
-		x[i] = complex(float64(i%11)-5, float64(i%3)-1)
-	}
-	y = make([]complex128, 256)
-	for i := range y {
-		y[i] = complex(float64(i%5)-2, float64(i%7)-3)
-	}
-	return x, y
-}
-
-// BenchmarkXCorrDirect measures the O(lags·len(y)) reference sliding
-// correlation on the dense 4096×256 workload.
-func BenchmarkXCorrDirect(b *testing.B) {
-	x, y := benchXCorrInputs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(dsp.XCorr(x, y)) == 0 {
-			b.Fatal("empty correlation")
-		}
-	}
-}
-
-// BenchmarkXCorrFFTWS measures the same correlation through XCorrWS,
-// whose cost model sends this dense workload down the circular-FFT path.
-func BenchmarkXCorrFFTWS(b *testing.B) {
-	x, y := benchXCorrInputs()
-	ws := dsp.NewWorkspace()
-	dsp.XCorrWS(ws, x, y) // warm the plan cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ws.Reset()
-		if len(dsp.XCorrWS(ws, x, y)) == 0 {
-			b.Fatal("empty correlation")
-		}
-	}
-}
-
 // BenchmarkDecodeBurstBatch measures batched demodulation: eight
 // captured bursts decoded back to back through reader.DecodeBurstWS on
 // one workspace (one reset per burst, buffers and FFT plans shared
@@ -815,11 +711,11 @@ func BenchmarkDecodeBurstBatch(b *testing.B) {
 	var bursts [][]complex128
 	for t := 0; t < nBursts; t++ {
 		payload := rng.New(uint64(t + 1)).Bytes(make([]byte, 32))
-		raw, err := frame.Encode(uint16(t), frame.MCSOOK, payload)
+		raw, err := frame.AppendEncode(nil, uint16(t), frame.MCSOOK, payload)
 		if err != nil {
 			b.Fatal(err)
 		}
-		syms := phy.PreambleSymbols(0.05)
+		syms := phy.AppendPreambleSymbols(nil, 0.05)
 		bits := frame.BitsFromBytes(nil, raw)
 		syms, err = (phy.OOK{Leakage: 0.05}).Modulate(syms, bits)
 		if err != nil {
@@ -1024,13 +920,8 @@ var benchTable = []struct {
 	{"waveform_burst_taps_enabled", BenchmarkWaveformBurstTapsEnabled},
 	{"waveform_burst_fail_nop", BenchmarkWaveformBurstFailNop},
 	{"waveform_burst_flightrec", BenchmarkWaveformBurstFlightRec},
-	{"fft_radix2_1024", BenchmarkFFTRadix2Kernel},
 	{"fft_radix4_1024_ws", BenchmarkFFTRadix4WS},
 	{"rfft_4096_ws", BenchmarkRFFTWS},
-	{"fir_block_inplace", BenchmarkFIRBlockInPlace},
-	{"fir_fft_block_ws", BenchmarkFIRFFTBlockWS},
-	{"xcorr_direct_4096x256", BenchmarkXCorrDirect},
-	{"xcorr_fft_4096x256_ws", BenchmarkXCorrFFTWS},
 	{"decode_burst_batch8_ws", BenchmarkDecodeBurstBatch},
 	{"waveform_burst_metrics", BenchmarkWaveformBurstMetricsEnabled},
 	{"waveform_burst_sampled", BenchmarkWaveformBurstSampled},

@@ -1,8 +1,7 @@
 // Package antenna implements the array theory of paper §5.1: element
 // patterns, uniform linear arrays, steering vectors (Eq. 1–3), beam
-// patterns and their half-power beamwidths, directivity estimates, and a
-// phased-array model with quantized phase shifters plus DFT beam
-// codebooks for the reader's sector scan.
+// patterns and their half-power beamwidths, directivity estimates, and
+// the uniform beam codebooks of the reader's sector scan.
 //
 // Angle convention: θ is measured from array boresight (the normal to the
 // array line), positive counter-clockwise, matching the sin(θ) in the

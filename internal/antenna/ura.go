@@ -68,19 +68,6 @@ func (a URA) SteeringVector(az, el float64) []complex128 {
 	return out
 }
 
-// TransmitWeights returns the feed phasors steering the beam to (az, el).
-func (a URA) TransmitWeights(az, el float64) []complex128 {
-	u, v := DirectionCosines(az, el)
-	k := 2 * math.Pi * a.SpacingWl
-	out := make([]complex128, a.N())
-	for m := 0; m < a.Nx; m++ {
-		for n := 0; n < a.Ny; n++ {
-			out[m*a.Ny+n] = cmplx.Rect(1, +k*(float64(m)*u+float64(n)*v))
-		}
-	}
-	return out
-}
-
 // ArrayFactor returns the far-field sum toward (az, el) for feed weights
 // w, element pattern applied once.
 func (a URA) ArrayFactor(w []complex128, az, el float64) complex128 {
@@ -114,9 +101,4 @@ func (a URA) GainDBi(w []complex128, az, el float64) float64 {
 		return math.Inf(-1)
 	}
 	return 10 * math.Log10(af*af/p)
-}
-
-// BoresightGainDBi returns element gain + 10·log10(Nx·Ny).
-func (a URA) BoresightGainDBi() float64 {
-	return a.element().PeakGainDBi() + 10*math.Log10(float64(a.N()))
 }

@@ -111,6 +111,3 @@ func (s System) SpectralAdvantage(bwHz float64) float64 {
 	}
 	return bwHz / s.ChannelHz
 }
-
-// Wavelength returns the system's carrier wavelength (meters).
-func (s System) Wavelength() float64 { return units.Wavelength(s.CarrierHz) }

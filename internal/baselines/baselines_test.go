@@ -67,10 +67,10 @@ func TestSpectralAdvantage(t *testing.T) {
 }
 
 func TestWavelengths(t *testing.T) {
-	if wl := RFID().Wavelength(); math.Abs(wl-0.3276) > 0.001 {
+	if wl := units.Wavelength(RFID().CarrierHz); math.Abs(wl-0.3276) > 0.001 {
 		t.Errorf("915 MHz wavelength %g", wl)
 	}
-	if wl := BackFi().Wavelength(); math.Abs(wl-0.1249) > 0.001 {
+	if wl := units.Wavelength(BackFi().CarrierHz); math.Abs(wl-0.1249) > 0.001 {
 		t.Errorf("2.4 GHz wavelength %g", wl)
 	}
 }

@@ -135,16 +135,3 @@ func Apply(signal, fading []complex128) []complex128 {
 	}
 	return signal
 }
-
-// MeanPower returns the mean power of a fading series (≈ 1 for a
-// well-normalized model).
-func MeanPower(series []complex128) float64 {
-	if len(series) == 0 {
-		return 0
-	}
-	var p float64
-	for _, g := range series {
-		p += real(g)*real(g) + imag(g)*imag(g)
-	}
-	return p / float64(len(series))
-}

@@ -1,49 +1,6 @@
 package channel
 
-import (
-	"fmt"
-
-	"github.com/mmtag/mmtag/internal/geom"
-)
-
-// Material describes a wall's reflection loss.
-type Material struct {
-	Name   string
-	LossDB float64
-}
-
-// Common wall materials (one-way bounce loss at 24 GHz).
-var (
-	Metal    = Material{Name: "metal", LossDB: 1}
-	Drywall  = Material{Name: "drywall", LossDB: 6}
-	Concrete = Material{Name: "concrete", LossDB: 12}
-	Glass    = Material{Name: "glass", LossDB: 8}
-)
-
-// NewRoom returns an environment bounded by a w×h rectangular room whose
-// four walls are reflectors of the given material. The room spans
-// x ∈ [x0, x0+w], y ∈ [y0, y0+h]; place the reader and tags inside it.
-// Every wall reflects, so any indoor scene has the §4 NLOS fallbacks
-// built in.
-func NewRoom(x0, y0, w, h float64, mat Material) (*Environment, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("channel: room %gx%g must have positive extent", w, h)
-	}
-	env := NewFreeSpace()
-	corners := []geom.Vec{
-		{X: x0, Y: y0},
-		{X: x0 + w, Y: y0},
-		{X: x0 + w, Y: y0 + h},
-		{X: x0, Y: y0 + h},
-	}
-	for i := range corners {
-		env.Reflectors = append(env.Reflectors, Reflector{
-			Surface: geom.Segment{A: corners[i], B: corners[(i+1)%4]},
-			LossDB:  mat.LossDB,
-		})
-	}
-	return env, nil
-}
+import "github.com/mmtag/mmtag/internal/geom"
 
 // AddObstacle drops a blocking segment (cabinet, person, pillar) into the
 // environment.

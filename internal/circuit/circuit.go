@@ -1,6 +1,6 @@
 // Package circuit is the microwave-circuit substrate that stands in for
-// the paper's ANSYS HFSS full-wave simulations. It provides complex
-// impedance algebra, ABCD two-port cascades, lossy transmission-line
+// the paper's ANSYS HFSS full-wave simulations. It provides parallel
+// impedances, ABCD two-port cascades, lossy transmission-line
 // sections, a parallel-RLC model of a patch-antenna element, and the
 // FET-switch model used by mmTag's modulator — enough to compute the
 // S11-vs-frequency curves of paper Fig. 6 and the per-element behaviour
@@ -52,15 +52,6 @@ func Parallel(zs ...complex128) complex128 {
 	return 1 / y
 }
 
-// Series combines impedances in series.
-func Series(zs ...complex128) complex128 {
-	var z complex128
-	for _, v := range zs {
-		z += v
-	}
-	return z
-}
-
 // InductorZ returns the impedance jωL of an inductance l (henry) at
 // frequency f (Hz).
 func InductorZ(l, f float64) complex128 {
@@ -83,9 +74,6 @@ type ABCD struct {
 	A, B, C, D complex128
 }
 
-// IdentityABCD is the through-connection two-port.
-func IdentityABCD() ABCD { return ABCD{A: 1, D: 1} }
-
 // Cascade returns m·n: the two-port m followed by n.
 func (m ABCD) Cascade(n ABCD) ABCD {
 	return ABCD{
@@ -104,20 +92,6 @@ func (m ABCD) InputImpedance(zl complex128) complex128 {
 		return cmplx.Inf()
 	}
 	return (m.A*zl + m.B) / den
-}
-
-// SeriesZ returns the ABCD matrix of a series impedance.
-func SeriesZ(z complex128) ABCD { return ABCD{A: 1, B: z, C: 0, D: 1} }
-
-// ShuntZ returns the ABCD matrix of a shunt (parallel-to-ground)
-// impedance.
-func ShuntZ(z complex128) ABCD {
-	if z == 0 {
-		// A dead short: represent with a very large admittance rather
-		// than dividing by zero.
-		return ABCD{A: 1, B: 0, C: complex(1e12, 0), D: 1}
-	}
-	return ABCD{A: 1, B: 0, C: 1 / z, D: 1}
 }
 
 // TransmissionLine describes a uniform line section: characteristic

@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"math/cmplx"
-	"strconv"
-	"strings"
 )
 
 // OnePortPoint is one row of a one-port S-parameter sweep.
@@ -39,63 +37,4 @@ func WriteS1P(w io.Writer, z0 float64, points []OnePortPoint) error {
 	return bw.Flush()
 }
 
-// ReadS1P parses a Touchstone v1 one-port file previously written by
-// WriteS1P (GHz / dB-angle format). It tolerates comment lines and blank
-// lines.
-func ReadS1P(r io.Reader) (z0 float64, points []OnePortPoint, err error) {
-	sc := bufio.NewScanner(r)
-	z0 = Z0Default
-	sawOption := false
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "!") {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			// Expect: # GHz S DB R <z0>
-			for i, f := range fields {
-				if strings.EqualFold(f, "R") && i+1 < len(fields) {
-					z0, err = strconv.ParseFloat(fields[i+1], 64)
-					if err != nil {
-						return 0, nil, fmt.Errorf("circuit: bad reference impedance: %w", err)
-					}
-				}
-			}
-			if len(fields) >= 4 && !strings.EqualFold(fields[1], "GHz") {
-				return 0, nil, fmt.Errorf("circuit: unsupported frequency unit %q", fields[1])
-			}
-			if len(fields) >= 4 && !strings.EqualFold(fields[3], "DB") {
-				return 0, nil, fmt.Errorf("circuit: unsupported format %q (want DB)", fields[3])
-			}
-			sawOption = true
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 3 {
-			return 0, nil, fmt.Errorf("circuit: malformed data line %q", line)
-		}
-		fGHz, err1 := strconv.ParseFloat(fields[0], 64)
-		db, err2 := strconv.ParseFloat(fields[1], 64)
-		ang, err3 := strconv.ParseFloat(fields[2], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			return 0, nil, fmt.Errorf("circuit: malformed data line %q", line)
-		}
-		mag := pow10(db / 20)
-		points = append(points, OnePortPoint{
-			FreqHz: fGHz * 1e9,
-			S11:    cmplx.Rect(mag, ang*3.141592653589793/180),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return 0, nil, err
-	}
-	if !sawOption {
-		return 0, nil, fmt.Errorf("circuit: missing Touchstone option line")
-	}
-	return z0, points, nil
-}
-
 func log10(x float64) float64 { return math.Log10(x) }
-
-func pow10(x float64) float64 { return math.Pow(10, x) }

@@ -105,142 +105,19 @@ func fillBlock(blk, x []complex128, lo int) {
 	}
 }
 
-// FIRFFT is a streaming block filter: the frequency-domain counterpart of
-// FIR.Process for long filters. It holds the kernel spectrum (computed
-// once) and the lh−1 samples of history that give block calls the same
-// causal streaming semantics as sample-by-sample filtering. Output equals
-// FIR.Process up to FFT rounding (~1e−12 relative).
-//
-// Like FIR, a FIRFFT is single-stream state and not safe for concurrent
-// use.
-type FIRFFT struct {
-	taps []float64
-	b    int          // FFT block size
-	hf   []complex128 // b-point spectrum of taps
-	hist []complex128 // last len(taps)−1 inputs
-}
-
-// NewFIRFFT builds the frequency-domain filter from an existing FIR's
-// taps (shared, not copied — FIR taps are immutable after construction).
-func NewFIRFFT(f *FIR) *FIRFFT {
-	return NewFIRFFTTaps(f.TapsView())
-}
-
-// NewFIRFFTTaps builds the frequency-domain filter from raw taps. The
-// slice is retained; callers must not modify it afterwards.
-func NewFIRFFTTaps(taps []float64) *FIRFFT {
-	nt := len(taps)
-	if nt == 0 {
-		return &FIRFFT{}
-	}
-	b := NextPowerOfTwo(8 * nt)
-	if b < 8 {
-		b = 8
-	}
-	hf := make([]complex128, b)
-	for i, t := range taps {
-		hf[i] = complex(t, 0)
-	}
-	newPow2Plan(b).forwardDIF(hf)
-	return &FIRFFT{taps: taps, b: b, hf: hf, hist: make([]complex128, nt-1)}
-}
-
-// Reset clears the streaming history (the equivalent of FIR.Reset).
-func (ff *FIRFFT) Reset() {
-	clear(ff.hist)
-}
-
-// ProcessWS filters one block, returning len(x) output samples in a
-// workspace buffer valid until the next ws.Reset. Streaming semantics:
-// history carries across calls exactly like FIR.Process. Zero
-// allocations once the ws FFT plans exist.
-func (ff *FIRFFT) ProcessWS(ws *Workspace, x []complex128) []complex128 {
-	nt := len(ff.taps)
-	if nt == 0 {
-		out := ws.Complex(len(x))
-		copy(out, x)
-		return out
-	}
-	if len(x) == 0 {
-		return ws.Complex(0)
-	}
-	nh := nt - 1
-	ext := ws.Complex(nh + len(x))
-	copy(ext, ff.hist)
-	copy(ext[nh:], x)
-	// Full convolution of ext with the taps, keeping the causal window:
-	// y[t] = Σ taps[i]·ext[nh+t−i] is full-conv position nh+t.
-	full := ws.Complex(len(ext) + nh)
-	convOS(ws, ext, ff.hf, nt, full)
-	out := full[nh : nh+len(x)]
-	// Carry the last nh inputs into the next call's history.
-	copy(ff.hist, ext[len(ext)-nh:])
-	return out
-}
-
-// XCorrWS computes XCorr (r[k] = Σ_n x[n+k]·conj(y[n]), lags
-// k = 0…len(x)−len(y)) choosing between the direct loop and FFT-based
+// XCorrRealWS returns the cross-correlation r[k] = Σ_n x[n+k]·y[n] of
+// real-valued signals (e.g. OOK envelopes against a real preamble
+// template) for lags k = 0…len(x)−len(y): it slides the shorter
+// reference y over x. It chooses between the direct loop and FFT-based
 // circular correlation by estimated cost. The direct path runs tap-major:
 // each nonzero reference tap, in ascending index order, adds its products
 // into every lag, so each lag sums the same products in the same order
 // from +0 as a per-lag loop over the nonzero taps (bit-identical), while
 // the lags' additions are independent of each other. Exact-zero taps are
 // skipped, so sparse templates (e.g. an upsampled preamble) pay only for
-// their nonzero chips. The returned slice is owned by ws and valid until
-// the next ws.Reset.
-func XCorrWS(ws *Workspace, x, y []complex128) []complex128 {
-	if len(y) == 0 || len(x) < len(y) {
-		return nil
-	}
-	lags := len(x) - len(y) + 1
-	nnz := 0
-	for _, v := range y {
-		if v != 0 {
-			nnz++
-		}
-	}
-	if xcorrDirectCheaper(lags, nnz, len(x)) {
-		out := ws.Complex(lags)
-		for n, yv := range y {
-			if yv == 0 {
-				continue
-			}
-			c := complex(real(yv), -imag(yv))
-			xs := x[n : n+len(out)]
-			for k := range out {
-				out[k] += xs[k] * c
-			}
-		}
-		return out
-	}
-	// Circular correlation: IFFT(FFT(x)·conj(FFT(y))) at size ≥ len(x)
-	// is aliasing-free for all valid lags. Runs in DIF-scrambled order
-	// with fused conjugations, like convOS.
-	nf := NextPowerOfTwo(len(x))
-	p := ws.pow2Plan(nf)
-	xf := ws.Complex(nf)
-	yf := ws.Complex(nf)
-	copy(xf, x)
-	copy(yf, y)
-	p.forwardDIF(xf)
-	p.forwardDIF(yf)
-	for i := range xf {
-		// conj(X·conj(Y)), feeding the conjugate-trick inverse transform.
-		v := xf[i] * complex(real(yf[i]), -imag(yf[i]))
-		xf[i] = complex(real(v), -imag(v))
-	}
-	p.butterfliesDIT(xf)
-	inv := 1 / float64(nf)
-	out := xf[:lags]
-	for i, v := range out {
-		out[i] = complex(real(v)*inv, -imag(v)*inv)
-	}
-	return out
-}
-
-// XCorrRealWS is XCorrWS for real-valued signals (e.g. OOK envelopes
-// against a real preamble template): the FFT path runs on the packed
-// real-input transform, halving the transform work.
+// their nonzero chips. The FFT path runs on the packed real-input
+// transform. The returned slice is owned by ws and valid until the next
+// ws.Reset.
 func XCorrRealWS(ws *Workspace, x, y []float64) []float64 {
 	if len(y) == 0 || len(x) < len(y) {
 		return nil
@@ -253,7 +130,6 @@ func XCorrRealWS(ws *Workspace, x, y []float64) []float64 {
 		}
 	}
 	if xcorrDirectCheaper(lags, nnz, len(x)) {
-		// Tap-major over the nonzero taps, as in XCorrWS.
 		out := ws.Float(lags)
 		for n, yv := range y {
 			if yv == 0 {
@@ -285,8 +161,9 @@ func XCorrRealWS(ws *Workspace, x, y []float64) []float64 {
 
 // xcorrDirectCheaper estimates whether the direct O(lags·nnz) loop beats
 // the three-transform FFT path at size NextPowerOfTwo(lx). The constant
-// balances one complex multiply-accumulate against one FFT butterfly and
-// was calibrated on the benchmarks in bench_test.go.
+// balances one multiply-accumulate against one FFT butterfly; it was
+// calibrated on dense complex 4096×256 correlations. The phy.sync layer
+// of bench/ measures the preamble search it serves.
 func xcorrDirectCheaper(lags, nnz, lx int) bool {
 	direct := float64(lags) * float64(nnz)
 	nf := float64(NextPowerOfTwo(lx))

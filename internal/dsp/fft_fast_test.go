@@ -7,27 +7,6 @@ import (
 	"testing"
 )
 
-// naiveDFT is the O(n²) reference transform.
-func naiveDFT(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for k := 0; k < n; k++ {
-		var acc complex128
-		for t := 0; t < n; t++ {
-			acc += x[t] * cmplx.Rect(1, sign*2*math.Pi*float64(k)*float64(t)/float64(n))
-		}
-		if inverse {
-			acc /= complex(float64(n), 0)
-		}
-		out[k] = acc
-	}
-	return out
-}
-
 func randComplex(rng *rand.Rand, n int) []complex128 {
 	x := make([]complex128, n)
 	for i := range x {
@@ -135,7 +114,7 @@ func TestWorkspaceFFTAllLengths(t *testing.T) {
 }
 
 // TestRFFTMatchesComplexFFT: RFFTWS on a real signal must agree with the
-// full complex FFT bin-for-bin on the non-redundant half, and IRFFTWS
+// full complex DFT bin-for-bin on the non-redundant half, and IRFFTWS
 // must invert it.
 func TestRFFTMatchesComplexFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -149,7 +128,7 @@ func TestRFFTMatchesComplexFFT(t *testing.T) {
 		for i := range cx {
 			cx[i] = complex(x[i], 0)
 		}
-		want := FFT(cx)
+		want := naiveDFT(cx, false)
 
 		half := RFFTWS(w, x)
 		if len(half) != n/2+1 {
@@ -199,4 +178,58 @@ func TestWorkspaceFFTZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("workspace RFFT round trip allocates %v/op, want 0", n)
 	}
+}
+
+// FuzzWorkspaceFFT is the differential target for every FFT plan: a
+// length of 1–2048 and samples from the fuzzer go forward and back
+// through a nil workspace and a warm one (plans already cached). The two
+// must agree bit for bit, and both must match the naive DFT within a
+// tolerance proportional to n.
+func FuzzWorkspaceFFT(f *testing.F) {
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(37*i + 11)
+	}
+	for _, n := range []uint16{
+		1, 2, 16, // radix-2, below pow2PlanMin
+		64, 1024, // radix-4 plan, even log2(n)
+		32, 128, 2048, // radix-4 plan, odd log2(n)
+		3, 100, 1000, 2047, // Bluestein
+	} {
+		f.Add(n, data)
+	}
+	f.Fuzz(func(t *testing.T, raw uint16, data []byte) {
+		n := 1 + int(raw-1)%2048
+		x := make([]complex128, n)
+		if len(data) > 0 {
+			for i := range x {
+				re := int8(data[(2*i)%len(data)])
+				im := int8(data[(2*i+1)%len(data)])
+				x[i] = complex(float64(re)/128, float64(im)/128)
+			}
+		}
+		warm := NewWorkspace()
+		scratch := append([]complex128(nil), x...)
+		warm.FFTInPlace(scratch)
+		warm.IFFTInPlace(scratch)
+		tol := 1e-7 * float64(n)
+		for _, inverse := range []bool{false, true} {
+			got := fftOf(x, inverse)
+			ws := append([]complex128(nil), x...)
+			if inverse {
+				warm.IFFTInPlace(ws)
+			} else {
+				warm.FFTInPlace(ws)
+			}
+			for i := range got {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(ws[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(ws[i])) {
+					t.Fatalf("n=%d inverse=%v bin %d: nil workspace %v, warm workspace %v", n, inverse, i, got[i], ws[i])
+				}
+			}
+			if d := maxAbsDiff(got, naiveDFT(x, inverse)); d > tol {
+				t.Fatalf("n=%d inverse=%v: max diff %g vs naive DFT, tolerance %g", n, inverse, d, tol)
+			}
+		}
+	})
 }

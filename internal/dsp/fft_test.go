@@ -8,18 +8,53 @@ import (
 	"testing/quick"
 )
 
-// dftDirect is a reference O(N²) DFT for validating the FFT.
-func dftDirect(x []complex128) []complex128 {
+// naiveDFT is the O(n²) reference transform every FFT path is held to.
+// It shares no code with the FFTs: each term uses the exact root
+// exp(∓2πj·(k·t mod n)/n), and the inverse is normalized by 1/n.
+func naiveDFT(x []complex128, inverse bool) []complex128 {
 	n := len(x)
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	roots := make([]complex128, n)
+	for j := range roots {
+		roots[j] = cmplx.Rect(1, sign*2*math.Pi*float64(j)/float64(n))
+	}
 	out := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		var acc complex128
 		for t := 0; t < n; t++ {
-			acc += x[t] * cmplx.Rect(1, -2*math.Pi*float64(k*t)/float64(n))
+			acc += x[t] * roots[k*t%n]
+		}
+		if inverse {
+			acc /= complex(float64(n), 0)
 		}
 		out[k] = acc
 	}
 	return out
+}
+
+// fftOf returns the DFT of x (the normalized inverse if inverse is set)
+// computed by the nil-workspace transform; x is left untouched.
+func fftOf(x []complex128, inverse bool) []complex128 {
+	out := append([]complex128(nil), x...)
+	var ws *Workspace
+	if inverse {
+		ws.IFFTInPlace(out)
+	} else {
+		ws.FFTInPlace(out)
+	}
+	return out
+}
+
+// energy returns Σ|x|².
+func energy(x []complex128) float64 {
+	var e float64
+	for _, v := range x {
+		e += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return e
 }
 
 func complexNear(t *testing.T, got, want []complex128, tol float64, msg string) {
@@ -45,8 +80,8 @@ func testSignal(n int) []complex128 {
 func TestFFTMatchesDirectDFT(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 3, 5, 7, 12, 100, 241} {
 		x := testSignal(n)
-		got := FFT(x)
-		want := dftDirect(x)
+		got := fftOf(x, false)
+		want := naiveDFT(x, false)
 		complexNear(t, got, want, 1e-8*float64(n), "FFT vs direct DFT")
 	}
 }
@@ -54,7 +89,7 @@ func TestFFTMatchesDirectDFT(t *testing.T) {
 func TestFFTInverseRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 8, 64, 256, 3, 30, 100} {
 		x := testSignal(n)
-		y := IFFT(FFT(x))
+		y := fftOf(fftOf(x, false), true)
 		complexNear(t, y, x, 1e-9*float64(n+1), "IFFT∘FFT")
 	}
 }
@@ -67,7 +102,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		for i := range x {
 			x[i] = complex(math.Sin(s+float64(i)*1.7), math.Cos(s*0.3+float64(i)))
 		}
-		y := IFFT(FFT(x))
+		y := fftOf(fftOf(x, false), true)
 		for i := range x {
 			if cmplx.Abs(y[i]-x[i]) > 1e-8 {
 				return false
@@ -84,9 +119,9 @@ func TestParseval(t *testing.T) {
 	// Σ|x|² = (1/N)·Σ|X|².
 	for _, n := range []int{16, 64, 37} {
 		x := testSignal(n)
-		X := FFT(x)
-		te := Energy(x)
-		fe := Energy(X) / float64(n)
+		X := fftOf(x, false)
+		te := energy(x)
+		fe := energy(X) / float64(n)
 		if math.Abs(te-fe) > 1e-8*te {
 			t.Errorf("Parseval violated for n=%d: %g vs %g", n, te, fe)
 		}
@@ -104,8 +139,8 @@ func TestFFTLinearity(t *testing.T) {
 	for i := range sum {
 		sum[i] = 2*x[i] + 3i*y[i]
 	}
-	lhs := FFT(sum)
-	fx, fy := FFT(x), FFT(y)
+	lhs := fftOf(sum, false)
+	fx, fy := fftOf(x, false), fftOf(y, false)
 	rhs := make([]complex128, n)
 	for i := range rhs {
 		rhs[i] = 2*fx[i] + 3i*fy[i]
@@ -117,7 +152,7 @@ func TestFFTImpulse(t *testing.T) {
 	// FFT of a unit impulse is all ones.
 	x := make([]complex128, 16)
 	x[0] = 1
-	for i, v := range FFT(x) {
+	for i, v := range fftOf(x, false) {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("impulse FFT bin %d = %v", i, v)
 		}
@@ -131,7 +166,7 @@ func TestFFTSingleTone(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Rect(1, 2*math.Pi*3*float64(i)/float64(n))
 	}
-	X := FFT(x)
+	X := fftOf(x, false)
 	if cmplx.Abs(X[3]-complex(float64(n), 0)) > 1e-9 {
 		t.Errorf("tone bin: %v", X[3])
 	}
@@ -143,33 +178,21 @@ func TestFFTSingleTone(t *testing.T) {
 }
 
 func TestFFTShift(t *testing.T) {
-	x := []complex128{0, 1, 2, 3}
-	got := FFTShift(x)
-	want := []complex128{2, 3, 0, 1}
-	complexNear(t, got, want, 0, "FFTShift even")
-	x = []complex128{0, 1, 2, 3, 4}
-	got = FFTShift(x)
-	want = []complex128{3, 4, 0, 1, 2}
-	complexNear(t, got, want, 0, "FFTShift odd")
-}
-
-func TestFFTFreqs(t *testing.T) {
-	fs := FFTFreqs(4, 1000)
-	want := []float64{0, 250, -500, -250}
-	for i := range fs {
-		if fs[i] != want[i] {
-			t.Errorf("freq bin %d = %g, want %g", i, fs[i], want[i])
+	for _, tc := range []struct{ x, want []float64 }{
+		{[]float64{0, 1, 2, 3}, []float64{2, 3, 0, 1}},
+		{[]float64{0, 1, 2, 3, 4}, []float64{3, 4, 0, 1, 2}},
+	} {
+		dst := make([]float64, len(tc.x)+2)
+		got := FFTShiftFloatsInto(dst, tc.x)
+		if len(got) != len(tc.want) {
+			t.Fatalf("FFTShiftFloatsInto(%v): length %d", tc.x, len(got))
+		}
+		for i := range got {
+			if got[i] != tc.want[i] {
+				t.Fatalf("FFTShiftFloatsInto(%v) = %v, want %v", tc.x, got, tc.want)
+			}
 		}
 	}
-}
-
-func TestInPlacePanicsOnNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FFTInPlace should panic on non-power-of-two length")
-		}
-	}()
-	FFTInPlace(make([]complex128, 12))
 }
 
 func TestNextPowerOfTwo(t *testing.T) {
@@ -181,37 +204,18 @@ func TestNextPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestFFTInPlaceMatchesFFT: the exported in-place radix-2 entry points
-// must agree with the copying FFT/IFFT and reject non-power-of-two
-// lengths by panicking.
+// TestFFTInPlaceMatchesFFT: the in-place workspace transforms agree with
+// the naive DFT below the radix-4 threshold (radix-2) and above it, and
+// the inverse undoes the forward transform.
 func TestFFTInPlaceMatchesFFT(t *testing.T) {
 	src := rand.New(rand.NewSource(5))
-	x := make([]complex128, 64)
-	for i := range x {
-		x[i] = complex(src.NormFloat64(), src.NormFloat64())
-	}
-	want := FFT(x)
-	got := append([]complex128{}, x...)
-	FFTInPlace(got)
-	for i := range got {
-		if cmplx.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("FFTInPlace bin %d: %v, want %v", i, got[i], want[i])
-		}
-	}
-	IFFTInPlace(got)
-	for i := range got {
-		if cmplx.Abs(got[i]-x[i]) > 1e-9 {
-			t.Fatalf("IFFTInPlace round trip sample %d: %v, want %v", i, got[i], x[i])
-		}
-	}
-	for _, fn := range []func([]complex128){FFTInPlace, IFFTInPlace} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("in-place transform accepted a non-power-of-two length")
-				}
-			}()
-			fn(make([]complex128, 12))
-		}()
+	ws := NewWorkspace()
+	for _, n := range []int{16, 64} {
+		x := randComplex(src, n)
+		got := append([]complex128{}, x...)
+		ws.FFTInPlace(got)
+		complexNear(t, got, naiveDFT(x, false), 1e-9, "FFTInPlace")
+		ws.IFFTInPlace(got)
+		complexNear(t, got, x, 1e-9, "IFFTInPlace round trip")
 	}
 }

@@ -1,80 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"math/cmplx"
-)
-
-// Energy returns the total energy Σ|x|² of a signal.
-func Energy(x []complex128) float64 {
-	var e float64
-	for _, v := range x {
-		e += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return e
-}
-
-// Power returns the mean power of a signal (Energy/N). Returns 0 for an
-// empty signal.
-func Power(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Energy(x) / float64(len(x))
-}
-
-// Scale multiplies x by the real gain g in place and returns it.
-func Scale(x []complex128, g float64) []complex128 {
-	c := complex(g, 0)
-	for i := range x {
-		x[i] *= c
-	}
-	return x
-}
-
-// ScaleC multiplies x by the complex gain g in place and returns it.
-func ScaleC(x []complex128, g complex128) []complex128 {
-	for i := range x {
-		x[i] *= g
-	}
-	return x
-}
-
-// Add adds y into x element-wise in place and returns x. The signals must
-// have the same length; the shorter prefix is used otherwise.
-func Add(x, y []complex128) []complex128 {
-	n := min(len(x), len(y))
-	for i := 0; i < n; i++ {
-		x[i] += y[i]
-	}
-	return x
-}
-
-// Mix multiplies x in place by a complex exponential of the given
-// normalized frequency (cycles per sample) and initial phase, i.e. a
-// frequency shift. Returns x.
-func Mix(x []complex128, freqNorm, phase float64) []complex128 {
-	w := cmplx.Rect(1, 2*math.Pi*freqNorm)
-	c := cmplx.Rect(1, phase)
-	for i := range x {
-		x[i] *= c
-		c *= w
-	}
-	return x
-}
-
-// Delay returns x delayed by d whole samples, zero-padded at the front,
-// same length as x.
-func Delay(x []complex128, d int) []complex128 {
-	out := make([]complex128, len(x))
-	if d < 0 {
-		d = 0
-	}
-	if d < len(x) {
-		copy(out[d:], x[:len(x)-d])
-	}
-	return out
-}
+import "math/cmplx"
 
 // ConvWS returns the full linear convolution of x and h
 // (length len(x)+len(h)−1). For large inputs it switches to overlap-save
@@ -99,59 +25,6 @@ func ConvWS(ws *Workspace, x, h []complex128) []complex128 {
 		return out
 	}
 	return ConvOSWS(ws, x, h)
-}
-
-// XCorr returns the cross-correlation r[k] = Σ_n x[n+k]·conj(y[n]) for
-// lags k = 0 … len(x)−len(y), i.e. it slides the shorter reference y over
-// x. Used for preamble detection.
-func XCorr(x, y []complex128) []complex128 {
-	if len(y) == 0 || len(x) < len(y) {
-		return nil
-	}
-	lags := len(x) - len(y) + 1
-	out := make([]complex128, lags)
-	for k := 0; k < lags; k++ {
-		var acc complex128
-		for n := 0; n < len(y); n++ {
-			acc += x[k+n] * cmplx.Conj(y[n])
-		}
-		out[k] = acc
-	}
-	return out
-}
-
-// PeakIndex returns the index of the sample with the largest magnitude,
-// or −1 for an empty slice.
-func PeakIndex(x []complex128) int {
-	best, bestMag := -1, math.Inf(-1)
-	for i, v := range x {
-		m := real(v)*real(v) + imag(v)*imag(v)
-		if m > bestMag {
-			best, bestMag = i, m
-		}
-	}
-	return best
-}
-
-// MaxAbs returns the largest magnitude in x.
-func MaxAbs(x []complex128) float64 {
-	var m float64
-	for _, v := range x {
-		if a := cmplx.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Normalize scales x in place to unit mean power and returns it. A zero
-// signal is returned unchanged.
-func Normalize(x []complex128) []complex128 {
-	p := Power(x)
-	if p == 0 {
-		return x
-	}
-	return Scale(x, 1/math.Sqrt(p))
 }
 
 // MovingAverageInto writes the causal moving average of x with window w

@@ -11,7 +11,7 @@ const (
 	Hann
 	Hamming
 	Blackman
-	Kaiser // requires a beta parameter; see KaiserWindow
+	Kaiser // beta 8.6; see MakeWindowInto
 )
 
 // String returns the window's name.
@@ -33,8 +33,8 @@ func (w Window) String() string {
 }
 
 // MakeWindowInto fills dst with the len(dst)-point window of the given
-// type and returns dst. Kaiser uses a default beta of 8.6 (≈
-// Blackman-like sidelobes); use KaiserWindow for an explicit beta.
+// type and returns dst. Kaiser uses a beta of 8.6 (≈ Blackman-like
+// sidelobes).
 func MakeWindowInto(dst []float64, w Window) []float64 {
 	switch w {
 	case Hann:
@@ -65,11 +65,6 @@ func cosineWindowInto(dst []float64, a0, a1, a2 float64) []float64 {
 		dst[i] = a0 - a1*math.Cos(x) + a2*math.Cos(2*x)
 	}
 	return dst
-}
-
-// KaiserWindow returns an n-point Kaiser window with shape parameter beta.
-func KaiserWindow(n int, beta float64) []float64 {
-	return kaiserWindowInto(make([]float64, n), beta)
 }
 
 func kaiserWindowInto(dst []float64, beta float64) []float64 {

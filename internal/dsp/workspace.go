@@ -23,7 +23,7 @@ import (
 //     its input, so decoded payloads read from workspace memory are only
 //     valid until the next Reset.
 //   - A Workspace is NOT safe for concurrent use. Parallel fan-outs give
-//     each worker goroutine its own (par.ForEachWith and friends).
+//     each worker goroutine its own (par.ForEachErrWith and DoErrWith).
 //   - A nil *Workspace is valid everywhere: every method falls back to
 //     plain allocation and throwaway plans, with the same arithmetic as
 //     a real workspace, so passing nil is the allocating form of every

@@ -2,17 +2,11 @@
 // abstract: the tag's operating energy "is low enough that it can be
 // harvested from the environment without having a battery". It provides
 // harvester models (RF rectification of the reader's own carrier, plus
-// ambient light and motion sources), a storage-capacitor model, and a
-// duty-cycle planner that converts a harvest budget into a sustainable
-// backscatter throughput.
+// ambient light and motion sources) and a duty-cycle planner: the
+// fraction of time a harvest budget lets the tag modulate.
 package energy
 
-import (
-	"fmt"
-	"math"
-
-	"github.com/mmtag/mmtag/internal/units"
-)
+import "github.com/mmtag/mmtag/internal/units"
 
 // Harvester is any ambient energy source.
 type Harvester interface {
@@ -112,21 +106,6 @@ type Storage struct {
 	VMin float64
 }
 
-// UsableJ returns the energy between full and brown-out:
-// ½C(Vmax²−Vmin²).
-func (s Storage) UsableJ() float64 {
-	return 0.5 * s.CapacitanceF * (s.VMax*s.VMax - s.VMin*s.VMin)
-}
-
-// ChargeTimeS returns the time to charge from brown-out to full at the
-// given harvest power.
-func (s Storage) ChargeTimeS(harvestW float64) float64 {
-	if harvestW <= 0 {
-		return math.Inf(1)
-	}
-	return s.UsableJ() / harvestW
-}
-
 // Budget plans duty-cycled operation: harvest continuously, burst when
 // the capacitor allows.
 type Budget struct {
@@ -148,38 +127,6 @@ func (b Budget) DutyCycle() float64 {
 		return 1
 	}
 	return d
-}
-
-// SustainableThroughput returns the long-run average throughput when the
-// instantaneous link rate is linkBps: linkBps × duty cycle.
-func (b Budget) SustainableThroughput(linkBps float64) float64 {
-	return linkBps * b.DutyCycle()
-}
-
-// BurstSeconds returns how long one fully-charged burst lasts, and the
-// recharge time after it. A duty cycle of 1 returns (+Inf, 0).
-func (b Budget) BurstSeconds() (active, recharge float64) {
-	if b.DutyCycle() >= 1 {
-		return math.Inf(1), 0
-	}
-	net := b.ActiveW - b.Harvest.PowerW()
-	active = b.Store.UsableJ() / net
-	recharge = b.Store.ChargeTimeS(b.Harvest.PowerW())
-	return active, recharge
-}
-
-// Validate checks the budget's parameters.
-func (b Budget) Validate() error {
-	if b.Harvest == nil {
-		return fmt.Errorf("energy: nil harvester")
-	}
-	if b.Store.CapacitanceF < 0 || b.Store.VMax < b.Store.VMin || b.Store.VMin < 0 {
-		return fmt.Errorf("energy: invalid storage %+v", b.Store)
-	}
-	if b.ActiveW < 0 {
-		return fmt.Errorf("energy: negative active power")
-	}
-	return nil
 }
 
 // DefaultStorage returns a 100 µF / 3.0→1.8 V buffer — a typical

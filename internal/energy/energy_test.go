@@ -53,42 +53,14 @@ func TestLightAndMotion(t *testing.T) {
 	}
 }
 
-func TestStorage(t *testing.T) {
-	s := DefaultStorage()
-	// ½·100µF·(9−3.24) = 288 µJ.
-	if got := s.UsableJ(); math.Abs(got-288e-6) > 1e-9 {
-		t.Errorf("usable energy %g J", got)
-	}
-	// Charging at 20 µW: 14.4 s.
-	if got := s.ChargeTimeS(20e-6); math.Abs(got-14.4) > 0.01 {
-		t.Errorf("charge time %g s", got)
-	}
-	if !math.IsInf(s.ChargeTimeS(0), 1) {
-		t.Error("zero harvest should never charge")
-	}
-}
-
 func TestDutyCycle(t *testing.T) {
 	b := Budget{
 		Harvest: MotionHarvester{AverageUW: 68},
 		Store:   DefaultStorage(),
 		ActiveW: 136e-6, // 10 Mb/s modulation draw from tag.DefaultEnergyModel
 	}
-	if err := b.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if got := b.DutyCycle(); math.Abs(got-0.5) > 1e-9 {
 		t.Errorf("duty cycle %g, want 0.5", got)
-	}
-	// Sustainable throughput at a 10 Mb/s link: 5 Mb/s.
-	if got := b.SustainableThroughput(10e6); math.Abs(got-5e6) > 1 {
-		t.Errorf("sustainable %g", got)
-	}
-	// Burst/recharge: active burns net 68 µW from 288 µJ ⇒ 4.24 s;
-	// recharge 288µJ/68µW ⇒ 4.24 s.
-	act, rec := b.BurstSeconds()
-	if math.Abs(act-4.235) > 0.01 || math.Abs(rec-4.235) > 0.01 {
-		t.Errorf("burst %g s, recharge %g s", act, rec)
 	}
 }
 
@@ -96,10 +68,6 @@ func TestDutyCycleCaps(t *testing.T) {
 	rich := Budget{Harvest: MotionHarvester{AverageUW: 1000}, Store: DefaultStorage(), ActiveW: 10e-6}
 	if rich.DutyCycle() != 1 {
 		t.Error("surplus harvest should cap at duty 1")
-	}
-	act, rec := rich.BurstSeconds()
-	if !math.IsInf(act, 1) || rec != 0 {
-		t.Error("surplus harvest should burst forever")
 	}
 	free := Budget{Harvest: MotionHarvester{}, Store: DefaultStorage(), ActiveW: 0}
 	if free.DutyCycle() != 1 {
@@ -116,24 +84,6 @@ func TestDutyCycleMonotoneInHarvest(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	if (Budget{}).Validate() == nil {
-		t.Error("nil harvester should fail")
-	}
-	b := Budget{Harvest: MotionHarvester{}, Store: Storage{CapacitanceF: -1}}
-	if b.Validate() == nil {
-		t.Error("negative capacitance should fail")
-	}
-	b = Budget{Harvest: MotionHarvester{}, Store: Storage{VMax: 1, VMin: 2}}
-	if b.Validate() == nil {
-		t.Error("inverted voltages should fail")
-	}
-	b = Budget{Harvest: MotionHarvester{}, Store: DefaultStorage(), ActiveW: -1}
-	if b.Validate() == nil {
-		t.Error("negative draw should fail")
 	}
 }
 

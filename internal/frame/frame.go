@@ -1,14 +1,13 @@
 // Package frame defines the over-the-air burst format a mmTag tag
-// backscatters and the reader decodes, structured as a small layered
-// packet model in the style of gopacket: each burst is
+// backscatters and the reader decodes:
 //
 //	Preamble (13 Barker chips) | Header (6 bytes) | Payload | CRC-16
 //
 // with the header carrying version, tag ID, payload length and the
-// modulation-and-coding index. Layers expose Contents/Payload accessors;
-// a zero-allocation Parser decodes into preallocated layer structs, and a
-// SerializeBuffer builds bursts by prepending layers, mirroring the
-// gopacket serialization contract.
+// modulation-and-coding index. AppendEncode serializes a burst into a
+// reusable buffer, and a zero-allocation Parser decodes one into
+// preallocated header, payload and trailer structs (gopacket's
+// DecodingLayerParser pattern).
 package frame
 
 import (
@@ -57,39 +56,6 @@ func (m MCS) String() string {
 // Valid reports whether the MCS index is defined.
 func (m MCS) Valid() bool { return m < mcsCount }
 
-// LayerType identifies a decoded layer.
-type LayerType int
-
-// The layer types of a tag burst.
-const (
-	LayerTypeHeader LayerType = iota + 1
-	LayerTypePayload
-	LayerTypeTrailer
-)
-
-// String names the layer type.
-func (t LayerType) String() string {
-	switch t {
-	case LayerTypeHeader:
-		return "Header"
-	case LayerTypePayload:
-		return "Payload"
-	case LayerTypeTrailer:
-		return "Trailer"
-	default:
-		return fmt.Sprintf("LayerType(%d)", int(t))
-	}
-}
-
-// Layer is one decoded slice of a burst, following the gopacket contract:
-// LayerContents is the bytes belonging to this layer, LayerPayload the
-// bytes it carries for the layers above.
-type Layer interface {
-	LayerType() LayerType
-	LayerContents() []byte
-	LayerPayload() []byte
-}
-
 // Header is the burst header layer.
 type Header struct {
 	Version uint8
@@ -97,17 +63,11 @@ type Header struct {
 	Length  uint16 // payload byte count
 	MCS     MCS
 
-	contents []byte
-	payload  []byte
+	payload []byte
 }
 
-// LayerType implements Layer.
-func (h *Header) LayerType() LayerType { return LayerTypeHeader }
-
-// LayerContents implements Layer.
-func (h *Header) LayerContents() []byte { return h.contents }
-
-// LayerPayload implements Layer.
+// LayerPayload returns the bytes after the header: the payload and CRC
+// of a decoded burst.
 func (h *Header) LayerPayload() []byte { return h.payload }
 
 // encode writes the header fields into dst (len ≥ HeaderLen).
@@ -137,7 +97,6 @@ func (h *Header) DecodeFromBytes(data []byte) error {
 	if int(h.Length) > MaxPayload {
 		return fmt.Errorf("frame: payload length %d exceeds max %d", h.Length, MaxPayload)
 	}
-	h.contents = data[:HeaderLen]
 	h.payload = data[HeaderLen:]
 	return nil
 }
@@ -147,31 +106,11 @@ type Payload struct {
 	Data []byte
 }
 
-// LayerType implements Layer.
-func (p *Payload) LayerType() LayerType { return LayerTypePayload }
-
-// LayerContents implements Layer.
-func (p *Payload) LayerContents() []byte { return p.Data }
-
-// LayerPayload implements Layer.
-func (p *Payload) LayerPayload() []byte { return nil }
-
 // Trailer is the CRC layer.
 type Trailer struct {
 	CRC uint16
 	OK  bool
-
-	contents []byte
 }
-
-// LayerType implements Layer.
-func (t *Trailer) LayerType() LayerType { return LayerTypeTrailer }
-
-// LayerContents implements Layer.
-func (t *Trailer) LayerContents() []byte { return t.contents }
-
-// LayerPayload implements Layer.
-func (t *Trailer) LayerPayload() []byte { return nil }
 
 // CRC16 computes the CCITT-FALSE CRC-16 (poly 0x1021, init 0xFFFF) over
 // data — the checksum RFID-class air protocols use.
@@ -190,15 +129,9 @@ func CRC16(data []byte) uint16 {
 	return crc
 }
 
-// Encode serializes a complete burst (header ‖ payload ‖ CRC) for the
-// given tag ID and MCS.
-func Encode(tagID uint16, mcs MCS, payload []byte) ([]byte, error) {
-	return AppendEncode(nil, tagID, mcs, payload)
-}
-
-// AppendEncode appends a complete burst (header ‖ payload ‖ CRC) to dst
-// and returns the extended slice — the allocation-free form of Encode
-// for callers with a reusable buffer.
+// AppendEncode appends a complete burst (header ‖ payload ‖ CRC) for the
+// given tag ID and MCS to dst and returns the extended slice. A nil dst
+// allocates; a reusable buffer makes it allocation-free.
 func AppendEncode(dst []byte, tagID uint16, mcs MCS, payload []byte) ([]byte, error) {
 	if len(payload) > MaxPayload {
 		return nil, fmt.Errorf("frame: payload %d exceeds max %d", len(payload), MaxPayload)
@@ -224,11 +157,6 @@ type Decoded struct {
 	Trailer Trailer
 }
 
-// Layers returns the decoded layers in order.
-func (d *Decoded) Layers() []Layer {
-	return []Layer{&d.Header, &d.Payload, &d.Trailer}
-}
-
 // Parser decodes bursts into preallocated layers without allocating per
 // packet (the DecodingLayerParser pattern).
 type Parser struct {
@@ -249,8 +177,7 @@ func (p *Parser) Decode(data []byte, d *Decoded) error {
 	}
 	d.Payload.Data = rest[:d.Header.Length]
 	crcStart := int(d.Header.Length)
-	d.Trailer.contents = rest[crcStart : crcStart+CRCLen]
-	d.Trailer.CRC = binary.BigEndian.Uint16(d.Trailer.contents)
+	d.Trailer.CRC = binary.BigEndian.Uint16(rest[crcStart : crcStart+CRCLen])
 	want := CRC16(data[:HeaderLen+int(d.Header.Length)])
 	d.Trailer.OK = d.Trailer.CRC == want
 	if p.Strict && !d.Trailer.OK {
@@ -275,14 +202,8 @@ func BitsFromBytes(dst []byte, data []byte) []byte {
 	return dst
 }
 
-// BytesFromBits packs MSB-first bits back into bytes. len(bits) must be a
-// multiple of 8.
-func BytesFromBits(bits []byte) ([]byte, error) {
-	return AppendBytesFromBits(nil, bits)
-}
-
-// AppendBytesFromBits packs MSB-first bits into bytes appended to dst —
-// the allocation-free form of BytesFromBits.
+// AppendBytesFromBits packs MSB-first bits into bytes appended to dst
+// and returns the extended slice. len(bits) must be a multiple of 8.
 func AppendBytesFromBits(dst []byte, bits []byte) ([]byte, error) {
 	if len(bits)%8 != 0 {
 		return nil, fmt.Errorf("frame: bit count %d not a multiple of 8", len(bits))

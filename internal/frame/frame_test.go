@@ -10,7 +10,7 @@ import (
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	payload := []byte("hello mmWave backscatter")
-	raw, err := Encode(0x1234, MCSOOK, payload)
+	raw, err := AppendEncode(nil, 0x1234, MCSOOK, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(tagID uint16, seed uint64, n uint16) bool {
 		src := rng.New(seed)
 		payload := src.Bytes(make([]byte, int(n)%512))
-		raw, err := Encode(tagID, MCSASK4, payload)
+		raw, err := AppendEncode(nil, tagID, MCSASK4, payload)
 		if err != nil {
 			return false
 		}
@@ -53,7 +53,7 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestCRCDetectsCorruption(t *testing.T) {
-	raw, _ := Encode(7, MCSOOK, []byte{1, 2, 3, 4})
+	raw, _ := AppendEncode(nil, 7, MCSOOK, []byte{1, 2, 3, 4})
 	// Flip each bit in turn: strict decode must fail (or header reject).
 	for i := 0; i < len(raw)*8; i++ {
 		bad := make([]byte, len(raw))
@@ -68,7 +68,7 @@ func TestCRCDetectsCorruption(t *testing.T) {
 }
 
 func TestNonStrictCountsBadCRC(t *testing.T) {
-	raw, _ := Encode(7, MCSOOK, []byte{9, 9})
+	raw, _ := AppendEncode(nil, 7, MCSOOK, []byte{9, 9})
 	raw[HeaderLen] ^= 0xFF
 	var d Decoded
 	if err := (&Parser{}).Decode(raw, &d); err != nil {
@@ -84,17 +84,17 @@ func TestHeaderValidation(t *testing.T) {
 	if err := h.DecodeFromBytes([]byte{1, 2}); err == nil {
 		t.Error("truncated header should fail")
 	}
-	raw, _ := Encode(1, MCSOOK, nil)
+	raw, _ := AppendEncode(nil, 1, MCSOOK, nil)
 	raw[0] = 99
 	if err := h.DecodeFromBytes(raw); err == nil {
 		t.Error("bad version should fail")
 	}
-	raw, _ = Encode(1, MCSOOK, nil)
+	raw, _ = AppendEncode(nil, 1, MCSOOK, nil)
 	raw[5] = 250
 	if err := h.DecodeFromBytes(raw); err == nil {
 		t.Error("bad MCS should fail")
 	}
-	raw, _ = Encode(1, MCSOOK, nil)
+	raw, _ = AppendEncode(nil, 1, MCSOOK, nil)
 	raw[3], raw[4] = 0xFF, 0xFF
 	if err := h.DecodeFromBytes(raw); err == nil {
 		t.Error("oversized length should fail")
@@ -102,7 +102,7 @@ func TestHeaderValidation(t *testing.T) {
 }
 
 func TestDecodeTruncatedBurst(t *testing.T) {
-	raw, _ := Encode(1, MCSOOK, []byte{1, 2, 3})
+	raw, _ := AppendEncode(nil, 1, MCSOOK, []byte{1, 2, 3})
 	var d Decoded
 	if err := (&Parser{}).Decode(raw[:len(raw)-1], &d); err == nil {
 		t.Error("truncated burst should fail")
@@ -110,10 +110,10 @@ func TestDecodeTruncatedBurst(t *testing.T) {
 }
 
 func TestEncodeValidation(t *testing.T) {
-	if _, err := Encode(1, MCS(200), nil); err == nil {
+	if _, err := AppendEncode(nil, 1, MCS(200), nil); err == nil {
 		t.Error("invalid MCS should fail")
 	}
-	if _, err := Encode(1, MCSOOK, make([]byte, MaxPayload+1)); err == nil {
+	if _, err := AppendEncode(nil, 1, MCSOOK, make([]byte, MaxPayload+1)); err == nil {
 		t.Error("oversized payload should fail")
 	}
 }
@@ -129,31 +129,19 @@ func TestCRC16KnownVector(t *testing.T) {
 }
 
 func TestLayerAccessors(t *testing.T) {
-	raw, _ := Encode(42, MCSBPSK, []byte{0xAA})
+	raw, _ := AppendEncode(nil, 42, MCSBPSK, []byte{0xAA})
 	var d Decoded
 	if err := (&Parser{}).Decode(raw, &d); err != nil {
 		t.Fatal(err)
 	}
-	layers := d.Layers()
-	if len(layers) != 3 {
-		t.Fatalf("layer count %d", len(layers))
+	if !bytes.Equal(d.Header.LayerPayload(), raw[HeaderLen:]) {
+		t.Error("header payload is not the rest of the burst")
 	}
-	if layers[0].LayerType() != LayerTypeHeader ||
-		layers[1].LayerType() != LayerTypePayload ||
-		layers[2].LayerType() != LayerTypeTrailer {
-		t.Error("layer types out of order")
-	}
-	if len(layers[0].LayerContents()) != HeaderLen {
-		t.Error("header contents length")
-	}
-	if !bytes.Equal(layers[1].LayerContents(), []byte{0xAA}) {
+	if !bytes.Equal(d.Payload.Data, []byte{0xAA}) {
 		t.Error("payload contents")
 	}
-	if len(layers[2].LayerContents()) != CRCLen {
-		t.Error("trailer contents length")
-	}
-	if layers[1].LayerPayload() != nil || layers[2].LayerPayload() != nil {
-		t.Error("terminal layers should have nil payloads")
+	if d.Trailer.CRC != uint16(raw[len(raw)-2])<<8|uint16(raw[len(raw)-1]) || !d.Trailer.OK {
+		t.Errorf("trailer CRC %04x ok=%v", d.Trailer.CRC, d.Trailer.OK)
 	}
 }
 
@@ -165,16 +153,16 @@ func TestBitsBytesRoundTrip(t *testing.T) {
 		if len(bits) != len(data)*8 {
 			return false
 		}
-		back, err := BytesFromBits(bits)
+		back, err := AppendBytesFromBits(nil, bits)
 		return err == nil && bytes.Equal(back, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
-	if _, err := BytesFromBits(make([]byte, 7)); err == nil {
+	if _, err := AppendBytesFromBits(nil, make([]byte, 7)); err == nil {
 		t.Error("non-multiple-of-8 should fail")
 	}
-	if _, err := BytesFromBits([]byte{0, 1, 2, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := AppendBytesFromBits(nil, []byte{0, 1, 2, 0, 0, 0, 0, 0}); err == nil {
 		t.Error("invalid bit value should fail")
 	}
 	// MSB-first convention.
@@ -196,8 +184,5 @@ func TestStringers(t *testing.T) {
 	}
 	if MCS(77).String() != "MCS(77)" || MCS(77).Valid() {
 		t.Error("invalid MCS handling")
-	}
-	if LayerTypeHeader.String() != "Header" || LayerType(9).String() != "LayerType(9)" {
-		t.Error("layer type names")
 	}
 }

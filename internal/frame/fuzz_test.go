@@ -31,7 +31,7 @@ func TestParserNeverPanicsOnGarbage(t *testing.T) {
 // TestParserTruncationSweep decodes every prefix of a valid burst: all
 // must fail cleanly except the full frame.
 func TestParserTruncationSweep(t *testing.T) {
-	raw, err := Encode(0x0102, MCSOOK, []byte("truncate me"))
+	raw, err := AppendEncode(nil, 0x0102, MCSOOK, []byte("truncate me"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestParserTruncationSweep(t *testing.T) {
 // TestParserExtraTrailingBytes verifies the parser tolerates captures
 // longer than the frame (trailing noise bytes are normal after a burst).
 func TestParserExtraTrailingBytes(t *testing.T) {
-	raw, _ := Encode(9, MCSOOK, []byte{1, 2, 3})
+	raw, _ := AppendEncode(nil, 9, MCSOOK, []byte{1, 2, 3})
 	padded := append(append([]byte{}, raw...), 0xAA, 0xBB, 0xCC)
 	var d Decoded
 	if err := (&Parser{Strict: true}).Decode(padded, &d); err != nil {
@@ -68,7 +68,7 @@ func TestRandomPayloadStress(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		n := src.Intn(MaxPayload + 1)
 		payload := src.Bytes(make([]byte, n))
-		raw, err := Encode(uint16(i), MCSBPSK, payload)
+		raw, err := AppendEncode(nil, uint16(i), MCSBPSK, payload)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

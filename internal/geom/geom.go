@@ -70,10 +70,6 @@ func WrapAngle(a float64) float64 {
 	return a
 }
 
-// AngleDiff returns the signed smallest rotation taking angle b to angle a,
-// in (−π, π].
-func AngleDiff(a, b float64) float64 { return WrapAngle(a - b) }
-
 // Pose is a position plus an orientation (the boresight heading of an
 // antenna aperture, radians from +X).
 type Pose struct {

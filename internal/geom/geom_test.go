@@ -194,9 +194,6 @@ func TestPoseForwardAndSegmentLength(t *testing.T) {
 	if math.Abs(f.X) > 1e-12 || math.Abs(f.Y-1) > 1e-12 {
 		t.Fatalf("Forward at π/2 = %+v", f)
 	}
-	if d := AngleDiff(0.1, -0.1); math.Abs(d-0.2) > 1e-12 {
-		t.Fatalf("AngleDiff = %g", d)
-	}
 	s := Segment{A: Vec{0, 0}, B: Vec{3, 4}}
 	if l := s.Length(); math.Abs(l-5) > 1e-12 {
 		t.Fatalf("Length = %g", l)

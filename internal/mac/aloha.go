@@ -119,39 +119,3 @@ func RunAloha(nTags int, cfg AlohaConfig, src *rng.Source) (AlohaResult, error) 
 	obs.Add("mac_aloha_unresolved_total", float64(remaining))
 	return res, nil
 }
-
-// ExpectedSingulationSlots returns the analytic expectation of total
-// slots to read n tags with per-round frame size equal to the remaining
-// population: n/e tags resolve per n-slot round, so the total is ≈ e·n
-// slots. Exposed so experiments can sanity-check the simulation.
-func ExpectedSingulationSlots(n int) float64 {
-	// Per-round: with frame L = k tags, P(singleton) per slot =
-	// (k/L)·(1−1/L)^{k−1} → e⁻¹; expected resolution per round k/e.
-	// Summing the geometric-ish recursion numerically:
-	total := 0.0
-	k := float64(n)
-	for k >= 0.5 {
-		total += k // frame of size ≈ k slots
-		resolved := k * pow1e(k)
-		if resolved < 0.1 {
-			resolved = 0.1
-		}
-		k -= resolved
-	}
-	return total
-}
-
-// pow1e returns (1−1/k)^{k−1}, the singleton probability factor, ≈ 1/e
-// for large k.
-func pow1e(k float64) float64 {
-	if k <= 1 {
-		return 1
-	}
-	base := 1 - 1/k
-	out := 1.0
-	// Integer-ish power is fine for an estimate.
-	for i := 0; i < int(k)-1; i++ {
-		out *= base
-	}
-	return out
-}

@@ -275,19 +275,8 @@ func (l *Log) Reset() {
 	l.mu.Unlock()
 }
 
-// Encode renders one event as its canonical JSONL line (no trailing
-// newline): {"t":…,"lvl":"…","cat":"…","msg":"…","fields":{…}} with
-// fields sorted by key. The encoding is hand-rolled so identical events
-// are identical bytes on every platform and Go version.
-func Encode(t float64, lvl Level, cat, msg string, fields ...obs.Label) []byte {
-	sorted := append([]obs.Label{}, fields...)
-	sortLabels(sorted)
-	return appendEvent(make([]byte, 0, 64+16*len(fields)), t, lvl, cat, msg, sorted)
-}
-
 // appendEvent renders one event into b, whose fields must already be
-// key-sorted. It is the shared body of Encode and the allocation-free
-// Emit path.
+// key-sorted. It is the body of Emit.
 func appendEvent(b []byte, t float64, lvl Level, cat, msg string, sorted []obs.Label) []byte {
 	b = append(b, `{"t":`...)
 	b = appendFloat(b, t)

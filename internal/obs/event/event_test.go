@@ -13,14 +13,22 @@ import (
 	"github.com/mmtag/mmtag/internal/obs"
 )
 
+// encode returns the canonical line Emit stores for one event in a fresh
+// log.
+func encode(t float64, lvl Level, cat, msg string, fields ...obs.Label) []byte {
+	l := New(1)
+	l.Emit(t, lvl, cat, msg, fields...)
+	return l.Lines()[0]
+}
+
 func TestEncodeCanonical(t *testing.T) {
-	line := Encode(1.5, LevelInfo, "mac.arq", "retry", D("attempt", 2), S("bw", "2GHz"))
+	line := encode(1.5, LevelInfo, "mac.arq", "retry", D("attempt", 2), S("bw", "2GHz"))
 	want := `{"t":1.5,"lvl":"info","cat":"mac.arq","msg":"retry","fields":{"attempt":"2","bw":"2GHz"}}`
 	if string(line) != want {
 		t.Fatalf("encode:\n got %s\nwant %s", line, want)
 	}
 	// Field order at the call site must not change the bytes.
-	swapped := Encode(1.5, LevelInfo, "mac.arq", "retry", S("bw", "2GHz"), D("attempt", 2))
+	swapped := encode(1.5, LevelInfo, "mac.arq", "retry", S("bw", "2GHz"), D("attempt", 2))
 	if string(swapped) != want {
 		t.Fatalf("field order changed encoding: %s", swapped)
 	}
@@ -36,7 +44,7 @@ func TestEncodeCanonical(t *testing.T) {
 
 func TestEncodeNonFiniteTime(t *testing.T) {
 	for _, tt := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		line := Encode(tt, LevelWarn, "c", "m")
+		line := encode(tt, LevelWarn, "c", "m")
 		var v map[string]any
 		if err := json.Unmarshal(line, &v); err != nil {
 			t.Fatalf("t=%v: invalid JSON %s: %v", tt, line, err)
@@ -133,10 +141,10 @@ func TestSamplingDeterministic(t *testing.T) {
 	}
 }
 
-// TestEmitStoresCanonicalBytes pins the reusable-scratch Emit path to
-// the package Encode function: retained lines must be byte-identical to
-// the allocating encoder (including field sorting), and must not alias
-// the log's scratch buffer across emits.
+// TestEmitStoresCanonicalBytes pins the reusable-scratch Emit path:
+// retained lines must be byte-identical to a fresh log's line for the
+// same event (including field sorting), and must not alias the log's
+// scratch buffer across emits.
 func TestEmitStoresCanonicalBytes(t *testing.T) {
 	l := New(0)
 	l.Emit(1.5, LevelInfo, "c", "m", S("b", "2GHz"), D("a", 1))
@@ -145,8 +153,8 @@ func TestEmitStoresCanonicalBytes(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("len = %d", len(lines))
 	}
-	want0 := Encode(1.5, LevelInfo, "c", "m", D("a", 1), S("b", "2GHz"))
-	want1 := Encode(2.5, LevelWarn, "c", "n", F("x", 0.25))
+	want0 := encode(1.5, LevelInfo, "c", "m", D("a", 1), S("b", "2GHz"))
+	want1 := encode(2.5, LevelWarn, "c", "n", F("x", 0.25))
 	if !bytes.Equal(lines[0], want0) {
 		t.Fatalf("line 0:\n got %s\nwant %s", lines[0], want0)
 	}

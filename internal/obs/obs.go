@@ -396,13 +396,6 @@ func Add(name string, delta float64, labels ...Label) {
 	}
 }
 
-// Set sets a gauge on the default recorder.
-func Set(name string, value float64, labels ...Label) {
-	if r := active.Load(); r != nil {
-		r.Set(name, value, labels...)
-	}
-}
-
 // Observe records a histogram sample on the default recorder.
 func Observe(name string, value float64, labels ...Label) {
 	if r := active.Load(); r != nil {

@@ -188,7 +188,6 @@ func TestNopAndNilSpanAreSafe(t *testing.T) {
 	Disable()
 	Inc("x")
 	Observe("x", 1)
-	Set("x", 1)
 	StartSpan("x").End()
 	if Enabled() || Active() != nil {
 		t.Error("registry should be absent")

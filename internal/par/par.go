@@ -57,7 +57,7 @@ func init() {
 }
 
 // defaultWorkers holds the process-wide worker count used by ForEach,
-// ForEachErr and Map. Zero means "not set yet"; Workers resolves that to
+// ForEachErr and MapErr. Zero means "not set yet"; Workers resolves that to
 // runtime.NumCPU().
 var defaultWorkers atomic.Int64
 
@@ -134,39 +134,21 @@ func DoErr(workers, n int, fn func(i int) error) error {
 		func(_ struct{}, i int) error { return fn(i) })
 }
 
-// ForEachWith is ForEach with per-worker state: newR runs once on each
-// worker goroutine (once total on the workers == 1 inline path) and its
-// result is handed to every fn call that worker executes. This is how
+// ForEachErrWith is ForEachErr with per-worker state: newR runs once on
+// each worker goroutine (once total on the workers == 1 inline path) and
+// its result is handed to every fn call that worker executes. This is how
 // sweeps give each shard its own dsp.Workspace — reused across the items
 // a worker processes, never shared between goroutines. State must not
 // leak results between items in any order-dependent way; determinism
 // requires fn(r, i) to compute the same answer regardless of which
 // worker runs it after how many prior items (scratch buffers qualify,
 // accumulators do not).
-func ForEachWith[R any](n int, newR func() R, fn func(r R, i int)) {
-	DoWith(Workers(), n, newR, fn)
-}
-
-// DoWith is ForEachWith with an explicit worker count.
-func DoWith[R any](workers, n int, newR func() R, fn func(r R, i int)) {
-	err := DoErrWith(workers, n, newR, func(r R, i int) error {
-		fn(r, i)
-		return nil
-	})
-	if err != nil {
-		// fn cannot return an error, so the only possible failure is a
-		// propagated shard panic.
-		panic(err)
-	}
-}
-
-// ForEachErrWith is ForEachErr with per-worker state (see ForEachWith).
 func ForEachErrWith[R any](n int, newR func() R, fn func(r R, i int) error) error {
 	return DoErrWith(Workers(), n, newR, fn)
 }
 
 // DoErrWith is the generic core of the pool: DoErr with per-worker state
-// constructed by newR (see ForEachWith for the state contract).
+// constructed by newR (see ForEachErrWith for the state contract).
 func DoErrWith[R any](workers, n int, newR func() R, fn func(r R, i int) error) error {
 	if n <= 0 {
 		return nil
@@ -282,20 +264,6 @@ func forEachInline[R any](n int, newR func() R, fn func(r R, i int) error) error
 		}
 	}
 	return nil
-}
-
-// Map runs fn(i) for every i in [0, n) across Workers() goroutines and
-// returns the results in index order.
-func Map[T any](n int, fn func(i int) T) []T { return MapN[T](Workers(), n, fn) }
-
-// MapN is Map with an explicit worker count.
-func MapN[T any](workers, n int, fn func(i int) T) []T {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]T, n)
-	Do(workers, n, func(i int) { out[i] = fn(i) })
-	return out
 }
 
 // MapErr runs fn(i) for every i in [0, n), collecting results in index

@@ -44,8 +44,15 @@ func TestDoWorkerCountInvariance(t *testing.T) {
 
 func TestMapNMatchesSequential(t *testing.T) {
 	const n = 17
-	want := MapN(1, n, func(i int) int { return i * i })
-	got := MapN(5, n, func(i int) int { return i * i })
+	square := func(i int) (int, error) { return i * i, nil }
+	want, err := MapErrN(1, n, square)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MapErrN(5, n, square)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != n {
 		t.Fatalf("len %d", len(got))
 	}
@@ -63,8 +70,8 @@ func TestZeroAndNegativeItems(t *testing.T) {
 	if err := DoErr(4, 0, func(int) error { calls++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if out := MapN(4, 0, func(i int) int { calls++; return i }); out != nil {
-		t.Fatalf("MapN on zero items returned %v", out)
+	if out, err := MapErrN(4, 0, func(i int) (int, error) { calls++; return i, nil }); out != nil || err != nil {
+		t.Fatalf("MapErrN on zero items returned %v, %v", out, err)
 	}
 	if calls != 0 {
 		t.Fatalf("fn ran %d times on empty input", calls)
@@ -172,8 +179,7 @@ func TestSetWorkers(t *testing.T) {
 	}
 }
 
-// TestDoWithWorkerState checks the With-variants' per-worker state
-// contract: newR runs at most once per worker goroutine (exactly once on
+// TestDoWithWorkerState checks DoErrWith's per-worker state contract: newR runs at most once per worker goroutine (exactly once on
 // the inline path), every shard receives its worker's value, and results
 // are identical across worker counts when the state is pure scratch.
 func TestDoWithWorkerState(t *testing.T) {
@@ -183,15 +189,19 @@ func TestDoWithWorkerState(t *testing.T) {
 		const n = 23
 		out := make([]float64, n)
 		seq := rng.NewSequence(7)
-		DoWith(w, n, func() *scratch {
+		err := DoErrWith(w, n, func() *scratch {
 			news.Add(1)
 			return &scratch{buf: make([]float64, 257)}
-		}, func(r *scratch, i int) {
+		}, func(r *scratch, i int) error {
 			if len(r.buf) != 257 {
 				t.Errorf("worker state missing on shard %d", i)
 			}
 			out[i] = shardWork(seq, i)
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if got := news.Load(); got < 1 || got > int64(w) {
 			t.Fatalf("workers=%d: newR ran %d times, want 1..%d", w, got, w)
 		}
@@ -227,31 +237,28 @@ func TestDoErrWithPropagatesLowestError(t *testing.T) {
 	}
 }
 
-// TestForEachWithUsesDefaultWorkers: the package-level With helpers
-// resolve the process-wide worker count.
+// TestForEachWithUsesDefaultWorkers: the package-level With helper
+// resolves the process-wide worker count.
 func TestForEachWithUsesDefaultWorkers(t *testing.T) {
 	prev := SetWorkers(2)
 	defer SetWorkers(prev)
-	var ran atomic.Int64
-	ForEachWith(9, func() struct{} { return struct{}{} }, func(_ struct{}, i int) {
-		ran.Add(1)
-	})
-	if ran.Load() != 9 {
-		t.Fatalf("ran %d shards, want 9", ran.Load())
-	}
-	if err := ForEachErrWith(9, func() struct{} { return struct{}{} }, func(_ struct{}, i int) error {
+	var ran, news atomic.Int64
+	if err := ForEachErrWith(9, func() struct{} { news.Add(1); return struct{}{} }, func(_ struct{}, i int) error {
 		ran.Add(1)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if ran.Load() != 18 {
-		t.Fatalf("ran %d shards total, want 18", ran.Load())
+	if ran.Load() != 9 {
+		t.Fatalf("ran %d shards, want 9", ran.Load())
+	}
+	if got := news.Load(); got < 1 || got > 2 {
+		t.Fatalf("newR ran %d times at 2 workers, want 1..2", got)
 	}
 }
 
-// TestDoWithPanicPropagation: panics inside a With shard re-raise like
-// the plain pool's.
+// TestDoWithPanicPropagation: panics inside a DoErrWith shard re-raise
+// like the plain pool's instead of returning as errors.
 func TestDoWithPanicPropagation(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		func() {
@@ -260,10 +267,11 @@ func TestDoWithPanicPropagation(t *testing.T) {
 					t.Fatalf("workers=%d: recovered %v, want with-boom-3", w, v)
 				}
 			}()
-			DoWith(w, 8, func() int { return 0 }, func(_ int, i int) {
+			_ = DoErrWith(w, 8, func() int { return 0 }, func(_ int, i int) error {
 				if i == 3 {
 					panic("with-boom-3")
 				}
+				return nil
 			})
 		}()
 	}
@@ -300,7 +308,7 @@ func BenchmarkDoOverhead(b *testing.B) {
 }
 
 // TestPackageLevelHelpers covers the Workers()-resolving convenience
-// wrappers: ForEach/ForEachErr/Map/MapErr must match their explicit
+// wrappers: ForEach/ForEachErr/MapErr must match their explicit
 // -count siblings.
 func TestPackageLevelHelpers(t *testing.T) {
 	prev := SetWorkers(3)
@@ -323,12 +331,6 @@ func TestPackageLevelHelpers(t *testing.T) {
 		return nil
 	}); !errors.Is(err, wantErr) {
 		t.Fatalf("ForEachErr returned %v", err)
-	}
-	m := Map(6, func(i int) int { return i * i })
-	for i := range m {
-		if m[i] != i*i {
-			t.Fatalf("Map slot %d = %d", i, m[i])
-		}
 	}
 	me, err := MapErr(6, func(i int) (int, error) { return i + 1, nil })
 	if err != nil {

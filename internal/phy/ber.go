@@ -251,31 +251,3 @@ func MonteCarloBER(mod Modulation, snrDB float64, nBits int, src *rng.Source) (f
 	}
 	return float64(errs) / float64(nBits), nil
 }
-
-// WaterfallPoint is one (SNR, BER) sample of a waterfall curve.
-type WaterfallPoint struct {
-	SNRdB       float64
-	BER         float64
-	AnalyticBER float64
-}
-
-// Waterfall sweeps SNR from lo to hi dB in the given step, measuring
-// Monte-Carlo BER with nBits per point and attaching the analytic value.
-func Waterfall(mod Modulation, analytic func(snr float64) float64, loDB, hiDB, stepDB float64, nBits int, src *rng.Source) ([]WaterfallPoint, error) {
-	if stepDB <= 0 || hiDB < loDB {
-		return nil, fmt.Errorf("phy: bad waterfall sweep [%g,%g] step %g", loDB, hiDB, stepDB)
-	}
-	var out []WaterfallPoint
-	for s := loDB; s <= hiDB+1e-9; s += stepDB {
-		ber, err := MonteCarloBER(mod, s, nBits, src)
-		if err != nil {
-			return nil, err
-		}
-		p := WaterfallPoint{SNRdB: s, BER: ber}
-		if analytic != nil {
-			p.AnalyticBER = analytic(math.Pow(10, s/10))
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}

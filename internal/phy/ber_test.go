@@ -161,28 +161,6 @@ func TestMonteCarloWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestWaterfall(t *testing.T) {
-	src := rng.New(3)
-	pts, err := Waterfall(BPSK{}, BERBPSK, 0, 6, 2, 20000, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("points %d", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].BER > pts[i-1].BER+0.01 {
-			t.Errorf("waterfall not (approximately) monotone at %g dB", pts[i].SNRdB)
-		}
-		if pts[i].AnalyticBER >= pts[i-1].AnalyticBER {
-			t.Errorf("analytic column not monotone")
-		}
-	}
-	if _, err := Waterfall(BPSK{}, nil, 5, 1, 1, 100, src); err == nil {
-		t.Error("inverted sweep should fail")
-	}
-}
-
 func TestPaperRateAnchorCrossCheck(t *testing.T) {
 	// The paper's rate table says 7 dB SNR carries ASK at BER ≤ 1e-3; our
 	// coherent ideal-OOK curve needs 9.8 dB for the same BER. Both

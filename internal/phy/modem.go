@@ -90,15 +90,6 @@ func (a ASK) BitsPerSymbol() int {
 	return bits.Len(uint(a.M)) - 1
 }
 
-// levels returns the amplitude of each Gray index.
-func (a ASK) levels() []float64 {
-	out := make([]float64, a.M)
-	for i := range out {
-		out[i] = float64(i) / float64(a.M-1)
-	}
-	return out
-}
-
 // Modulate implements Modulation.
 func (a ASK) Modulate(dst []complex128, bitsIn []byte) ([]complex128, error) {
 	k := a.BitsPerSymbol()

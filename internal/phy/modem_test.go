@@ -81,9 +81,9 @@ func TestASKGrayMapping(t *testing.T) {
 	}
 	// Adjacent amplitude levels must differ in exactly one bit
 	// (Gray property) — check by demodulating the exact level points.
-	lv := m.levels()
 	var prev []byte
-	for _, l := range lv {
+	for i := 0; i < m.M; i++ {
+		l := float64(i) / float64(m.M-1) // the amplitude of Gray index i
 		got := m.Demodulate(nil, []complex128{complex(l, 0)})
 		if prev != nil {
 			diff := 0

@@ -3,7 +3,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"github.com/mmtag/mmtag/internal/dsp"
 )
@@ -13,16 +12,9 @@ import (
 // sidelobes, making the correlation peak unambiguous.
 var Preamble13 = []int{+1, +1, +1, +1, +1, -1, -1, +1, +1, -1, +1, -1, +1}
 
-// PreambleSymbols returns the Barker preamble as OOK symbols: +1 chips
-// map to the reflecting state (amplitude 1), −1 chips to the absorbed
-// state (amplitude leakage).
-func PreambleSymbols(leakage float64) []complex128 {
-	return AppendPreambleSymbols(nil, leakage)
-}
-
-// AppendPreambleSymbols appends the Barker preamble symbols to dst (see
-// PreambleSymbols) — the allocation-free form for callers with a
-// reusable buffer.
+// AppendPreambleSymbols appends the Barker preamble as OOK symbols to dst
+// and returns the extended slice: +1 chips map to the reflecting state
+// (amplitude 1), −1 chips to the absorbed state (amplitude leakage).
 func AppendPreambleSymbols(dst []complex128, leakage float64) []complex128 {
 	for _, c := range Preamble13 {
 		if c > 0 {
@@ -245,23 +237,4 @@ func MeasureSNRWS(ws *dsp.Workspace, decisions []complex128) (float64, error) {
 	avgP := (muH*muH + muL*muL) / 2
 	snr := avgP / (2 * varH)
 	return 10 * math.Log10(snr), nil
-}
-
-// PhaseAlign rotates decisions so the strongest cluster lies on the
-// positive real axis — a cheap carrier-phase recovery for coherent
-// detection of backscatter bursts.
-func PhaseAlign(decisions []complex128) []complex128 {
-	var acc complex128
-	for _, d := range decisions {
-		acc += d * complex(cmplx.Abs(d), 0)
-	}
-	if acc == 0 {
-		return decisions
-	}
-	rot := cmplx.Rect(1, -cmplx.Phase(acc))
-	out := make([]complex128, len(decisions))
-	for i, d := range decisions {
-		out[i] = d * rot
-	}
-	return out
 }

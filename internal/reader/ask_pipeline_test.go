@@ -14,12 +14,12 @@ import (
 // (header stays OOK, matching the tag's real behaviour).
 func synthBurstMCS(t *testing.T, tagID uint16, payload []byte, mcs frame.MCS, leakage float64, sps int) []complex128 {
 	t.Helper()
-	raw, err := frame.Encode(tagID, mcs, payload)
+	raw, err := frame.AppendEncode(nil, tagID, mcs, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bits := frame.BitsFromBytes(nil, raw)
-	syms := phy.PreambleSymbols(leakage)
+	syms := phy.AppendPreambleSymbols(nil, leakage)
 	syms, err = (phy.OOK{Leakage: leakage}).Modulate(syms, bits[:frame.HeaderLen*8])
 	if err != nil {
 		t.Fatal(err)

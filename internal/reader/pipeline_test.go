@@ -2,6 +2,7 @@ package reader
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"reflect"
@@ -18,11 +19,11 @@ import (
 // OOK leakage and samples/symbol.
 func synthBurst(t *testing.T, tagID uint16, payload []byte, leakage float64, sps int) []complex128 {
 	t.Helper()
-	raw, err := frame.Encode(tagID, frame.MCSOOK, payload)
+	raw, err := frame.AppendEncode(nil, tagID, frame.MCSOOK, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	syms := phy.PreambleSymbols(leakage)
+	syms := phy.AppendPreambleSymbols(nil, leakage)
 	bits := frame.BitsFromBytes(nil, raw)
 	syms, err = (phy.OOK{Leakage: leakage}).Modulate(syms, bits)
 	if err != nil {
@@ -193,15 +194,18 @@ func TestBatchDecodeWorkerInvariance(t *testing.T) {
 		prev := par.SetWorkers(workers)
 		defer par.SetWorkers(prev)
 		out := make([][]byte, nBursts)
-		par.ForEachWith(nBursts, dsp.NewWorkspace, func(ws *dsp.Workspace, i int) {
+		err := par.ForEachErrWith(nBursts, dsp.NewWorkspace, func(ws *dsp.Workspace, i int) error {
 			ws.Reset()
 			f, _, err := DecodeBurstWS(ws, bursts[i], w)
 			if err != nil {
-				t.Errorf("burst %d: %v", i, err)
-				return
+				return fmt.Errorf("burst %d: %w", i, err)
 			}
 			out[i] = append([]byte(nil), f.Payload.Data...)
+			return nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return out
 	}
 	one := run(1)

@@ -1,6 +1,6 @@
 // Package reader models the mmTag reader (paper §4, §7): a 20 mW
-// transmitter and a spectrum-analyzer-style receiver behind steerable
-// directional antennas, with selectable receive bandwidth, a 5 dB noise
+// transmitter and a spectrum-analyzer-style receiver behind a steerable
+// directional antenna, with selectable receive bandwidth, a 5 dB noise
 // figure, a transmit-leakage (self-interference) path, the sector-scan
 // loop of Fig. 2, and the OOK demodulation/decoding pipeline.
 package reader
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/mmtag/mmtag/internal/antenna"
 	"github.com/mmtag/mmtag/internal/units"
 )
 
@@ -58,28 +57,6 @@ func (h Horn) PeakGainDBi() float64 { return h.Gain }
 
 // HPBWRad implements Antenna.
 func (h Horn) HPBWRad() float64 { return h.HPBWDeg * math.Pi / 180 }
-
-// Array adapts an antenna.PhasedArray to the Antenna interface for an
-// electronically scanned reader.
-type Array struct {
-	PA antenna.PhasedArray
-}
-
-// GainDBi implements Antenna.
-func (a Array) GainDBi(steer, target float64) float64 {
-	return a.PA.GainToward(steer, target)
-}
-
-// PeakGainDBi implements Antenna.
-func (a Array) PeakGainDBi() float64 {
-	return a.PA.Array.BoresightGainDBi()
-}
-
-// HPBWRad implements Antenna.
-func (a Array) HPBWRad() float64 {
-	w := a.PA.Array.TransmitWeights(0)
-	return a.PA.Array.HPBWRad(w, 0)
-}
 
 // Config holds the reader's RF parameters, defaulting to the paper's
 // setup.

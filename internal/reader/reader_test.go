@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/mmtag/mmtag/internal/antenna"
 	"github.com/mmtag/mmtag/internal/units"
 )
 
@@ -80,19 +79,6 @@ func TestHornPattern(t *testing.T) {
 	// Wrap-around: target and steer separated by ~2π are the same angle.
 	if g := h.GainDBi(0, 2*math.Pi); math.Abs(g-20) > 1e-9 {
 		t.Errorf("wrapped gain %g", g)
-	}
-}
-
-func TestArrayAntennaAdapter(t *testing.T) {
-	a := Array{PA: antenna.NewReaderArray()}
-	if math.Abs(a.PeakGainDBi()-10*math.Log10(16)) > 0.1 {
-		t.Errorf("array peak %g", a.PeakGainDBi())
-	}
-	if a.GainDBi(0.3, 0.3) <= a.GainDBi(0.3, 0.8) {
-		t.Error("steered array should favor the steered direction")
-	}
-	if h := a.HPBWRad(); h <= 0 || h > 0.3 {
-		t.Errorf("16-element HPBW %g rad implausible", h)
 	}
 }
 

@@ -125,9 +125,6 @@ func Int() Formatter {
 	}
 }
 
-// String formats with %v, for label columns.
-func String() Formatter { return Default() }
-
 // FloatFunc adapts a float64 pretty-printer (units.FormatRate and
 // friends) into a Formatter with NaN hygiene.
 func FloatFunc(fn func(float64) string) Formatter {

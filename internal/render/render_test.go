@@ -137,7 +137,7 @@ func TestFormatters(t *testing.T) {
 		{Int(), 42, "42"},
 		{Int(), 41.9, "41"},
 		{Int(), math.NaN(), "n/a"},
-		{String(), "x", "x"},
+		{Default(), "x", "x"},
 		{Float(1), "not-a-number", "not-a-number"},
 		{FloatFunc(func(f float64) string { return "rate" }), 1.0, "rate"},
 		{FloatFunc(func(f float64) string { return "rate" }), math.NaN(), "n/a"},

@@ -79,9 +79,6 @@ type Engine struct {
 // NewEngine returns an empty engine at time 0.
 func NewEngine() *Engine { return &Engine{} }
 
-// Now returns the current virtual time in seconds.
-func (e *Engine) Now() float64 { return e.now }
-
 // Schedule enqueues fn at absolute time at (≥ now). Returns an error for
 // events in the past.
 func (e *Engine) Schedule(at float64, priority int, fn func(now float64)) error {
@@ -144,9 +141,6 @@ func (e *Engine) Run(until float64) (int, error) {
 	}
 	return count, nil
 }
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Mobility moves a pose along waypoints at constant speed.
 type Mobility struct {

@@ -34,8 +34,8 @@ func TestEventOrdering(t *testing.T) {
 			t.Fatalf("order %v, want %v", order, want)
 		}
 	}
-	if e.Now() != 10 {
-		t.Errorf("final time %g", e.Now())
+	if e.now != 10 {
+		t.Errorf("final time %g", e.now)
 	}
 }
 
@@ -92,7 +92,7 @@ func TestAfterAndCascade(t *testing.T) {
 	if hits != 5 {
 		t.Errorf("cascade hits %d", hits)
 	}
-	if e.Pending() != 0 {
+	if len(e.queue) != 0 {
 		t.Error("queue should drain")
 	}
 }
@@ -107,7 +107,7 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	if ran {
 		t.Error("event beyond horizon ran")
 	}
-	if e.Pending() != 1 {
+	if len(e.queue) != 1 {
 		t.Error("event should remain queued")
 	}
 	if _, err := e.Run(5); err != nil {
@@ -147,8 +147,8 @@ func TestRunToInfinityDrainsQueue(t *testing.T) {
 	if _, err := e.Run(math.Inf(1)); err != nil {
 		t.Fatal(err)
 	}
-	if e.Now() != 2.5 {
-		t.Errorf("clock should rest at the last event, got %g", e.Now())
+	if e.now != 2.5 {
+		t.Errorf("clock should rest at the last event, got %g", e.now)
 	}
 }
 

@@ -65,20 +65,6 @@ func AchievableRate(prDBm, tempK, nfDB float64, candidates []ReaderBandwidth) (b
 	return best.BitRate(), best, true
 }
 
-// ContinuousAchievableRate returns the OOK rate achievable if the receiver
-// bandwidth could be tuned continuously: the largest B with
-// SNR(B) ≥ ASKRequiredSNRdB, times the OOK spectral efficiency.
-// This is the envelope of the discrete table used in Fig. 7.
-func ContinuousAchievableRate(prDBm, tempK, nfDB float64) float64 {
-	// SNR(B) = Pr − (kT + 10log10 B + NF) ≥ 7  ⇒
-	// 10log10 B ≤ Pr − kT − NF − 7.
-	maxDB := prDBm - ThermalNoiseDensityDBmHz(tempK) - nfDB - ASKRequiredSNRdB
-	if maxDB <= 0 {
-		return 0
-	}
-	return math.Pow(10, maxDB/10) * OOKSpectralEfficiency
-}
-
 // FormatRate renders a bit rate with engineering units ("1.00 Gb/s").
 func FormatRate(bps float64) string {
 	switch {

@@ -41,24 +41,6 @@ func TestAchievableRateThresholds(t *testing.T) {
 	}
 }
 
-func TestContinuousRateEnvelope(t *testing.T) {
-	// The continuous rate must always be ≥ the discrete table's rate and
-	// scale 10× per 10 dB of extra signal power.
-	bws := PaperBandwidths()
-	for pr := -95.0; pr <= -40; pr += 2.5 {
-		cont := ContinuousAchievableRate(pr, RoomTemperatureK, 5)
-		disc, _, ok := AchievableRate(pr, RoomTemperatureK, 5, bws)
-		if ok && cont < disc {
-			t.Errorf("pr=%g: continuous %g < discrete %g", pr, cont, disc)
-		}
-	}
-	r1 := ContinuousAchievableRate(-70, RoomTemperatureK, 5)
-	r2 := ContinuousAchievableRate(-60, RoomTemperatureK, 5)
-	if math.Abs(r2/r1-10) > 1e-9 {
-		t.Errorf("continuous rate should scale 10x per 10 dB: %g vs %g", r1, r2)
-	}
-}
-
 func TestFormatRate(t *testing.T) {
 	cases := []struct {
 		bps  float64

@@ -1,14 +1,13 @@
 // Package units provides the physical units, constants and radio-frequency
 // arithmetic used throughout the mmtag simulator: decibel conversions,
-// power and frequency units, wavelength and wavenumber helpers, thermal
-// noise, path-loss equations (one-way Friis and two-way backscatter), and
-// the Gaussian tail functions needed for analytic bit-error rates.
+// power and frequency units, wavelength, thermal noise, path loss
+// (one-way free space and the two-way backscatter equation), and the
+// Gaussian tail functions needed for analytic bit-error rates.
 //
 // Conventions:
 //   - Linear power quantities are in watts, powers in dB-milliwatt are
 //     explicitly named dBm.
-//   - Ratios named "dB" are power ratios (10·log10); amplitude ratios use
-//     the explicit Amp variants (20·log10).
+//   - Ratios named "dB" are power ratios (10·log10).
 //   - Distances are in meters unless a function name says feet.
 package units
 
@@ -49,21 +48,11 @@ func MetersToFeet(m float64) float64 { return m / MetersPerFoot }
 // in Hz.
 func Wavelength(f float64) float64 { return SpeedOfLight / f }
 
-// Wavenumber returns the free-space wavenumber K0 = 2π/λ in rad/m for
-// frequency f in Hz (the K0 of paper Eq. 1).
-func Wavenumber(f float64) float64 { return 2 * math.Pi / Wavelength(f) }
-
 // DB converts a linear power ratio to decibels.
 func DB(ratio float64) float64 { return 10 * math.Log10(ratio) }
 
 // FromDB converts decibels to a linear power ratio.
 func FromDB(db float64) float64 { return math.Pow(10, db/10) }
-
-// AmpDB converts a linear amplitude ratio to decibels (20·log10).
-func AmpDB(ratio float64) float64 { return 20 * math.Log10(ratio) }
-
-// FromAmpDB converts decibels to a linear amplitude ratio.
-func FromAmpDB(db float64) float64 { return math.Pow(10, db/20) }
 
 // WattsToDBm converts power in watts to dBm.
 func WattsToDBm(w float64) float64 { return 10 * math.Log10(w*1000) }
@@ -98,15 +87,6 @@ func FSPLDB(r, lambda float64) float64 {
 	return 20 * math.Log10(4*math.Pi*r/lambda)
 }
 
-// FriisReceivedDBm returns the one-way received power in dBm:
-//
-//	Pr = Pt + Gt + Gr − FSPL(r).
-//
-// ptDBm is the transmit power, gtDB/grDB the antenna gains in dBi.
-func FriisReceivedDBm(ptDBm, gtDB, grDB, r, lambda float64) float64 {
-	return ptDBm + gtDB + grDB - FSPLDB(r, lambda)
-}
-
 // BackscatterReceivedDBm returns the two-way (reader → tag → reader)
 // received power in dBm for a monostatic backscatter link:
 //
@@ -122,38 +102,6 @@ func BackscatterReceivedDBm(ptDBm, gtDB, grDB, gtagDB, tagLossDB, r, lambda floa
 	}
 	return ptDBm + gtDB + grDB + 2*gtagDB +
 		40*math.Log10(lambda/(4*math.Pi)) - 40*math.Log10(r) - tagLossDB
-}
-
-// BackscatterRangeForPowerM inverts BackscatterReceivedDBm: it returns the
-// range r in meters at which the two-way received power equals prDBm.
-func BackscatterRangeForPowerM(ptDBm, gtDB, grDB, gtagDB, tagLossDB, prDBm, lambda float64) float64 {
-	exp := (ptDBm + gtDB + grDB + 2*gtagDB + 40*math.Log10(lambda/(4*math.Pi)) - tagLossDB - prDBm) / 40
-	return math.Pow(10, exp)
-}
-
-// RadarCrossSectionReceivedDBm returns the two-way received power using the
-// classical radar range equation with an explicit radar cross section σ
-// (m²) instead of a tag gain:
-//
-//	Pr = Pt·Gt·Gr·λ²·σ / ((4π)³·r⁴)
-func RadarCrossSectionReceivedDBm(ptDBm, gtDB, grDB, sigma, r, lambda float64) float64 {
-	if r <= 0 {
-		r = 1e-9
-	}
-	return ptDBm + gtDB + grDB + DB(lambda*lambda*sigma) -
-		DB(math.Pow(4*math.Pi, 3)) - 40*math.Log10(r)
-}
-
-// ApertureGainDB returns the gain in dBi of an effective aperture a (m²)
-// at wavelength lambda: G = 4πA/λ².
-func ApertureGainDB(a, lambda float64) float64 {
-	return DB(4 * math.Pi * a / (lambda * lambda))
-}
-
-// GainToApertureM2 returns the effective aperture (m²) of an antenna with
-// gain gDB dBi at wavelength lambda: A = Gλ²/4π.
-func GainToApertureM2(gDB, lambda float64) float64 {
-	return FromDB(gDB) * lambda * lambda / (4 * math.Pi)
 }
 
 // Q is the Gaussian tail function Q(x) = P(N(0,1) > x).
@@ -181,30 +129,4 @@ func QInv(p float64) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// SNRdB returns the signal-to-noise ratio in dB given signal and noise
-// powers in dBm.
-func SNRdB(signalDBm, noiseDBm float64) float64 { return signalDBm - noiseDBm }
-
-// DegToRad converts degrees to radians.
-func DegToRad(d float64) float64 { return d * math.Pi / 180 }
-
-// RadToDeg converts radians to degrees.
-func RadToDeg(r float64) float64 { return r * 180 / math.Pi }
-
-// FCC Part 15.249 field-strength limit for the 24.0–24.25 GHz ISM band,
-// expressed as EIRP: 2500 mV/m at 3 m corresponds to ≈ +32.7 dBm EIRP
-// (the paper's §1 cites Title 47 [6] as the regulatory basis for the
-// band).
-const FCC15249EIRPLimitDBm = 32.7
-
-// EIRPdBm returns the effective isotropic radiated power of a
-// transmitter with output ptDBm behind an antenna of gain gDBi.
-func EIRPdBm(ptDBm, gDBi float64) float64 { return ptDBm + gDBi }
-
-// FCCCompliant24GHz reports whether a 24 GHz ISM transmitter meets the
-// Part 15.249 EIRP limit.
-func FCCCompliant24GHz(ptDBm, gDBi float64) bool {
-	return EIRPdBm(ptDBm, gDBi) <= FCC15249EIRPLimitDBm
 }

@@ -19,7 +19,6 @@ import (
 type FixedBeamTag struct {
 	Geometry antenna.ULA
 	Element  circuit.PatchElement
-	switchOn bool
 }
 
 // NewFixedBeam returns an n-element fixed-beam tag at frequency f with the
@@ -34,15 +33,12 @@ func NewFixedBeam(n int, f float64) (*FixedBeamTag, error) {
 	return &FixedBeamTag{Geometry: ula, Element: elem}, nil
 }
 
-// SetSwitch drives the modulation switches, as for the Van Atta array.
-func (t *FixedBeamTag) SetSwitch(on bool) { t.switchOn = on }
-
 // BistaticResponse returns the scattered field toward psi for incidence
 // theta: each element re-radiates its own phasor, y_n = x_n, which makes
-// the scattering specular.
+// the scattering specular. The switches are off: the elements reflect.
 func (t *FixedBeamTag) BistaticResponse(theta, psi, f float64) complex128 {
 	rx := t.Geometry.SteeringVector(theta)
-	tr := t.Element.TransmissionAmplitude(f, t.switchOn)
+	tr := t.Element.TransmissionAmplitude(f, false)
 	w := make([]complex128, len(rx))
 	for i, v := range rx {
 		w[i] = v * complex(tr*tr, 0)
@@ -53,22 +49,6 @@ func (t *FixedBeamTag) BistaticResponse(theta, psi, f float64) complex128 {
 // MonostaticResponse returns the field scattered back to the illuminator.
 func (t *FixedBeamTag) MonostaticResponse(theta, f float64) complex128 {
 	return t.BistaticResponse(theta, theta, f)
-}
-
-// RetroGainDBi returns the effective gain back toward the illuminator,
-// which for the fixed-beam tag is high only near boresight.
-func (t *FixedBeamTag) RetroGainDBi(theta, f float64) float64 {
-	rx := t.Geometry.SteeringVector(theta)
-	tr := t.Element.TransmissionAmplitude(f, t.switchOn)
-	w := make([]complex128, len(rx))
-	for i, v := range rx {
-		w[i] = v * complex(tr*tr, 0)
-	}
-	g := t.Geometry.GainDBi(w, theta)
-	if math.IsInf(g, -1) {
-		return g
-	}
-	return g
 }
 
 // angleSweepBatch is how many angles one parallel work item evaluates.

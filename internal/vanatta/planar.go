@@ -18,8 +18,6 @@ type PlanarArray struct {
 	Geometry antenna.URA
 	Element  circuit.PatchElement
 	Line     circuit.TransmissionLine
-
-	switchOn bool
 }
 
 // NewPlanar returns an nx×ny planar tag at frequency f. Both nx·ny must
@@ -45,9 +43,6 @@ func NewPlanar(nx, ny int, f float64) (*PlanarArray, error) {
 	return &PlanarArray{Geometry: ura, Element: elem, Line: line}, nil
 }
 
-// SetSwitch drives all modulation switches.
-func (a *PlanarArray) SetSwitch(on bool) { a.switchOn = on }
-
 // pairIndex returns the point-symmetric partner of row-major index i.
 func (a *PlanarArray) pairIndex(i int) int {
 	m := i / a.Geometry.Ny
@@ -56,10 +51,11 @@ func (a *PlanarArray) pairIndex(i int) int {
 }
 
 // ReradiatedWeights returns the feed phasors after the pair swap for a
-// wave incident from (az, el) at frequency f.
+// wave incident from (az, el) at frequency f, with the switches off (the
+// retrodirective state).
 func (a *PlanarArray) ReradiatedWeights(az, el, f float64) []complex128 {
 	rx := a.Geometry.SteeringVector(az, el)
-	tElem := a.Element.TransmissionAmplitude(f, a.switchOn)
+	tElem := a.Element.TransmissionAmplitude(f, false)
 	lg := a.Line.PropagationGain(f)
 	out := make([]complex128, len(rx))
 	for i := range out {

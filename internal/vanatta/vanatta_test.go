@@ -265,8 +265,9 @@ func TestPeakResponseAngleDefaultPoints(t *testing.T) {
 }
 
 // TestFixedBeamSwitchAndRetroGain: the fixed-beam baseline's switch must
-// modulate its response like the Van Atta's, and its retro gain must
-// fall off away from boresight (the property the Van Atta fixes).
+// damp what its elements reradiate, like the Van Atta's, and its retro
+// response must fall off away from boresight (the property the Van Atta
+// fixes).
 func TestFixedBeamSwitchAndRetroGain(t *testing.T) {
 	fb, err := NewFixedBeam(6, f24)
 	if err != nil {
@@ -279,16 +280,18 @@ func TestFixedBeamSwitchAndRetroGain(t *testing.T) {
 	if va.N() != 6 {
 		t.Fatalf("N() = %d, want 6", va.N())
 	}
-	open := cmplx.Abs(fb.MonostaticResponse(0, f24))
-	fb.SetSwitch(true)
-	shorted := cmplx.Abs(fb.MonostaticResponse(0, f24))
-	fb.SetSwitch(false)
+	open := fb.Element.TransmissionAmplitude(f24, false)
+	shorted := fb.Element.TransmissionAmplitude(f24, true)
 	if !(shorted < open) {
-		t.Fatalf("switch on did not damp the response: on %g, off %g", shorted, open)
+		t.Fatalf("switch on did not damp the element: on %g, off %g", shorted, open)
 	}
-	bore := fb.RetroGainDBi(0, f24)
-	off := fb.RetroGainDBi(0.6, f24)
+	bore := cmplx.Abs(fb.MonostaticResponse(0, f24))
+	off := cmplx.Abs(fb.MonostaticResponse(0.6, f24))
 	if !(off < bore) {
-		t.Fatalf("fixed beam retro gain off-boresight %g >= boresight %g", off, bore)
+		t.Fatalf("fixed beam retro response off-boresight %g >= boresight %g", off, bore)
+	}
+	// The Van Atta holds its retro response where the fixed beam drops.
+	if vaOff := cmplx.Abs(va.MonostaticResponse(0.6, f24)); !(vaOff > off) {
+		t.Fatalf("Van Atta off-boresight %g not above fixed beam %g", vaOff, off)
 	}
 }

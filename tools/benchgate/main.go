@@ -24,6 +24,12 @@
 //     is used. "@N" skips the gate when the fresh run had fewer than N
 //     CPUs, where the parallel hardware the claim needs is absent.
 //
+// A record whose subject was deleted is retired: the gates file's retired
+// map names it with the reason. Its history still prints, its presence is
+// not checked, and the gate column reads "retired". A retired record that
+// is in the fresh run, is read by a ratio, or is in no history file is a
+// malformed input.
+//
 // Every input is an mmtag-bench/N file whose benchmarks rows carry name,
 // ns_per_op and allocs_per_op; other fields are ignored. History paths in
 // the gates file are relative to the gates file.
@@ -37,6 +43,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -77,6 +84,8 @@ type gates struct {
 	AllocTolerance float64  `json:"alloc_tolerance"`
 	AllocSlack     float64  `json:"alloc_slack"`
 	Ratios         []string `json:"ratios"`
+	// Retired maps a record whose benchmark is gone to the reason.
+	Retired map[string]string `json:"retired"`
 }
 
 // ratioGate is one parsed ratio: fresh ns/op of num over the fastest of
@@ -146,10 +155,20 @@ func loadGates(path string) (gates, []ratioGate, error) {
 	if g.AllocTolerance < 0 || g.AllocSlack < 0 {
 		return g, nil, fmt.Errorf("%s: alloc_tolerance and alloc_slack must be ≥ 0", path)
 	}
+	for name, reason := range g.Retired {
+		if strings.TrimSpace(reason) == "" {
+			return g, nil, fmt.Errorf("%s: retired record %s gives no reason", path, name)
+		}
+	}
 	ratios := make([]ratioGate, len(g.Ratios))
 	for i, s := range g.Ratios {
 		if ratios[i], err = parseRatio(s); err != nil {
 			return g, nil, fmt.Errorf("%s: %w", path, err)
+		}
+		for _, name := range append([]string{ratios[i].num}, ratios[i].dens...) {
+			if g.Retired[name] != "" {
+				return g, nil, fmt.Errorf("%s: ratio %s reads retired record %s", path, ratios[i], name)
+			}
 		}
 	}
 	return g, ratios, nil
@@ -230,6 +249,26 @@ func check(w io.Writer, gatesPath, freshPath string) (failed bool, err error) {
 			cols[i].scale = freshCal.NsPerOp / cal.NsPerOp
 		}
 	}
+	retired := make([]string, 0, len(g.Retired))
+	for name := range g.Retired {
+		retired = append(retired, name)
+	}
+	sort.Strings(retired)
+	for _, name := range retired {
+		if _, ok := fresh.lookup(name); ok {
+			return false, fmt.Errorf("retired record %s is in the fresh run", name)
+		}
+		recorded := false
+		for _, c := range cols {
+			if _, ok := c.file.lookup(name); ok {
+				recorded = true
+				break
+			}
+		}
+		if !recorded {
+			return false, fmt.Errorf("retired record %s is in no history file", name)
+		}
+	}
 
 	// Rows: every benchmark name, in first-seen order across the history
 	// and then the fresh run.
@@ -247,8 +286,8 @@ func check(w io.Writer, gatesPath, freshPath string) (failed bool, err error) {
 		add(c.file)
 	}
 	add(fresh)
-	nsFailed := nsTable(w, cols, fresh, names)
-	allocFailed := allocTable(w, cols, fresh, names, g.AllocTolerance, g.AllocSlack)
+	nsFailed := nsTable(w, cols, fresh, names, g.Retired)
+	allocFailed := allocTable(w, cols, fresh, names, g.AllocTolerance, g.AllocSlack, g.Retired)
 	ratioFailed := ratioTable(w, fresh, ratios)
 	return nsFailed || allocFailed || ratioFailed, nil
 }
@@ -270,7 +309,7 @@ func header(w io.Writer, cols []column, withTol bool, tail ...string) {
 
 // nsTable prints the calibrated ns/op history and gates the fresh run
 // against every history file that has a tolerance.
-func nsTable(w io.Writer, cols []column, fresh benchFile, names []string) (failed bool) {
+func nsTable(w io.Writer, cols []column, fresh benchFile, names []string, retired map[string]string) (failed bool) {
 	fmt.Fprintln(w, "## Benchmark history (ns/op, scaled to the current machine)")
 	fmt.Fprintln(w)
 	header(w, cols, true, "current", "best", "Δ vs best", "gate")
@@ -320,6 +359,8 @@ func nsTable(w io.Writer, cols []column, fresh benchFile, names []string) (faile
 			failed = true
 		case gated:
 			fmt.Fprintln(w, " ok |")
+		case retired[name] != "":
+			fmt.Fprintln(w, " retired |")
 		default:
 			fmt.Fprintln(w, " – |")
 		}
@@ -331,8 +372,8 @@ func nsTable(w io.Writer, cols []column, fresh benchFile, names []string) (faile
 
 // allocTable prints the allocs/op history and gates the fresh run
 // against the best count ever recorded, and every record of a gated
-// history file for presence.
-func allocTable(w io.Writer, cols []column, fresh benchFile, names []string, tol, slack float64) (failed bool) {
+// history file that is not retired for presence.
+func allocTable(w io.Writer, cols []column, fresh benchFile, names []string, tol, slack float64, retired map[string]string) (failed bool) {
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "## Allocation history (allocs/op), gated at best × %.2f + %g\n\n", 1+tol, slack)
 	header(w, cols, false, "current", "best", "gate")
@@ -353,6 +394,8 @@ func allocTable(w io.Writer, cols []column, fresh benchFile, names []string, tol
 		}
 		cur, haveCur := fresh.lookup(name)
 		switch {
+		case !haveCur && retired[name] != "":
+			fmt.Fprintf(w, " – | %.1f | retired |\n", best)
 		case !haveCur && required:
 			fmt.Fprintf(w, " – | %.1f | **FAIL** (missing from current run) |\n", best)
 			failed = true

@@ -20,7 +20,8 @@ const committedGates = "../../bench_gates.json"
 // gated at +20 % and +40 %; the fresh machine is 2× slower than h1's and
 // 4× slower than h2's, so fresh a = 2000 ns reads +0 % vs h1 and +11 % vs
 // h2 once scaled, though it is 2× h1's raw figure. The ratio gates are
-// the committed ones, all met on 4 CPUs.
+// the committed ones, all met on 4 CPUs. r_gone is a retired record of
+// the gated h2.json that the fresh run no longer has.
 func setup(t *testing.T) (gatesPath string, fresh benchFile) {
 	t.Helper()
 	dir := t.TempDir()
@@ -36,6 +37,7 @@ func setup(t *testing.T) (gatesPath string, fresh benchFile) {
 		{Name: calibrationName, NsPerOp: 50, AllocsPerOp: 28},
 		{Name: "a", NsPerOp: 450, AllocsPerOp: 12},
 		{Name: "b", NsPerOp: 0, AllocsPerOp: 0},
+		{Name: "r_gone", NsPerOp: 300, AllocsPerOp: 3},
 	}})
 	committed, _, err := loadGates(committedGates)
 	if err != nil {
@@ -51,15 +53,12 @@ func setup(t *testing.T) (gatesPath string, fresh benchFile) {
 		"alloc_tolerance": 0.10,
 		"alloc_slack":     2,
 		"ratios":          committed.Ratios,
+		"retired":         map[string]string{"r_gone": "its subject was deleted"},
 	})
 	fresh = benchFile{Schema: "mmtag-bench/9", NumCPU: 4, Benchmarks: []record{
 		{Name: calibrationName, NsPerOp: 200, AllocsPerOp: 28},
 		{Name: "a", NsPerOp: 2000, AllocsPerOp: 13},
 		{Name: "b", NsPerOp: 5, AllocsPerOp: 0},
-		{Name: "fir_block_inplace", NsPerOp: 700},
-		{Name: "fir_fft_block_ws", NsPerOp: 100},
-		{Name: "fft_radix2_1024", NsPerOp: 200},
-		{Name: "fft_radix4_1024_ws", NsPerOp: 100},
 		{Name: "stream_decode_serial", NsPerOp: 500},
 		{Name: "stream_decode_pipelined", NsPerOp: 100},
 		{Name: "angle_sweep_workers_1", NsPerOp: 100},
@@ -120,6 +119,8 @@ func TestCleanRunPasses(t *testing.T) {
 		"| a | 900\\* | 2000 | 1800 | 2000 | 1800 | +11.1% | ok |",
 		"| a | 40.0 | 10.0 | 12.0 | 13.0 | 10.0 | ok |",
 		"| x_old | 5.0 | – | – | – | 5.0 | – |",
+		"| r_gone | – | – | 1200 | – | – | – | retired |",
+		"| r_gone | – | – | 3.0 | – | 3.0 | retired |",
 		"benchgate: ok",
 	} {
 		if !strings.Contains(out, want) {
@@ -167,13 +168,11 @@ func TestRatioGatesTrip(t *testing.T) {
 		ratio string
 		ns    map[string]float64
 	}{
-		{"fir_block_inplace/fir_fft_block_ws", map[string]float64{"fir_block_inplace": 450}},
-		{"fft_radix2_1024/fft_radix4_1024_ws", map[string]float64{"fft_radix2_1024": 110}},
 		{"stream_decode_serial/stream_decode_pipelined", map[string]float64{"stream_decode_serial": 190}},
 		{"angle_sweep_workers_1/angle_sweep_workers_4", map[string]float64{"angle_sweep_workers_4": 110}},
 		{"monte_carlo_ber_workers_1/monte_carlo_ber_workers_4,monte_carlo_ber_workers_max",
 			map[string]float64{"monte_carlo_ber_workers_4": 600, "monte_carlo_ber_workers_max": 600}},
-		{"fir_block_inplace/fir_fft_block_ws", map[string]float64{"fir_fft_block_ws": -1}},
+		{"stream_decode_serial/stream_decode_pipelined", map[string]float64{"stream_decode_pipelined": -1}},
 	} {
 		gatesPath, fresh := setup(t)
 		code, out := gate(t, gatesPath, with(fresh, tc.ns))
@@ -240,10 +239,51 @@ func TestMalformedInputsExit2(t *testing.T) {
 	}
 }
 
+// TestRetiredMisuseExits2: a retired record must be gone from the fresh
+// run, read by no ratio, recorded by some history file, and retired with
+// a reason; anything else is a malformed input.
+func TestRetiredMisuseExits2(t *testing.T) {
+	gatesPath, fresh := setup(t)
+	dir := filepath.Dir(gatesPath)
+	base := func(retired map[string]string, ratios ...string) map[string]any {
+		return map[string]any{
+			"history":         []map[string]any{{"file": "old.json"}, {"file": "h2.json", "ns_tolerance": 0.40}},
+			"alloc_tolerance": 0.10,
+			"alloc_slack":     2,
+			"ratios":          ratios,
+			"retired":         retired,
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		gates map[string]any
+		fresh benchFile
+	}{
+		{"retired but in the fresh run", base(map[string]string{"a": "gone"}), fresh},
+		{"retired but read by a ratio", base(map[string]string{"r_gone": "gone"}, "a/r_gone>=1"), fresh},
+		{"retired but in no history file", base(map[string]string{"never": "gone"}), fresh},
+		{"retired without a reason", base(map[string]string{"r_gone": " "}), fresh},
+	} {
+		path := filepath.Join(dir, "bad.json")
+		writeJSON(t, path, tc.gates)
+		freshPath := filepath.Join(dir, "fresh.json")
+		writeJSON(t, freshPath, tc.fresh)
+		if code := run([]string{"-gates", path, freshPath}, &bytes.Buffer{}); code != 2 {
+			t.Errorf("%s: exit %d, want 2", tc.name, code)
+		}
+	}
+	// The same gates with a well-formed retirement pass.
+	path := filepath.Join(dir, "good.json")
+	writeJSON(t, path, base(map[string]string{"r_gone": "gone"}))
+	if code, out := gate(t, path, fresh); code != 0 {
+		t.Fatalf("well-formed retirement: exit %d, want 0:\n%s", code, out)
+	}
+}
+
 // TestCommittedGates checks that bench_gates.json names only the
 // committed BENCH_1…8 files, that every gated one carries the
-// calibration record, and that every benchmark a ratio gate reads is
-// recorded in that history.
+// calibration record, and that every benchmark a ratio gate reads, and
+// every retired record, is recorded in that history.
 func TestCommittedGates(t *testing.T) {
 	g, ratios, err := loadGates(committedGates)
 	if err != nil {
@@ -270,6 +310,11 @@ func TestCommittedGates(t *testing.T) {
 			if !recorded[name] {
 				t.Errorf("ratio %s reads %s, which no history file records", r, name)
 			}
+		}
+	}
+	for name := range g.Retired {
+		if !recorded[name] {
+			t.Errorf("retired record %s is in no history file", name)
 		}
 	}
 }
