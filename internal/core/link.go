@@ -238,7 +238,7 @@ type Capture struct {
 
 // CaptureWaveformWS synthesizes the receiver capture for one burst
 // without decoding it: the link's operating point, then its capture,
-// inside the core.synth span and the signal taps as OperatingPoint.RunWS
+// inside the core.capture span and the signal taps as OperatingPoint.RunWS
 // records them. The symbol, waveform and capture buffers come from ws,
 // so the returned Capture.Samples are valid until the next ws.Reset. A
 // nil ws allocates.
@@ -385,14 +385,14 @@ func (p *OperatingPoint) CaptureInto(ws *dsp.Workspace, dst []complex128, payloa
 	return rx, tx, nil
 }
 
-// synthWS is CaptureInto into a ws buffer, inside the core.synth span,
+// synthWS is CaptureInto into a ws buffer, inside the core.capture span,
 // followed by the TxWaveform and ChannelOut taps.
 func (p *OperatingPoint) synthWS(ws *dsp.Workspace, payload []byte, mcs frame.MCS, src *rng.Source) ([]complex128, error) {
 	// Labels are only materialized when a registry is installed so the
 	// disabled path stays allocation-free (see BENCH_1.json).
 	var span *obs.Span
 	if obs.Enabled() {
-		span = obs.StartSpan("core.synth", obs.L("bw", p.bw.Label))
+		span = obs.StartSpan("core.capture", obs.L("bw", p.bw.Label))
 	}
 	defer span.End()
 	n := tag.BurstSymbolCountMCS(len(payload), mcs)*SamplesPerSymbol + guardSamples

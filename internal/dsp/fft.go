@@ -1,10 +1,9 @@
 // Package dsp implements the complex-baseband signal processing the
-// tag, channel and reader run: workspace FFTs (radix-2, cached radix-4
-// plans and Bluestein for other lengths) and a packed real-input
-// transform, window functions, rectangular pulse shaping, direct and
-// overlap-save convolution, real-valued preamble correlation,
-// periodograms and envelope smoothing. Everything is written from scratch
-// on the standard library — there is no external numeric dependency.
+// tag, channel and reader run: rectangular pulse shaping, direct
+// convolution, real-valued preamble correlation and envelope smoothing,
+// plus one FFT (radix-2, and Bluestein for other lengths) behind the
+// Hann periodogram. Everything is written from scratch on the standard
+// library — there is no external numeric dependency.
 package dsp
 
 import (
@@ -24,8 +23,9 @@ func NextPowerOfTwo(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// radix2 is an iterative in-place decimation-in-time FFT. Workspace
-// transforms run it below pow2PlanMin points.
+// radix2 is an iterative in-place decimation-in-time FFT for
+// power-of-two lengths; the inverse is normalized by 1/n. Workspace
+// transforms run it directly and inside Bluestein's chirp-z plans.
 func radix2(x []complex128, inverse bool) {
 	n := len(x)
 	if n <= 1 {

@@ -205,8 +205,7 @@ func TestNextPowerOfTwo(t *testing.T) {
 }
 
 // TestFFTInPlaceMatchesFFT: the in-place workspace transforms agree with
-// the naive DFT below the radix-4 threshold (radix-2) and above it, and
-// the inverse undoes the forward transform.
+// the naive DFT, and the inverse undoes the forward transform.
 func TestFFTInPlaceMatchesFFT(t *testing.T) {
 	src := rand.New(rand.NewSource(5))
 	ws := NewWorkspace()
@@ -218,4 +217,114 @@ func TestFFTInPlaceMatchesFFT(t *testing.T) {
 		ws.IFFTInPlace(got)
 		complexNear(t, got, x, 1e-9, "IFFTInPlace round trip")
 	}
+}
+
+func randComplex(rng *rand.Rand, n int) []complex128 {
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	return x
+}
+
+func maxAbsDiff(a, b []complex128) float64 {
+	m := 0.0
+	for i := range a {
+		if d := cmplx.Abs(a[i] - b[i]); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
+// TestWorkspaceFFTAllLengths pins Workspace.FFTInPlace (radix-2 for
+// powers of two, Bluestein elsewhere) against the naive DFT across pow2,
+// odd, and prime lengths.
+func TestWorkspaceFFTAllLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	w := NewWorkspace()
+	for _, n := range []int{1, 2, 3, 5, 7, 8, 13, 16, 27, 31, 64, 97, 100, 128, 1000, 1024} {
+		x := randComplex(rng, n)
+		want := naiveDFT(x, false)
+		got := append([]complex128(nil), x...)
+		w.FFTInPlace(got)
+		if d := maxAbsDiff(got, want); d > 1e-7*float64(n) {
+			t.Fatalf("ws fft n=%d: max diff %g vs naive DFT", n, d)
+		}
+		w.IFFTInPlace(got)
+		if d := maxAbsDiff(got, x); d > 1e-8*float64(n) {
+			t.Fatalf("ws fft n=%d: round-trip diff %g", n, d)
+		}
+		w.Reset()
+	}
+}
+
+// TestWorkspaceFFTZeroAlloc: a warm workspace transform pair runs
+// without allocating.
+func TestWorkspaceFFTZeroAlloc(t *testing.T) {
+	w := NewWorkspace()
+	x := randComplex(rand.New(rand.NewSource(1)), 1024)
+	// Warm the plan caches.
+	w.FFTInPlace(x)
+	w.IFFTInPlace(x)
+	w.Reset()
+
+	if n := testing.AllocsPerRun(100, func() {
+		w.FFTInPlace(x)
+		w.IFFTInPlace(x)
+	}); n != 0 {
+		t.Fatalf("workspace complex FFT pair allocates %v/op, want 0", n)
+	}
+}
+
+// FuzzWorkspaceFFT is the differential target for both FFT kernels: a
+// length of 1–2048 and samples from the fuzzer go forward and back
+// through a nil workspace and a warm one (plans already cached). The two
+// must agree bit for bit, and both must match the naive DFT within a
+// tolerance proportional to n.
+func FuzzWorkspaceFFT(f *testing.F) {
+	data := make([]byte, 64)
+	for i := range data {
+		data[i] = byte(37*i + 11)
+	}
+	for _, n := range []uint16{
+		1, 2, 16, 32, 64, 128, 1024, 2048, // radix-2
+		3, 100, 1000, 2047, // Bluestein
+	} {
+		f.Add(n, data)
+	}
+	f.Fuzz(func(t *testing.T, raw uint16, data []byte) {
+		n := 1 + int(raw-1)%2048
+		x := make([]complex128, n)
+		if len(data) > 0 {
+			for i := range x {
+				re := int8(data[(2*i)%len(data)])
+				im := int8(data[(2*i+1)%len(data)])
+				x[i] = complex(float64(re)/128, float64(im)/128)
+			}
+		}
+		warm := NewWorkspace()
+		scratch := append([]complex128(nil), x...)
+		warm.FFTInPlace(scratch)
+		warm.IFFTInPlace(scratch)
+		tol := 1e-7 * float64(n)
+		for _, inverse := range []bool{false, true} {
+			got := fftOf(x, inverse)
+			ws := append([]complex128(nil), x...)
+			if inverse {
+				warm.IFFTInPlace(ws)
+			} else {
+				warm.FFTInPlace(ws)
+			}
+			for i := range got {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(ws[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(ws[i])) {
+					t.Fatalf("n=%d inverse=%v bin %d: nil workspace %v, warm workspace %v", n, inverse, i, got[i], ws[i])
+				}
+			}
+			if d := maxAbsDiff(got, naiveDFT(x, inverse)); d > tol {
+				t.Fatalf("n=%d inverse=%v: max diff %g vs naive DFT, tolerance %g", n, inverse, d, tol)
+			}
+		}
+	})
 }

@@ -37,8 +37,6 @@ type Workspace struct {
 	fbufs bufPool[float64]
 	bbufs bufPool[byte]
 	plans map[int]*fftPlan
-	pow2s map[int]*pow2Plan
-	rffts map[int]*rfftPlan
 }
 
 // NewWorkspace returns an empty workspace.
@@ -121,11 +119,10 @@ func (w *Workspace) Reset() {
 	w.bbufs.reset()
 }
 
-// FFTInPlace computes the DFT of x in place for any length: radix-2
-// below 32 points, a cached radix-4 plan for larger powers of two, and
-// plan-cached Bluestein otherwise. Zero allocations once the plan for
-// len(x) exists. A nil workspace builds throwaway plans and returns the
-// same bits.
+// FFTInPlace computes the DFT of x in place for any length: radix-2 for
+// powers of two and plan-cached Bluestein (over radix-2) otherwise. Zero
+// allocations once the plan for len(x) exists. A nil workspace builds
+// throwaway plans and returns the same bits.
 func (w *Workspace) FFTInPlace(x []complex128) { w.fft(x, false) }
 
 // IFFTInPlace computes the normalized inverse DFT of x in place for any
@@ -138,37 +135,10 @@ func (w *Workspace) fft(x []complex128, inverse bool) {
 		return
 	}
 	if IsPowerOfTwo(n) {
-		if n >= pow2PlanMin {
-			p := w.pow2Plan(n)
-			if inverse {
-				p.inverse(x)
-			} else {
-				p.forward(x)
-			}
-			return
-		}
 		radix2(x, inverse)
 		return
 	}
 	w.plan(n, inverse).transform(x, inverse)
-}
-
-// pow2Plan returns the cached radix-4 plan for power-of-two length n,
-// building it on first use. Plans survive Reset (immutable except for
-// their private scratch buffer).
-func (w *Workspace) pow2Plan(n int) *pow2Plan {
-	if w == nil {
-		return newPow2Plan(n)
-	}
-	if p, ok := w.pow2s[n]; ok {
-		return p
-	}
-	if w.pow2s == nil {
-		w.pow2s = make(map[int]*pow2Plan)
-	}
-	p := newPow2Plan(n)
-	w.pow2s[n] = p
-	return p
 }
 
 // plan returns the cached Bluestein plan for (n, inverse), building it on
@@ -197,11 +167,10 @@ func (w *Workspace) plan(n int, inverse bool) *fftPlan {
 // FFT of the conjugate-chirp convolution kernel. Caching it saves both
 // the per-call factor allocations and one of the three radix-2 passes.
 type fftPlan struct {
-	n, m    int
+	n       int
 	chirp   []complex128 // n chirp factors
 	bfft    []complex128 // m-point FFT of the conjugate-chirp kernel
 	scratch []complex128 // m-point work buffer reused per transform
-	mp      *pow2Plan    // radix-4 plan for the three m-point transforms
 }
 
 func newFFTPlan(n int, inverse bool) *fftPlan {
@@ -224,9 +193,8 @@ func newFFTPlan(n int, inverse bool) *fftPlan {
 	for k := 1; k < n; k++ {
 		b[m-k] = cmplx.Conj(chirp[k])
 	}
-	mp := newPow2Plan(m)
-	mp.forward(b)
-	return &fftPlan{n: n, m: m, chirp: chirp, bfft: b, scratch: make([]complex128, m), mp: mp}
+	radix2(b, false)
+	return &fftPlan{n: n, chirp: chirp, bfft: b, scratch: make([]complex128, m)}
 }
 
 // transform runs the chirp-z convolution on x (length p.n) in place.
@@ -236,11 +204,11 @@ func (p *fftPlan) transform(x []complex128, inverse bool) {
 	for k := 0; k < p.n; k++ {
 		a[k] = x[k] * p.chirp[k]
 	}
-	p.mp.forward(a)
+	radix2(a, false)
 	for i := range a {
 		a[i] *= p.bfft[i]
 	}
-	p.mp.inverse(a)
+	radix2(a, true)
 	for k := 0; k < p.n; k++ {
 		x[k] = a[k] * p.chirp[k]
 	}

@@ -95,22 +95,10 @@ func (c Composite) PowerW() float64 {
 	return p
 }
 
-// Storage is the tag's energy buffer (a capacitor — batteryless by
-// construction).
-type Storage struct {
-	// CapacitanceF is the storage capacitance.
-	CapacitanceF float64
-	// VMax is the charged rail voltage.
-	VMax float64
-	// VMin is the brown-out voltage below which logic stops.
-	VMin float64
-}
-
 // Budget plans duty-cycled operation: harvest continuously, burst when
 // the capacitor allows.
 type Budget struct {
 	Harvest Harvester
-	Store   Storage
 	// ActiveW is the tag's power draw while modulating (from
 	// tag.EnergyModel.PowerAtBitrateW).
 	ActiveW float64
@@ -127,12 +115,6 @@ func (b Budget) DutyCycle() float64 {
 		return 1
 	}
 	return d
-}
-
-// DefaultStorage returns a 100 µF / 3.0→1.8 V buffer — a typical
-// batteryless sensor supply.
-func DefaultStorage() Storage {
-	return Storage{CapacitanceF: 100e-6, VMax: 3.0, VMin: 1.8}
 }
 
 // DefaultRectifier returns a 24 GHz rectenna model: 20% efficiency,

@@ -56,7 +56,6 @@ func TestLightAndMotion(t *testing.T) {
 func TestDutyCycle(t *testing.T) {
 	b := Budget{
 		Harvest: MotionHarvester{AverageUW: 68},
-		Store:   DefaultStorage(),
 		ActiveW: 136e-6, // 10 Mb/s modulation draw from tag.DefaultEnergyModel
 	}
 	if got := b.DutyCycle(); math.Abs(got-0.5) > 1e-9 {
@@ -65,11 +64,11 @@ func TestDutyCycle(t *testing.T) {
 }
 
 func TestDutyCycleCaps(t *testing.T) {
-	rich := Budget{Harvest: MotionHarvester{AverageUW: 1000}, Store: DefaultStorage(), ActiveW: 10e-6}
+	rich := Budget{Harvest: MotionHarvester{AverageUW: 1000}, ActiveW: 10e-6}
 	if rich.DutyCycle() != 1 {
 		t.Error("surplus harvest should cap at duty 1")
 	}
-	free := Budget{Harvest: MotionHarvester{}, Store: DefaultStorage(), ActiveW: 0}
+	free := Budget{Harvest: MotionHarvester{}, ActiveW: 0}
 	if free.DutyCycle() != 1 {
 		t.Error("zero draw should be duty 1")
 	}
@@ -78,8 +77,8 @@ func TestDutyCycleCaps(t *testing.T) {
 func TestDutyCycleMonotoneInHarvest(t *testing.T) {
 	f := func(raw float64) bool {
 		uw := math.Abs(math.Mod(raw, 200))
-		b1 := Budget{Harvest: MotionHarvester{AverageUW: uw}, Store: DefaultStorage(), ActiveW: 136e-6}
-		b2 := Budget{Harvest: MotionHarvester{AverageUW: uw + 10}, Store: DefaultStorage(), ActiveW: 136e-6}
+		b1 := Budget{Harvest: MotionHarvester{AverageUW: uw}, ActiveW: 136e-6}
+		b2 := Budget{Harvest: MotionHarvester{AverageUW: uw + 10}, ActiveW: 136e-6}
 		return b2.DutyCycle() >= b1.DutyCycle()
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -69,7 +69,7 @@ func EnergyFeasibility(n int) (EnergyResult, error) {
 		rf := energy.DefaultRectifier(incident)
 		active := em.PowerAtBitrateW(b.RateBps)
 		mkDuty := func(h energy.Harvester) float64 {
-			return energy.Budget{Harvest: h, Store: energy.DefaultStorage(), ActiveW: active}.DutyCycle()
+			return energy.Budget{Harvest: h, ActiveW: active}.DutyCycle()
 		}
 		both := energy.Composite{rf, ambient}
 		pt := EnergyPoint{

@@ -26,12 +26,8 @@ import (
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 )
 
-// SchemaRules identifies an alert rules file; SchemaAlerts the
-// alerts.jsonl artifact lines.
-const (
-	SchemaRules  = "mmtag-alert-rules/1"
-	SchemaAlerts = "mmtag-alerts/1"
-)
+// SchemaAlerts identifies the alerts.jsonl artifact lines.
+const SchemaAlerts = "mmtag-alerts/1"
 
 // Rule is one declarative SLO condition on a sampled metric.
 type Rule struct {
@@ -112,8 +108,7 @@ func DefaultRules() []Rule {
 // rulesFile is the on-disk shape accepted by LoadRules: either a bare
 // JSON array of rules or an object with a "rules" key.
 type rulesFile struct {
-	Schema string `json:"schema"`
-	Rules  []Rule `json:"rules"`
+	Rules []Rule `json:"rules"`
 }
 
 // LoadRules parses a rules document (array or {"rules": [...]}).
@@ -410,7 +405,7 @@ func aggregate(r Rule, kind obs.Kind, found bool, i, wSlots int, slotDur float64
 			}
 		}
 		q := map[string]float64{"p50": 0.5, "p90": 0.9, "p99": 0.99}[r.Agg]
-		return quantileOK(bounds, scratch, q)
+		return tsdb.Quantile(bounds, scratch, q)
 	case "max", "min":
 		if kind != obs.KindGauge {
 			return math.NaN(), false
@@ -432,10 +427,6 @@ func aggregate(r Rule, kind obs.Kind, found bool, i, wSlots int, slotDur float64
 		return best, !math.IsNaN(best)
 	}
 	return math.NaN(), false
-}
-
-func quantileOK(bounds []float64, counts []uint64, q float64) (float64, bool) {
-	return tsdb.Quantile(bounds, counts, q)
 }
 
 func compare(v float64, op string, threshold float64) bool {
@@ -464,7 +455,7 @@ func EncodeJSONL(trans []Transition) []byte {
 	for i, tr := range trans {
 		var b []byte
 		b = append(b, `{"t":`...)
-		b = appendFloat(b, tr.T)
+		b = obs.AppendJSONFloat(b, tr.T)
 		b = append(b, `,"rule":`...)
 		b = strconv.AppendQuote(b, tr.Rule)
 		b = append(b, `,"state":`...)
@@ -472,9 +463,9 @@ func EncodeJSONL(trans []Transition) []byte {
 		b = append(b, `,"metric":`...)
 		b = strconv.AppendQuote(b, tr.Metric)
 		b = append(b, `,"value":`...)
-		b = appendFloat(b, tr.Value)
+		b = obs.AppendJSONFloat(b, tr.Value)
 		b = append(b, `,"threshold":`...)
-		b = appendFloat(b, tr.Threshold)
+		b = obs.AppendJSONFloat(b, tr.Threshold)
 		b = append(b, `,"severity":`...)
 		b = strconv.AppendQuote(b, tr.Severity)
 		b = append(b, "}\n"...)
@@ -491,18 +482,6 @@ func EncodeJSONL(trans []Transition) []byte {
 		out = append(out, l.b...)
 	}
 	return out
-}
-
-func appendFloat(b []byte, v float64) []byte {
-	switch {
-	case math.IsNaN(v):
-		return append(b, `"NaN"`...)
-	case math.IsInf(v, 1):
-		return append(b, `"+Inf"`...)
-	case math.IsInf(v, -1):
-		return append(b, `"-Inf"`...)
-	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // Emit writes each transition into the active event log (category

@@ -28,7 +28,6 @@ package event
 
 import (
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -279,7 +278,7 @@ func (l *Log) Reset() {
 // key-sorted. It is the body of Emit.
 func appendEvent(b []byte, t float64, lvl Level, cat, msg string, sorted []obs.Label) []byte {
 	b = append(b, `{"t":`...)
-	b = appendFloat(b, t)
+	b = obs.AppendJSONFloat(b, t)
 	b = append(b, `,"lvl":`...)
 	b = strconv.AppendQuote(b, lvl.String())
 	b = append(b, `,"cat":`...)
@@ -311,16 +310,6 @@ func sortLabels(ls []obs.Label) {
 			ls[j], ls[j-1] = ls[j-1], ls[j]
 		}
 	}
-}
-
-// appendFloat renders the timestamp; NaN/Inf (not valid JSON numbers)
-// are quoted. Finite values append in place (no intermediate string) so
-// the Emit hot path stays allocation-free.
-func appendFloat(b []byte, v float64) []byte {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return strconv.AppendQuote(b, strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // F formats a float64 event field with %g — the shared helper event

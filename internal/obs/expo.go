@@ -272,6 +272,24 @@ func (r *Registry) PrometheusText() string {
 	return b.String()
 }
 
+// AppendJSONFloat appends v to b in the shortest 'g' form; the
+// non-finite values, which JSON numbers cannot carry, go in quoted by
+// name ("NaN", "+Inf", "-Inf"). The hand-rolled JSON artifacts
+// (events.jsonl, timeseries.json, alerts.jsonl) encode every float
+// through it, so equal values always yield equal bytes. It appends in
+// place and allocates only to grow b.
+func AppendJSONFloat(b []byte, v float64) []byte {
+	switch {
+	case math.IsNaN(v):
+		return append(b, `"NaN"`...)
+	case math.IsInf(v, 1):
+		return append(b, `"+Inf"`...)
+	case math.IsInf(v, -1):
+		return append(b, `"-Inf"`...)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
 func formatFloat(v float64) string {
 	switch {
 	case math.IsInf(v, 1):

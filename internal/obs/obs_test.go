@@ -257,3 +257,26 @@ func TestConcurrentWriters(t *testing.T) {
 		t.Errorf("lost histogram samples: %+v", hist)
 	}
 }
+
+// TestAppendJSONFloat pins the bytes the event log, timeseries.json and
+// alerts.jsonl write for a float: the shortest 'g' form, signed zero
+// kept, and the non-finite values quoted by name. Those artifacts are
+// compared byte for byte across builds, so these bytes must not move.
+func TestAppendJSONFloat(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{0, `0`},
+		{math.Copysign(0, -1), `-0`},
+		{1e-300, `1e-300`},
+		{1.5, `1.5`},
+		{math.NaN(), `"NaN"`},
+		{math.Inf(1), `"+Inf"`},
+		{math.Inf(-1), `"-Inf"`},
+	} {
+		if got := string(AppendJSONFloat([]byte("x:"), tc.v)); got != "x:"+tc.want {
+			t.Errorf("AppendJSONFloat(%v) = %q, want %q", tc.v, got, "x:"+tc.want)
+		}
+	}
+}

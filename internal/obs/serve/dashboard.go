@@ -400,7 +400,7 @@ func (s *Server) writeLastBurst(b *strings.Builder) {
 		}
 	}
 	if len(last.IQ) >= 8 && last.SampleRateHz > 0 {
-		raw := dsp.PeriodogramWS(ws, last.IQ, dsp.Hann)
+		raw := dsp.PeriodogramWS(ws, last.IQ)
 		psd := dsp.FFTShiftFloatsInto(ws.Float(len(raw)), raw)
 		n := len(psd)
 		freqs := ws.Float(n)

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"math"
 	"strconv"
 
 	"github.com/mmtag/mmtag/internal/obs"
@@ -24,7 +23,7 @@ func (sn Snapshot) JSON() []byte {
 	b = append(b, `{"schema":`...)
 	b = strconv.AppendQuote(b, SchemaTimeseries)
 	b = append(b, `,"dt":`...)
-	b = appendJSONFloat(b, sn.DT)
+	b = obs.AppendJSONFloat(b, sn.DT)
 	b = append(b, `,"stride":`...)
 	b = strconv.AppendUint(b, sn.Stride, 10)
 	b = append(b, `,"slot_cap":`...)
@@ -73,7 +72,7 @@ func appendSeries(b []byte, se Series) []byte {
 			b = append(b, ',')
 		}
 		b = append(b, `{"t":`...)
-		b = appendJSONFloat(b, p.T)
+		b = obs.AppendJSONFloat(b, p.T)
 		if se.Kind == obs.KindHistogram {
 			b = append(b, `,"count":`...)
 			b = strconv.AppendUint(b, p.Count, 10)
@@ -85,29 +84,15 @@ func appendSeries(b []byte, se Series) []byte {
 					b = append(b, ',', '"')
 					b = append(b, q.name...)
 					b = append(b, `":`...)
-					b = appendJSONFloat(b, v)
+					b = obs.AppendJSONFloat(b, v)
 				}
 			}
 		} else {
 			b = append(b, `,"v":`...)
-			b = appendJSONFloat(b, p.V)
+			b = obs.AppendJSONFloat(b, p.V)
 		}
 		b = append(b, '}')
 	}
 	b = append(b, "]}"...)
 	return b
-}
-
-// appendJSONFloat formats like the event log: shortest 'g' form, with
-// the non-finite values JSON cannot carry quoted by name.
-func appendJSONFloat(b []byte, v float64) []byte {
-	switch {
-	case math.IsNaN(v):
-		return append(b, `"NaN"`...)
-	case math.IsInf(v, 1):
-		return append(b, `"+Inf"`...)
-	case math.IsInf(v, -1):
-		return append(b, `"-Inf"`...)
-	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }

@@ -31,7 +31,7 @@ type Waveform struct {
 	// SPS is samples per symbol (≥ 1).
 	SPS int
 	// Pulse is the shaping pulse; RectPulse(SPS) reproduces the tag's
-	// hard switching, raised-cosine shapes bound the occupied bandwidth.
+	// hard switching.
 	Pulse []float64
 }
 
@@ -50,20 +50,12 @@ func (w Waveform) SynthesizeWS(ws *dsp.Workspace, symbols []complex128) []comple
 	return dsp.ShapeSymbolsWS(ws, symbols, w.Pulse, w.SPS)
 }
 
-// matchedFilterDirectMax is the longest pulse still correlated by the
-// direct per-symbol loop; beyond it MatchedFilterWS runs one overlap-save
-// FFT correlation over the whole burst and samples the decision points
-// from it. The default rect pulse (len = SPS) stays direct, keeping the
-// burst hot path's numerics bit-identical.
-const matchedFilterDirectMax = 32
-
 // MatchedFilterWS correlates the received samples against the pulse and
 // returns one decision statistic per symbol period, sampling at the
 // center of each period starting from startSample. Decision values are
 // normalized by the pulse energy so symbol amplitudes are preserved. The
 // decision buffer is checked out of ws (valid until the next ws.Reset;
-// nil ws allocates). Long shaping pulses (raised-cosine with many
-// samples per symbol) take the frequency-domain path.
+// nil ws allocates).
 func (w Waveform) MatchedFilterWS(ws *dsp.Workspace, samples []complex128, startSample, nSymbols int) ([]complex128, error) {
 	if startSample < 0 {
 		return nil, fmt.Errorf("phy: negative start sample %d", startSample)
@@ -74,26 +66,6 @@ func (w Waveform) MatchedFilterWS(ws *dsp.Workspace, samples []complex128, start
 	}
 	if pe == 0 {
 		return nil, fmt.Errorf("phy: zero-energy pulse")
-	}
-	if l := len(w.Pulse); l > matchedFilterDirectMax && nSymbols > 0 {
-		// Correlation as convolution with the reversed pulse: full-conv
-		// position start + k·SPS + (l−1) − (l−1)/2 is symbol k's decision
-		// point, and the convolution's implicit zero padding reproduces
-		// the direct loop's skip of out-of-range taps.
-		h := ws.Complex(l)
-		for i, p := range w.Pulse {
-			h[l-1-i] = complex(p, 0)
-		}
-		full := dsp.ConvOSWS(ws, samples, h)
-		out := ws.Complex(nSymbols)
-		off := (l - 1) - (l-1)/2
-		ipe := complex(1/pe, 0)
-		for k := 0; k < nSymbols; k++ {
-			if u := startSample + k*w.SPS + off; u < len(full) {
-				out[k] = full[u] * ipe
-			}
-		}
-		return out, nil
 	}
 	out := ws.Complex(nSymbols)[:0]
 	for k := 0; k < nSymbols; k++ {

@@ -148,7 +148,7 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 	defer span.End()
 	obs.Inc("reader_bursts_total")
 
-	sync := span.StartChild("reader.sync")
+	sync := span.StartChild("phy.sync")
 	start, metric, err := w.DetectBurstWS(ws, samples, 0)
 	sync.End()
 	if err != nil {
@@ -264,7 +264,7 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 			event.F("threshold", stats.Threshold), event.F("snr_db", stats.SNRdBEst))
 	}
 
-	deframe := span.StartChild("reader.deframe")
+	deframe := span.StartChild("frame.deframe")
 	defer deframe.End()
 	raw, err := frame.AppendBytesFromBits(ws.Bytes(len(bits) / 8)[:0], bits)
 	if err != nil {

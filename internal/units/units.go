@@ -26,8 +26,6 @@ const (
 
 // Frequency helpers.
 const (
-	Hz  = 1.0
-	KHz = 1e3
 	MHz = 1e6
 	GHz = 1e9
 )

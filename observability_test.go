@@ -79,19 +79,23 @@ func TestFacadeMetricsSpanFourPackages(t *testing.T) {
 	if len(snap.Spans) == 0 {
 		t.Error("no spans collected")
 	}
-	// Span parentage: the reader pipeline stages hang off reader.decode.
+	// Span parentage: the reader pipeline stages hang off reader.decode
+	// under the layer names bench/ uses; the capture is a root of its own.
 	byID := map[uint64]string{}
 	for _, sp := range snap.Spans {
 		byID[sp.ID] = sp.Name
 	}
-	childOK := false
+	parentOf := map[string]string{}
 	for _, sp := range snap.Spans {
-		if sp.Name == "reader.sync" && byID[sp.ParentID] == "reader.decode" {
-			childOK = true
+		parentOf[sp.Name] = byID[sp.ParentID]
+	}
+	for _, name := range []string{"phy.sync", "frame.deframe"} {
+		if got := parentOf[name]; got != "reader.decode" {
+			t.Errorf("%s span parented under %q, want reader.decode", name, got)
 		}
 	}
-	if !childOK {
-		t.Error("reader.sync span is not parented under reader.decode")
+	if _, ok := parentOf["core.capture"]; !ok {
+		t.Error("no core.capture span collected")
 	}
 
 	// Both exposition formats render the same registry.
