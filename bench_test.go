@@ -169,7 +169,7 @@ func BenchmarkImpairmentAblation(b *testing.B) {
 // BenchmarkWaveformBurst measures the cost of one complete waveform-level
 // burst exchange (frame → switch waveform → channel → sync → demod →
 // CRC) — the inner loop of every E8-style experiment — with
-// observability off (the Nop fast path).
+// observability off (every helper's nil fast path).
 func BenchmarkWaveformBurst(b *testing.B) {
 	obs.Disable()
 	event.Disable()
@@ -245,7 +245,7 @@ func benchBurst(b *testing.B, degraded bool) {
 
 // BenchmarkWaveformBurstMetricsEnabled is BenchmarkWaveformBurst with
 // the observability registry installed: the delta against the plain
-// (Nop) benchmark is the full cost of live metric + span collection on
+// (sinks-off) benchmark is the full cost of live metric + span collection on
 // the hottest path.
 func BenchmarkWaveformBurstMetricsEnabled(b *testing.B) {
 	obs.Enable()
@@ -622,9 +622,9 @@ func BenchmarkPlanarTag(b *testing.B) {
 
 // BenchmarkWaveformBurstTapsEnabled is BenchmarkWaveformBurst with the
 // signal taps installed (metrics and events off): the delta against the
-// Nop benchmark is the full cost of per-burst PAPR/RMS/sync/EVM capture
-// and the coherent last-burst snapshot. Steady-state allocations must
-// match the Nop path exactly — the tap reuses its snapshot buffers.
+// sinks-off benchmark is the full cost of per-burst PAPR/RMS/sync/EVM
+// capture and the coherent last-burst snapshot. Steady-state allocations
+// must match the sinks-off path exactly — the tap reuses its snapshot buffers.
 func BenchmarkWaveformBurstTapsEnabled(b *testing.B) {
 	obs.Disable()
 	event.Disable()

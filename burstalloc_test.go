@@ -72,7 +72,7 @@ func TestBurstAllocContracts(t *testing.T) {
 // so a retransmission costs the decode's few allocations and the run's
 // setup is shared by every burst; computing the budget per burst costs
 // about 11 more.
-const arqAllocsPerTransmission = 8
+const arqAllocsPerTransmission = 6
 
 // TestARQAllocsPerTransmission runs 40 × 64 B frames at 2 GHz on either
 // side of the gigabit range edge, 4 ft (few retransmissions) and 5.5 ft

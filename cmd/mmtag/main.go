@@ -393,7 +393,7 @@ func writeObservability(reg *obs.Registry, evLog *event.Log, tap *signal.Tap, sm
 		}
 	}
 	if evLog != nil {
-		if dropped, _ := evLog.Dropped(); dropped > 0 {
+		if dropped := evLog.Dropped(); dropped > 0 {
 			fmt.Fprintf(os.Stderr, "mmtag: event log dropped %d events at capacity %d; "+
 				"the exposition is truncated and no longer worker-count invariant\n",
 				dropped, eventLogCapacity)

@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"github.com/mmtag/mmtag/internal/units"
 )
 
 // Element is a single-antenna radiation pattern: amplitude gain as a
@@ -206,15 +208,9 @@ func (a ULA) HPBWRad(w []complex128, steer float64) float64 {
 		for ofs := step; ofs < math.Pi; ofs += step {
 			th := steer + dir*ofs
 			if cmplx.Abs(a.ArrayFactor(w, th)) < half {
-				lo, hi := prev, th
-				for i := 0; i < 60; i++ {
-					mid := (lo + hi) / 2
-					if cmplx.Abs(a.ArrayFactor(w, mid)) >= half {
-						lo = mid
-					} else {
-						hi = mid
-					}
-				}
+				lo, hi, _ := units.Bisect(prev, th, 60, func(x float64) (bool, error) {
+					return cmplx.Abs(a.ArrayFactor(w, x)) >= half, nil
+				})
 				return math.Abs((lo+hi)/2 - steer)
 			}
 			prev = steer + dir*ofs

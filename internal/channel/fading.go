@@ -3,6 +3,7 @@ package channel
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/mmtag/mmtag/internal/rng"
 )
@@ -86,41 +87,12 @@ func (f Fading) FadeMarginDB(outage float64, src *rng.Source) (float64, error) {
 		powers[i] = real(g)*real(g) + imag(g)*imag(g)
 	}
 	// The outage quantile of the power distribution.
-	sortFloats(powers)
+	slices.Sort(powers)
 	q := powers[int(outage*float64(n))]
 	if q <= 0 {
 		return math.Inf(1), nil
 	}
 	return -10 * math.Log10(q), nil
-}
-
-// sortFloats sorts ascending (heapsort: O(n log n), in place).
-func sortFloats(x []float64) {
-	n := len(x)
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(x, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		x[0], x[i] = x[i], x[0]
-		siftDown(x, 0, i)
-	}
-}
-
-func siftDown(x []float64, root, end int) {
-	for {
-		child := 2*root + 1
-		if child >= end {
-			return
-		}
-		if child+1 < end && x[child+1] > x[child] {
-			child++
-		}
-		if x[root] >= x[child] {
-			return
-		}
-		x[root], x[child] = x[child], x[root]
-		root = child
-	}
 }
 
 // Apply multiplies a fading series into a signal in place (the shorter

@@ -137,13 +137,3 @@ func TestApplyAndMeanPower(t *testing.T) {
 		t.Errorf("apply: %v", sig)
 	}
 }
-
-func TestSortFloats(t *testing.T) {
-	x := []float64{3, 1, 2, -5, 10, 0}
-	sortFloats(x)
-	for i := 1; i < len(x); i++ {
-		if x[i] < x[i-1] {
-			t.Fatalf("not sorted: %v", x)
-		}
-	}
-}

@@ -76,18 +76,12 @@ func ArraySizeAblation(counts []int) (ArraySizeResult, error) {
 		}
 		pt.RateAt10ft = b10.RateBps
 		// Bisect for the 1 Gb/s range.
-		lo, hi := 0.1, 300.0
-		for i := 0; i < 50; i++ {
-			mid := (lo + hi) / 2
-			b, err := mk(units.FeetToMeters(mid))
-			if err != nil {
-				return ArraySizePoint{}, err
-			}
-			if b.RateBps >= 1e9 {
-				lo = mid
-			} else {
-				hi = mid
-			}
+		lo, _, err := units.Bisect(0.1, 300, 50, func(ft float64) (bool, error) {
+			b, err := mk(units.FeetToMeters(ft))
+			return b.RateBps >= 1e9, err
+		})
+		if err != nil {
+			return ArraySizePoint{}, err
 		}
 		pt.GbpsRangeFt = lo
 		return pt, nil

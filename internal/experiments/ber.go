@@ -64,15 +64,9 @@ func BERValidation(nBits int, seed uint64) (BERResult, error) {
 	}
 	res.Points = points
 	// Bisect the analytic envelope curve for the 1e-3 crossing.
-	lo, hi := 0.0, 20.0
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if phy.BEROOKEnvelope(math.Pow(10, mid/10)) > units.TargetBER {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	lo, hi, _ := units.Bisect(0, 20, 60, func(snrDB float64) (bool, error) {
+		return phy.BEROOKEnvelope(math.Pow(10, snrDB/10)) > units.TargetBER, nil
+	})
 	res.SNRForTarget = (lo + hi) / 2
 	return res, nil
 }

@@ -83,7 +83,7 @@ func eventsAll(t *testing.T) []byte {
 	event.EnableWith(log)
 	defer event.Disable()
 	renderAll(t)
-	if d, _ := log.Dropped(); d != 0 {
+	if d := log.Dropped(); d != 0 {
 		t.Fatalf("event log dropped %d events; determinism is void under drops", d)
 	}
 	var buf bytes.Buffer

@@ -56,23 +56,19 @@ func FadingMarginWS(ws *dsp.Workspace, seed uint64) (FadingResult, error) {
 			return res, err
 		}
 		// 1 Gb/s range with margin: shrink the E2 bisection target.
-		lo, hi := 0.1, 50.0
-		for i := 0; i < 50; i++ {
-			mid := (lo + hi) / 2
-			l, err := core.NewDefaultLink(units.FeetToMeters(mid))
+		lo, _, err := units.Bisect(0.1, 50, 50, func(ft float64) (bool, error) {
+			l, err := core.NewDefaultLink(units.FeetToMeters(ft))
 			if err != nil {
-				return res, err
+				return false, err
 			}
 			b, err := l.ComputeBudget()
 			if err != nil {
-				return res, err
+				return false, err
 			}
-			need := l.Reader.NoiseFloorDBm(2e9) + units.ASKRequiredSNRdB + m1
-			if b.ReceivedDBm >= need {
-				lo = mid
-			} else {
-				hi = mid
-			}
+			return b.ReceivedDBm >= l.Reader.NoiseFloorDBm(2e9)+units.ASKRequiredSNRdB+m1, nil
+		})
+		if err != nil {
+			return res, err
 		}
 		pt := FadingPoint{KdB: k, Margin1pct: m1, Margin01pct: m01, GbpsRangeFt: lo}
 		// Waveform check at 4 ft / 200 MHz under fading.
@@ -178,18 +174,12 @@ func BandScaling() (Band60Result, error) {
 		if err != nil {
 			return res, err
 		}
-		lo, hi := 0.05, 100.0
-		for i := 0; i < 50; i++ {
-			mid := (lo + hi) / 2
-			b, err := mk(units.FeetToMeters(mid))
-			if err != nil {
-				return res, err
-			}
-			if b.RateBps >= 1e9 {
-				lo = mid
-			} else {
-				hi = mid
-			}
+		lo, _, err := units.Bisect(0.05, 100, 50, func(ft float64) (bool, error) {
+			b, err := mk(units.FeetToMeters(ft))
+			return b.RateBps >= 1e9, err
+		})
+		if err != nil {
+			return res, err
 		}
 		res.Points = append(res.Points, Band60Point{
 			FreqGHz:          fGHz,

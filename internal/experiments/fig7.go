@@ -67,18 +67,12 @@ func Figure7(n int) (Fig7Result, error) {
 	// Furthest range per rate tier by bisection on the monotone budget.
 	for _, bw := range probe.Reader.Bandwidths {
 		label := units.FormatRate(bw.BitRate())
-		lo, hi := 0.1, 200.0
-		for it := 0; it < 60; it++ {
-			mid := (lo + hi) / 2
-			p, err := fig7Point(mid)
-			if err != nil {
-				return res, err
-			}
-			if p.RateBps >= bw.BitRate() {
-				lo = mid
-			} else {
-				hi = mid
-			}
+		lo, _, err := units.Bisect(0.1, 200, 60, func(ft float64) (bool, error) {
+			p, err := fig7Point(ft)
+			return p.RateBps >= bw.BitRate(), err
+		})
+		if err != nil {
+			return res, err
 		}
 		res.MaxRangeFt[label] = lo
 	}

@@ -44,15 +44,9 @@ type RateAdaptResult struct {
 
 // requiredSNRdB inverts an analytic BER curve for the 1e-3 target.
 func requiredSNRdB(ber func(float64) float64) float64 {
-	lo, hi := -5.0, 40.0
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if ber(math.Pow(10, mid/10)) > units.TargetBER {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
+	lo, hi, _ := units.Bisect(-5, 40, 80, func(snrDB float64) (bool, error) {
+		return ber(math.Pow(10, snrDB/10)) > units.TargetBER, nil
+	})
 	return (lo + hi) / 2
 }
 

@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/mmtag/mmtag/internal/rng"
@@ -80,4 +81,38 @@ func TestRandomPayloadStress(t *testing.T) {
 			t.Fatalf("n=%d: length %d", n, d.Header.Length)
 		}
 	}
+}
+
+// FuzzParserDecode feeds arbitrary bytes to the parser in strict and lax
+// mode. Neither may panic; a lax decode whose CRC verifies must re-encode
+// through AppendEncode to exactly the bytes it consumed; a strict decode
+// succeeds exactly when a lax one succeeds with a good CRC; and the bit
+// expansion the modulators consume round-trips. The seed corpus in
+// testdata/fuzz/FuzzParserDecode holds a valid OOK and a valid 4-ASK
+// burst, their truncations, trailing noise, and version, MCS and CRC
+// corruptions.
+func FuzzParserDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lax, strict Decoded
+		laxErr := (&Parser{}).Decode(data, &lax)
+		strictErr := (&Parser{Strict: true}).Decode(data, &strict)
+		verified := laxErr == nil && lax.Trailer.OK
+		if (strictErr == nil) != verified {
+			t.Fatalf("strict err %v, lax err %v with CRC ok %v", strictErr, laxErr, lax.Trailer.OK)
+		}
+		if verified {
+			n := HeaderLen + int(lax.Header.Length) + CRCLen
+			re, err := AppendEncode(nil, lax.Header.TagID, lax.Header.MCS, lax.Payload.Data)
+			if err != nil {
+				t.Fatalf("re-encode of a verified burst: %v", err)
+			}
+			if !bytes.Equal(re, data[:n]) {
+				t.Fatalf("re-encoded %x, consumed %x", re, data[:n])
+			}
+		}
+		back, err := AppendBytesFromBits(nil, BitsFromBytes(nil, data))
+		if err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("bit round trip: %x, %v; want %x", back, err, data)
+		}
+	})
 }

@@ -2,7 +2,6 @@ package mac
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
@@ -11,7 +10,6 @@ import (
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/signal"
 	"github.com/mmtag/mmtag/internal/rng"
-	"github.com/mmtag/mmtag/internal/sim"
 	"github.com/mmtag/mmtag/internal/tag"
 	"github.com/mmtag/mmtag/internal/units"
 )
@@ -58,23 +56,24 @@ type ARQResult struct {
 	// GoodputBps scales the link's symbol rate by GoodputFraction and
 	// the OOK bit/symbol.
 	GoodputBps float64
-	// AirTimeS is the virtual air time of every transmitted burst, as
-	// accounted by the discrete-event engine that paces the run.
+	// AirTimeS is the virtual air time of every transmitted burst.
 	AirTimeS float64
 }
 
 // RunARQWS delivers nFrames over the waveform-level link at the given
-// receiver bandwidth. The exchange is paced by a discrete-event engine:
-// every burst occupies its real air time (burst symbols / symbol rate)
-// on the virtual clock, each decode outcome schedules either the
-// retransmission or the next frame, and AirTimeS reports where the time
-// went. Every burst is a full synthesis + decode; the result is
-// deterministic for a fixed source. The geometry never moves during a
-// run, so the link's operating point is built once and every burst is
-// its RunWS. Every burst draws its sample buffers from the caller-owned
-// ws, so the per-burst allocations are amortized across the whole
-// exchange. Parallel sweeps pass their worker's workspace; results are
-// identical for any ws (including nil, which allocates per burst).
+// receiver bandwidth by stop-and-wait on a virtual clock: every burst
+// occupies its real air time (burst symbols / symbol rate) and starts
+// when the previous one ends, a failed decode repeats the frame until
+// MaxRetries is spent, and AirTimeS reports where the time went. Each
+// frame draws its payload at its first attempt, and the first burst
+// error ends the run. Every burst is a full synthesis + decode; the
+// result is deterministic for a fixed source. The geometry never moves
+// during a run, so the link's operating point is built once and every
+// burst is its RunWS. Every burst draws its sample buffers from the
+// caller-owned ws, so the per-burst allocations are amortized across
+// the whole exchange. Parallel sweeps pass their worker's workspace;
+// results are identical for any ws (including nil, which allocates per
+// burst).
 func RunARQWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames int, cfg ARQConfig, src *rng.Source) (ARQResult, error) {
 	var res ARQResult
 	if nFrames <= 0 {
@@ -98,87 +97,67 @@ func RunARQWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames
 		return res, err
 	}
 
-	eng := sim.NewEngine()
 	failures := 0
-	var runErr error
-	frameIdx, attempt := 0, 0
 	// One payload buffer for the whole run: RunWS does not retain it,
 	// and retransmissions reuse the frame's bytes unchanged.
 	payloadBuf := make([]byte, cfg.FrameBytes)
-	var payload []byte
-	var burst func(now float64)
-	burst = func(now float64) {
-		if runErr != nil {
-			return
-		}
-		if attempt == 0 {
-			payload = src.Bytes(payloadBuf)
-			res.FramesOffered++
-			obs.IncAt(now, "mac_arq_frames_offered_total")
-		}
-		res.Transmissions++
-		obs.IncAt(now, "mac_arq_transmissions_total")
-		r, err := p.RunWS(ws, payload, frame.MCSOOK, src)
-		if err != nil {
-			runErr = err
-			return
-		}
-		ok := r.Decoded && r.BitErrors == 0
-		if attempt == 0 && !ok {
-			failures++
-		}
-		switch {
-		case ok:
-			res.FramesDelivered++
-			obs.IncAt(now, "mac_arq_frames_delivered_total")
-			// Frame latency on the virtual clock: the air time of every
-			// transmission this frame needed (the poll/ACK turnaround is
-			// modeled as free — downlink is not the bottleneck).
-			obs.ObserveAt(now, "mac_arq_frame_latency_seconds", float64(attempt+1)*burstS)
-			if event.Enabled() {
-				event.Emit(now, event.LevelInfo, "mac.arq", "deliver",
-					event.D("frame", frameIdx), event.D("attempts", attempt+1),
-					event.S("bw", bw.Label))
+	// now is the virtual time at which the next burst starts: every
+	// transmission occupies burstS of air time back to back.
+	now := 0.0
+	for frameIdx := 0; frameIdx < nFrames; frameIdx++ {
+		payload := src.Bytes(payloadBuf)
+		res.FramesOffered++
+		obs.IncAt(now, "mac_arq_frames_offered_total")
+		for attempt := 0; ; attempt++ {
+			res.Transmissions++
+			obs.IncAt(now, "mac_arq_transmissions_total")
+			r, err := p.RunWS(ws, payload, frame.MCSOOK, src)
+			if err != nil {
+				return res, err
 			}
-		case attempt < cfg.MaxRetries:
-			attempt++
+			ok := r.Decoded && r.BitErrors == 0
+			if attempt == 0 && !ok {
+				failures++
+			}
+			if ok {
+				res.FramesDelivered++
+				obs.IncAt(now, "mac_arq_frames_delivered_total")
+				// Frame latency on the virtual clock: the air time of every
+				// transmission this frame needed (the poll/ACK turnaround is
+				// modeled as free — downlink is not the bottleneck).
+				obs.ObserveAt(now, "mac_arq_frame_latency_seconds", float64(attempt+1)*burstS)
+				if event.Enabled() {
+					event.Emit(now, event.LevelInfo, "mac.arq", "deliver",
+						event.D("frame", frameIdx), event.D("attempts", attempt+1),
+						event.S("bw", bw.Label))
+				}
+				break
+			}
+			if attempt >= cfg.MaxRetries {
+				res.ResidualErrors++
+				obs.IncAt(now, "mac_arq_residual_errors_total")
+				if t := signal.Active(); t != nil {
+					// The frame is lost for good: preserve its last burst in
+					// the flight recorder for post-mortem demodulation.
+					t.RecordLastBurst(signal.TriggerARQResidual)
+				}
+				obs.ObserveAt(now, "mac_arq_frame_latency_seconds", float64(attempt+1)*burstS)
+				if event.Enabled() {
+					event.Emit(now, event.LevelWarn, "mac.arq", "residual",
+						event.D("frame", frameIdx), event.D("attempts", attempt+1),
+						event.S("bw", bw.Label))
+				}
+				break
+			}
 			obs.IncAt(now, "mac_arq_retries_total")
 			if event.Enabled() {
 				event.Emit(now, event.LevelInfo, "mac.arq", "retry",
-					event.D("frame", frameIdx), event.D("attempt", attempt),
+					event.D("frame", frameIdx), event.D("attempt", attempt+1),
 					event.S("bw", bw.Label))
 			}
-			runErr = eng.After(burstS, 0, burst)
-			return
-		default:
-			res.ResidualErrors++
-			obs.IncAt(now, "mac_arq_residual_errors_total")
-			if t := signal.Active(); t != nil {
-				// The frame is lost for good: preserve its last burst in
-				// the flight recorder for post-mortem demodulation.
-				t.RecordLastBurst(signal.TriggerARQResidual)
-			}
-			obs.ObserveAt(now, "mac_arq_frame_latency_seconds", float64(attempt+1)*burstS)
-			if event.Enabled() {
-				event.Emit(now, event.LevelWarn, "mac.arq", "residual",
-					event.D("frame", frameIdx), event.D("attempts", attempt+1),
-					event.S("bw", bw.Label))
-			}
+			now += burstS
 		}
-		frameIdx++
-		attempt = 0
-		if frameIdx < nFrames {
-			runErr = eng.After(burstS, 0, burst)
-		}
-	}
-	if err := eng.After(0, 0, burst); err != nil {
-		return res, err
-	}
-	if _, err := eng.Run(math.Inf(1)); err != nil {
-		return res, err
-	}
-	if runErr != nil {
-		return res, runErr
+		now += burstS
 	}
 	res.Retransmissions = res.Transmissions - res.FramesOffered
 	res.FirstTryFER = float64(failures) / float64(res.FramesOffered)
@@ -188,8 +167,8 @@ func RunARQWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames
 		res.GoodputFraction = float64(res.FramesDelivered*payloadBits) / float64(totalBits)
 	}
 	res.GoodputBps = res.GoodputFraction * bw.BitRate()
-	// Frame/transmission counters are folded per burst at virtual time
-	// (see the burst closure), so the sampled time series carries the
-	// run's shape instead of one end-of-run step.
+	// Frame/transmission counters are folded per burst at virtual time,
+	// so the sampled time series carries the run's shape instead of one
+	// end-of-run step.
 	return res, nil
 }

@@ -1,8 +1,8 @@
 // Package event is the structured event log of the observability layer:
-// a leveled, ring-buffered record of the simulation's discrete decisions
-// (burst outcomes, sync verdicts, MAC state transitions, engine guard
-// trips) encoded as JSONL. Metrics (internal/obs) answer "how much";
-// the event log answers "what happened, in order".
+// a leveled, bounded record of the simulation's discrete decisions
+// (burst outcomes, sync verdicts, MAC state transitions) encoded as
+// JSONL. Metrics (internal/obs) answer "how much"; the event log answers
+// "what happened, in order".
 //
 // Design points, mirroring internal/obs:
 //
@@ -20,10 +20,6 @@
 //     identical for any -workers count, and the sorted exposition is
 //     therefore byte-identical too — as long as no capacity drops
 //     occurred (Dropped reports them).
-//   - Deterministic sampling. Per-category sampling keeps an event iff
-//     the FNV-1a hash of its encoded line is 0 mod the sampling period.
-//     Keyed on content rather than arrival order, the decision is
-//     independent of scheduling and worker count.
 package event
 
 import (
@@ -77,13 +73,9 @@ type Log struct {
 	entries  []entry
 	counts   map[string]uint64 // kept events per category
 	dropped  uint64            // events lost to the capacity bound
-	sampled  uint64            // events dropped by sampling
-	every    map[string]uint64 // per-category sampling period
-	minLevel Level
 	// enc and fieldBuf are per-log scratch reused by every Emit under mu:
 	// the line is encoded in place and only copied (exact size) when the
-	// event is actually retained, so sampled and dropped events cost no
-	// steady-state allocations at all.
+	// event is retained.
 	enc      []byte
 	fieldBuf []obs.Label
 }
@@ -93,88 +85,29 @@ func New(capacity int) *Log {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Log{
-		capacity: capacity,
-		counts:   map[string]uint64{},
-		every:    map[string]uint64{},
-	}
-}
-
-// SetMinLevel discards events below lvl at emission time.
-func (l *Log) SetMinLevel(lvl Level) {
-	l.mu.Lock()
-	l.minLevel = lvl
-	l.mu.Unlock()
-}
-
-// SetSampling keeps roughly one in every `every` events of the category
-// (every <= 1 keeps all). The kept subset is a pure function of event
-// content, so sampling never breaks worker-count determinism.
-func (l *Log) SetSampling(cat string, every int) {
-	l.mu.Lock()
-	if every <= 1 {
-		delete(l.every, cat)
-	} else {
-		l.every[cat] = uint64(every)
-	}
-	l.mu.Unlock()
+	return &Log{capacity: capacity, counts: map[string]uint64{}}
 }
 
 // Emit records one event at virtual time t. Field keys are encoded in
 // sorted order so the line bytes are independent of call-site order.
 //
 // The line is rendered into the log's reusable scratch buffer; the only
-// per-event allocation in steady state is the exact-size copy of a line
-// that is actually kept. Events below the level filter, removed by
-// sampling, or dropped at capacity allocate nothing.
+// per-event allocation in steady state is the exact-size copy of a kept
+// line. Events dropped at capacity are not encoded and allocate nothing.
 func (l *Log) Emit(t float64, lvl Level, cat, msg string, fields ...obs.Label) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if lvl < l.minLevel {
-		return
-	}
-	every, sampling := l.every[cat]
-	if !sampling && len(l.entries) >= l.capacity {
-		// The event is dropped whatever its bytes would be, so skip the
-		// encode entirely. (Sampled categories must still encode: the
-		// sampled/dropped split is a function of the line's hash.)
+	if len(l.entries) >= l.capacity {
 		l.dropped++
 		return
 	}
 	l.fieldBuf = append(l.fieldBuf[:0], fields...)
 	sortLabels(l.fieldBuf)
 	l.enc = appendEvent(l.enc[:0], t, lvl, cat, msg, l.fieldBuf)
-	if sampling {
-		if fnv1a(l.enc)%every != 0 {
-			l.sampled++
-			return
-		}
-		if len(l.entries) >= l.capacity {
-			l.dropped++
-			return
-		}
-	}
 	line := make([]byte, len(l.enc))
 	copy(line, l.enc)
 	l.entries = append(l.entries, entry{t: t, line: line})
 	l.counts[cat]++
-}
-
-// fnv1a is the 64-bit FNV-1a hash, inlined so the sampling decision does
-// not allocate a hash.Hash64 per event. It is bit-identical to
-// hash/fnv.New64a over the same bytes, which keeps historical sampling
-// decisions (and with them events.jsonl) unchanged.
-func fnv1a(b []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime
-	}
-	return h
 }
 
 // Len returns the number of retained events.
@@ -184,14 +117,14 @@ func (l *Log) Len() int {
 	return len(l.entries)
 }
 
-// Dropped returns how many events were lost to the capacity bound and
-// how many were removed by sampling. A nonzero capacity count means the
-// exposition may no longer be worker-count invariant (which events
-// arrived first depends on scheduling once the buffer is full).
-func (l *Log) Dropped() (capacity, sampled uint64) {
+// Dropped returns how many events were lost to the capacity bound. A
+// nonzero count means the exposition may no longer be worker-count
+// invariant (which events arrived first depends on scheduling once the
+// buffer is full).
+func (l *Log) Dropped() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.dropped, l.sampled
+	return l.dropped
 }
 
 // CategoryCount returns the number of retained events in a category.
@@ -265,12 +198,12 @@ func (l *Log) MaxTime() float64 {
 }
 
 // Reset discards every retained event and counter but keeps the
-// configuration (capacity, level, sampling).
+// capacity.
 func (l *Log) Reset() {
 	l.mu.Lock()
 	l.entries = nil
 	l.counts = map[string]uint64{}
-	l.dropped, l.sampled = 0, 0
+	l.dropped = 0
 	l.mu.Unlock()
 }
 
@@ -352,9 +285,9 @@ func Active() *Log { return active.Load() }
 func Enabled() bool { return active.Load() != nil }
 
 // Emit records one event on the default log (no-op when disabled).
-// Emission sites pass the virtual-clock time where one exists (the sim
-// engine's now) and 0 otherwise — never wall time, which would break
-// the worker-count determinism contract.
+// Emission sites pass the virtual-clock time where one exists (the ARQ
+// and flow-control runs' clocks) and 0 otherwise — never wall time,
+// which would break the worker-count determinism contract.
 func Emit(t float64, lvl Level, cat, msg string, fields ...obs.Label) {
 	if l := active.Load(); l != nil {
 		l.Emit(t, lvl, cat, msg, fields...)

@@ -3,9 +3,7 @@ package event
 import (
 	"bytes"
 	"encoding/json"
-	"hash/fnv"
 	"math"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -76,16 +74,6 @@ func TestEmitAndLines(t *testing.T) {
 	}
 }
 
-func TestLevelFilter(t *testing.T) {
-	l := New(0)
-	l.SetMinLevel(LevelInfo)
-	l.Emit(0, LevelDebug, "c", "dropped")
-	l.Emit(0, LevelInfo, "c", "kept")
-	if l.Len() != 1 {
-		t.Fatalf("len = %d", l.Len())
-	}
-}
-
 func TestCapacityDrops(t *testing.T) {
 	l := New(2)
 	for i := 0; i < 5; i++ {
@@ -94,50 +82,8 @@ func TestCapacityDrops(t *testing.T) {
 	if l.Len() != 2 {
 		t.Fatalf("len = %d, want 2", l.Len())
 	}
-	capDrops, sampled := l.Dropped()
-	if capDrops != 3 || sampled != 0 {
-		t.Fatalf("dropped = (%d, %d), want (3, 0)", capDrops, sampled)
-	}
-}
-
-// TestSamplingDeterministic checks that per-category sampling is a pure
-// function of event content: the same multiset emitted in any order
-// keeps the same subset.
-func TestSamplingDeterministic(t *testing.T) {
-	mk := func(order []int) [][]byte {
-		l := New(0)
-		l.SetSampling("hot", 4)
-		for _, i := range order {
-			l.Emit(float64(i), LevelDebug, "hot", "sample", D("i", i))
-		}
-		return l.Lines()
-	}
-	fwd := make([]int, 256)
-	for i := range fwd {
-		fwd[i] = i
-	}
-	shuffled := append([]int{}, fwd...)
-	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	a, b := mk(fwd), mk(shuffled)
-	if len(a) == 0 || len(a) == 256 {
-		t.Fatalf("sampling kept %d of 256 (want a strict subset)", len(a))
-	}
-	if len(a) != len(b) {
-		t.Fatalf("order changed the sampled subset: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Fatalf("line %d differs across emission orders", i)
-		}
-	}
-	// The uncategorized path stays unsampled.
-	l := New(0)
-	l.SetSampling("hot", 1000)
-	l.Emit(0, LevelInfo, "cold", "kept")
-	if l.Len() != 1 {
-		t.Fatal("sampling leaked onto another category")
+	if d := l.Dropped(); d != 3 {
+		t.Fatalf("dropped = %d, want 3", d)
 	}
 }
 
@@ -163,47 +109,15 @@ func TestEmitStoresCanonicalBytes(t *testing.T) {
 	}
 }
 
-// TestFNV1AMatchesStdlib: the inlined sampling hash must agree with
-// hash/fnv.New64a bit for bit, or historical sampling decisions (and
-// events.jsonl) would silently change.
-func TestFNV1AMatchesStdlib(t *testing.T) {
-	for _, s := range []string{"", "a", `{"t":1,"lvl":"info","cat":"c","msg":"m"}`, "\x00\xff\x80"} {
-		h := fnv.New64a()
-		h.Write([]byte(s))
-		if got, want := fnv1a([]byte(s)), h.Sum64(); got != want {
-			t.Fatalf("fnv1a(%q) = %x, want %x", s, got, want)
-		}
-	}
-}
-
-// TestEmitSteadyStateAllocs: level-filtered and capacity-dropped emits
-// must allocate nothing; kept emits only the retained line copy.
+// TestEmitSteadyStateAllocs: capacity-dropped emits must allocate
+// nothing; kept emits only the retained line copy.
 func TestEmitSteadyStateAllocs(t *testing.T) {
-	filtered := New(0)
-	filtered.SetMinLevel(LevelWarn)
-	if n := testing.AllocsPerRun(10, func() {
-		filtered.Emit(0, LevelDebug, "c", "below-level", D("i", 1))
-	}); n != 0 {
-		t.Errorf("level-filtered emit: %v allocs/run, want 0", n)
-	}
-
 	full := New(1)
 	full.Emit(0, LevelInfo, "c", "fills-capacity")
 	if n := testing.AllocsPerRun(10, func() {
 		full.Emit(1, LevelInfo, "c", "dropped", D("i", 1))
 	}); n != 0 {
 		t.Errorf("capacity-dropped emit: %v allocs/run, want 0", n)
-	}
-
-	sampled := New(0)
-	sampled.SetSampling("hot", 1<<30)
-	sampled.Emit(3, LevelInfo, "hot", "probe", D("i", 7))
-	if sampled.Len() == 0 { // content is sampled out: steady path allocates nothing
-		if n := testing.AllocsPerRun(10, func() {
-			sampled.Emit(3, LevelInfo, "hot", "probe", D("i", 7))
-		}); n != 0 {
-			t.Errorf("sampled-out emit: %v allocs/run, want 0", n)
-		}
 	}
 
 	kept := New(0)
@@ -217,7 +131,7 @@ func TestEmitSteadyStateAllocs(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	l := New(0)
-	l.Emit(0.25, LevelWarn, "sim.engine", "event_limit", D("limit", 10))
+	l.Emit(0.25, LevelWarn, "mac.arq", "residual", D("frame", 10))
 	var buf bytes.Buffer
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -233,7 +147,6 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestResetKeepsConfig(t *testing.T) {
 	l := New(3)
-	l.SetSampling("x", 2)
 	for i := 0; i < 10; i++ {
 		l.Emit(0, LevelInfo, "c", "m", D("i", i))
 	}
@@ -241,8 +154,14 @@ func TestResetKeepsConfig(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatalf("len after reset = %d", l.Len())
 	}
-	if d, _ := l.Dropped(); d != 0 {
+	if d := l.Dropped(); d != 0 {
 		t.Fatalf("dropped after reset = %d", d)
+	}
+	for i := 0; i < 5; i++ {
+		l.Emit(0, LevelInfo, "c", "m", D("i", i))
+	}
+	if l.Len() != 3 || l.Dropped() != 2 {
+		t.Fatalf("after reset: len %d, dropped %d; capacity 3 should still bound", l.Len(), l.Dropped())
 	}
 }
 

@@ -164,7 +164,7 @@ func Write(dir string, info RunInfo, reg *obs.Registry, log *event.Log, extra ..
 	}
 	if log != nil {
 		m.Events = log.Len()
-		m.DroppedEvents, _ = log.Dropped()
+		m.DroppedEvents = log.Dropped()
 		if t := log.MaxTime(); t > m.VirtualDurationS {
 			m.VirtualDurationS = t
 		}

@@ -3,12 +3,12 @@
 // with labeled series) plus a lightweight span tracer, exposed in two
 // formats — Prometheus-style text and a JSON snapshot.
 //
-// Instrumentation sites call the package-level helpers (Inc, Add, Set,
-// Observe, StartSpan). By default no registry is installed and every
-// helper is a no-op costing one atomic load, so hot paths stay
-// effectively free until Enable installs a Registry. The sim engine can
-// drive spans on virtual time via StartSpanAt / EndAt; everything else
-// uses the registry clock (wall time unless SetClock overrides it).
+// Instrumentation sites call the package-level helpers (Inc, Add,
+// Observe, StartSpan and the …At forms that place an update on the
+// virtual clock). By default no registry is installed and every helper
+// is a no-op costing one atomic load, so hot paths stay effectively free
+// until Enable installs a Registry. Spans read the registry clock (wall
+// time unless SetClock overrides it).
 package obs
 
 import (
@@ -51,47 +51,6 @@ func (k Kind) String() string {
 	}
 	return "unknown"
 }
-
-// Recorder is the instrumentation surface. *Registry implements it, and
-// Nop implements it as a guaranteed no-op, so components can accept a
-// Recorder and be handed either.
-type Recorder interface {
-	// Enabled reports whether observations are being kept.
-	Enabled() bool
-	// Add increments the named counter by delta (delta ≥ 0).
-	Add(name string, delta float64, labels ...Label)
-	// Set sets the named gauge.
-	Set(name string, value float64, labels ...Label)
-	// Observe records one histogram sample. NaN samples are never
-	// folded into the distribution; they are counted separately under
-	// NaNCounterName so a poisoned estimator is visible, not viral.
-	Observe(name string, value float64, labels ...Label)
-	// StartSpan opens a span at the recorder clock's current time.
-	StartSpan(name string, labels ...Label) *Span
-	// StartSpanAt opens a span at an explicit time (virtual clocks).
-	StartSpanAt(name string, at float64, labels ...Label) *Span
-}
-
-// Nop is the Recorder that records nothing.
-type Nop struct{}
-
-// Enabled always reports false.
-func (Nop) Enabled() bool { return false }
-
-// Add discards the observation.
-func (Nop) Add(string, float64, ...Label) {}
-
-// Set discards the observation.
-func (Nop) Set(string, float64, ...Label) {}
-
-// Observe discards the observation.
-func (Nop) Observe(string, float64, ...Label) {}
-
-// StartSpan returns the nil span, whose methods all no-op.
-func (Nop) StartSpan(string, ...Label) *Span { return nil }
-
-// StartSpanAt returns the nil span, whose methods all no-op.
-func (Nop) StartSpanAt(string, float64, ...Label) *Span { return nil }
 
 // NaNCounterName is the counter family that counts NaN samples dropped
 // by Observe, labeled by the metric they were aimed at.
@@ -178,7 +137,6 @@ type Registry struct {
 
 	nextSpanID uint64
 	spans      []SpanRecord
-	maxSpans   int
 	dropped    uint64
 }
 
@@ -187,12 +145,11 @@ func NewRegistry() *Registry {
 	return &Registry{
 		families: map[string]*family{},
 		clock:    func() float64 { return float64(time.Now().UnixNano()) / 1e9 },
-		maxSpans: 4096,
 	}
 }
 
-// SetClock replaces the registry clock (seconds). The sim engine uses
-// this to put spans on virtual time.
+// SetClock replaces the registry clock (seconds), e.g. to put spans on
+// a fixed or virtual time base.
 func (r *Registry) SetClock(fn func() float64) {
 	if fn == nil {
 		return
@@ -219,9 +176,6 @@ func (r *Registry) Now() float64 {
 	r.mu.Unlock()
 	return fn()
 }
-
-// Enabled reports true: an installed Registry keeps observations.
-func (r *Registry) Enabled() bool { return true }
 
 // seriesKey encodes sorted labels into a map key.
 func seriesKey(labels []Label) string {
@@ -371,14 +325,6 @@ func Disable() { active.Store(nil) }
 // Active returns the installed Registry, or nil when disabled.
 func Active() *Registry { return active.Load() }
 
-// Default returns the active recorder: the installed Registry, or Nop.
-func Default() Recorder {
-	if r := active.Load(); r != nil {
-		return r
-	}
-	return Nop{}
-}
-
 // Enabled reports whether a Registry is installed.
 func Enabled() bool { return active.Load() != nil }
 
@@ -410,13 +356,6 @@ func IncAt(t float64, name string, labels ...Label) {
 	}
 }
 
-// AddAt increments a counter at an explicit virtual time.
-func AddAt(t float64, name string, delta float64, labels ...Label) {
-	if r := active.Load(); r != nil {
-		r.AddAt(t, name, delta, labels...)
-	}
-}
-
 // SetAt sets a gauge at an explicit virtual time.
 func SetAt(t float64, name string, value float64, labels ...Label) {
 	if r := active.Load(); r != nil {
@@ -444,14 +383,6 @@ func Clock() float64 {
 func StartSpan(name string, labels ...Label) *Span {
 	if r := active.Load(); r != nil {
 		return r.StartSpan(name, labels...)
-	}
-	return nil
-}
-
-// StartSpanAt opens a span at an explicit time on the default recorder.
-func StartSpanAt(name string, at float64, labels ...Label) *Span {
-	if r := active.Load(); r != nil {
-		return r.StartSpanAt(name, at, labels...)
 	}
 	return nil
 }

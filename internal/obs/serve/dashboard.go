@@ -185,14 +185,13 @@ func (s *Server) writeEventSummary(b *strings.Builder) {
 		return
 	}
 	b.WriteString("<h2>Events</h2>\n<table class=\"score\">\n")
-	dropped, sampled := s.log.Dropped()
+	dropped := s.log.Dropped()
 	class := "ok"
 	if dropped > 0 {
 		class = "bad"
 	}
 	fmt.Fprintf(b, "<tr><th>retained</th><td>%d</td></tr>\n", s.log.Len())
 	fmt.Fprintf(b, "<tr><th>dropped (capacity)</th><td class=%q>%d</td></tr>\n", class, dropped)
-	fmt.Fprintf(b, "<tr><th>removed by sampling</th><td>%d</td></tr>\n", sampled)
 	for _, cs := range s.log.CategoryCounts() {
 		fmt.Fprintf(b, "<tr><th>%s</th><td>%d</td></tr>\n", html.EscapeString(cs.Category), cs.Count)
 	}

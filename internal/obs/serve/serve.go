@@ -110,13 +110,11 @@ type Health struct {
 	MetricSeries int `json:"metric_series"`
 	Spans        int `json:"spans"`
 	Events       int `json:"events"`
-	// DroppedSpans / DroppedEvents flag truncated stores;
-	// SampledEvents counts events removed by per-category sampling. A
-	// rising DroppedEvents means the telemetry is silently lossy — the
-	// liveness check is expected to alert on it.
+	// DroppedSpans / DroppedEvents flag truncated stores. A rising
+	// DroppedEvents means the telemetry is silently lossy — the liveness
+	// check is expected to alert on it.
 	DroppedSpans  uint64 `json:"dropped_spans"`
 	DroppedEvents uint64 `json:"dropped_events"`
-	SampledEvents uint64 `json:"sampled_events"`
 	// Scrapes totals serve_requests_total across endpoints (0 when no
 	// registry is attached).
 	Scrapes float64 `json:"scrapes"`
@@ -177,7 +175,7 @@ func (s *Server) health() Health {
 	}
 	if s.log != nil {
 		h.Events = s.log.Len()
-		h.DroppedEvents, h.SampledEvents = s.log.Dropped()
+		h.DroppedEvents = s.log.Dropped()
 	}
 	if s.sig != nil {
 		h.TapBursts = s.sig.Bursts()

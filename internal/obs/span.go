@@ -1,5 +1,8 @@
 package obs
 
+// maxSpans bounds a registry's finished-span buffer.
+const maxSpans = 4096
+
 // Span is one timed operation. Spans form trees through StartChild and
 // carry free-form attributes. A nil *Span is the no-op span: every
 // method is nil-safe, so disabled instrumentation costs a nil check.
@@ -29,8 +32,7 @@ func (r *Registry) StartSpan(name string, labels ...Label) *Span {
 	return r.StartSpanAt(name, r.Now(), labels...)
 }
 
-// StartSpanAt opens a root span at an explicit time in seconds — the
-// hook virtual-clock callers (the sim engine) use.
+// StartSpanAt opens a root span at an explicit time in seconds.
 func (r *Registry) StartSpanAt(name string, at float64, labels ...Label) *Span {
 	r.mu.Lock()
 	r.nextSpanID++
@@ -98,21 +100,11 @@ func (s *Span) EndAt(at float64) {
 	}
 	r := s.reg
 	r.mu.Lock()
-	if len(r.spans) < r.maxSpans {
+	if len(r.spans) < maxSpans {
 		r.spans = append(r.spans, rec)
 	} else {
 		r.dropped++
 	}
-	r.mu.Unlock()
-}
-
-// SetMaxSpans bounds the finished-span buffer (0 keeps the default).
-func (r *Registry) SetMaxSpans(n int) {
-	if n <= 0 {
-		return
-	}
-	r.mu.Lock()
-	r.maxSpans = n
 	r.mu.Unlock()
 }
 

@@ -7,18 +7,18 @@ import (
 )
 
 // TestSetMaxSpansTruncationAccounting: once the finished-span buffer
-// fills, every further End increments the drop counter and the kept
-// records are exactly the first maxSpans, in completion order.
+// holds maxSpans records, every further End increments the drop counter
+// and the kept records are exactly the first maxSpans, in completion
+// order.
 func TestSetMaxSpansTruncationAccounting(t *testing.T) {
 	r := NewRegistry()
-	r.SetMaxSpans(3)
-	for i := 0; i < 7; i++ {
+	for i := 0; i < maxSpans+4; i++ {
 		sp := r.StartSpanAt(fmt.Sprintf("op%d", i), float64(i))
 		sp.EndAt(float64(i) + 0.5)
 	}
 	spans, dropped := r.Spans()
-	if len(spans) != 3 || dropped != 4 {
-		t.Fatalf("kept %d spans with %d dropped, want 3 kept / 4 dropped", len(spans), dropped)
+	if len(spans) != maxSpans || dropped != 4 {
+		t.Fatalf("kept %d spans with %d dropped, want %d kept / 4 dropped", len(spans), dropped, maxSpans)
 	}
 	for i, sp := range spans {
 		if sp.Name != fmt.Sprintf("op%d", i) {
@@ -27,14 +27,13 @@ func TestSetMaxSpansTruncationAccounting(t *testing.T) {
 	}
 	// The snapshot carries the same accounting.
 	snap := r.Snapshot()
-	if len(snap.Spans) != 3 || snap.DroppedSpans != 4 {
+	if len(snap.Spans) != maxSpans || snap.DroppedSpans != 4 {
 		t.Fatalf("snapshot: %d spans, %d dropped", len(snap.Spans), snap.DroppedSpans)
 	}
-	// SetMaxSpans(0) keeps the current bound rather than unbounding it.
-	r.SetMaxSpans(0)
-	r.StartSpanAt("late", 100).EndAt(101)
-	if spans, dropped = r.Spans(); len(spans) != 3 || dropped != 5 {
-		t.Fatalf("after SetMaxSpans(0): %d spans, %d dropped", len(spans), dropped)
+	// A span ended after the buffer filled keeps counting as dropped.
+	r.StartSpanAt("late", 1e4).EndAt(1e4 + 1)
+	if spans, dropped = r.Spans(); len(spans) != maxSpans || dropped != 5 {
+		t.Fatalf("after a late span: %d spans, %d dropped", len(spans), dropped)
 	}
 }
 
@@ -58,17 +57,18 @@ func TestEndAtBeforeStart(t *testing.T) {
 }
 
 // TestConcurrentSpansAndReads hammers StartSpan/End from many
-// goroutines while others snapshot the buffer — the -race coverage for
-// the span path the telemetry server reads while simulations run.
+// goroutines, past the span bound, while others snapshot the buffer —
+// the -race coverage for the span path the telemetry server reads while
+// simulations run.
 func TestConcurrentSpansAndReads(t *testing.T) {
+	const perWorker = 600 // 4 × 600 × 2 = 4800 ends, past maxSpans
 	r := NewRegistry()
-	r.SetMaxSpans(64)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(2)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < perWorker; i++ {
 				sp := r.StartSpanAt("work", float64(i))
 				sp.SetAttr("w", fmt.Sprintf("%d", w))
 				child := sp.StartChildAt("inner", float64(i))
@@ -91,11 +91,10 @@ func TestConcurrentSpansAndReads(t *testing.T) {
 	}
 	wg.Wait()
 	spans, dropped := r.Spans()
-	if len(spans) != 64 {
-		t.Fatalf("kept %d spans, want the 64-span bound", len(spans))
+	if len(spans) != maxSpans {
+		t.Fatalf("kept %d spans, want the %d-span bound", len(spans), maxSpans)
 	}
-	// 4 workers × 200 iterations × 2 spans = 1600 ends total.
-	if got := uint64(len(spans)) + dropped; got != 1600 {
-		t.Fatalf("kept+dropped = %d, want 1600", got)
+	if got := uint64(len(spans)) + dropped; got != 4*perWorker*2 {
+		t.Fatalf("kept+dropped = %d, want %d", got, 4*perWorker*2)
 	}
 }

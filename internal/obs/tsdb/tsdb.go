@@ -33,6 +33,7 @@ package tsdb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -78,7 +79,6 @@ type Sampler struct {
 	series   []*seriesState
 	updates  uint64
 	occupied int
-	skip     map[string]bool
 }
 
 // seriesState is the slot ring for one labeled series. Slot i covers
@@ -106,11 +106,7 @@ func New(dt float64) (*Sampler, error) {
 	if math.IsNaN(dt) || math.IsInf(dt, 0) || dt <= 0 {
 		return nil, fmt.Errorf("tsdb: sample interval must be positive and finite, got %g", dt)
 	}
-	s := &Sampler{dt: dt, slotCap: DefaultSlotCap, stride: 1, skip: map[string]bool{}}
-	for _, n := range WallClockMetrics {
-		s.skip[n] = true
-	}
-	return s, nil
+	return &Sampler{dt: dt, slotCap: DefaultSlotCap, stride: 1}, nil
 }
 
 // Attach creates a Sampler and installs it as reg's sample sink.
@@ -123,16 +119,6 @@ func Attach(reg *obs.Registry, dt float64) (*Sampler, error) {
 	return s, nil
 }
 
-// Skip adds metric families to the sampler's discard list (on top of
-// WallClockMetrics). Only effective before the family's first update.
-func (s *Sampler) Skip(names ...string) {
-	s.mu.Lock()
-	for _, n := range names {
-		s.skip[n] = true
-	}
-	s.mu.Unlock()
-}
-
 // DT returns the sample interval in seconds.
 func (s *Sampler) DT() float64 { return s.dt }
 
@@ -141,7 +127,7 @@ func (s *Sampler) DT() float64 { return s.dt }
 func (s *Sampler) BindSeries(name string, kind obs.Kind, labels []obs.Label, buckets []float64) any {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.skip[name] {
+	if slices.Contains(WallClockMetrics, name) {
 		return discard{}
 	}
 	st := &seriesState{

@@ -166,9 +166,8 @@ func DoErrWith[R any](workers, n int, newR func() R, fn func(r R, i int) error) 
 		return forEachInline(n, newR, fn)
 	}
 
-	rec := obs.Default()
-	enabled := rec.Enabled()
-	if enabled {
+	rec := obs.Active() // nil: metrics off
+	if rec != nil {
 		rec.Add(MetricRuns, 1)
 		rec.Set(MetricWorkers, float64(workers))
 		rec.Set(MetricQueueDepth, float64(n))
@@ -196,7 +195,7 @@ func DoErrWith[R any](workers, n int, newR func() R, fn func(r R, i int) error) 
 				record(i, &shardFailure{index: i, value: v})
 			}
 		}()
-		if enabled {
+		if rec != nil {
 			start := time.Now()
 			defer func() {
 				rec.Observe(MetricShardSeconds, time.Since(start).Seconds())
@@ -220,7 +219,7 @@ func DoErrWith[R any](workers, n int, newR func() R, fn func(r R, i int) error) 
 				if i >= n {
 					return
 				}
-				if enabled {
+				if rec != nil {
 					rec.Set(MetricQueueDepth, float64(n-i-1))
 				}
 				runShard(r, i)
@@ -228,7 +227,7 @@ func DoErrWith[R any](workers, n int, newR func() R, fn func(r R, i int) error) 
 		}()
 	}
 	wg.Wait()
-	if enabled {
+	if rec != nil {
 		rec.Set(MetricQueueDepth, 0)
 	}
 	if failErr != nil {
@@ -243,22 +242,21 @@ func DoErrWith[R any](workers, n int, newR func() R, fn func(r R, i int) error) 
 // forEachInline is the workers == 1 path: a plain sequential loop on the
 // caller's goroutine with a single per-worker state instance.
 func forEachInline[R any](n int, newR func() R, fn func(r R, i int) error) error {
-	rec := obs.Default()
-	enabled := rec.Enabled()
-	if enabled {
+	rec := obs.Active() // nil: metrics off
+	if rec != nil {
 		rec.Add(MetricRuns, 1)
 		rec.Set(MetricWorkers, 1)
 	}
 	r := newR()
 	for i := 0; i < n; i++ {
 		var start time.Time
-		if enabled {
+		if rec != nil {
 			start = time.Now()
 		}
 		if err := fn(r, i); err != nil {
 			return err
 		}
-		if enabled {
+		if rec != nil {
 			rec.Observe(MetricShardSeconds, time.Since(start).Seconds())
 			rec.Add(MetricItems, 1)
 		}

@@ -28,7 +28,7 @@ func writeRun(t *testing.T, fill func(r *obs.Registry)) string {
 func baseline(r *obs.Registry) {
 	r.Add("core_bursts_decoded_total", 100, obs.L("bw", "2 GHz"))
 	r.Add("core_bit_errors_total", 4)
-	r.Set("sim_queue_depth", 0)
+	r.Set("test_queue_depth", 0)
 	r.Add("core_beam_dwell_seconds", 0.123) // wall clock: must be skipped
 	for i := 0; i < 50; i++ {
 		r.Observe("mac_arq_frame_latency_seconds", 2e-6)
@@ -58,7 +58,7 @@ func TestDegradedRunFails(t *testing.T) {
 	b := writeRun(t, func(r *obs.Registry) {
 		r.Add("core_bursts_decoded_total", 60, obs.L("bw", "2 GHz")) // −40%
 		r.Add("core_bit_errors_total", 400)                          // 100×
-		r.Set("sim_queue_depth", 0)
+		r.Set("test_queue_depth", 0)
 		for i := 0; i < 50; i++ {
 			r.Observe("mac_arq_frame_latency_seconds", 9e-5) // much slower
 		}
@@ -98,7 +98,7 @@ func TestSkipOption(t *testing.T) {
 	b := writeRun(t, func(r *obs.Registry) {
 		r.Add("core_bursts_decoded_total", 100, obs.L("bw", "2 GHz"))
 		r.Add("core_bit_errors_total", 9999)
-		r.Set("sim_queue_depth", 0)
+		r.Set("test_queue_depth", 0)
 		for i := 0; i < 50; i++ {
 			r.Observe("mac_arq_frame_latency_seconds", 2e-6)
 		}

@@ -1,12 +1,9 @@
-// Package sim is a small deterministic discrete-event simulation engine
-// used by the MAC layer and the mobility experiments: an event queue with
-// a virtual clock, entities with waypoint mobility, periodic samplers and
-// CSV-style trace recording.
+// Package sim holds the simulation scaffolding of the mobility
+// experiments: waypoint mobility on a virtual clock and CSV-style trace
+// recording of sampled columns.
 package sim
 
 import (
-	"container/heap"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -14,133 +11,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/geom"
 	"github.com/mmtag/mmtag/internal/obs"
-	"github.com/mmtag/mmtag/internal/obs/event"
 )
-
-// ErrEventLimit reports that Engine.Run stopped because the runaway
-// guard tripped. Callers distinguish it from scheduling errors with
-// errors.Is.
-var ErrEventLimit = errors.New("sim: event limit exceeded")
-
-// Event is a scheduled callback.
-type Event struct {
-	At       float64 // seconds of virtual time
-	Priority int     // tie-break: lower runs first at equal time
-	Fn       func(now float64)
-
-	seq   uint64 // second tie-break: FIFO among equal (At, Priority)
-	index int
-}
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
-	}
-	if q[i].Priority != q[j].Priority {
-		return q[i].Priority < q[j].Priority
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
-}
-
-// Engine runs events in virtual-time order.
-type Engine struct {
-	now    float64
-	queue  eventQueue
-	nextID uint64
-	// MaxEvents bounds a run as a runaway guard (0 = 10 million).
-	MaxEvents int
-}
-
-// NewEngine returns an empty engine at time 0.
-func NewEngine() *Engine { return &Engine{} }
-
-// Schedule enqueues fn at absolute time at (≥ now). Returns an error for
-// events in the past.
-func (e *Engine) Schedule(at float64, priority int, fn func(now float64)) error {
-	if at < e.now {
-		return fmt.Errorf("sim: cannot schedule at %g before now %g", at, e.now)
-	}
-	ev := &Event{At: at, Priority: priority, Fn: fn, seq: e.nextID}
-	e.nextID++
-	heap.Push(&e.queue, ev)
-	return nil
-}
-
-// After enqueues fn delay seconds from now.
-func (e *Engine) After(delay float64, priority int, fn func(now float64)) error {
-	return e.Schedule(e.now+delay, priority, fn)
-}
-
-// Run executes events until the queue is empty or until virtual time
-// exceeds until (events at exactly until still run). Returns the number
-// of events executed. When the runaway guard trips, the returned error
-// wraps ErrEventLimit and exactly MaxEvents events have run. Running to
-// until = +Inf drains the queue and leaves the clock at the last event.
-func (e *Engine) Run(until float64) (int, error) {
-	limit := e.MaxEvents
-	if limit <= 0 {
-		limit = 10_000_000
-	}
-	span := obs.StartSpanAt("sim.run", e.now)
-	count := 0
-	defer func() {
-		obs.AddAt(e.now, "sim_events_total", float64(count))
-		obs.SetAt(e.now, "sim_queue_depth", float64(len(e.queue)))
-		span.SetAttr("events", fmt.Sprintf("%d", count))
-		span.EndAt(e.now)
-		if event.Enabled() {
-			event.Emit(e.now, event.LevelDebug, "sim.engine", "run_complete",
-				event.D("events", count), event.D("pending", len(e.queue)))
-		}
-	}()
-	for len(e.queue) > 0 {
-		next := e.queue[0]
-		if next.At > until {
-			break
-		}
-		if count >= limit {
-			obs.Inc("sim_event_limit_trips_total")
-			if event.Enabled() {
-				event.Emit(e.now, event.LevelWarn, "sim.engine", "event_limit",
-					event.D("limit", limit))
-			}
-			return count, fmt.Errorf("%w: %d events (runaway schedule?)", ErrEventLimit, limit)
-		}
-		heap.Pop(&e.queue)
-		e.now = next.At
-		next.Fn(e.now)
-		count++
-	}
-	if e.now < until && !math.IsInf(until, 1) {
-		e.now = until
-	}
-	return count, nil
-}
 
 // Mobility moves a pose along waypoints at constant speed.
 type Mobility struct {

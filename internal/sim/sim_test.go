@@ -1,156 +1,12 @@
 package sim
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/mmtag/mmtag/internal/geom"
 )
-
-func TestEventOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	add := func(at float64, pri, id int) {
-		if err := e.Schedule(at, pri, func(float64) { order = append(order, id) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	add(2.0, 0, 3)
-	add(1.0, 1, 2)
-	add(1.0, 0, 1)
-	add(3.0, 0, 4)
-	n, err := e.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("ran %d events", n)
-	}
-	want := []int{1, 2, 3, 4}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-	if e.now != 10 {
-		t.Errorf("final time %g", e.now)
-	}
-}
-
-func TestFIFOAmongEqualEvents(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		id := i
-		if err := e.Schedule(1, 0, func(float64) { order = append(order, id) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("equal-time events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestScheduleInPastFails(t *testing.T) {
-	e := NewEngine()
-	if err := e.Schedule(5, 0, func(float64) {}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(6); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Schedule(3, 0, func(float64) {}); err == nil {
-		t.Error("scheduling in the past should fail")
-	}
-}
-
-func TestAfterAndCascade(t *testing.T) {
-	e := NewEngine()
-	hits := 0
-	var ping func(now float64)
-	ping = func(now float64) {
-		hits++
-		if hits < 5 {
-			if err := e.After(1, 0, ping); err != nil {
-				t.Error(err)
-			}
-		}
-	}
-	if err := e.After(1, 0, ping); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if hits != 5 {
-		t.Errorf("cascade hits %d", hits)
-	}
-	if len(e.queue) != 0 {
-		t.Error("queue should drain")
-	}
-}
-
-func TestRunStopsAtHorizon(t *testing.T) {
-	e := NewEngine()
-	ran := false
-	_ = e.Schedule(5, 0, func(float64) { ran = true })
-	if _, err := e.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Error("event beyond horizon ran")
-	}
-	if len(e.queue) != 1 {
-		t.Error("event should remain queued")
-	}
-	if _, err := e.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Error("event at horizon should run")
-	}
-}
-
-func TestRunawayGuard(t *testing.T) {
-	e := NewEngine()
-	e.MaxEvents = 100
-	executed := 0
-	var loop func(now float64)
-	loop = func(now float64) {
-		executed++
-		_ = e.After(0.001, 0, loop)
-	}
-	_ = e.After(0, 0, loop)
-	n, err := e.Run(1e9)
-	if err == nil {
-		t.Fatal("runaway schedule should trip the guard")
-	}
-	if !errors.Is(err, ErrEventLimit) {
-		t.Errorf("error %v should wrap ErrEventLimit", err)
-	}
-	// The guard must stop at the limit, not one past it.
-	if n != 100 || executed != 100 {
-		t.Errorf("ran %d events (callbacks: %d), limit is 100", n, executed)
-	}
-}
-
-func TestRunToInfinityDrainsQueue(t *testing.T) {
-	e := NewEngine()
-	_ = e.Schedule(2.5, 0, func(float64) {})
-	if _, err := e.Run(math.Inf(1)); err != nil {
-		t.Fatal(err)
-	}
-	if e.now != 2.5 {
-		t.Errorf("clock should rest at the last event, got %g", e.now)
-	}
-}
 
 func TestMobilityWaypoints(t *testing.T) {
 	m := Mobility{

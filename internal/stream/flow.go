@@ -11,7 +11,6 @@ import (
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/rng"
-	"github.com/mmtag/mmtag/internal/sim"
 	"github.com/mmtag/mmtag/internal/tag"
 	"github.com/mmtag/mmtag/internal/units"
 )
@@ -88,12 +87,14 @@ type flowTag struct {
 }
 
 // RunFlowWS runs nFrames frames through per-tag sliding-window flow
-// control on the virtual clock. Frame k belongs to tag k mod Tags; the
-// channel serves tags round-robin, each burst occupying its air time on
-// the DES engine, and every transmission is a full waveform synthesis +
-// decode at the link's one operating point (mac.RunARQWS semantics —
-// the reader's poll doubles as the ACK). Deterministic for a fixed
-// source.
+// control on the virtual clock. Frame k belongs to tag k mod Tags and
+// arrives at k/OfferedFPS (at 0 when OfferedFPS ≤ 0); the channel serves
+// tags round-robin, one burst at a time, each occupying its air time,
+// and every transmission is a full waveform synthesis + decode at the
+// link's one operating point (mac.RunARQWS semantics — the reader's poll
+// doubles as the ACK, so a burst's outcome is known when it ends). Each
+// frame draws its payload at its first transmission, and the first burst
+// error ends the run. Deterministic for a fixed source.
 func RunFlowWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrames int, cfg FlowConfig, src *rng.Source) (FlowResult, error) {
 	var res FlowResult
 	if nFrames <= 0 {
@@ -131,10 +132,7 @@ func RunFlowWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrame
 		tags[i].frames = make([]flowFrame, count)
 	}
 
-	eng := sim.NewEngine()
 	events := event.Enabled()
-	var runErr error
-	busy := false
 	lastTag := cfg.Tags - 1
 	pending := 0 // arrived, not yet released (delivered or dropped)
 	lastRelease := 0.0
@@ -189,101 +187,101 @@ func RunFlowWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrame
 		}
 	}
 
-	var startNext func(now float64)
-	transmit := func(ti, seq int, now float64) {
-		t := &tags[ti]
-		f := &t.frames[seq]
-		if f.payload == nil {
-			f.payload = src.Bytes(make([]byte, cfg.FrameBytes))
-		}
-		f.sent = true
-		if seq == t.next {
-			t.next++
-		}
-		res.Transmissions++
-		if f.attempts > 0 {
-			res.Retransmissions++
-			obs.IncAt(now, "stream_flow_retries_total")
-		}
-		f.attempts++
-		r, err := p.RunWS(ws, f.payload, frame.MCSOOK, src)
-		if err != nil {
-			runErr = err
-			return
-		}
-		ok := r.Decoded && r.BitErrors == 0
-		done := now + burstS // outcome known at end of burst (poll = ACK)
-		busy = true
-		runErr = eng.Schedule(done, 0, func(end float64) {
-			if runErr != nil {
-				return
-			}
-			busy = false
-			if ok {
-				f.delivered = true
-				release(ti, end)
-			} else {
-				f.sent = false // queue the retransmission
-				if f.attempts > cfg.MaxRetries {
-					f.dropped = true
-					res.Drops++
-					obs.IncAt(end, "stream_flow_drops_total")
-					if events {
-						event.Emit(end, event.LevelWarn, "stream.flow", "drop",
-							event.D("tag", ti), event.D("seq", seq),
-							event.D("attempts", f.attempts))
-					}
-					release(ti, end)
-				} else if events {
-					event.Emit(end, event.LevelInfo, "stream.flow", "retry",
-						event.D("tag", ti), event.D("seq", seq),
-						event.D("attempt", f.attempts))
-				}
-			}
-			startNext(end)
-		})
-	}
+	// At most one burst is in flight: tag inTag's frame inSeq, whose
+	// outcome inOK is known when the burst ends at doneAt (poll = ACK).
+	busy := false
+	doneAt := 0.0
+	inTag, inSeq, inOK := 0, 0, false
 
-	startNext = func(now float64) {
-		if runErr != nil || busy {
-			return
+	// startNext starts the round-robin's next eligible transmission at
+	// now unless a burst is already in flight.
+	startNext := func(now float64) error {
+		if busy {
+			return nil
 		}
 		for k := 1; k <= cfg.Tags; k++ {
 			ti := (lastTag + k) % cfg.Tags
-			if seq, ok := eligible(ti); ok {
-				lastTag = ti
-				transmit(ti, seq, now)
-				return
+			seq, ok := eligible(ti)
+			if !ok {
+				continue
 			}
+			lastTag = ti
+			t := &tags[ti]
+			f := &t.frames[seq]
+			if f.payload == nil {
+				f.payload = src.Bytes(make([]byte, cfg.FrameBytes))
+			}
+			f.sent = true
+			if seq == t.next {
+				t.next++
+			}
+			res.Transmissions++
+			if f.attempts > 0 {
+				res.Retransmissions++
+				obs.IncAt(now, "stream_flow_retries_total")
+			}
+			f.attempts++
+			r, err := p.RunWS(ws, f.payload, frame.MCSOOK, src)
+			if err != nil {
+				return err
+			}
+			busy, doneAt = true, now+burstS
+			inTag, inSeq, inOK = ti, seq, r.Decoded && r.BitErrors == 0
+			return nil
 		}
+		return nil
 	}
 
-	for k := 0; k < nFrames; k++ {
-		ti, seq := k%cfg.Tags, k/cfg.Tags
-		at := 0.0
-		if cfg.OfferedFPS > 0 {
-			at = float64(k) / cfg.OfferedFPS
-		}
-		tags[ti].frames[seq].arrival = at
-		if err := eng.Schedule(at, 0, func(now float64) {
-			if runErr != nil {
-				return
+	// Each step takes the earlier of the next arrival (frames arrive in
+	// index order) and the end of the burst in flight; an arrival at the
+	// very instant a burst ends goes first.
+	for k := 0; k < nFrames || busy; {
+		if k < nFrames {
+			at := 0.0
+			if cfg.OfferedFPS > 0 {
+				at = float64(k) / cfg.OfferedFPS
 			}
-			tags[ti].frames[seq].arrived = true
-			res.FramesOffered++
-			pending++
-			obs.IncAt(now, "stream_flow_offered_total")
-			sampleDepth(now)
-			startNext(now)
-		}); err != nil {
+			if !busy || at <= doneAt {
+				f := &tags[k%cfg.Tags].frames[k/cfg.Tags]
+				f.arrival, f.arrived = at, true
+				k++
+				res.FramesOffered++
+				pending++
+				obs.IncAt(at, "stream_flow_offered_total")
+				sampleDepth(at)
+				if err := startNext(at); err != nil {
+					return res, err
+				}
+				continue
+			}
+		}
+		end, ti, seq := doneAt, inTag, inSeq
+		busy = false
+		f := &tags[ti].frames[seq]
+		if inOK {
+			f.delivered = true
+			release(ti, end)
+		} else {
+			f.sent = false // queue the retransmission
+			if f.attempts > cfg.MaxRetries {
+				f.dropped = true
+				res.Drops++
+				obs.IncAt(end, "stream_flow_drops_total")
+				if events {
+					event.Emit(end, event.LevelWarn, "stream.flow", "drop",
+						event.D("tag", ti), event.D("seq", seq),
+						event.D("attempts", f.attempts))
+				}
+				release(ti, end)
+			} else if events {
+				event.Emit(end, event.LevelInfo, "stream.flow", "retry",
+					event.D("tag", ti), event.D("seq", seq),
+					event.D("attempt", f.attempts))
+			}
+		}
+		if err := startNext(end); err != nil {
 			return res, err
 		}
-	}
-	if _, err := eng.Run(math.Inf(1)); err != nil {
-		return res, err
-	}
-	if runErr != nil {
-		return res, runErr
 	}
 
 	res.AirTimeS = float64(res.Transmissions) * burstS

@@ -306,7 +306,6 @@ func sessionArtifacts(t *testing.T, workers int) ([]byte, []byte, SessionResult)
 	if err != nil {
 		t.Fatal(err)
 	}
-	smp.Skip(tsdb.WallClockMetrics...)
 	log := event.New(0)
 	obs.EnableWith(reg)
 	event.EnableWith(log)
@@ -315,17 +314,16 @@ func sessionArtifacts(t *testing.T, workers int) ([]byte, []byte, SessionResult)
 	defer tsdb.Disable()
 
 	res, err := RunSession(SessionConfig{
-		Frames:        240,
-		FrameBytes:    32,
-		Seed:          21,
-		Workers:       workers,
-		Depth:         4,
-		ProgressEvery: 50,
+		Frames:     240,
+		FrameBytes: 32,
+		Seed:       21,
+		Workers:    workers,
+		Depth:      4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d, _ := log.Dropped(); d != 0 {
+	if d := log.Dropped(); d != 0 {
 		t.Fatalf("event log dropped %d events", d)
 	}
 	var buf bytes.Buffer

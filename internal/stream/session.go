@@ -40,9 +40,6 @@ type SessionConfig struct {
 	Seed uint64
 	// Workers / Depth configure the stage pipeline (see Config).
 	Workers, Depth int
-	// ProgressEvery emits a deterministic progress event every that many
-	// frames (0 = no periodic events; failures are always logged).
-	ProgressEvery int
 }
 
 // SessionResult accounts one streaming session. Every field except the
@@ -169,10 +166,6 @@ func RunSession(cfg SessionConfig) (SessionResult, error) {
 				snrSum += f.SNRdBEst
 				obs.ObserveAt(t, "stream_snr_est_db", f.SNRdBEst)
 			}
-		}
-		if events && cfg.ProgressEvery > 0 && (f.Index+1)%cfg.ProgressEvery == 0 {
-			event.Emit(t, event.LevelInfo, "stream.session", "progress",
-				event.D("frames", f.Index+1), event.D("decoded", res.Decoded))
 		}
 		return nil
 	}

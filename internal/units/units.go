@@ -117,14 +117,27 @@ func QInv(p float64) float64 {
 	if p >= 1 {
 		return math.Inf(-1)
 	}
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
+	lo, hi, _ := Bisect(-40, 40, 200, func(x float64) (bool, error) { return Q(x) > p, nil })
+	return (lo + hi) / 2
+}
+
+// Bisect narrows the bracket [lo, hi] around the point where holds
+// switches from true (lo's side) to false (hi's side): iters times it
+// evaluates holds at the midpoint (lo + hi) / 2 and moves lo there if
+// it holds, hi otherwise. It returns the final bracket, or the bracket
+// so far with the first error holds returns.
+func Bisect(lo, hi float64, iters int, holds func(x float64) (bool, error)) (float64, float64, error) {
+	for i := 0; i < iters; i++ {
 		mid := (lo + hi) / 2
-		if Q(mid) > p {
+		ok, err := holds(mid)
+		if err != nil {
+			return lo, hi, err
+		}
+		if ok {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	return (lo + hi) / 2
+	return lo, hi, nil
 }

@@ -65,13 +65,13 @@ func TestFacadeMetricsSpanFourPackages(t *testing.T) {
 	}
 	pkgs := map[string]bool{}
 	for _, m := range snap.Metrics {
-		for _, prefix := range []string{"core_", "reader_", "mac_", "sim_"} {
+		for _, prefix := range []string{"core_", "reader_", "mac_"} {
 			if strings.HasPrefix(m.Name, prefix) {
 				pkgs[prefix] = true
 			}
 		}
 	}
-	for _, prefix := range []string{"core_", "reader_", "mac_", "sim_"} {
+	for _, prefix := range []string{"core_", "reader_", "mac_"} {
 		if !pkgs[prefix] {
 			t.Errorf("no %s* series in snapshot", prefix)
 		}
