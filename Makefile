@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race outputs bench bench-json bench-gate grid-smoke vet fmt experiments figures clean
+.PHONY: all build test race outputs bench bench-json bench-gate vet fmt experiments figures clean
 
 all: build test
 
@@ -36,18 +36,6 @@ bench-json:
 # or ratio gate (tools/benchgate).
 bench-gate: bench-json
 	$(GO) run ./tools/benchgate -gates bench_gates.json $(BENCH_OUT)
-
-# Grid smoke: run the committed smoke grid at two worker counts, verify
-# every cell manifest, and assert the deterministic artifacts are
-# byte-identical (manifest.json quarantines the wall-clock fields).
-grid-smoke:
-	rm -rf /tmp/mmtag_grid_w1 /tmp/mmtag_grid_w8 /tmp/mmtag_grid_report
-	$(GO) run ./cmd/mmtag grid -f experiments/smoke.json -workers 1 -out /tmp/mmtag_grid_w1
-	$(GO) run ./cmd/mmtag grid -f experiments/smoke.json -workers 8 -out /tmp/mmtag_grid_w8
-	$(GO) run ./cmd/mmtag verify -rundir /tmp/mmtag_grid_w1
-	$(GO) run ./cmd/mmtag verify -rundir /tmp/mmtag_grid_w8
-	diff -r -x manifest.json /tmp/mmtag_grid_w1 /tmp/mmtag_grid_w8
-	$(GO) run ./cmd/mmtag grid-report -rundir /tmp/mmtag_grid_w1 -out /tmp/mmtag_grid_report
 
 vet:
 	$(GO) vet ./...

@@ -21,6 +21,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/signal"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/phy"
@@ -171,9 +172,7 @@ func BenchmarkImpairmentAblation(b *testing.B) {
 // CRC) — the inner loop of every E8-style experiment — with
 // observability off (every helper's nil fast path).
 func BenchmarkWaveformBurst(b *testing.B) {
-	obs.Disable()
-	event.Disable()
-	signal.Disable()
+	defer sinks.Install(sinks.Sinks{})()
 	benchBurst(b, false)
 }
 
@@ -248,8 +247,7 @@ func benchBurst(b *testing.B, degraded bool) {
 // (sinks-off) benchmark is the full cost of live metric + span collection on
 // the hottest path.
 func BenchmarkWaveformBurstMetricsEnabled(b *testing.B) {
-	obs.Enable()
-	defer obs.Disable()
+	defer sinks.Install(sinks.Sinks{Registry: obs.NewRegistry()})()
 	benchBurst(b, false)
 }
 
@@ -257,7 +255,7 @@ func BenchmarkWaveformBurstMetricsEnabled(b *testing.B) {
 // registry installed — the per-site cost every hot path pays when
 // observability is off (an atomic load and a nil check).
 func BenchmarkObsDisabled(b *testing.B) {
-	obs.Disable()
+	defer sinks.Install(sinks.Sinks{})()
 	for i := 0; i < b.N; i++ {
 		obs.Inc("bench_total")
 	}
@@ -265,8 +263,7 @@ func BenchmarkObsDisabled(b *testing.B) {
 
 // BenchmarkObsEnabled measures one live labeled counter increment.
 func BenchmarkObsEnabled(b *testing.B) {
-	obs.Enable()
-	defer obs.Disable()
+	defer sinks.Install(sinks.Sinks{Registry: obs.NewRegistry()})()
 	for i := 0; i < b.N; i++ {
 		obs.Inc("bench_total", obs.L("bw", "2GHz"))
 	}
@@ -348,7 +345,7 @@ func BenchmarkAngleSweepWorkers4(b *testing.B) { benchAngleSweepWorkers(b, 4) }
 // guard before building the field slice), so this is the cost paid per
 // site when the event log is off: an atomic load and a branch.
 func BenchmarkEventEmitDisabled(b *testing.B) {
-	event.Disable()
+	defer sinks.Install(sinks.Sinks{})()
 	for i := 0; i < b.N; i++ {
 		if event.Enabled() {
 			event.Emit(0, event.LevelInfo, "bench", "emit", event.D("i", i))
@@ -359,8 +356,7 @@ func BenchmarkEventEmitDisabled(b *testing.B) {
 // BenchmarkEventEmitEnabled measures one live event emission into the
 // ring (encode to JSON bytes + ring store), fields included.
 func BenchmarkEventEmitEnabled(b *testing.B) {
-	event.EnableWith(event.New(1 << 12))
-	defer event.Disable()
+	defer sinks.Install(sinks.Sinks{Events: event.New(1 << 12)})()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if event.Enabled() {
@@ -374,9 +370,7 @@ func BenchmarkEventEmitEnabled(b *testing.B) {
 // plain burst is the full cost of structured event capture on the
 // hottest path.
 func BenchmarkWaveformBurstEventsEnabled(b *testing.B) {
-	obs.Disable()
-	event.EnableWith(event.New(1 << 16))
-	defer event.Disable()
+	defer sinks.Install(sinks.Sinks{Events: event.New(1 << 16)})()
 	benchBurst(b, false)
 }
 
@@ -626,10 +620,7 @@ func BenchmarkPlanarTag(b *testing.B) {
 // capture and the coherent last-burst snapshot. Steady-state allocations
 // must match the sinks-off path exactly — the tap reuses its snapshot buffers.
 func BenchmarkWaveformBurstTapsEnabled(b *testing.B) {
-	obs.Disable()
-	event.Disable()
-	signal.Enable()
-	defer signal.Disable()
+	defer sinks.Install(sinks.Sinks{Tap: &signal.Tap{}})()
 	benchBurst(b, false)
 }
 
@@ -638,9 +629,7 @@ func BenchmarkWaveformBurstTapsEnabled(b *testing.B) {
 // benchmark is held against. (A failed decode allocates regardless of
 // taps: the reader wraps the sync error.)
 func BenchmarkWaveformBurstFailNop(b *testing.B) {
-	obs.Disable()
-	event.Disable()
-	signal.Disable()
+	defer sinks.Install(sinks.Sinks{})()
 	benchBurst(b, true)
 }
 
@@ -649,11 +638,9 @@ func BenchmarkWaveformBurstFailNop(b *testing.B) {
 // isolation) and is captured into the ring, which reuses its slots once
 // warm, so steady state adds nothing over the fail-path baseline.
 func BenchmarkWaveformBurstFlightRec(b *testing.B) {
-	obs.Disable()
-	event.Disable()
-	tap := signal.Enable()
+	tap := &signal.Tap{}
 	tap.SetFlightRecorder(8)
-	defer signal.Disable()
+	defer sinks.Install(sinks.Sinks{Tap: tap})()
 	benchBurst(b, true)
 }
 
@@ -716,11 +703,12 @@ func BenchmarkDecodeBurstBatch(b *testing.B) {
 // internal/obs/tsdb's TestRecordSteadyStateZeroAlloc hold both.
 
 func BenchmarkWaveformBurstSampled(b *testing.B) {
-	reg := obs.Enable()
-	defer obs.Disable()
-	if _, err := tsdb.Attach(reg, 1e-6); err != nil {
+	reg := obs.NewRegistry()
+	smp, err := tsdb.Attach(reg, 1e-6)
+	if err != nil {
 		b.Fatal(err)
 	}
+	defer sinks.Install(sinks.Sinks{Registry: reg, Series: smp})()
 	benchBurst(b, false)
 }
 
@@ -908,9 +896,7 @@ func TestWriteBenchJSON(t *testing.T) {
 		AllocsPerOp int64   `json:"allocs_per_op"`
 		BytesPerOp  int64   `json:"bytes_per_op"`
 	}
-	obs.Disable()
-	event.Disable()
-	signal.Disable()
+	defer sinks.Install(sinks.Sinks{})()
 	records := make([]record, len(benchTable))
 	for i, bm := range benchTable {
 		// The minimum ns/op is the usual noise-robust estimator when the

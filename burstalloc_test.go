@@ -9,8 +9,8 @@ import (
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/mac"
 	"github.com/mmtag/mmtag/internal/obs"
-	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/signal"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 	"github.com/mmtag/mmtag/internal/rng"
 	"github.com/mmtag/mmtag/internal/units"
@@ -30,27 +30,25 @@ const nopBurstAllocBudget = 15 + 2
 // -race builds: the race detector makes sync.Pool drop a random share of
 // Puts, so the failure path's allocation count is not stable there.
 func TestBurstAllocContracts(t *testing.T) {
-	allocs := func(degraded bool, install func()) float64 {
+	allocs := func(degraded bool, s sinks.Sinks) float64 {
 		t.Helper()
-		obs.Disable()
-		event.Disable()
-		signal.Disable()
-		defer obs.Disable()
-		defer signal.Disable()
-		install()
+		defer sinks.Install(s)()
 		burst := newBurst(t, degraded)
 		return testing.AllocsPerRun(100, func() { burst(t) })
 	}
-	nop := allocs(false, func() {})
-	taps := allocs(false, func() { signal.Enable() })
-	fail := allocs(true, func() {})
-	flight := allocs(true, func() { signal.Enable().SetFlightRecorder(8) })
-	metrics := allocs(false, func() { obs.Enable() })
-	sampled := allocs(false, func() {
-		if _, err := tsdb.Attach(obs.Enable(), 1e-6); err != nil {
-			t.Fatal(err)
-		}
-	})
+	recorder := &signal.Tap{}
+	recorder.SetFlightRecorder(8)
+	sampledReg := obs.NewRegistry()
+	smp, err := tsdb.Attach(sampledReg, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nop := allocs(false, sinks.Sinks{})
+	taps := allocs(false, sinks.Sinks{Tap: &signal.Tap{}})
+	fail := allocs(true, sinks.Sinks{})
+	flight := allocs(true, sinks.Sinks{Tap: recorder})
+	metrics := allocs(false, sinks.Sinks{Registry: obs.NewRegistry()})
+	sampled := allocs(false, sinks.Sinks{Registry: sampledReg, Series: smp})
 	t.Logf("allocs/burst: nop %.0f, taps %.0f, fail %.0f, flightrec %.0f, metrics %.0f, sampled %.0f",
 		nop, taps, fail, flight, metrics, sampled)
 	if nop > nopBurstAllocBudget {
@@ -78,9 +76,7 @@ const arqAllocsPerTransmission = 6
 // side of the gigabit range edge, 4 ft (few retransmissions) and 5.5 ft
 // (many), with the telemetry sinks off.
 func TestARQAllocsPerTransmission(t *testing.T) {
-	obs.Disable()
-	event.Disable()
-	signal.Disable()
+	defer sinks.Install(sinks.Sinks{})()
 	for _, ft := range []float64{4, 5.5} {
 		l, err := core.NewDefaultLink(units.FeetToMeters(ft))
 		if err != nil {

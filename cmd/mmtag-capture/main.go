@@ -33,6 +33,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/manifest"
 	"github.com/mmtag/mmtag/internal/obs/serve"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/phy"
 	"github.com/mmtag/mmtag/internal/reader"
 	"github.com/mmtag/mmtag/internal/rng"
@@ -54,20 +55,20 @@ func (o *obsFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.rundir, "rundir", "", "write a self-describing run manifest (manifest.json, metrics.json, trace.json, events.jsonl) into this directory")
 }
 
-// setup enables the telemetry stores and starts the server when
-// requested. The returned finish func archives the run directory and,
-// when serving, blocks until interrupt so the endpoints stay up.
+// setup installs the telemetry sinks for the rest of the process and
+// starts the server when requested. The returned finish func archives
+// the run directory and, when serving, blocks until interrupt so the
+// endpoints stay up.
 func (o *obsFlags) setup(experiment string, seed uint64) (func() error, error) {
 	if o.serveAt == "" && o.rundir == "" {
 		return func() error { return nil }, nil
 	}
 	started := time.Now()
-	reg := obs.Enable()
-	evLog := event.New(eventLogCapacity)
-	event.EnableWith(evLog)
+	s := sinks.Sinks{Registry: obs.NewRegistry(), Events: event.New(eventLogCapacity)}
+	sinks.Install(s)
 	var running *serve.Running
 	if o.serveAt != "" {
-		srv := serve.New(reg, evLog)
+		srv := serve.New(s, nil)
 		srv.SetPhase(experiment)
 		var err error
 		running, err = srv.Start(o.serveAt)
@@ -84,7 +85,7 @@ func (o *obsFlags) setup(experiment string, seed uint64) (func() error, error) {
 				Args:       os.Args,
 				Started:    started,
 			}
-			if _, err := manifest.Write(o.rundir, info, reg, evLog); err != nil {
+			if _, err := manifest.Write(o.rundir, info, s, nil); err != nil {
 				return err
 			}
 		}

@@ -93,7 +93,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -111,6 +110,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs/manifest"
 	"github.com/mmtag/mmtag/internal/obs/serve"
 	"github.com/mmtag/mmtag/internal/obs/signal"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/rundiff"
@@ -196,10 +196,9 @@ func run(args []string) error {
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	// The archival subcommands run before the observability setup below:
-	// verify touches no simulation code, and the grid runner must keep
-	// the global obs/event/signal stores disabled so concurrent cells
-	// cannot interleave into them (worker invariance of the archives).
+	// The archival subcommands need none of the sinks set up below:
+	// verify and diff touch no simulation code, and the grid runner
+	// installs its own (none, or one registry per sampled cell).
 	switch name {
 	case "verify":
 		// Re-hash an archived run directory (including any flight_*.iq
@@ -274,18 +273,19 @@ func run(args []string) error {
 	if opt.alerts != "" && opt.sample == 0 {
 		return fmt.Errorf("-alerts requires -sample (alert rules evaluate over sampled time series)")
 	}
-	var reg *obs.Registry
-	if opt.metrics != "" || opt.trace != "" || opt.serveAt != "" || opt.rundir != "" || opt.sample > 0 {
-		reg = obs.Enable()
+	var s sinks.Sinks
+	// The scalar taps feed obs histograms, so they need a registry even
+	// when no -metrics path was given.
+	if opt.metrics != "" || opt.trace != "" || opt.serveAt != "" || opt.rundir != "" || opt.sample > 0 ||
+		opt.taps || opt.flightrec > 0 {
+		s.Registry = obs.NewRegistry()
 	}
-	var smp *tsdb.Sampler
 	var eng *alert.Engine
 	if opt.sample != 0 {
 		var err error
-		if smp, err = tsdb.Attach(reg, opt.sample); err != nil {
+		if s.Series, err = tsdb.Attach(s.Registry, opt.sample); err != nil {
 			return err
 		}
-		tsdb.EnableWith(smp)
 		if opt.alerts != "" {
 			rules, err := alert.LoadRulesFile(opt.alerts)
 			if err != nil {
@@ -298,33 +298,17 @@ func run(args []string) error {
 			eng = alert.Default()
 		}
 	}
-	var evLog *event.Log
 	if opt.events != "" || opt.serveAt != "" || opt.rundir != "" {
-		evLog = event.New(eventLogCapacity)
-		event.EnableWith(evLog)
+		s.Events = event.New(eventLogCapacity)
 	}
-	var tap *signal.Tap
 	if opt.taps || opt.flightrec > 0 {
-		// The scalar taps feed obs histograms, so they need a registry
-		// even when no -metrics path was given.
-		if reg == nil {
-			reg = obs.Enable()
-		}
-		tap = signal.Enable()
-		if opt.flightrec > 0 {
-			tap.SetFlightRecorder(opt.flightrec)
-		}
+		s.Tap = &signal.Tap{}
+		s.Tap.SetFlightRecorder(opt.flightrec)
 	}
+	defer sinks.Install(s)()
 	var srv *serve.Server
 	if opt.serveAt != "" {
-		srv = serve.New(reg, evLog)
-		if tap != nil {
-			srv.AttachSignal(tap)
-		}
-		if smp != nil {
-			srv.AttachTimeseries(smp)
-			srv.AttachAlerts(eng)
-		}
+		srv = serve.New(s, eng)
 		running, err := srv.Start(opt.serveAt)
 		if err != nil {
 			return err
@@ -362,14 +346,14 @@ func run(args []string) error {
 	if srv != nil {
 		srv.SetPhase("done")
 	}
-	return writeObservability(reg, evLog, tap, smp, eng, started, name, opt)
+	return writeObservability(s, eng, started, name, opt)
 }
 
 // writeObservability dumps the run's metrics, span trace, event log and
 // run manifest to the paths the -metrics / -trace / -events / -rundir
-// flags name.
-func writeObservability(reg *obs.Registry, evLog *event.Log, tap *signal.Tap, smp *tsdb.Sampler, eng *alert.Engine, started time.Time, experiment string, opt options) error {
-	if reg == nil && evLog == nil {
+// flags name. eng is set exactly when s has a sampler.
+func writeObservability(s sinks.Sinks, eng *alert.Engine, started time.Time, experiment string, opt options) error {
+	if s.Registry == nil && s.Events == nil {
 		return nil
 	}
 	write := func(path string, data []byte) error {
@@ -382,8 +366,8 @@ func writeObservability(reg *obs.Registry, evLog *event.Log, tap *signal.Tap, sm
 	// Alert transitions land in the event log before it is exported, so
 	// -events and the rundir's events.jsonl both carry them.
 	var transitions []alert.Transition
-	if smp != nil && eng != nil {
-		transitions, _ = eng.Evaluate(smp.Snapshot())
+	if eng != nil {
+		transitions, _ = eng.Evaluate(s.Series.Snapshot())
 		alert.Emit(transitions)
 		for _, tr := range transitions {
 			if tr.State == "firing" {
@@ -392,16 +376,16 @@ func writeObservability(reg *obs.Registry, evLog *event.Log, tap *signal.Tap, sm
 			}
 		}
 	}
-	if evLog != nil {
-		if dropped := evLog.Dropped(); dropped > 0 {
+	if s.Events != nil {
+		if dropped := s.Events.Dropped(); dropped > 0 {
 			fmt.Fprintf(os.Stderr, "mmtag: event log dropped %d events at capacity %d; "+
 				"the exposition is truncated and no longer worker-count invariant\n",
 				dropped, eventLogCapacity)
 		}
 	}
-	if opt.events != "" && evLog != nil {
+	if opt.events != "" && s.Events != nil {
 		var buf bytes.Buffer
-		if err := evLog.WriteJSONL(&buf); err != nil {
+		if err := s.Events.WriteJSONL(&buf); err != nil {
 			return fmt.Errorf("events: %w", err)
 		}
 		if err := write(opt.events, buf.Bytes()); err != nil {
@@ -421,27 +405,11 @@ func writeObservability(reg *obs.Registry, evLog *event.Log, tap *signal.Tap, sm
 				"repeat": fmt.Sprintf("%d", opt.repeat),
 			},
 		}
-		var extra []manifest.ExtraFile
-		if tap != nil {
-			files, err := tap.FlightFiles()
-			if err != nil {
-				return fmt.Errorf("flight recorder: %w", err)
-			}
-			for _, f := range files {
-				extra = append(extra, manifest.ExtraFile{Name: f.Name, Data: f.Data})
-			}
-		}
-		if smp != nil {
-			extra = append(extra, manifest.ExtraFile{Name: "timeseries.json", Data: smp.JSON()})
-			if eng != nil {
-				extra = append(extra, manifest.ExtraFile{Name: "alerts.jsonl", Data: alert.EncodeJSONL(transitions)})
-			}
-		}
-		if _, err := manifest.Write(opt.rundir, info, reg, evLog, extra...); err != nil {
+		if _, err := manifest.Write(opt.rundir, info, s, transitions); err != nil {
 			return err
 		}
 	}
-	if reg == nil {
+	if s.Registry == nil {
 		return nil
 	}
 	if opt.metrics != "" {
@@ -450,10 +418,10 @@ func writeObservability(reg *obs.Registry, evLog *event.Log, tap *signal.Tap, sm
 			err  error
 		)
 		if strings.HasSuffix(opt.metrics, ".json") {
-			data, err = reg.Snapshot().JSON()
+			data, err = s.Registry.Snapshot().JSON()
 			data = append(data, '\n')
 		} else {
-			data = []byte(reg.PrometheusText())
+			data = []byte(s.Registry.PrometheusText())
 		}
 		if err != nil {
 			return fmt.Errorf("metrics snapshot: %w", err)
@@ -463,16 +431,10 @@ func writeObservability(reg *obs.Registry, evLog *event.Log, tap *signal.Tap, sm
 		}
 	}
 	if opt.trace != "" {
-		spans, dropped := reg.Spans()
-		payload := struct {
-			Spans        []obs.SpanRecord `json:"spans"`
-			DroppedSpans uint64           `json:"dropped_spans,omitempty"`
-		}{Spans: spans, DroppedSpans: dropped}
-		data, err := json.MarshalIndent(payload, "", "  ")
+		data, err := obs.TraceJSON(s.Registry.Spans())
 		if err != nil {
 			return fmt.Errorf("trace snapshot: %w", err)
 		}
-		data = append(data, '\n')
 		if err := write(opt.trace, data); err != nil {
 			return fmt.Errorf("write trace: %w", err)
 		}

@@ -48,11 +48,11 @@ func mmtag(t *testing.T, args ...string) (stdout, stderr string, code int) {
 	return out.String(), errOut.String(), code
 }
 
-// readGolden parses testdata/seed7.sha256 (sha256sum format: digest,
-// two spaces, experiment name) in file order.
-func readGolden(t *testing.T) (names []string, digests map[string]string) {
+// readGolden parses a testdata digest file (sha256sum format: digest,
+// two spaces, name) in file order.
+func readGolden(t *testing.T, file string) (names []string, digests map[string]string) {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", "seed7.sha256"))
+	f, err := os.Open(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +80,11 @@ func readGolden(t *testing.T) (names []string, digests map[string]string) {
 // Floating-point output is only pinned on amd64: other architectures
 // may fuse multiply-adds and move the last digit.
 func TestExperimentOutputGolden(t *testing.T) {
+	t.Parallel()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	names, digests := readGolden(t)
+	names, digests := readGolden(t, "seed7.sha256")
 	if !reflect.DeepEqual(names, allExperiments) {
 		t.Fatalf("golden names %v, want allExperiments %v", names, allExperiments)
 	}

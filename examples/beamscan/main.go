@@ -30,14 +30,14 @@ func main() {
 	flag.Parse()
 	mmtag.SetWorkers(*workers)
 	started := time.Now()
-	if *rundir != "" {
-		// Enable the stores up front so the scan lands in the archived
-		// manifest.
-		mmtag.Metrics()
-		mmtag.Events()
+	var sinks mmtag.Sinks
+	if *rundir != "" || *serveAt != "" {
+		// Install up front so the scan reaches -rundir and -serve.
+		sinks = mmtag.Sinks{Registry: mmtag.NewRegistry(), Events: mmtag.NewEventLog()}
+		defer mmtag.Install(sinks)()
 	}
 	if *serveAt != "" {
-		_, running, err := mmtag.ServeTelemetry(*serveAt)
+		_, running, err := mmtag.ServeTelemetry(*serveAt, sinks)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func main() {
 			Workers:    *workers,
 			Args:       os.Args,
 			Started:    started,
-		}); err != nil {
+		}, sinks); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "beamscan: run manifest written to %s\n", *rundir)

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"github.com/mmtag/mmtag/internal/obs"
+	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/manifest"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 )
 
 // testSpec is a cheap grid exercising repeats, a points sweep and a
@@ -321,5 +323,22 @@ func TestSampledGridLeavesGlobalObsDisabled(t *testing.T) {
 	}
 	if obs.Enabled() {
 		t.Fatal("sampled grid run leaked the global registry")
+	}
+
+	// A caller's sinks stay installed across the grid and receive none
+	// of its cells' telemetry.
+	reg, log := obs.NewRegistry(), event.New(0)
+	defer sinks.Install(sinks.Sinks{Registry: reg, Events: log})()
+	if _, err := Run(sampledSpec(), t.TempDir(), 2); err != nil {
+		t.Fatal(err)
+	}
+	if obs.Active() != reg || event.Active() != log {
+		t.Fatal("sampled grid run did not restore the caller's registry and event log")
+	}
+	if snap := reg.Snapshot(); snap.SeriesCount() != 0 || len(snap.Spans) != 0 {
+		t.Errorf("caller's registry holds %d series and %d spans from the grid", snap.SeriesCount(), len(snap.Spans))
+	}
+	if n := log.Len(); n != 0 {
+		t.Errorf("caller's event log holds %d events from the grid", n)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/alert"
 	"github.com/mmtag/mmtag/internal/obs/manifest"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 	"github.com/mmtag/mmtag/internal/par"
 )
@@ -53,16 +54,14 @@ type Index struct {
 // table.csv and cell.json (all digest-verified); outDir/grid.json is the
 // deterministic index the analyzer reads.
 //
-// Determinism: the caller must not have global observability (obs,
-// event, signal) enabled — concurrent cells would interleave into the
-// shared stores and drivers that read obs.Active() would emit
-// worker-count-dependent notes. The cmd/mmtag grid subcommand runs
-// before its observability setup for exactly this reason. With
-// spec.SampleDT > 0 each cell briefly owns the process-wide registry
-// (fresh per cell, serialized by sampleMu) so its driver's metric
-// updates fold into a cell-local time-series store; the registry is
-// dropped again before the next cell starts.
+// Determinism: the grid runs with no sinks installed and restores the
+// caller's on return. Otherwise concurrent cells would interleave into
+// the shared stores, and drivers that read obs.Active() would emit
+// worker-count-dependent notes. With spec.SampleDT > 0 each cell
+// briefly installs a fresh registry (serialized by sampleMu) so its
+// driver's metric updates fold into a cell-local time-series store.
 func Run(spec *Spec, outDir string, workers int) (*Index, error) {
+	defer sinks.Install(sinks.Sinks{})()
 	cells, err := spec.Expand()
 	if err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
@@ -79,11 +78,12 @@ func Run(spec *Spec, outDir string, workers int) (*Index, error) {
 			var (
 				tab     experiments.Table
 				metrics map[string]float64
-				sampled []manifest.ExtraFile
+				smp     *tsdb.Sampler
+				trans   []alert.Transition
 				cellErr error
 			)
 			if spec.SampleDT > 0 {
-				tab, metrics, sampled, cellErr = runCellSampled(spec, c, ws)
+				tab, metrics, smp, trans, cellErr = runCellSampled(spec, c, ws)
 			} else {
 				tab, metrics, cellErr = runCell(c, ws)
 			}
@@ -111,16 +111,14 @@ func Run(spec *Spec, outDir string, workers int) (*Index, error) {
 					"repeat": fmt.Sprintf("%d", c.Repeat),
 				},
 			}
-			// nil registry / event log: the cell archive holds only the
-			// deterministic artifacts plus manifest.json (the one file
-			// allowed to differ between runs).
-			extra := []manifest.ExtraFile{
-				{Name: "table.txt", Data: []byte(tab.Render())},
-				{Name: "table.csv", Data: []byte(tab.CSV())},
-				{Name: "cell.json", Data: append(cellJSON, '\n')},
-			}
-			extra = append(extra, sampled...)
-			if _, err := manifest.Write(filepath.Join(outDir, rel), info, nil, nil, extra...); err != nil {
+			// No registry or event log: the cell archive holds only the
+			// deterministic artifacts (with the sampled series and alerts
+			// when sampled) plus manifest.json, the one file allowed to
+			// differ between runs.
+			if _, err := manifest.Write(filepath.Join(outDir, rel), info, sinks.Sinks{Series: smp}, trans,
+				manifest.ExtraFile{Name: "table.txt", Data: []byte(tab.Render())},
+				manifest.ExtraFile{Name: "table.csv", Data: []byte(tab.CSV())},
+				manifest.ExtraFile{Name: "cell.json", Data: append(cellJSON, '\n')}); err != nil {
 				return err
 			}
 			results[i] = CellResult{Cell: c, Dir: rel, Metrics: metrics}
@@ -146,23 +144,21 @@ func Run(spec *Spec, outDir string, workers int) (*Index, error) {
 var sampleMu sync.Mutex
 
 // runCellSampled executes one cell against a fresh registry + sampler
-// and returns the cell's timeseries.json / alerts.jsonl artifacts plus
-// alerts_fired / alerts_total summary metrics. The registry is global
-// only for the duration of the cell (see sampleMu); the caller's
-// no-global-observability contract is restored on return.
-func runCellSampled(spec *Spec, c Cell, ws *dsp.Workspace) (experiments.Table, map[string]float64, []manifest.ExtraFile, error) {
+// and returns the sampler and the default rules' transitions over it,
+// plus alerts_fired / alerts_total summary metrics. The registry is
+// installed only for the duration of the cell (see sampleMu).
+func runCellSampled(spec *Spec, c Cell, ws *dsp.Workspace) (experiments.Table, map[string]float64, *tsdb.Sampler, []alert.Transition, error) {
 	sampleMu.Lock()
 	defer sampleMu.Unlock()
 	reg := obs.NewRegistry()
 	smp, err := tsdb.Attach(reg, spec.SampleDT)
 	if err != nil {
-		return experiments.Table{}, nil, nil, fmt.Errorf("grid: cell %s: %w", c.ID, err)
+		return experiments.Table{}, nil, nil, nil, fmt.Errorf("grid: cell %s: %w", c.ID, err)
 	}
-	obs.EnableWith(reg)
-	defer obs.Disable()
+	defer sinks.Install(sinks.Sinks{Registry: reg, Series: smp})()
 	tab, metrics, err := runCell(c, ws)
 	if err != nil {
-		return experiments.Table{}, nil, nil, err
+		return experiments.Table{}, nil, nil, nil, err
 	}
 	if metrics == nil {
 		metrics = map[string]float64{}
@@ -177,11 +173,7 @@ func runCellSampled(spec *Spec, c Cell, ws *dsp.Workspace) (experiments.Table, m
 	}
 	metrics["alerts_fired"] = float64(fired)
 	metrics["alerts_total"] = float64(len(states))
-	extra := []manifest.ExtraFile{
-		{Name: "timeseries.json", Data: smp.JSON()},
-		{Name: "alerts.jsonl", Data: alert.EncodeJSONL(trans)},
-	}
-	return tab, metrics, extra, nil
+	return tab, metrics, smp, trans, nil
 }
 
 // ReadIndex loads a grid run directory's index.

@@ -29,6 +29,10 @@ const Version = 1
 // MaxSamples bounds a single capture (guards against corrupt headers).
 const MaxSamples = 1 << 30
 
+// readChunk bounds the samples Read allocates before any have arrived
+// (64 KiB of complex128).
+const readChunk = 1 << 12
+
 // Header describes a capture.
 type Header struct {
 	// SampleRateHz is the complex sample rate.
@@ -142,15 +146,17 @@ func Read(r io.Reader) (Header, []complex128, error) {
 	if hdr.SampleRateHz <= 0 || math.IsNaN(hdr.SampleRateHz) {
 		return hdr, nil, fmt.Errorf("iqfile: invalid sample rate %v", hdr.SampleRateHz)
 	}
-	out := make([]complex128, hdr.Samples)
+	// The header's count is a claim until the samples arrive: it sizes
+	// at most the first readChunk samples, and the slice grows from there.
+	out := make([]complex128, 0, min(hdr.Samples, readChunk))
 	var sb [8]byte
-	for i := range out {
+	for i := uint64(0); i < hdr.Samples; i++ {
 		if _, err := io.ReadFull(br, sb[:]); err != nil {
 			return hdr, nil, fmt.Errorf("iqfile: truncated at sample %d: %w", i, err)
 		}
 		re := math.Float32frombits(binary.LittleEndian.Uint32(sb[0:4]))
 		im := math.Float32frombits(binary.LittleEndian.Uint32(sb[4:8]))
-		out[i] = complex(float64(re), float64(im))
+		out = append(out, complex(float64(re), float64(im)))
 	}
 	return hdr, out, nil
 }

@@ -2,8 +2,10 @@ package iqfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/cmplx"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -125,5 +127,23 @@ func TestEmptyCapture(t *testing.T) {
 	hdr, out, err := Read(&buf)
 	if err != nil || hdr.Samples != 0 || len(out) != 0 {
 		t.Errorf("empty capture: %+v %d %v", hdr, len(out), err)
+	}
+}
+
+// TestReadHeaderClaimsNoMemory: a bare 32-byte header claiming
+// MaxSamples samples fails as truncated without first allocating what
+// it claims (16 GiB at complex128).
+func TestReadHeaderClaimsNoMemory(t *testing.T) {
+	hdr := validCapture(t, 0)
+	binary.LittleEndian.PutUint64(hdr[24:32], MaxSamples)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := Read(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated at sample 0") {
+		t.Fatalf("err %v, want truncated at sample 0", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Read allocated %d bytes for a 32-byte file", n)
 	}
 }

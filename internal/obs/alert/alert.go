@@ -20,6 +20,8 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
+	"unicode/utf8"
 
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
@@ -61,13 +63,18 @@ var validAggs = map[string]bool{
 
 var validOps = map[string]bool{">": true, ">=": true, "<": true, "<=": true}
 
-// Validate rejects rules the engine cannot evaluate.
+// Validate rejects rules the engine cannot evaluate, and rules whose
+// text the artifacts could not carry: the hand-written encoders of
+// alerts.jsonl and events.jsonl quote with strconv, whose escapes for
+// unprintable runes and invalid UTF-8 are not JSON.
 func (r Rule) Validate() error {
 	switch {
 	case r.Name == "":
 		return fmt.Errorf("alert: rule needs a name")
 	case r.Metric == "":
 		return fmt.Errorf("alert: rule %q needs a metric", r.Name)
+	case !printable(r.Name) || !printable(r.Metric) || !printable(r.Severity):
+		return fmt.Errorf("alert: rule %q: name, metric and severity must be printable UTF-8", r.Name)
 	case !validAggs[r.Agg]:
 		return fmt.Errorf("alert: rule %q: unknown agg %q", r.Name, r.Agg)
 	case !validOps[r.Op]:
@@ -80,6 +87,12 @@ func (r Rule) Validate() error {
 		return fmt.Errorf("alert: rule %q: negative for-duration", r.Name)
 	}
 	return nil
+}
+
+// printable reports whether strconv.Quote writes s with no escape
+// other than \" and \\, both of which JSON shares.
+func printable(s string) bool {
+	return utf8.ValidString(s) && !strings.ContainsFunc(s, func(c rune) bool { return !strconv.IsPrint(c) })
 }
 
 func (r Rule) severity() string {

@@ -8,6 +8,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/alert"
 	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 )
 
@@ -151,8 +152,8 @@ func TestEncodeJSONLOrderAndShape(t *testing.T) {
 }
 
 func TestEmitWritesEventLog(t *testing.T) {
-	log := event.Enable(1 << 10)
-	defer event.Disable()
+	log := event.New(1 << 10)
+	defer sinks.Install(sinks.Sinks{Events: log})()
 	alert.Emit([]alert.Transition{
 		{T: 1, Rule: "r", State: "firing", Metric: "m", Value: 3, Threshold: 2, Severity: "warn"},
 		{T: 2, Rule: "r", State: "resolved", Metric: "m", Value: 0, Threshold: 2, Severity: "warn"},
@@ -171,6 +172,21 @@ func TestLoadRulesValidates(t *testing.T) {
 	}
 	if _, err := alert.LoadRules([]byte(`[]`)); err == nil {
 		t.Fatal("empty rules must be rejected")
+	}
+	// Rule text reaches the hand-written JSON encoders of alerts.jsonl
+	// and events.jsonl, so a name, metric or severity with a control
+	// character (BEL quotes as the Go escape \a) is rejected.
+	for _, doc := range []string{
+		`[{"name":"bit\u0007errors","metric":"core_bit_errors_total","agg":"sum","op":">","threshold":0}]`,
+		`[{"name":"x","metric":"core\u007f","agg":"sum","op":">","threshold":0}]`,
+		`[{"name":"x","metric":"m","agg":"sum","op":">","threshold":0,"severity":"\u001b[31mpage"}]`,
+	} {
+		if _, err := alert.LoadRules([]byte(doc)); err == nil || !strings.Contains(err.Error(), "printable") {
+			t.Errorf("%s: err %v, want a printable-text rejection", doc, err)
+		}
+	}
+	if _, err := alert.New([]alert.Rule{{Name: "x", Metric: "m\xff", Agg: "sum", Op: ">"}}); err == nil {
+		t.Error("a metric that is not valid UTF-8 must be rejected")
 	}
 	rules, err := alert.LoadRules([]byte(`{"schema":"mmtag-alert-rules/1","rules":[{"name":"x","metric":"m","agg":"sum","op":">","threshold":1}]}`))
 	if err != nil || len(rules) != 1 {

@@ -264,15 +264,8 @@ func S(key, value string) obs.Label { return obs.Label{Key: key, Value: value} }
 
 var active atomic.Pointer[Log]
 
-// Enable installs a fresh Log (capacity <= 0 = DefaultCapacity) as the
-// package default and returns it.
-func Enable(capacity int) *Log {
-	l := New(capacity)
-	active.Store(l)
-	return l
-}
-
-// EnableWith installs an existing Log as the package default.
+// EnableWith installs l as the package default (nil = none). Runs
+// install it through sinks.Install.
 func EnableWith(l *Log) { active.Store(l) }
 
 // Disable removes the default Log; helpers become no-ops again.

@@ -171,10 +171,11 @@ func TestPackageLevelDisabledNoop(t *testing.T) {
 		t.Fatal("expected disabled state")
 	}
 	Emit(0, LevelInfo, "c", "m") // must not panic
-	l := Enable(16)
+	l := New(16)
+	EnableWith(l)
 	defer Disable()
 	if Active() != l || !Enabled() {
-		t.Fatal("Enable did not install the log")
+		t.Fatal("EnableWith did not install the log")
 	}
 	Emit(0, LevelInfo, "c", "m")
 	if l.Len() != 1 {

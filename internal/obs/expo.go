@@ -122,6 +122,20 @@ func (b *BucketCount) UnmarshalJSON(data []byte) error {
 // JSON renders the snapshot as indented JSON.
 func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }
 
+// TraceJSON renders spans as the span trace every exposition shares
+// (trace.json, GET /trace, -trace): indented {"spans": [...]}, with the
+// drop count when nonzero and a trailing newline.
+func TraceJSON(spans []SpanRecord, dropped uint64) ([]byte, error) {
+	if spans == nil {
+		spans = []SpanRecord{}
+	}
+	data, err := json.MarshalIndent(struct {
+		Spans        []SpanRecord `json:"spans"`
+		DroppedSpans uint64       `json:"dropped_spans,omitempty"`
+	}{spans, dropped}, "", "  ")
+	return append(data, '\n'), err
+}
+
 // SeriesCount returns the number of metric series in the snapshot.
 func (s Snapshot) SeriesCount() int { return len(s.Metrics) }
 

@@ -5,16 +5,19 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/mmtag/mmtag/internal/obs/alert"
+	"github.com/mmtag/mmtag/internal/obs/signal"
+	"github.com/mmtag/mmtag/internal/obs/tsdb"
 )
 
 func TestWriteExtraFiles(t *testing.T) {
 	dir := t.TempDir()
-	reg, log := populate()
 	extras := []ExtraFile{
 		{Name: "flight_0001_crc_fail.iq", Data: []byte("iq-capture-bytes")},
 		{Name: "flight.json", Data: []byte(`[{"file":"flight_0001_crc_fail.iq"}]`)},
 	}
-	m, err := Write(dir, RunInfo{Experiment: "arq"}, reg, log, extras...)
+	m, err := Write(dir, RunInfo{Experiment: "arq"}, populate(), nil, extras...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +44,7 @@ func TestWriteExtraFiles(t *testing.T) {
 
 func TestVerifyCatchesTamperedExtra(t *testing.T) {
 	dir := t.TempDir()
-	reg, log := populate()
-	if _, err := Write(dir, RunInfo{Experiment: "arq"}, reg, log,
+	if _, err := Write(dir, RunInfo{Experiment: "arq"}, populate(), nil,
 		ExtraFile{Name: "flight_0001_sync_loss.iq", Data: []byte("original")}); err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +61,54 @@ func TestVerifyCatchesTamperedExtra(t *testing.T) {
 }
 
 func TestWriteRejectsPathyExtraNames(t *testing.T) {
-	reg, log := populate()
 	for _, name := range []string{"", "sub/flight.iq", "../escape.iq"} {
-		if _, err := Write(t.TempDir(), RunInfo{}, reg, log, ExtraFile{Name: name, Data: []byte("x")}); err == nil {
+		if _, err := Write(t.TempDir(), RunInfo{}, populate(), nil, ExtraFile{Name: name, Data: []byte("x")}); err == nil {
 			t.Errorf("name %q accepted", name)
 		}
+	}
+}
+
+// TestWriteArchivesTapAndSeries: the tap's flight captures, the
+// sampler's series and the caller's alert transitions are archived and
+// digested with the standard set.
+func TestWriteArchivesTapAndSeries(t *testing.T) {
+	s := populate()
+	s.Tap = &signal.Tap{}
+	s.Tap.SetFlightRecorder(2)
+	s.Tap.RecordFailure(signal.TriggerCRCFail, []complex128{1, 1i, -1}, 1e9, 24e9, "2 GHz", "ook", 3)
+	smp, err := tsdb.Attach(s.Registry, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Series = smp
+	s.Registry.Add("core_bit_errors_total", 4)
+	trans := []alert.Transition{{Rule: "r", State: "firing", Metric: "core_bit_errors_total", Value: 4, Severity: "warn"}}
+	dir := t.TempDir()
+	m, err := Write(dir, RunInfo{Experiment: "arq"}, s, trans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]byte{"timeseries.json": smp.JSON(), "alerts.jsonl": alert.EncodeJSONL(trans)}
+	files, err := s.Tap.FlightFiles()
+	if err != nil || len(files) != 2 {
+		t.Fatalf("flight files: %d, %v; want a capture and its index", len(files), err)
+	}
+	for _, f := range files {
+		want[f.Name] = f.Data
+	}
+	for name, data := range want {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(data) {
+			t.Errorf("%s differs from its store's exposition", name)
+		}
+		if _, ok := m.Files[name]; !ok {
+			t.Errorf("%s not digested into the manifest", name)
+		}
+	}
+	if err := Verify(dir); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,20 +1,25 @@
 // Package manifest makes every experiment run a self-describing,
 // reproducible artifact. Given a run directory (-rundir on cmd/mmtag)
-// it writes:
+// and the run's sinks it writes:
 //
-//	manifest.json   what ran: experiment, seed, workers, Go version,
-//	                wall + virtual duration, store sizes, and a SHA-256
-//	                digest of every sibling file
-//	metrics.json    the obs.Snapshot at end of run
-//	trace.json      the finished spans (+ drop counter)
-//	events.jsonl    the structured event log, in deterministic order
+//	manifest.json    what ran: experiment, seed, workers, Go version,
+//	                 wall + virtual duration, store sizes, and a SHA-256
+//	                 digest of every sibling file
+//	metrics.json     the obs.Snapshot at end of run     (registry)
+//	trace.json       the finished spans (+ drop counter) (registry)
+//	events.jsonl     the structured event log, in deterministic order
+//	flight_*.iq      the flight recorder's captures plus their
+//	flight.json      index                                   (tap)
+//	timeseries.json  the sampled series                  (sampler)
+//	alerts.jsonl     the caller's alert transitions      (sampler)
 //
-// events.jsonl is byte-identical for any -workers count (the event
-// package's determinism contract), so two runs of the same experiment
-// at the same seed can be diffed event-for-event. manifest.json carries
-// the wall-clock fields, and the span-bearing files (trace.json, and
-// metrics.json via the snapshot's embedded spans) ride the registry
-// clock — wall time by default — so those may differ between runs.
+// events.jsonl, timeseries.json and alerts.jsonl are byte-identical for
+// any -workers count (the event, tsdb and alert determinism contracts),
+// so two runs of the same experiment at the same seed can be diffed
+// event-for-event. manifest.json carries the wall-clock fields, and the
+// span-bearing files (trace.json, and metrics.json via the snapshot's
+// embedded spans) ride the registry clock — wall time by default — so
+// those may differ between runs.
 package manifest
 
 import (
@@ -29,7 +34,8 @@ import (
 	"time"
 
 	"github.com/mmtag/mmtag/internal/obs"
-	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/alert"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 )
 
 // Schema identifies the manifest format.
@@ -92,8 +98,8 @@ type Manifest struct {
 }
 
 // ExtraFile is an additional artifact to archive alongside the standard
-// telemetry files — e.g. the signal flight recorder's IQ captures. Each
-// is digested into the manifest the same way, so Verify covers it.
+// telemetry files — e.g. a grid cell's result tables. Each is digested
+// into the manifest the same way, so Verify covers it.
 type ExtraFile struct {
 	// Name is the file name within the run directory (no path separators).
 	Name string
@@ -101,10 +107,12 @@ type ExtraFile struct {
 	Data []byte
 }
 
-// Write captures the registry and event log (either may be nil) into
-// dir, creating it if needed, and returns the manifest it wrote. Any
-// extra files are written and digested alongside the standard set.
-func Write(dir string, info RunInfo, reg *obs.Registry, log *event.Log, extra ...ExtraFile) (Manifest, error) {
+// Write archives the run's sinks (any may be nil) into dir, creating it
+// if needed, and returns the manifest it wrote. With a sampler it also
+// archives transitions, the alert rules' output over that sampler, as
+// alerts.jsonl. Any extra files are written and digested alongside the
+// standard set.
+func Write(dir string, info RunInfo, s sinks.Sinks, transitions []alert.Transition, extra ...ExtraFile) (Manifest, error) {
 	m := Manifest{
 		Schema:     Schema,
 		Experiment: info.Experiment,
@@ -135,8 +143,8 @@ func Write(dir string, info RunInfo, reg *obs.Registry, log *event.Log, extra ..
 		return nil
 	}
 
-	if reg != nil {
-		snap := reg.Snapshot()
+	if s.Registry != nil {
+		snap := s.Registry.Snapshot()
 		m.MetricSeries = snap.SeriesCount()
 		m.Spans = len(snap.Spans)
 		m.DroppedSpans = snap.DroppedSpans
@@ -147,22 +155,15 @@ func Write(dir string, info RunInfo, reg *obs.Registry, log *event.Log, extra ..
 		if err := write("metrics.json", append(data, '\n')); err != nil {
 			return m, err
 		}
-		trace := struct {
-			Spans        []obs.SpanRecord `json:"spans"`
-			DroppedSpans uint64           `json:"dropped_spans,omitempty"`
-		}{Spans: snap.Spans, DroppedSpans: snap.DroppedSpans}
-		if trace.Spans == nil {
-			trace.Spans = []obs.SpanRecord{}
-		}
-		tdata, err := json.MarshalIndent(trace, "", "  ")
+		tdata, err := obs.TraceJSON(snap.Spans, snap.DroppedSpans)
 		if err != nil {
 			return m, fmt.Errorf("manifest: trace: %w", err)
 		}
-		if err := write("trace.json", append(tdata, '\n')); err != nil {
+		if err := write("trace.json", tdata); err != nil {
 			return m, err
 		}
 	}
-	if log != nil {
+	if log := s.Events; log != nil {
 		m.Events = log.Len()
 		m.DroppedEvents = log.Dropped()
 		if t := log.MaxTime(); t > m.VirtualDurationS {
@@ -176,8 +177,22 @@ func Write(dir string, info RunInfo, reg *obs.Registry, log *event.Log, extra ..
 			return m, err
 		}
 	}
+	var files []ExtraFile
+	if s.Tap != nil {
+		flight, err := s.Tap.FlightFiles()
+		if err != nil {
+			return m, fmt.Errorf("manifest: flight recorder: %w", err)
+		}
+		for _, f := range flight {
+			files = append(files, ExtraFile(f))
+		}
+	}
+	if s.Series != nil {
+		files = append(files, ExtraFile{Name: "timeseries.json", Data: s.Series.JSON()},
+			ExtraFile{Name: "alerts.jsonl", Data: alert.EncodeJSONL(transitions)})
+	}
 
-	for _, x := range extra {
+	for _, x := range append(files, extra...) {
 		if x.Name == "" || filepath.Base(x.Name) != x.Name {
 			return m, fmt.Errorf("manifest: extra file name %q must be a bare file name", x.Name)
 		}

@@ -10,11 +10,12 @@ import (
 
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 )
 
 // populate fills a registry and an event log with a small deterministic
 // workload.
-func populate() (*obs.Registry, *event.Log) {
+func populate() sinks.Sinks {
 	reg := obs.NewRegistry()
 	reg.Add("core_bursts_attempted_total", 3, obs.L("bw", "2GHz"))
 	reg.Observe("core_snr_est_db", 12.5, obs.L("bw", "2GHz"))
@@ -23,12 +24,12 @@ func populate() (*obs.Registry, *event.Log) {
 	log := event.New(0)
 	log.Emit(0.5, event.LevelInfo, "mac.arq", "retry", event.D("attempt", 1))
 	log.Emit(2.0, event.LevelInfo, "mac.arq", "deliver", event.D("frame", 0))
-	return reg, log
+	return sinks.Sinks{Registry: reg, Events: log}
 }
 
 func TestWriteFullRun(t *testing.T) {
 	dir := t.TempDir()
-	reg, log := populate()
+	s := populate()
 	info := RunInfo{
 		Experiment: "arq",
 		Seed:       42,
@@ -37,7 +38,7 @@ func TestWriteFullRun(t *testing.T) {
 		Started:    time.Now().Add(-time.Second),
 		Extra:      map[string]string{"points": "9"},
 	}
-	m, err := Write(dir, info, reg, log)
+	m, err := Write(dir, info, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestWriteFullRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want strings.Builder
-	if err := log.WriteJSONL(&want); err != nil {
+	if err := s.Events.WriteJSONL(&want); err != nil {
 		t.Fatal(err)
 	}
 	if string(edata) != want.String() {
@@ -97,8 +98,7 @@ func TestWriteFullRun(t *testing.T) {
 
 func TestReadAndVerify(t *testing.T) {
 	dir := t.TempDir()
-	reg, log := populate()
-	if _, err := Write(dir, RunInfo{Experiment: "all", Seed: 1, Workers: 1}, reg, log); err != nil {
+	if _, err := Write(dir, RunInfo{Experiment: "all", Seed: 1, Workers: 1}, populate(), nil); err != nil {
 		t.Fatal(err)
 	}
 	m, err := Read(dir)
@@ -135,7 +135,7 @@ func TestReadRejectsWrongSchema(t *testing.T) {
 
 func TestWriteNilStores(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Write(dir, RunInfo{Experiment: "empty"}, nil, nil)
+	m, err := Write(dir, RunInfo{Experiment: "empty"}, sinks.Sinks{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,13 +157,13 @@ func TestWriteNilStores(t *testing.T) {
 // directories produces byte-identical events.jsonl with equal digests —
 // the property the determinism CI job diffs across -workers counts.
 func TestEventsDeterministicAcrossWrites(t *testing.T) {
-	_, log := populate()
+	events := sinks.Sinks{Events: populate().Events}
 	d1, d2 := t.TempDir(), t.TempDir()
-	m1, err := Write(d1, RunInfo{Experiment: "a"}, nil, log)
+	m1, err := Write(d1, RunInfo{Experiment: "a"}, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Write(d2, RunInfo{Experiment: "a"}, nil, log)
+	m2, err := Write(d2, RunInfo{Experiment: "a"}, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

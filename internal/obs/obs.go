@@ -308,15 +308,9 @@ func (r *Registry) ObserveAt(t float64, name string, value float64, labels ...La
 
 var active atomic.Pointer[Registry]
 
-// Enable installs a fresh Registry as the package default and returns
-// it. Until Enable is called every package-level helper is a no-op.
-func Enable() *Registry {
-	r := NewRegistry()
-	active.Store(r)
-	return r
-}
-
-// EnableWith installs an existing Registry as the package default.
+// EnableWith installs r as the package default (nil = none). Until a
+// registry is installed every package-level helper is a no-op. Runs
+// install it through sinks.Install.
 func EnableWith(r *Registry) { active.Store(r) }
 
 // Disable removes the default Registry; helpers become no-ops again.

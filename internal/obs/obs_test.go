@@ -188,7 +188,8 @@ func TestNilSpanAndDisabledHelpersAreSafe(t *testing.T) {
 }
 
 func TestEnableDisableDefault(t *testing.T) {
-	r := Enable()
+	r := NewRegistry()
+	EnableWith(r)
 	defer Disable()
 	Inc("facade_total")
 	Add("facade_total", 2)

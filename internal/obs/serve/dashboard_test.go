@@ -9,6 +9,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/signal"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/par"
 )
 
@@ -54,9 +55,8 @@ func feedDashboard(t *testing.T, workers int) *Server {
 	log.Emit(0.5, event.LevelInfo, "core.burst", "decoded", event.D("i", 0))
 	log.Emit(1.5, event.LevelInfo, "mac.arq", "deliver", event.D("frame", 0))
 
-	s := New(reg, log)
+	s := New(sinks.Sinks{Registry: reg, Events: log, Tap: tap}, nil)
 	s.SetPhase("dashboard-test")
-	s.AttachSignal(tap)
 	return s
 }
 
@@ -111,7 +111,7 @@ func TestDashboardGolden(t *testing.T) {
 
 func TestDashboardWithoutTap(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(reg, event.New(0))
+	s := New(sinks.Sinks{Registry: reg, Events: event.New(0)}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	status, _, body := get(t, ts, "/dashboard")
@@ -171,7 +171,7 @@ func TestHealthzSignalFields(t *testing.T) {
 }
 
 func TestHealthzNoTapSentinels(t *testing.T) {
-	s := New(obs.NewRegistry(), nil)
+	s := New(sinks.Sinks{Registry: obs.NewRegistry()}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	_, _, body := get(t, ts, "/healthz")

@@ -41,6 +41,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs/alert"
 	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/signal"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 )
 
@@ -48,9 +49,9 @@ import (
 // Prometheus text exposition format v0.0.4.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// Server answers telemetry queries against one registry + event log.
-// Either store may be nil; the matching endpoints then serve an empty
-// (but well-formed) body.
+// Server answers telemetry queries against one run's sinks. Any store
+// may be nil; the matching endpoints then serve an empty (but
+// well-formed) body.
 type Server struct {
 	reg    *obs.Registry
 	log    *event.Log
@@ -68,27 +69,17 @@ type Server struct {
 	dashWS *dsp.Workspace
 }
 
-// New returns a Server over the given stores (either may be nil).
-func New(reg *obs.Registry, log *event.Log) *Server {
-	s := &Server{reg: reg, log: log, start: time.Now(), dashWS: dsp.NewWorkspace()}
+// New returns a Server over a run's sinks and alert rules. The tap adds
+// the dashboard's constellation/spectrum panels and the flight-recorder
+// state on /healthz; the sampler adds /timeseries, the time-axis charts
+// and the occupancy stats. rules (nil = none) are evaluated on the
+// sampler for /alerts and the firing/pending counts.
+func New(sk sinks.Sinks, rules *alert.Engine) *Server {
+	s := &Server{reg: sk.Registry, log: sk.Events, sig: sk.Tap, ts: sk.Series, alerts: rules,
+		start: time.Now(), dashWS: dsp.NewWorkspace()}
 	s.phase.Store("idle")
 	return s
 }
-
-// AttachSignal wires a signal tap into the server: /dashboard gains the
-// constellation/spectrum panels and /healthz the flight-recorder state.
-// Call before Start; a nil tap detaches.
-func (s *Server) AttachSignal(t *signal.Tap) { s.sig = t }
-
-// AttachTimeseries wires the virtual-time sampler into the server:
-// /timeseries serves its artifact, /dashboard gains time-axis charts
-// and /healthz the occupancy stats. Call before Start; nil detaches.
-func (s *Server) AttachTimeseries(t *tsdb.Sampler) { s.ts = t }
-
-// AttachAlerts wires an SLO rule engine into the server (evaluated on
-// the attached sampler): /alerts serves rule states and transitions,
-// /healthz the firing/pending counts. Call before Start; nil detaches.
-func (s *Server) AttachAlerts(e *alert.Engine) { s.alerts = e }
 
 // SetPhase records what the process is doing right now ("ber", "arq",
 // "done"); /healthz reports it so a watcher can follow a long sweep.
@@ -239,19 +230,17 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		s.count("/trace")
 		w.Header().Set("Content-Type", "application/json")
-		payload := struct {
-			Spans        []obs.SpanRecord `json:"spans"`
-			DroppedSpans uint64           `json:"dropped_spans,omitempty"`
-		}{Spans: []obs.SpanRecord{}}
+		var spans []obs.SpanRecord
+		var dropped uint64
 		if s.reg != nil {
-			payload.Spans, payload.DroppedSpans = s.reg.Spans()
+			spans, dropped = s.reg.Spans()
 		}
-		data, err := json.MarshalIndent(payload, "", "  ")
+		data, err := obs.TraceJSON(spans, dropped)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Write(append(data, '\n'))
+		w.Write(data)
 	})
 	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
 		s.count("/events")

@@ -11,6 +11,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 )
 
 // get fetches a path from the test server and returns status, content
@@ -36,7 +37,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, string, string) {
 func TestEndpointsWhileRecording(t *testing.T) {
 	reg := obs.NewRegistry()
 	log := event.New(0)
-	s := New(reg, log)
+	s := New(sinks.Sinks{Registry: reg, Events: log}, nil)
 	s.SetPhase("sweep")
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -134,7 +135,7 @@ func TestEndpointsWhileRecording(t *testing.T) {
 // TestPprofEndpoints covers the profiling suite, including a short CPU
 // profile — the endpoint the CI smoke job curls.
 func TestPprofEndpoints(t *testing.T) {
-	s := New(obs.NewRegistry(), nil)
+	s := New(sinks.Sinks{Registry: obs.NewRegistry()}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -158,7 +159,7 @@ func TestPprofEndpoints(t *testing.T) {
 // TestNilStores: a server without registry or log still answers every
 // endpoint with well-formed bodies.
 func TestNilStores(t *testing.T) {
-	s := New(nil, nil)
+	s := New(sinks.Sinks{}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	if status, _, body := get(t, ts, "/metrics"); status != 200 || body != "" {
@@ -186,7 +187,7 @@ func TestNilStores(t *testing.T) {
 
 // TestStartAndClose runs the real listener path on an ephemeral port.
 func TestStartAndClose(t *testing.T) {
-	s := New(obs.NewRegistry(), event.New(0))
+	s := New(sinks.Sinks{Registry: obs.NewRegistry(), Events: event.New(0)}, nil)
 	run, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +211,7 @@ func TestStartAndClose(t *testing.T) {
 // TestScrapeCounter: scrapes themselves are visible in the registry.
 func TestScrapeCounter(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := New(reg, nil)
+	s := New(sinks.Sinks{Registry: reg}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	// The counter increments before rendering, so the Nth scrape reads N.

@@ -11,6 +11,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/alert"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 )
 
@@ -30,10 +31,7 @@ func sampledServer(t *testing.T) *Server {
 		reg.AddAt(tt, "core_bit_errors_total", float64(1+i%3))
 		reg.ObserveAt(tt, "mac_arq_frame_latency_seconds", 2e-4)
 	}
-	s := New(reg, nil)
-	s.AttachTimeseries(smp)
-	s.AttachAlerts(alert.Default())
-	return s
+	return New(sinks.Sinks{Registry: reg, Series: smp}, alert.Default())
 }
 
 func TestTimeseriesEndpoint(t *testing.T) {
@@ -52,7 +50,7 @@ func TestTimeseriesEndpoint(t *testing.T) {
 }
 
 func TestTimeseriesEndpointNilSampler(t *testing.T) {
-	s := New(nil, nil)
+	s := New(sinks.Sinks{}, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	code, _, body := get(t, ts, "/timeseries")
@@ -101,7 +99,7 @@ func TestHealthzSamplerAndAlertFields(t *testing.T) {
 }
 
 func TestHealthzNoSamplerSentinels(t *testing.T) {
-	h := New(nil, nil).health()
+	h := New(sinks.Sinks{}, nil).health()
 	if h.SamplerSeries != -1 || h.SamplerSlotCapacity != -1 || h.SamplerSlotsOccupied != -1 {
 		t.Fatalf("want −1 sentinels without a sampler: %+v", h)
 	}
@@ -184,9 +182,7 @@ func TestDashboardSampledWorkerInvariance(t *testing.T) {
 		for w := 0; w < workers; w++ {
 			<-done
 		}
-		s := New(reg, nil)
-		s.AttachTimeseries(smp)
-		s.AttachAlerts(alert.Default())
+		s := New(sinks.Sinks{Registry: reg, Series: smp}, alert.Default())
 		html := s.dashboardHTML()
 		i := strings.Index(html, beginDeterministic)
 		j := strings.Index(html, endDeterministic)

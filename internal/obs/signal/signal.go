@@ -136,17 +136,8 @@ type Tap struct {
 
 var active atomic.Pointer[Tap]
 
-// Enable installs a process-wide tap (idempotent) and returns it.
-func Enable() *Tap {
-	if t := active.Load(); t != nil {
-		return t
-	}
-	t := &Tap{}
-	active.Store(t)
-	return t
-}
-
-// EnableWith installs a specific tap as the active one.
+// EnableWith installs t as the active tap (nil = none). Runs install
+// it through sinks.Install.
 func EnableWith(t *Tap) { active.Store(t) }
 
 // Disable removes the active tap; hook sites revert to a nil check.
@@ -154,9 +145,6 @@ func Disable() { active.Store(nil) }
 
 // Active returns the active tap, or nil when taps are disabled.
 func Active() *Tap { return active.Load() }
-
-// Enabled reports whether a tap is installed.
-func Enabled() bool { return active.Load() != nil }
 
 // peakRMS returns the peak and RMS magnitudes of x (0, 0 when empty).
 func peakRMS(x []complex128) (peak, rms float64) {

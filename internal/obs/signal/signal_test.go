@@ -13,15 +13,13 @@ import (
 
 func TestEnableDisable(t *testing.T) {
 	Disable()
-	if Enabled() || Active() != nil {
-		t.Fatal("tap active before Enable")
+	if Active() != nil {
+		t.Fatal("tap active before EnableWith")
 	}
-	tap := Enable()
-	if tap == nil || Active() != tap || !Enabled() {
-		t.Fatal("Enable did not install the tap")
-	}
-	if again := Enable(); again != tap {
-		t.Fatal("Enable is not idempotent")
+	tap := &Tap{}
+	EnableWith(tap)
+	if Active() != tap {
+		t.Fatal("EnableWith did not install the tap")
 	}
 	other := &Tap{}
 	EnableWith(other)
@@ -29,7 +27,7 @@ func TestEnableDisable(t *testing.T) {
 		t.Fatal("EnableWith did not replace the tap")
 	}
 	Disable()
-	if Enabled() {
+	if Active() != nil {
 		t.Fatal("Disable left a tap installed")
 	}
 }
@@ -134,7 +132,8 @@ func TestCommitSkipsUnmeasurable(t *testing.T) {
 }
 
 func TestCommitFeedsHistograms(t *testing.T) {
-	reg := obs.Enable()
+	reg := obs.NewRegistry()
+	obs.EnableWith(reg)
 	defer obs.Disable()
 	tap := &Tap{}
 	tap.TxWaveform([]complex128{1, complex(0.5, 0), 1})
@@ -273,7 +272,7 @@ func TestSetFlightRecorderRemove(t *testing.T) {
 // allocate nothing — with the obs registry live, since unlabeled
 // histogram observations are allocation-free after the first series.
 func TestSteadyStateAllocs(t *testing.T) {
-	obs.Enable()
+	obs.EnableWith(obs.NewRegistry())
 	defer obs.Disable()
 	tap := &Tap{}
 	tap.SetFlightRecorder(2)

@@ -36,7 +36,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/mmtag/mmtag/internal/obs"
 )
@@ -402,23 +401,6 @@ func Quantile(bounds []float64, counts []uint64, q float64) (float64, bool) {
 	// rank ≤ total guarantees the loop returned; keep the compiler happy.
 	return 0, false
 }
-
-// ---------------------------------------------------------------------
-// Package-level default sampler (mirrors obs/event/signal singletons).
-
-var active atomic.Pointer[Sampler]
-
-// EnableWith installs s as the package default sampler.
-func EnableWith(s *Sampler) { active.Store(s) }
-
-// Disable removes the default sampler.
-func Disable() { active.Store(nil) }
-
-// Active returns the default sampler, or nil.
-func Active() *Sampler { return active.Load() }
-
-// Enabled reports whether a default sampler is installed.
-func Enabled() bool { return active.Load() != nil }
 
 func seriesSortKey(name string, labels []obs.Label) string {
 	k := name

@@ -281,7 +281,7 @@ func TestDoWithPanicPropagation(t *testing.T) {
 // enabled so `go test -race` exercises the shared registry, the queue
 // gauge and the shard histogram from many goroutines at once.
 func TestRaceStressWithObs(t *testing.T) {
-	obs.Enable()
+	obs.EnableWith(obs.NewRegistry())
 	defer obs.Disable()
 	seq := rng.NewSequence(99)
 	for round := 0; round < 8; round++ {

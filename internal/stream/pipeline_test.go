@@ -13,6 +13,7 @@ import (
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 	"github.com/mmtag/mmtag/internal/phy"
 )
@@ -307,11 +308,7 @@ func sessionArtifacts(t *testing.T, workers int) ([]byte, []byte, SessionResult)
 		t.Fatal(err)
 	}
 	log := event.New(0)
-	obs.EnableWith(reg)
-	event.EnableWith(log)
-	defer obs.Disable()
-	defer event.Disable()
-	defer tsdb.Disable()
+	defer sinks.Install(sinks.Sinks{Registry: reg, Events: log})()
 
 	res, err := RunSession(SessionConfig{
 		Frames:     240,
@@ -338,8 +335,8 @@ func sessionArtifacts(t *testing.T, workers int) ([]byte, []byte, SessionResult)
 // TestSessionWorkerInvariance is the tentpole determinism contract end
 // to end: a streaming session's timeseries.json and events.jsonl must be
 // byte-identical at 1 and 8 workers, and the deterministic result fields
-// must match exactly. The stream-smoke CI job enforces the same property
-// through cmd/mmtag rundirs.
+// must match exactly. cmd/mmtag's TestRunDirGolden holds the same
+// property through the CLI's run directories.
 func TestSessionWorkerInvariance(t *testing.T) {
 	ts1, ev1, res1 := sessionArtifacts(t, 1)
 	if res1.Frames != 240 {

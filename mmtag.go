@@ -36,6 +36,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs/manifest"
 	"github.com/mmtag/mmtag/internal/obs/serve"
 	"github.com/mmtag/mmtag/internal/obs/signal"
+	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/reader"
@@ -117,14 +118,17 @@ type (
 	FlowResult = stream.FlowResult
 	// Trace accumulates named time-series columns and renders CSV.
 	Trace = sim.Trace
-	// Registry is the observability metric + span store; see Metrics.
+	// Sinks are a run's telemetry stores (registry, event log, signal
+	// tap, sampler; a nil field is off); see Install.
+	Sinks = sinks.Sinks
+	// Registry is the observability metric + span store.
 	Registry = obs.Registry
 	// MetricsSnapshot is a point-in-time view of the Registry (JSON-able
 	// via its JSON method).
 	MetricsSnapshot = obs.Snapshot
 	// Span is one timed operation in the tracer (nil = disabled no-op).
 	Span = obs.Span
-	// EventLog is the structured, ring-buffered event log; see Events.
+	// EventLog is the structured, ring-buffered event log.
 	EventLog = event.Log
 	// RunManifest is the manifest.json body a run directory carries.
 	RunManifest = manifest.Manifest
@@ -132,7 +136,7 @@ type (
 	RunInfo = manifest.RunInfo
 	// SignalTap is the signal-level observability sink: per-burst scalar
 	// telemetry, the last-burst snapshot and the flight recorder; see
-	// EnableSignalTaps.
+	// NewSignalTap.
 	SignalTap = signal.Tap
 	// TelemetryServer answers live /metrics, /trace, /events, /healthz,
 	// /dashboard and /debug/pprof/ queries; see ServeTelemetry.
@@ -146,7 +150,7 @@ type (
 	// one per goroutine. See DESIGN.md §9.
 	Workspace = dsp.Workspace
 	// Sampler is the deterministic virtual-time series store every metric
-	// update folds into when sampling is on; see EnableSampling.
+	// update of its registry folds into; see NewSampler.
 	Sampler = tsdb.Sampler
 	// TimeSeriesSnapshot is a point-in-time copy of the Sampler's rings.
 	TimeSeriesSnapshot = tsdb.Snapshot
@@ -165,98 +169,38 @@ type (
 	RunDiffResult = rundiff.Result
 )
 
-// Metrics returns the process-wide observability registry, enabling
-// collection on first call. Until then (and after DisableMetrics) every
-// instrumentation site in the simulation is a no-op.
-func Metrics() *Registry {
-	if r := obs.Active(); r != nil {
-		return r
-	}
-	return obs.Enable()
-}
+// Install makes s the process's telemetry sinks: every instrumentation
+// site in the simulation reports to them until restore puts back the
+// ones s replaced. Nothing is installed by default, and a nil field
+// leaves its store off. Install is for run boundaries, not for
+// concurrent use. The sinks' event log is byte-identical for any worker
+// count, and so is the sampler's timeseries.json (see DESIGN.md §7).
+func Install(s Sinks) (restore func()) { return sinks.Install(s) }
 
-// MetricsEnabled reports whether observability collection is on.
-func MetricsEnabled() bool { return obs.Enabled() }
+// NewRegistry returns an empty metrics + span registry.
+func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// DisableMetrics turns observability collection back off; the previous
-// registry (and its data) is dropped.
-func DisableMetrics() { obs.Disable() }
+// NewEventLog returns an empty structured event log of the default
+// capacity.
+func NewEventLog() *EventLog { return event.New(0) }
 
-// Snapshot freezes the current metrics registry — every counter, gauge,
-// histogram series and finished span — enabling collection if needed.
-func Snapshot() MetricsSnapshot { return Metrics().Snapshot() }
-
-// MetricsText renders the current registry in the Prometheus text
-// exposition format, enabling collection if needed.
-func MetricsText() string { return Metrics().PrometheusText() }
-
-// Events returns the process-wide structured event log, enabling
-// collection on first call. Until then (and after DisableEvents) every
-// event site in the simulation is a no-op. The log's JSONL exposition is
-// byte-identical for any worker count (see DESIGN.md §7).
-func Events() *EventLog {
-	if l := event.Active(); l != nil {
-		return l
-	}
-	return event.Enable(0)
-}
-
-// EventsEnabled reports whether event collection is on.
-func EventsEnabled() bool { return event.Enabled() }
-
-// DisableEvents turns event collection back off; the previous log (and
-// its entries) is dropped.
-func DisableEvents() { event.Disable() }
-
-// EnableSignalTaps turns on the signal-level observability taps (SNR,
-// EVM, sync offset, soft-margin histograms plus the dashboard's
-// last-burst snapshot), enabling them on first call. flightRecorderK > 0
-// additionally attaches a flight recorder retaining the K most recent
+// NewSignalTap returns a signal tap: SNR, EVM, sync offset and
+// soft-margin histograms plus the dashboard's last-burst snapshot.
+// flightRecorderK > 0 adds a flight recorder keeping the K most recent
 // failing bursts as IQ captures (CRC fail, sync loss, ARQ residual,
 // rate-adapt downshift); WriteRunDir archives them with digests.
-func EnableSignalTaps(flightRecorderK int) *SignalTap {
-	t := signal.Enable()
-	if flightRecorderK > 0 {
-		t.SetFlightRecorder(flightRecorderK)
-	}
+func NewSignalTap(flightRecorderK int) *SignalTap {
+	t := &signal.Tap{}
+	t.SetFlightRecorder(flightRecorderK)
 	return t
 }
 
-// SignalTapsEnabled reports whether the signal taps are on.
-func SignalTapsEnabled() bool { return signal.Enabled() }
-
-// DisableSignalTaps turns the signal taps back off; the previous tap
-// (and its flight-recorder contents) is dropped.
-func DisableSignalTaps() { signal.Disable() }
-
-// EnableSampling attaches a deterministic virtual-time sampler to the
-// metrics registry (enabling collection if needed): every counter,
-// gauge and histogram update folds into bounded delta rings at interval
-// dt seconds, with the time horizon doubling (and resolution halving)
-// whenever the rings fill. The resulting timeseries.json is
-// byte-identical for any worker count; wall-clock metrics
-// (tsdb.WallClockMetrics) are excluded. ServeTelemetry and WriteRunDir
-// pick the active sampler up automatically.
-func EnableSampling(dt float64) (*Sampler, error) {
-	s, err := tsdb.Attach(Metrics(), dt)
-	if err != nil {
-		return nil, err
-	}
-	tsdb.EnableWith(s)
-	return s, nil
-}
-
-// SamplingEnabled reports whether a sampler is active.
-func SamplingEnabled() bool { return tsdb.Enabled() }
-
-// DisableSampling detaches the active sampler; recorded series are
-// dropped. The registry keeps collecting unsampled.
-func DisableSampling() {
-	if r := obs.Active(); r != nil {
-		r.SetSampleSink(nil)
-	}
-	tsdb.Disable()
-}
+// NewSampler attaches a deterministic virtual-time sampler to reg:
+// every counter, gauge and histogram update folds into bounded delta
+// rings at interval dt seconds, with the time horizon doubling (and
+// resolution halving) whenever the rings fill. Wall-clock metrics
+// (tsdb.WallClockMetrics) are excluded.
+func NewSampler(reg *Registry, dt float64) (*Sampler, error) { return tsdb.Attach(reg, dt) }
 
 // DefaultAlertRules returns the built-in SLO rule set: BER target, ARQ
 // p99 latency, sync-loss streaks and flight-recorder trigger rate.
@@ -279,58 +223,39 @@ func DiffRunDirs(aDir, bDir string, opt RunDiffOptions) (*RunDiffResult, error) 
 	return rundiff.Diff(aDir, bDir, opt)
 }
 
-// ServeTelemetry starts the live telemetry HTTP server on addr (":0"
-// picks a free port), enabling metrics and event collection if needed.
-// It serves /metrics, /metrics.json, /trace, /events, /healthz,
-// /dashboard and /debug/pprof/ until Close, reading concurrently with
-// any running simulation. An active signal tap (EnableSignalTaps) is
-// attached automatically so the dashboard gains the constellation and
-// spectrum panels, and an active sampler (EnableSampling) adds
-// /timeseries, /alerts and the SSE /stream feed plus the dashboard's
-// time-axis charts and alert panel (default SLO rules). The returned
-// server's SetPhase labels /healthz.
-func ServeTelemetry(addr string) (*TelemetryServer, *RunningTelemetry, error) {
-	s := serve.New(Metrics(), Events())
-	if t := signal.Active(); t != nil {
-		s.AttachSignal(t)
+// ServeTelemetry starts the live telemetry HTTP server over s on addr
+// (":0" picks a free port). It serves /metrics, /metrics.json, /trace,
+// /events, /healthz, /dashboard and /debug/pprof/ until Close, reading
+// concurrently with any running simulation. A tap adds the dashboard's
+// constellation and spectrum panels; a sampler adds /timeseries,
+// /alerts (default SLO rules) and the SSE /stream feed plus the
+// dashboard's time-axis charts and alert panel. The returned server's
+// SetPhase labels /healthz.
+func ServeTelemetry(addr string, s Sinks) (*TelemetryServer, *RunningTelemetry, error) {
+	var rules *AlertEngine
+	if s.Series != nil {
+		rules = alert.Default()
 	}
-	if smp := tsdb.Active(); smp != nil {
-		s.AttachTimeseries(smp)
-		s.AttachAlerts(alert.Default())
-	}
-	run, err := s.Start(addr)
+	srv := serve.New(s, rules)
+	run, err := srv.Start(addr)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s, run, nil
+	return srv, run, nil
 }
 
-// WriteRunDir captures the active metrics registry and event log (either
-// may be disabled) into dir as a self-describing run manifest:
-// manifest.json, metrics.json, trace.json and events.jsonl, with SHA-256
-// digests of every artifact recorded in the manifest. When signal taps
-// are enabled with a flight recorder, its IQ captures (flight_*.iq plus
-// the flight.json index) are archived and digested alongside, so
-// VerifyRunDir covers them too. With sampling on (EnableSampling), the
-// sampled series are archived as timeseries.json and the default SLO
-// rules' transitions as alerts.jsonl, digested the same way.
-func WriteRunDir(dir string, info RunInfo) (RunManifest, error) {
-	var extra []manifest.ExtraFile
-	if t := signal.Active(); t != nil {
-		files, err := t.FlightFiles()
-		if err != nil {
-			return RunManifest{}, err
-		}
-		for _, f := range files {
-			extra = append(extra, manifest.ExtraFile{Name: f.Name, Data: f.Data})
-		}
+// WriteRunDir archives s into dir as a self-describing run manifest:
+// manifest.json plus metrics.json and trace.json (registry),
+// events.jsonl (event log), flight_*.iq and flight.json (tap with a
+// flight recorder), and timeseries.json with the default SLO rules'
+// transitions as alerts.jsonl (sampler). The manifest records a SHA-256
+// digest of every artifact, so VerifyRunDir covers them all.
+func WriteRunDir(dir string, info RunInfo, s Sinks) (RunManifest, error) {
+	var trans []AlertTransition
+	if s.Series != nil {
+		trans, _ = alert.Default().Evaluate(s.Series.Snapshot())
 	}
-	if smp := tsdb.Active(); smp != nil {
-		extra = append(extra, manifest.ExtraFile{Name: "timeseries.json", Data: smp.JSON()})
-		trans, _ := alert.Default().Evaluate(smp.Snapshot())
-		extra = append(extra, manifest.ExtraFile{Name: "alerts.jsonl", Data: alert.EncodeJSONL(trans)})
-	}
-	return manifest.Write(dir, info, obs.Active(), event.Active(), extra...)
+	return manifest.Write(dir, info, s, trans)
 }
 
 // VerifyRunDir re-hashes every artifact a run directory's manifest lists
@@ -354,7 +279,8 @@ func LoadGridSpec(path string) (*GridSpec, error) { return grid.Load(path) }
 // RunGrid executes every cell of a grid spec across workers goroutines
 // (one reusable DSP workspace per worker), archiving each cell as a
 // digest-verified run directory under outDir. The deterministic
-// artifacts are byte-identical for any worker count.
+// artifacts are byte-identical for any worker count. The cells run with
+// no sinks installed; the caller's are back in place on return.
 func RunGrid(spec *GridSpec, outDir string, workers int) (*GridIndex, error) {
 	return grid.Run(spec, outDir, workers)
 }

@@ -1,7 +1,7 @@
-// Facade-level tests for the observability layer: enabling metrics via
-// mmtag.Metrics() and verifying that one pass through the system's hot
-// paths produces labeled series from every instrumented package plus a
-// span trace.
+// Facade-level tests for the observability layer: installing a
+// registry via mmtag.Install and verifying that one pass through the
+// system's hot paths produces labeled series from every instrumented
+// package plus a span trace.
 package mmtag_test
 
 import (
@@ -12,23 +12,23 @@ import (
 	"github.com/mmtag/mmtag"
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/mac"
+	"github.com/mmtag/mmtag/internal/obs"
+	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/signal"
 	"github.com/mmtag/mmtag/internal/rng"
 )
 
 func TestMetricsDisabledByDefault(t *testing.T) {
-	if mmtag.MetricsEnabled() {
-		t.Fatal("metrics should be off until Metrics() is called")
+	if obs.Active() != nil || event.Active() != nil || signal.Active() != nil {
+		t.Fatal("no sink should be installed until Install is called")
 	}
 }
 
 func TestFacadeMetricsSpanFourPackages(t *testing.T) {
-	reg := mmtag.Metrics()
-	t.Cleanup(mmtag.DisableMetrics)
-	if !mmtag.MetricsEnabled() {
-		t.Fatal("Metrics() should enable collection")
-	}
-	if mmtag.Metrics() != reg {
-		t.Fatal("Metrics() should be idempotent")
+	reg := mmtag.NewRegistry()
+	t.Cleanup(mmtag.Install(mmtag.Sinks{Registry: reg}))
+	if obs.Active() != reg {
+		t.Fatal("Install should install the registry")
 	}
 
 	// One pass through each subsystem's hot path.
@@ -59,7 +59,7 @@ func TestFacadeMetricsSpanFourPackages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := mmtag.Snapshot()
+	snap := reg.Snapshot()
 	if snap.SeriesCount() < 10 {
 		t.Errorf("snapshot has %d series, want ≥ 10", snap.SeriesCount())
 	}
@@ -99,7 +99,7 @@ func TestFacadeMetricsSpanFourPackages(t *testing.T) {
 	}
 
 	// Both exposition formats render the same registry.
-	text := mmtag.MetricsText()
+	text := reg.PrometheusText()
 	if !strings.Contains(text, "core_bursts_attempted_total") ||
 		!strings.Contains(text, "# TYPE core_snr_est_db histogram") {
 		t.Errorf("Prometheus exposition incomplete:\n%.400s", text)
@@ -123,10 +123,10 @@ func TestMetricsDoNotPerturbResults(t *testing.T) {
 		}
 		return res
 	}
-	mmtag.DisableMetrics()
+	restore := mmtag.Install(mmtag.Sinks{})
 	plain := run()
-	mmtag.Metrics()
-	t.Cleanup(mmtag.DisableMetrics)
+	restore()
+	t.Cleanup(mmtag.Install(mmtag.Sinks{Registry: mmtag.NewRegistry()}))
 	instrumented := run()
 	if plain.Decoded != instrumented.Decoded ||
 		plain.BitErrors != instrumented.BitErrors ||

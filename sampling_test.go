@@ -1,5 +1,5 @@
 // Facade-level tests for the sampling / alerting / run-diff layer:
-// EnableSampling folding a real workload into the virtual-time store,
+// NewSampler folding a real workload into the virtual-time store,
 // WriteRunDir archiving timeseries.json + alerts.jsonl under manifest
 // digests, and DiffRunDirs gating two archived runs.
 package mmtag_test
@@ -11,19 +11,20 @@ import (
 	"testing"
 
 	"github.com/mmtag/mmtag"
+	"github.com/mmtag/mmtag/internal/obs"
 )
 
-func sampledRun(t *testing.T) *mmtag.Sampler {
+// sampledRun installs a sampled registry for the rest of the test and
+// runs one burst into it.
+func sampledRun(t *testing.T) mmtag.Sinks {
 	t.Helper()
-	smp, err := mmtag.EnableSampling(1e-6)
+	reg := mmtag.NewRegistry()
+	smp, err := mmtag.NewSampler(reg, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		mmtag.DisableSampling()
-		mmtag.DisableMetrics()
-		mmtag.DisableEvents()
-	})
+	s := mmtag.Sinks{Registry: reg, Series: smp}
+	t.Cleanup(mmtag.Install(s))
 	link, err := mmtag.NewLink(mmtag.Feet(4))
 	if err != nil {
 		t.Fatal(err)
@@ -35,14 +36,15 @@ func sampledRun(t *testing.T) *mmtag.Sampler {
 			t.Fatal(err)
 		}
 	}
-	return smp
+	return s
 }
 
 func TestEnableSamplingCollectsSeries(t *testing.T) {
-	smp := sampledRun(t)
-	if !mmtag.SamplingEnabled() {
-		t.Fatal("EnableSampling should activate the sampler")
+	s := sampledRun(t)
+	if obs.Active() != s.Registry {
+		t.Fatal("Install should install the sampled registry")
 	}
+	smp := s.Series
 	st := smp.Stats()
 	if st.Series == 0 || st.Updates == 0 {
 		t.Fatalf("waveform run recorded nothing: %+v", st)
@@ -54,19 +56,15 @@ func TestEnableSamplingCollectsSeries(t *testing.T) {
 }
 
 func TestEnableSamplingRejectsBadInterval(t *testing.T) {
-	t.Cleanup(func() {
-		mmtag.DisableSampling()
-		mmtag.DisableMetrics()
-	})
-	if _, err := mmtag.EnableSampling(0); err == nil {
+	if _, err := mmtag.NewSampler(mmtag.NewRegistry(), 0); err == nil {
 		t.Fatal("dt=0 must be rejected")
 	}
 }
 
 func TestWriteRunDirArchivesTimeseriesAndAlerts(t *testing.T) {
-	sampledRun(t)
+	s := sampledRun(t)
 	dir := t.TempDir()
-	man, err := mmtag.WriteRunDir(dir, mmtag.RunInfo{Experiment: "facade-test"})
+	man, err := mmtag.WriteRunDir(dir, mmtag.RunInfo{Experiment: "facade-test"}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +83,13 @@ func TestWriteRunDirArchivesTimeseriesAndAlerts(t *testing.T) {
 
 func TestDiffRunDirsGatesRegressions(t *testing.T) {
 	run := func(bits int) string {
-		reg := mmtag.Metrics()
-		t.Cleanup(mmtag.DisableMetrics)
+		reg := mmtag.NewRegistry()
 		reg.Add("core_bit_errors_total", float64(bits/100))
 		reg.Add("core_bursts_decoded_total", 40)
 		dir := t.TempDir()
-		if _, err := mmtag.WriteRunDir(dir, mmtag.RunInfo{Experiment: "diff-test"}); err != nil {
+		if _, err := mmtag.WriteRunDir(dir, mmtag.RunInfo{Experiment: "diff-test"}, mmtag.Sinks{Registry: reg}); err != nil {
 			t.Fatal(err)
 		}
-		mmtag.DisableMetrics()
 		return dir
 	}
 	a, b, worse := run(10000), run(10000), run(90000)
@@ -114,7 +110,7 @@ func TestDiffRunDirsGatesRegressions(t *testing.T) {
 }
 
 func TestDefaultAlertRulesEvaluate(t *testing.T) {
-	smp := sampledRun(t)
+	smp := sampledRun(t).Series
 	eng, err := mmtag.NewAlertEngine(nil)
 	if err != nil {
 		t.Fatal(err)
