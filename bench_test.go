@@ -626,8 +626,10 @@ func BenchmarkWaveformBurstTapsEnabled(b *testing.B) {
 
 // BenchmarkWaveformBurstFailNop measures the failing-burst path with
 // every observability layer off — the baseline the flight-recorder
-// benchmark is held against. (A failed decode allocates regardless of
-// taps: the reader wraps the sync error.)
+// benchmark is held against. The failed decode allocates nothing
+// itself (its error is formatted only when printed), so this reads one
+// allocation under BenchmarkWaveformBurst, which copies its decoded
+// payload out.
 func BenchmarkWaveformBurstFailNop(b *testing.B) {
 	defer sinks.Install(sinks.Sinks{})()
 	benchBurst(b, true)

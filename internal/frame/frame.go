@@ -8,6 +8,15 @@
 // reusable buffer, and a zero-allocation Parser decodes one into
 // preallocated header, payload and trailer structs (gopacket's
 // DecodingLayerParser pattern).
+//
+// A decode failure is a value holding the failing check's operands,
+// formatted only when Error is called. A version or MCS byte that fails
+// its check, the commonest faults past the SNR cliff, and a header cut
+// short are one-byte values, which Go boxes into an error without
+// allocating; Wrap reports one under a caller's stage prefix and keeps
+// it one byte. A length over MaxPayload, a truncated burst and a
+// strict-mode CRC mismatch carry wider operands: each allocates its
+// value, and Wrap one more.
 package frame
 
 import (
@@ -82,24 +91,87 @@ func (h *Header) encode(dst []byte) {
 // it (NoCopy semantics — the caller owns the buffer).
 func (h *Header) DecodeFromBytes(data []byte) error {
 	if len(data) < HeaderLen {
-		return fmt.Errorf("frame: header truncated: %d < %d bytes", len(data), HeaderLen)
+		return headerTruncatedError(len(data))
 	}
 	h.Version = data[0]
 	if h.Version != Version {
-		return fmt.Errorf("frame: unsupported version %d", h.Version)
+		return versionError(h.Version)
 	}
 	h.TagID = binary.BigEndian.Uint16(data[1:3])
 	h.Length = binary.BigEndian.Uint16(data[3:5])
 	h.MCS = MCS(data[5])
 	if !h.MCS.Valid() {
-		return fmt.Errorf("frame: invalid MCS %d", data[5])
+		return mcsError(data[5])
 	}
 	if int(h.Length) > MaxPayload {
-		return fmt.Errorf("frame: payload length %d exceeds max %d", h.Length, MaxPayload)
+		return lengthError(h.Length)
 	}
 	h.payload = data[HeaderLen:]
 	return nil
 }
+
+// The decode faults. The one-byte ones box into an error without
+// allocating (see the package doc).
+type (
+	headerTruncatedError uint8 // bytes present, < HeaderLen
+	versionError         uint8
+	mcsError             uint8
+	lengthError          uint16
+	burstTruncatedError  struct{ have, need int } // payload+CRC bytes
+	crcError             struct{ got, want uint16 }
+)
+
+func (e headerTruncatedError) Error() string {
+	return fmt.Sprintf("frame: header truncated: %d < %d bytes", uint8(e), HeaderLen)
+}
+
+func (e versionError) Error() string {
+	return fmt.Sprintf("frame: unsupported version %d", uint8(e))
+}
+
+func (e mcsError) Error() string { return fmt.Sprintf("frame: invalid MCS %d", uint8(e)) }
+
+func (e lengthError) Error() string {
+	return fmt.Sprintf("frame: payload length %d exceeds max %d", uint16(e), MaxPayload)
+}
+
+func (e burstTruncatedError) Error() string {
+	return fmt.Sprintf("frame: burst truncated: %d payload+CRC bytes, need %d", e.have, e.need)
+}
+
+func (e crcError) Error() string {
+	return fmt.Sprintf("frame: CRC mismatch: got %04x, want %04x", e.got, e.want)
+}
+
+// Prefixer names the stage a caller reports frame faults under: Prefix
+// is the text printed before the fault's own message.
+type Prefixer interface{ Prefix() string }
+
+// Wrap reports err under P's stage: its message is P's prefix followed
+// by err's, and it unwraps to err. P is a zero-size type, so a wrapped
+// one-byte fault is still one byte and returning it allocates nothing;
+// any other err costs one allocation.
+func Wrap[P Prefixer](err error) error {
+	switch e := err.(type) {
+	case headerTruncatedError:
+		return wrapped[P, headerTruncatedError]{e}
+	case versionError:
+		return wrapped[P, versionError]{e}
+	case mcsError:
+		return wrapped[P, mcsError]{e}
+	}
+	return wrapped[P, error]{err}
+}
+
+// wrapped is err reported under P's stage.
+type wrapped[P Prefixer, E error] struct{ err E }
+
+func (w wrapped[P, E]) Error() string {
+	var p P
+	return p.Prefix() + w.err.Error()
+}
+
+func (w wrapped[P, E]) Unwrap() error { return w.err }
 
 // Payload is the application-bytes layer.
 type Payload struct {
@@ -173,7 +245,7 @@ func (p *Parser) Decode(data []byte, d *Decoded) error {
 	rest := d.Header.LayerPayload()
 	need := int(d.Header.Length) + CRCLen
 	if len(rest) < need {
-		return fmt.Errorf("frame: burst truncated: %d payload+CRC bytes, need %d", len(rest), need)
+		return burstTruncatedError{len(rest), need}
 	}
 	d.Payload.Data = rest[:d.Header.Length]
 	crcStart := int(d.Header.Length)
@@ -181,7 +253,7 @@ func (p *Parser) Decode(data []byte, d *Decoded) error {
 	want := CRC16(data[:HeaderLen+int(d.Header.Length)])
 	d.Trailer.OK = d.Trailer.CRC == want
 	if p.Strict && !d.Trailer.OK {
-		return fmt.Errorf("frame: CRC mismatch: got %04x, want %04x", d.Trailer.CRC, want)
+		return crcError{d.Trailer.CRC, want}
 	}
 	return nil
 }

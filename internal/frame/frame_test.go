@@ -101,6 +101,46 @@ func TestHeaderValidation(t *testing.T) {
 	}
 }
 
+// prefixStage is a caller stage for Wrap in tests.
+type prefixStage struct{}
+
+func (prefixStage) Prefix() string { return "test: stage: " }
+
+// TestHeaderFaultAllocs holds the faults noise causes — a header whose
+// version or MCS byte fails its check — to zero heap allocations,
+// through Header.DecodeFromBytes and Parser.Decode alike, and reported
+// under a stage prefix with Wrap.
+func TestHeaderFaultAllocs(t *testing.T) {
+	good, err := AppendEncode(nil, 7, MCSOOK, []byte{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    byte
+	}{{"version", 0, 230}, {"mcs", 5, 9}} {
+		raw := append([]byte(nil), good...)
+		raw[tc.at] = tc.v
+		var h Header
+		var d Decoded
+		var p Parser
+		var sink error
+		for via, decode := range map[string]func(){
+			"DecodeFromBytes": func() { sink = h.DecodeFromBytes(raw) },
+			"Parser.Decode":   func() { sink = p.Decode(raw, &d) },
+			"Wrap":            func() { sink = Wrap[prefixStage](p.Decode(raw, &d)) },
+		} {
+			if n := testing.AllocsPerRun(100, decode); n != 0 {
+				t.Errorf("%s header through %s: %v allocs, want 0", tc.name, via, n)
+			}
+			if sink == nil {
+				t.Errorf("%s header through %s: accepted", tc.name, via)
+			}
+		}
+	}
+}
+
 func TestDecodeTruncatedBurst(t *testing.T) {
 	raw, _ := AppendEncode(nil, 1, MCSOOK, []byte{1, 2, 3})
 	var d Decoded

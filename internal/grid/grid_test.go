@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -113,6 +114,41 @@ func TestGridCellManifestsVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyDirStaysInsideGrid: VerifyDir accepts only the cells/<id>
+// layout Run writes. An index edited to point a cell at a valid run
+// directory outside the grid must fail, not verify that directory.
+func TestVerifyDirStaysInsideGrid(t *testing.T) {
+	root := t.TempDir()
+	grid := filepath.Join(root, "grid")
+	for _, d := range []string{filepath.Join(grid, cellsDir, "x"), filepath.Join(root, "elsewhere")} {
+		if _, err := manifest.Write(d, manifest.RunInfo{Experiment: "beamwidth"}, sinks.Sinks{}, nil,
+			manifest.ExtraFile{Name: "table.txt", Data: []byte("t\n")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		id, dir string
+		ok      bool
+	}{
+		{"x", filepath.Join(cellsDir, "x"), true},
+		{"x", filepath.Join("..", "elsewhere"), false},
+		{"..", filepath.Join(cellsDir, ".."), false},
+		{"../../elsewhere", filepath.Join(cellsDir, "..", "..", "elsewhere"), false},
+	} {
+		idx := Index{Schema: IndexSchema, Name: "g", Cells: []CellResult{{Cell: Cell{ID: tc.id}, Dir: tc.dir}}}
+		data, err := json.Marshal(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(grid, indexName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyDir(grid); (err == nil) != tc.ok {
+			t.Errorf("cell %q in %q: VerifyDir returned %v, want ok=%v", tc.id, tc.dir, err, tc.ok)
+		}
+	}
+}
+
 func TestSeedSubsetStability(t *testing.T) {
 	full := testSpec()
 	fullCells, err := full.Expand()
@@ -163,6 +199,9 @@ func TestSpecValidation(t *testing.T) {
 			Cells: []CellSpec{{Driver: "beamwidth"}, {Driver: "beamwidth"}}}, "duplicate"},
 		{"negative repeats", Spec{Schema: SpecSchema, Name: "x",
 			Cells: []CellSpec{{Driver: "beamwidth", Repeats: -1}}}, "negative repeats"},
+		{"one cell over MaxCells", Spec{Schema: SpecSchema, Name: "x",
+			Cells: []CellSpec{{Driver: "beamwidth", Repeats: MaxCells / 4, Points: []int{1, 2}, Bits: []int{0, 1}},
+				{Driver: "selfint"}}}, "more than 10000 cells"},
 	}
 	for _, tc := range cases {
 		err := tc.spec.Validate()

@@ -201,9 +201,10 @@ func IsGridDir(dir string) bool {
 }
 
 // VerifyDir checks a grid run directory end to end: the index parses,
-// every indexed cell directory exists, and every cell manifest's digests
-// match the archived bytes. Cells are checked in sorted order so the
-// first error is deterministic.
+// every indexed cell directory is cells/<id> (the layout Run writes, so
+// verification never reads outside dir) and exists, and every cell
+// manifest's digests match the archived bytes. Cells are checked in
+// sorted order so the first error is deterministic.
 func VerifyDir(dir string) error {
 	idx, err := ReadIndex(dir)
 	if err != nil {
@@ -212,6 +213,9 @@ func VerifyDir(dir string) error {
 	cells := append([]CellResult(nil), idx.Cells...)
 	sort.Slice(cells, func(i, j int) bool { return cells[i].ID < cells[j].ID })
 	for _, c := range cells {
+		if !manifest.IsBareName(c.ID) || c.Dir != filepath.Join(cellsDir, c.ID) {
+			return fmt.Errorf("grid: cell %q: dir %q is not %s/<id>", c.ID, c.Dir, cellsDir)
+		}
 		if err := manifest.Verify(filepath.Join(dir, c.Dir)); err != nil {
 			return fmt.Errorf("grid: cell %s: %w", c.ID, err)
 		}

@@ -32,6 +32,12 @@ import (
 // SpecSchema identifies the grid spec format.
 const SpecSchema = "mmtag-grid/1"
 
+// MaxCells bounds the cells one spec may expand to. Validate counts them
+// before Expand builds any, so a few bytes of JSON declaring billions of
+// repeats are rejected instead of exhausting memory. The committed
+// smoke grid (experiments/smoke.json) has 11.
+const MaxCells = 10000
+
 // Spec is the declared experiment grid (experiments.json).
 type Spec struct {
 	Schema string `json:"schema"`
@@ -96,17 +102,26 @@ func Load(path string) (*Spec, error) {
 	if err != nil {
 		return nil, fmt.Errorf("grid: %w", err)
 	}
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
+	s, err := parse(data)
+	if err != nil {
 		return nil, fmt.Errorf("grid: %s: %w", path, err)
 	}
+	return s, nil
+}
+
+// parse decodes and validates the JSON of a grid spec.
+func parse(data []byte) (*Spec, error) {
+	var s Spec
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, err
+	}
 	if err := s.Validate(); err != nil {
-		return nil, fmt.Errorf("grid: %s: %w", path, err)
+		return nil, err
 	}
 	return &s, nil
 }
 
-// Validate checks the spec against the driver registry.
+// Validate checks the spec against the driver registry and MaxCells.
 func (s *Spec) Validate() error {
 	if s.Schema != SpecSchema {
 		return fmt.Errorf("schema %q, want %q", s.Schema, SpecSchema)
@@ -120,6 +135,7 @@ func (s *Spec) Validate() error {
 	if math.IsNaN(s.SampleDT) || math.IsInf(s.SampleDT, 0) || s.SampleDT < 0 {
 		return fmt.Errorf("sample_dt %g: must be a finite interval >= 0", s.SampleDT)
 	}
+	total := 0
 	for i, c := range s.Cells {
 		if _, ok := drivers[c.Driver]; !ok {
 			return fmt.Errorf("cell %d: unknown driver %q (have %v)", i, c.Driver, Drivers())
@@ -136,6 +152,19 @@ func (s *Spec) Validate() error {
 			if b < 0 {
 				return fmt.Errorf("cell %d (%s): negative bits %d", i, c.Driver, b)
 			}
+		}
+		// The block's repeats × points × bits, saturating just past
+		// MaxCells so that neither it nor the total can overflow.
+		n := 1
+		for _, k := range []int{max(c.Repeats, 1), max(len(c.Points), 1), max(len(c.Bits), 1)} {
+			if n > MaxCells/k {
+				n = MaxCells + 1
+				break
+			}
+			n *= k
+		}
+		if total += n; total > MaxCells {
+			return fmt.Errorf("cell %d (%s): the spec expands to more than %d cells", i, c.Driver, MaxCells)
 		}
 	}
 	if _, err := s.Expand(); err != nil {

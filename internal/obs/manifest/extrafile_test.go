@@ -1,6 +1,9 @@
 package manifest
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -61,7 +64,7 @@ func TestVerifyCatchesTamperedExtra(t *testing.T) {
 }
 
 func TestWriteRejectsPathyExtraNames(t *testing.T) {
-	for _, name := range []string{"", "sub/flight.iq", "../escape.iq"} {
+	for _, name := range []string{"", ".", "..", "sub/flight.iq", "../escape.iq"} {
 		if _, err := Write(t.TempDir(), RunInfo{}, populate(), nil, ExtraFile{Name: name, Data: []byte("x")}); err == nil {
 			t.Errorf("name %q accepted", name)
 		}
@@ -110,5 +113,43 @@ func TestWriteArchivesTapAndSeries(t *testing.T) {
 	}
 	if err := Verify(dir); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVerifyStaysInsideRunDir: a manifest edited to list a file outside
+// the run directory, with that file's true digest, must fail Verify
+// rather than vouch for (or later print the hash of) the outside file.
+func TestVerifyStaysInsideRunDir(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "run")
+	if _, err := Write(dir, RunInfo{Experiment: "arq"}, populate(), nil); err != nil {
+		t.Fatal(err)
+	}
+	outside := []byte("not part of the run\n")
+	if err := os.WriteFile(filepath.Join(root, "outside.txt"), outside, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	written, err := Read(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(outside)
+	for _, name := range []string{"../outside.txt", "..", "."} {
+		m := written
+		m.Files = map[string]FileDigest{name: {Bytes: len(outside), SHA256: hex.EncodeToString(sum[:])}}
+		for k, v := range written.Files {
+			m.Files[k] = v
+		}
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = Verify(dir)
+		if err == nil || !strings.Contains(err.Error(), "not a bare file name") {
+			t.Errorf("manifest listing %q: Verify returned %v, want a bare-name error", name, err)
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"github.com/mmtag/mmtag/internal/obs"
@@ -193,7 +194,7 @@ func Write(dir string, info RunInfo, s sinks.Sinks, transitions []alert.Transiti
 	}
 
 	for _, x := range append(files, extra...) {
-		if x.Name == "" || filepath.Base(x.Name) != x.Name {
+		if !IsBareName(x.Name) {
 			return m, fmt.Errorf("manifest: extra file name %q must be a bare file name", x.Name)
 		}
 		if err := write(x.Name, x.Data); err != nil {
@@ -227,14 +228,26 @@ func Read(dir string) (Manifest, error) {
 	return m, nil
 }
 
+// IsBareName reports whether name is a file directly inside a run
+// directory, the only kind Write writes and Verify reads: not empty, no
+// path separator, and neither "." nor "..".
+func IsBareName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
+}
+
 // Verify re-hashes every file the manifest lists and reports the first
-// mismatch — the integrity check for an archived run directory.
+// mismatch — the integrity check for an archived run directory. A listed
+// name Write could not have written, such as ../outside.txt, is an
+// error: verification never reads outside dir.
 func Verify(dir string) error {
 	m, err := Read(dir)
 	if err != nil {
 		return err
 	}
 	for name, want := range m.Files {
+		if !IsBareName(name) {
+			return fmt.Errorf("manifest: %s lists %q, which is not a bare file name", dir, name)
+		}
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return fmt.Errorf("manifest: %w", err)

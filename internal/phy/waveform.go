@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -96,7 +97,7 @@ func (w Waveform) DetectBurstWS(ws *dsp.Workspace, samples []complex128, leakage
 	n := len(Preamble13)
 	need := (n + 1) * w.SPS
 	if len(samples) < need {
-		return 0, 0, fmt.Errorf("phy: burst shorter (%d) than preamble (%d samples)", len(samples), need)
+		return 0, 0, shortCaptureError{len(samples), need}
 	}
 	avg := dsp.MovingAverageInto(ws.Complex(len(samples)), samples, w.SPS)
 	env := dsp.MagnitudesInto(ws.Float(len(samples)), avg)
@@ -158,6 +159,20 @@ func (w Waveform) DetectBurstWS(ws *dsp.Workspace, samples []complex128, leakage
 	return center0 + n*w.SPS, bestV, nil
 }
 
+// shortCaptureError is a capture too short to hold the preamble,
+// formatted only when printed.
+type shortCaptureError struct{ have, need int }
+
+func (e shortCaptureError) Error() string {
+	return fmt.Sprintf("phy: burst shorter (%d) than preamble (%d samples)", e.have, e.need)
+}
+
+// The SNR estimator's failures, preallocated: they carry no operands.
+var (
+	errFewDecisions = errors.New("phy: need ≥ 4 decisions to estimate SNR")
+	errUnimodal     = errors.New("phy: decisions are unimodal; cannot split clusters")
+)
+
 // MeasureSNRWS estimates the SNR of OOK decision statistics by
 // two-cluster splitting: symbols above/below the midpoint of the extremes
 // form the high and low clusters; SNR = (μ_hi−μ_lo)²·(avg symbol power
@@ -165,7 +180,7 @@ func (w Waveform) DetectBurstWS(ws *dsp.Workspace, samples []complex128, leakage
 // magnitude buffer is checked out of ws (nil ws allocates).
 func MeasureSNRWS(ws *dsp.Workspace, decisions []complex128) (float64, error) {
 	if len(decisions) < 4 {
-		return 0, fmt.Errorf("phy: need ≥ 4 decisions to estimate SNR")
+		return 0, errFewDecisions
 	}
 	mags := dsp.MagnitudesInto(ws.Float(len(decisions)), decisions)
 	lo, hi := mags[0], mags[0]
@@ -186,7 +201,7 @@ func MeasureSNRWS(ws *dsp.Workspace, decisions []complex128) (float64, error) {
 		}
 	}
 	if nH == 0 || nL == 0 {
-		return 0, fmt.Errorf("phy: decisions are unimodal; cannot split clusters")
+		return 0, errUnimodal
 	}
 	muH /= float64(nH)
 	muL /= float64(nL)

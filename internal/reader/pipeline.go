@@ -2,7 +2,6 @@ package reader
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"sort"
 
@@ -18,6 +17,43 @@ import (
 // metrics) separate it from demodulation/framing failures with
 // errors.Is.
 var ErrSync = errors.New("reader: sync failed")
+
+// The decision failures, preallocated: they carry no operands.
+var (
+	errNoDecisions = errors.New("reader: no decisions")
+	errASKRails    = errors.New("reader: ASK rails degenerate")
+)
+
+// SyncFailure reports a burst detector failure as a sync loss:
+// errors.Is(err, ErrSync) holds, and the message, ErrSync's text then
+// cause's, is formatted only when printed.
+func SyncFailure(cause error) error { return syncError{cause} }
+
+type syncError struct{ cause error }
+
+func (e syncError) Error() string { return ErrSync.Error() + ": " + e.cause.Error() }
+
+func (e syncError) Unwrap() error { return ErrSync }
+
+// headerStage and frameStage are the reader stages frame faults are
+// reported under (frame.Wrap).
+type (
+	headerStage struct{}
+	frameStage  struct{}
+)
+
+func (headerStage) Prefix() string { return "reader: header: " }
+
+func (frameStage) Prefix() string { return "reader: frame: " }
+
+// countFailure counts a decode failure at stage. The label is built only
+// when a registry is installed, so with metrics off a failure allocates
+// nothing here.
+func countFailure(stage string) {
+	if obs.Enabled() {
+		obs.Inc("reader_decode_errors_total", obs.L("stage", stage))
+	}
+}
 
 func init() {
 	// The preamble metric is an unnormalized correlation peak at √W
@@ -60,7 +96,7 @@ type RxStats struct {
 // valid until the next ws.Reset. A nil ws allocates.
 func DecideOOKWS(ws *dsp.Workspace, decisions []complex128) (bits []byte, threshold float64, err error) {
 	if len(decisions) == 0 {
-		return nil, 0, fmt.Errorf("reader: no decisions")
+		return nil, 0, errNoDecisions
 	}
 	mags := dsp.MagnitudesInto(ws.Float(len(decisions)), decisions)
 	lo, hi := mags[0], mags[0]
@@ -104,7 +140,7 @@ func DecideOOKWS(ws *dsp.Workspace, decisions []complex128) (bits []byte, thresh
 // out of ws (valid until the next ws.Reset; nil ws allocates).
 func DecideASK4WS(ws *dsp.Workspace, decisions []complex128) (bits []byte, err error) {
 	if len(decisions) == 0 {
-		return nil, fmt.Errorf("reader: no decisions")
+		return nil, errNoDecisions
 	}
 	mags := dsp.MagnitudesInto(ws.Float(len(decisions)), decisions)
 	sorted := ws.Float(len(mags))
@@ -123,7 +159,7 @@ func DecideASK4WS(ws *dsp.Workspace, decisions []complex128) (bits []byte, err e
 	hi /= float64(decile)
 	span := hi - lo
 	if span <= 0 {
-		return nil, fmt.Errorf("reader: ASK rails degenerate")
+		return nil, errASKRails
 	}
 	norm := ws.Complex(len(mags))
 	for i, m := range mags {
@@ -141,8 +177,11 @@ func DecideASK4WS(ws *dsp.Workspace, decisions []complex128) (bits []byte, err e
 // from the same arena, and a caller decoding many bursts on one
 // workspace Resets it between them — so the returned frame's payload
 // references ws memory and is valid only until the caller's next Reset.
-// A nil ws allocates.
-func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*frame.Decoded, RxStats, error) {
+// A nil ws allocates. A failure returns the zero frame and an error
+// naming its stage: SyncFailure for sync, the decision helpers' errors
+// as they are, and frame faults wrapped as "reader: header: …" or
+// "reader: frame: …".
+func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (frame.Decoded, RxStats, error) {
 	var stats RxStats
 	span := obs.StartSpan("reader.decode")
 	defer span.End()
@@ -153,7 +192,7 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 	sync.End()
 	if err != nil {
 		obs.Inc("reader_sync_failures_total")
-		return nil, stats, fmt.Errorf("%w: %v", ErrSync, err)
+		return frame.Decoded{}, stats, SyncFailure(err)
 	}
 	stats.PreambleMetric = metric
 	stats.SyncOffset = start
@@ -171,21 +210,21 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 	dec, err := w.MatchedFilterWS(ws, samples, start, headerSyms)
 	if err != nil {
 		decide.End()
-		obs.Inc("reader_decode_errors_total", obs.L("stage", "decide"))
-		return nil, stats, err
+		countFailure("decide")
+		return frame.Decoded{}, stats, err
 	}
 	headerBits, thr, err := DecideOOKWS(ws, dec)
 	if err != nil {
 		decide.End()
-		obs.Inc("reader_decode_errors_total", obs.L("stage", "decide"))
-		return nil, stats, err
+		countFailure("decide")
+		return frame.Decoded{}, stats, err
 	}
 	stats.Threshold = thr
 	headerBytes, err := frame.AppendBytesFromBits(ws.Bytes(frame.HeaderLen)[:0], headerBits)
 	if err != nil {
 		decide.End()
-		obs.Inc("reader_decode_errors_total", obs.L("stage", "decide"))
-		return nil, stats, err
+		countFailure("decide")
+		return frame.Decoded{}, stats, err
 	}
 	var hdr frame.Header
 	// Decode against a padded view: the header parser wants to record a
@@ -195,8 +234,8 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 	padded[frame.HeaderLen] = 0
 	if err := hdr.DecodeFromBytes(padded); err != nil {
 		decide.End()
-		obs.Inc("reader_decode_errors_total", obs.L("stage", "header"))
-		return nil, stats, fmt.Errorf("reader: header: %w", err)
+		countFailure("header")
+		return frame.Decoded{}, stats, frame.Wrap[headerStage](err)
 	}
 
 	restBits := (int(hdr.Length) + frame.CRCLen) * 8
@@ -208,8 +247,8 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 	decRest, err := w.MatchedFilterWS(ws, samples, restStart, restSyms)
 	if err != nil {
 		decide.End()
-		obs.Inc("reader_decode_errors_total", obs.L("stage", "decide"))
-		return nil, stats, err
+		countFailure("decide")
+		return frame.Decoded{}, stats, err
 	}
 
 	var bits []byte
@@ -219,8 +258,8 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 		payloadBits, err := DecideASK4WS(ws, decRest)
 		if err != nil {
 			decide.End()
-			obs.Inc("reader_decode_errors_total", obs.L("stage", "decide"))
-			return nil, stats, err
+			countFailure("decide")
+			return frame.Decoded{}, stats, err
 		}
 		bits = ws.Bytes(len(headerBits) + len(payloadBits))
 		copy(bits, headerBits)
@@ -243,8 +282,8 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 		bits, thr, err = DecideOOKWS(ws, all)
 		if err != nil {
 			decide.End()
-			obs.Inc("reader_decode_errors_total", obs.L("stage", "decide"))
-			return nil, stats, err
+			countFailure("decide")
+			return frame.Decoded{}, stats, err
 		}
 		stats.Threshold = thr
 		stats.Decisions = all
@@ -268,13 +307,13 @@ func DecodeBurstWS(ws *dsp.Workspace, samples []complex128, w phy.Waveform) (*fr
 	defer deframe.End()
 	raw, err := frame.AppendBytesFromBits(ws.Bytes(len(bits) / 8)[:0], bits)
 	if err != nil {
-		obs.Inc("reader_decode_errors_total", obs.L("stage", "deframe"))
-		return nil, stats, err
+		countFailure("deframe")
+		return frame.Decoded{}, stats, err
 	}
 	var out frame.Decoded
 	if err := (&frame.Parser{}).Decode(raw, &out); err != nil {
-		obs.Inc("reader_decode_errors_total", obs.L("stage", "deframe"))
-		return nil, stats, fmt.Errorf("reader: frame: %w", err)
+		countFailure("deframe")
+		return frame.Decoded{}, stats, frame.Wrap[frameStage](err)
 	}
-	return &out, stats, nil
+	return out, stats, nil
 }

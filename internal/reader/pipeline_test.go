@@ -23,9 +23,15 @@ func synthBurst(t *testing.T, tagID uint16, payload []byte, leakage float64, sps
 	if err != nil {
 		t.Fatal(err)
 	}
+	return synthRaw(t, raw, leakage, sps)
+}
+
+// synthRaw renders preamble ‖ raw, the frame bytes as given.
+func synthRaw(t *testing.T, raw []byte, leakage float64, sps int) []complex128 {
+	t.Helper()
 	syms := phy.AppendPreambleSymbols(nil, leakage)
 	bits := frame.BitsFromBytes(nil, raw)
-	syms, err = (phy.OOK{Leakage: leakage}).Modulate(syms, bits)
+	syms, err := (phy.OOK{Leakage: leakage}).Modulate(syms, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,30 +223,39 @@ func TestBatchDecodeWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestPipelineSteadyStateAllocs bounds the per-burst allocation count of
-// DecodeBurstWS on a reused workspace: after the first call sizes the
-// workspace pools, a decode may allocate only the returned frame.Decoded
-// and the few fixed-size header values — nothing proportional to the
-// burst.
+// TestPipelineSteadyStateAllocs holds DecodeBurstWS on a reused
+// workspace to zero allocations per burst once the first call has sized
+// the workspace pools: the frame comes back by value, and a burst the
+// header rejects (wrong version, invalid MCS) fails without formatting
+// anything. A nil workspace allocates proportionally to the burst.
 func TestPipelineSteadyStateAllocs(t *testing.T) {
-	payload := make([]byte, 64)
-	samples := synthBurst(t, 0x42, payload, 0.05, 8)
-	rx := make([]complex128, 100+len(samples)+60)
-	copy(rx[100:], samples)
 	w, _ := phy.NewRectWaveform(8)
 	ws := dsp.NewWorkspace()
-	decode := func() {
-		ws.Reset()
-		if _, _, err := DecodeBurstWS(ws, rx, w); err != nil {
+	for _, tc := range []struct {
+		name string
+		at   int // header byte to corrupt, -1 for none
+		v    byte
+	}{{"healthy", -1, 0}, {"bad-version", 0, 230}, {"bad-mcs", 5, 9}} {
+		raw, err := frame.AppendEncode(nil, 0x42, frame.MCSOOK, make([]byte, 64))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	decode()
-	n := testing.AllocsPerRun(10, decode)
-	// A nil workspace allocates proportionally to the burst (dozens of
-	// buffers); a reused one must stay at a small constant.
-	if n > 6 {
-		t.Errorf("workspace decode: %v allocs/run, want ≤ 6", n)
+		if tc.at >= 0 {
+			raw[tc.at] = tc.v
+		}
+		samples := synthRaw(t, raw, 0.05, 8)
+		rx := make([]complex128, 100+len(samples)+60)
+		copy(rx[100:], samples)
+		decode := func() {
+			ws.Reset()
+			if _, _, err := DecodeBurstWS(ws, rx, w); (err == nil) != (tc.at < 0) {
+				t.Fatalf("%s: err %v", tc.name, err)
+			}
+		}
+		decode()
+		if n := testing.AllocsPerRun(10, decode); n != 0 {
+			t.Errorf("%s: %v allocs per decode on a reused workspace, want 0", tc.name, n)
+		}
 	}
 }
 

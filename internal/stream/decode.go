@@ -126,7 +126,7 @@ func (j *job) generate(ws *dsp.Workspace, gen Gen) error {
 func (s Shape) stageSync(ws *dsp.Workspace, j *job) {
 	start, metric, err := s.W.DetectBurstWS(ws, j.samples, 0)
 	if err != nil {
-		j.out.Err = fmt.Errorf("%w: %v", reader.ErrSync, err)
+		j.out.Err = reader.SyncFailure(err)
 		return
 	}
 	j.out.SyncOffset = start
@@ -145,6 +145,11 @@ func (s Shape) stageDemod(ws *dsp.Workspace, j *job) {
 	}
 	j.dec = append(j.dec[:0], dec...)
 }
+
+// frameStage is the stage frame faults are reported under (frame.Wrap).
+type frameStage struct{}
+
+func (frameStage) Prefix() string { return "stream: frame: " }
 
 // stageDecode slices the decisions with the whole-burst adaptive
 // threshold (the same combined re-decide reader.DecodeBurstWS ends on),
@@ -169,7 +174,7 @@ func (s Shape) stageDecode(ws *dsp.Workspace, j *job) {
 	}
 	var dec frame.Decoded
 	if err := (&frame.Parser{}).Decode(j.raw, &dec); err != nil {
-		j.out.Err = fmt.Errorf("stream: frame: %w", err)
+		j.out.Err = frame.Wrap[frameStage](err)
 		return
 	}
 	j.out.TagID = dec.Header.TagID

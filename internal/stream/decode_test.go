@@ -117,6 +117,36 @@ func TestStagedDecodeSyncFailure(t *testing.T) {
 	}
 }
 
+// TestDecoderFailureAllocs: at 7 ft, past the 2 GHz SNR cliff, most
+// frames fail at the frame header, and a failed frame costs the
+// streaming decoder no allocation either.
+func TestDecoderFailureAllocs(t *testing.T) {
+	w, _ := phy.NewRectWaveform(core.SamplesPerSymbol)
+	shape, err := NewShape(w, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursts, _ := captureBursts(t, 16, 64, 7, 3)
+	dec := NewDecoder(shape)
+	failed := 0
+	for i, rx := range bursts {
+		if dec.Decode(i, rx).Err != nil {
+			failed++
+		}
+	}
+	if failed < len(bursts)/2 {
+		t.Fatalf("only %d of %d bursts failed at 7 ft", failed, len(bursts))
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(64, func() {
+		dec.Decode(i, bursts[i%len(bursts)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding past the cliff allocates %.2f/frame, want 0", allocs)
+	}
+}
+
 // TestNewShapeValidation rejects unusable geometries.
 func TestNewShapeValidation(t *testing.T) {
 	w, _ := phy.NewRectWaveform(4)
