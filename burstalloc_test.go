@@ -9,6 +9,7 @@ import (
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/mac"
 	"github.com/mmtag/mmtag/internal/obs"
+	"github.com/mmtag/mmtag/internal/obs/event"
 	"github.com/mmtag/mmtag/internal/obs/signal"
 	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
@@ -26,8 +27,11 @@ const nopBurstAllocBudget = 15 + 2
 // stays within nopBurstAllocBudget, a burst that fails to decode costs
 // no more than a healthy one (its error is formatted only when printed),
 // signal taps add nothing to the healthy burst and the flight recorder
-// nothing to the failing one (BENCH_5.json), and the time-series sampler
-// adds nothing over the metrics registry it samples (BENCH_7.json). The
+// nothing to the failing one (BENCH_5.json), the metrics registry and
+// the event log add nothing to the healthy burst (an update on an
+// existing series, a span and a kept event line allocate nothing of
+// their own), and the time-series sampler adds nothing over the metrics
+// registry it samples (BENCH_7.json). The
 // file is left out of -race builds: the race detector makes sync.Pool
 // drop a random share of Puts, so the failure path's allocation count is
 // not stable there.
@@ -50,9 +54,10 @@ func TestBurstAllocContracts(t *testing.T) {
 	fail := allocs(true, sinks.Sinks{})
 	flight := allocs(true, sinks.Sinks{Tap: recorder})
 	metrics := allocs(false, sinks.Sinks{Registry: obs.NewRegistry()})
+	events := allocs(false, sinks.Sinks{Events: event.New(1 << 16)})
 	sampled := allocs(false, sinks.Sinks{Registry: sampledReg, Series: smp})
-	t.Logf("allocs/burst: nop %.0f, taps %.0f, fail %.0f, flightrec %.0f, metrics %.0f, sampled %.0f",
-		nop, taps, fail, flight, metrics, sampled)
+	t.Logf("allocs/burst: nop %.0f, taps %.0f, fail %.0f, flightrec %.0f, metrics %.0f, events %.0f, sampled %.0f",
+		nop, taps, fail, flight, metrics, events, sampled)
 	if nop > nopBurstAllocBudget {
 		t.Errorf("all-off burst: %.0f allocs, budget %d", nop, nopBurstAllocBudget)
 	}
@@ -64,6 +69,12 @@ func TestBurstAllocContracts(t *testing.T) {
 	}
 	if flight > fail {
 		t.Errorf("flight recorder allocates in steady state: %.0f allocs vs %.0f on the bare fail path", flight, fail)
+	}
+	if metrics > nop {
+		t.Errorf("the metrics registry allocates on the burst hot path: %.0f allocs enabled vs %.0f off", metrics, nop)
+	}
+	if events > nop {
+		t.Errorf("the event log allocates on the burst hot path: %.0f allocs enabled vs %.0f off", events, nop)
 	}
 	if sampled != metrics {
 		t.Errorf("sampling changed the burst allocation profile: %.0f allocs sampled vs %.0f metrics-only", sampled, metrics)

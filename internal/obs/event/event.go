@@ -8,8 +8,12 @@
 //
 //   - Disabled by default. Every package-level helper costs one atomic
 //     load and a nil check until Enable installs a Log, so hot paths stay
-//     effectively free. Call sites that would allocate field slices guard
-//     on Enabled().
+//     effectively free. Call sites that build field values (an
+//     mcs.String(), say) guard on Enabled().
+//   - No allocation on. Fields stay typed (F, D, S) until a kept event
+//     is encoded, numbers are formatted straight into the line, and kept
+//     lines are appended to shared fixed-size chunks, so recording an
+//     event allocates only when a chunk fills or the entry list grows.
 //   - Bounded memory. The log keeps at most its capacity of encoded
 //     events; once full, further events are counted as dropped rather
 //     than evicting older ones, so a truncated log says so.
@@ -23,7 +27,9 @@
 package event
 
 import (
+	"bytes"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -58,9 +64,15 @@ func (l Level) String() string {
 // DefaultCapacity bounds a Log constructed with New(0).
 const DefaultCapacity = 1 << 16
 
+// lineChunkLen sizes the blocks kept lines are appended to; a line
+// longer than a block gets a block of its own.
+const lineChunkLen = 32 << 10
+
 // entry is one retained event: the virtual timestamp is kept alongside
 // the encoded line so exposition can sort numerically by time (the
-// encoded float is not lexicographically ordered).
+// encoded float is not lexicographically ordered). line is a slice of a
+// chunk whose capacity reaches over the newline stored after it, so
+// WriteJSONL writes the line and its newline in one call.
 type entry struct {
 	t    float64
 	line []byte
@@ -73,11 +85,13 @@ type Log struct {
 	entries  []entry
 	counts   map[string]uint64 // kept events per category
 	dropped  uint64            // events lost to the capacity bound
+	// chunk is the block kept lines are appended to. Stored bytes are
+	// never written again, so exposition reads them outside mu.
+	chunk []byte
 	// enc and fieldBuf are per-log scratch reused by every Emit under mu:
-	// the line is encoded in place and only copied (exact size) when the
-	// event is retained.
+	// the line is encoded in place and then appended to chunk.
 	enc      []byte
-	fieldBuf []obs.Label
+	fieldBuf []Field
 }
 
 // New returns an empty log. capacity <= 0 selects DefaultCapacity.
@@ -91,10 +105,11 @@ func New(capacity int) *Log {
 // Emit records one event at virtual time t. Field keys are encoded in
 // sorted order so the line bytes are independent of call-site order.
 //
-// The line is rendered into the log's reusable scratch buffer; the only
-// per-event allocation in steady state is the exact-size copy of a kept
-// line. Events dropped at capacity are not encoded and allocate nothing.
-func (l *Log) Emit(t float64, lvl Level, cat, msg string, fields ...obs.Label) {
+// The line is rendered into the log's reusable scratch buffer and
+// appended to the current chunk, so a kept event allocates only its
+// share of a new chunk when one fills and of the entry list's doubling.
+// Events dropped at capacity are not encoded and allocate nothing.
+func (l *Log) Emit(t float64, lvl Level, cat, msg string, fields ...Field) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.entries) >= l.capacity {
@@ -102,11 +117,15 @@ func (l *Log) Emit(t float64, lvl Level, cat, msg string, fields ...obs.Label) {
 		return
 	}
 	l.fieldBuf = append(l.fieldBuf[:0], fields...)
-	sortLabels(l.fieldBuf)
+	sortFields(l.fieldBuf)
 	l.enc = appendEvent(l.enc[:0], t, lvl, cat, msg, l.fieldBuf)
-	line := make([]byte, len(l.enc))
-	copy(line, l.enc)
-	l.entries = append(l.entries, entry{t: t, line: line})
+	n := len(l.enc) + 1 // the line and its newline
+	if cap(l.chunk)-len(l.chunk) < n {
+		l.chunk = make([]byte, 0, max(lineChunkLen, n))
+	}
+	i := len(l.chunk)
+	l.chunk = append(append(l.chunk, l.enc...), '\n')
+	l.entries = append(l.entries, entry{t: t, line: l.chunk[i : i+n-1 : i+n]})
 	l.counts[cat]++
 }
 
@@ -153,30 +172,41 @@ type CategoryStat struct {
 	Count    uint64
 }
 
+// sorted returns the retained entries in exposition order: by time,
+// then by line bytes.
+func (l *Log) sorted() []entry {
+	l.mu.Lock()
+	out := slices.Clone(l.entries)
+	l.mu.Unlock()
+	slices.SortFunc(out, func(a, b entry) int {
+		if a.t != b.t {
+			if a.t < b.t {
+				return -1
+			}
+			return 1
+		}
+		return bytes.Compare(a.line, b.line)
+	})
+	return out
+}
+
 // Lines returns the encoded events sorted by (time, bytes) — the
 // deterministic exposition order. The returned slices are copies.
 func (l *Log) Lines() [][]byte {
-	l.mu.Lock()
-	sorted := append([]entry{}, l.entries...)
-	l.mu.Unlock()
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].t != sorted[j].t {
-			return sorted[i].t < sorted[j].t
-		}
-		return string(sorted[i].line) < string(sorted[j].line)
-	})
+	sorted := l.sorted()
 	out := make([][]byte, len(sorted))
 	for i, e := range sorted {
-		out[i] = append([]byte{}, e.line...)
+		out[i] = slices.Clone(e.line)
 	}
 	return out
 }
 
 // WriteJSONL writes the sorted events as JSON Lines (one object per
-// line, trailing newline each).
+// line, trailing newline each): one Write per line, straight from the
+// stored bytes.
 func (l *Log) WriteJSONL(w io.Writer) error {
-	for _, line := range l.Lines() {
-		if _, err := w.Write(append(line, '\n')); err != nil {
+	for _, e := range l.sorted() {
+		if _, err := w.Write(e.line[:len(e.line)+1]); err != nil {
 			return err
 		}
 	}
@@ -202,6 +232,7 @@ func (l *Log) MaxTime() float64 {
 func (l *Log) Reset() {
 	l.mu.Lock()
 	l.entries = nil
+	l.chunk = nil
 	l.counts = map[string]uint64{}
 	l.dropped = 0
 	l.mu.Unlock()
@@ -209,7 +240,7 @@ func (l *Log) Reset() {
 
 // appendEvent renders one event into b, whose fields must already be
 // key-sorted. It is the body of Emit.
-func appendEvent(b []byte, t float64, lvl Level, cat, msg string, sorted []obs.Label) []byte {
+func appendEvent(b []byte, t float64, lvl Level, cat, msg string, sorted []Field) []byte {
 	b = append(b, `{"t":`...)
 	b = obs.AppendJSONFloat(b, t)
 	b = append(b, `,"lvl":`...)
@@ -224,9 +255,9 @@ func appendEvent(b []byte, t float64, lvl Level, cat, msg string, sorted []obs.L
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = strconv.AppendQuote(b, f.Key)
+			b = strconv.AppendQuote(b, f.key)
 			b = append(b, ':')
-			b = strconv.AppendQuote(b, f.Value)
+			b = f.appendValue(b)
 		}
 		b = append(b, '}')
 	}
@@ -234,30 +265,63 @@ func appendEvent(b []byte, t float64, lvl Level, cat, msg string, sorted []obs.L
 	return b
 }
 
-// sortLabels key-sorts labels in place with a stable insertion sort: the
+// sortFields key-sorts fields in place with a stable insertion sort: the
 // field counts at event sites are tiny (≤ 6), and unlike sort.SliceStable
 // this never allocates, keeping Emit's hot path clean.
-func sortLabels(ls []obs.Label) {
-	for i := 1; i < len(ls); i++ {
-		for j := i; j > 0 && ls[j].Key < ls[j-1].Key; j-- {
-			ls[j], ls[j-1] = ls[j-1], ls[j]
+func sortFields(fs []Field) {
+	for i := 1; i < len(fs); i++ {
+		for j := i; j > 0 && fs[j].key < fs[j-1].key; j-- {
+			fs[j], fs[j-1] = fs[j-1], fs[j]
 		}
 	}
 }
 
-// F formats a float64 event field with %g — the shared helper event
-// sites use so equal values always yield equal bytes.
-func F(key string, v float64) obs.Label {
-	return obs.Label{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
+// Field is one key/value pair of an event, built by F, D or S. Its value
+// stays typed until a kept event is encoded; every value is encoded as a
+// JSON string.
+type Field struct {
+	key  string
+	kind fieldKind
+	f    float64
+	d    int64
+	s    string
 }
 
-// D formats an integer event field.
-func D(key string, v int) obs.Label {
-	return obs.Label{Key: key, Value: strconv.Itoa(v)}
+type fieldKind uint8
+
+const (
+	kindString fieldKind = iota
+	kindFloat
+	kindInt
+)
+
+// appendValue appends the field's quoted value. Numbers are formatted
+// straight into b; their digits, signs, exponents and the NaN/Inf names
+// need no escaping, so the bytes equal quoting the formatted string.
+func (f Field) appendValue(b []byte) []byte {
+	switch f.kind {
+	case kindFloat:
+		b = append(b, '"')
+		b = strconv.AppendFloat(b, f.f, 'g', -1, 64)
+		return append(b, '"')
+	case kindInt:
+		b = append(b, '"')
+		b = strconv.AppendInt(b, f.d, 10)
+		return append(b, '"')
+	}
+	return strconv.AppendQuote(b, f.s)
 }
 
-// S is a string event field (an alias for obs.L at event sites).
-func S(key, value string) obs.Label { return obs.Label{Key: key, Value: value} }
+// F is a float64 event field, encoded in the shortest %g form — the
+// shared helper event sites use so equal values always yield equal
+// bytes.
+func F(key string, v float64) Field { return Field{key: key, kind: kindFloat, f: v} }
+
+// D is an integer event field.
+func D(key string, v int) Field { return Field{key: key, kind: kindInt, d: int64(v)} }
+
+// S is a string event field.
+func S(key, value string) Field { return Field{key: key, kind: kindString, s: value} }
 
 // ---------------------------------------------------------------------
 // Package-level default log.
@@ -281,7 +345,7 @@ func Enabled() bool { return active.Load() != nil }
 // Emission sites pass the virtual-clock time where one exists (the ARQ
 // and flow-control runs' clocks) and 0 otherwise — never wall time,
 // which would break the worker-count determinism contract.
-func Emit(t float64, lvl Level, cat, msg string, fields ...obs.Label) {
+func Emit(t float64, lvl Level, cat, msg string, fields ...Field) {
 	if l := active.Load(); l != nil {
 		l.Emit(t, lvl, cat, msg, fields...)
 	}

@@ -3,17 +3,16 @@ package event
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"sync"
 	"testing"
-
-	"github.com/mmtag/mmtag/internal/obs"
 )
 
 // encode returns the canonical line Emit stores for one event in a fresh
 // log.
-func encode(t float64, lvl Level, cat, msg string, fields ...obs.Label) []byte {
+func encode(t float64, lvl Level, cat, msg string, fields ...Field) []byte {
 	l := New(1)
 	l.Emit(t, lvl, cat, msg, fields...)
 	return l.Lines()[0]
@@ -110,7 +109,10 @@ func TestEmitStoresCanonicalBytes(t *testing.T) {
 }
 
 // TestEmitSteadyStateAllocs: capacity-dropped emits must allocate
-// nothing; kept emits only the retained line copy.
+// nothing, and kept emits only a share of a line chunk and of the entry
+// list's growth: at most 0.01 allocations per event over 10,000 events
+// with string, float and integer fields, integers of 100 and more
+// included.
 func TestEmitSteadyStateAllocs(t *testing.T) {
 	full := New(1)
 	full.Emit(0, LevelInfo, "c", "fills-capacity")
@@ -120,12 +122,19 @@ func TestEmitSteadyStateAllocs(t *testing.T) {
 		t.Errorf("capacity-dropped emit: %v allocs/run, want 0", n)
 	}
 
-	kept := New(0)
-	kept.Emit(0, LevelInfo, "c", "warm", D("i", 1))
-	if n := testing.AllocsPerRun(100, func() {
-		kept.Emit(1, LevelInfo, "c", "kept", D("i", 2))
-	}); n > 2 {
-		t.Errorf("kept emit: %v allocs/run, want ≤ 2 (line copy + amortized ring growth)", n)
+	const events = 10000
+	kept := New(0) // room for the warm-up run and the measured one
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < events; i++ {
+			kept.Emit(float64(i), LevelInfo, "c", "kept",
+				S("bw", "2GHz"), F("snr_db", 7.25+float64(i)), D("i", 100+i))
+		}
+	})
+	if kept.Len() != 2*events {
+		t.Fatalf("kept %d events, want %d", kept.Len(), 2*events)
+	}
+	if per := n / events; per > 0.01 {
+		t.Errorf("kept emit: %v allocs over %d events, %.4f per event, want ≤ 0.01", n, events, per)
 	}
 }
 
@@ -183,8 +192,9 @@ func TestPackageLevelDisabledNoop(t *testing.T) {
 	}
 }
 
-// TestConcurrentEmit exercises the log under the race detector and
-// checks the sorted exposition is independent of interleaving.
+// TestConcurrentEmit exercises the log under the race detector, with
+// exposition reading the stored lines while other goroutines append,
+// and checks the sorted exposition is independent of interleaving.
 func TestConcurrentEmit(t *testing.T) {
 	l := New(0)
 	var wg sync.WaitGroup
@@ -196,6 +206,11 @@ func TestConcurrentEmit(t *testing.T) {
 				l.Emit(float64(i), LevelInfo, "par", "shard",
 					D("w", w), D("i", i))
 				_ = l.Len()
+				if i%25 == 0 {
+					if err := l.WriteJSONL(io.Discard); err != nil {
+						t.Error(err)
+					}
+				}
 			}
 		}(w)
 	}
@@ -229,14 +244,17 @@ func TestLevelString(t *testing.T) {
 }
 
 func TestFieldHelpers(t *testing.T) {
-	if f := F("snr", 12.5); f.Key != "snr" || f.Value != "12.5" {
-		t.Fatalf("F: %+v", f)
-	}
-	if d := D("n", -3); d.Value != "-3" {
-		t.Fatalf("D: %+v", d)
-	}
-	if s := S("bw", "2GHz"); s != obs.L("bw", "2GHz") {
-		t.Fatalf("S: %+v", s)
+	for _, tc := range []struct {
+		f         Field
+		key, want string
+	}{
+		{F("snr", 12.5), "snr", `"12.5"`},
+		{D("n", -3), "n", `"-3"`},
+		{S("bw", "2GHz"), "bw", `"2GHz"`},
+	} {
+		if got := string(tc.f.appendValue(nil)); tc.f.key != tc.key || got != tc.want {
+			t.Fatalf("%+v: key %q value %s, want %q %s", tc.f, tc.f.key, got, tc.key, tc.want)
+		}
 	}
 }
 

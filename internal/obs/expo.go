@@ -80,13 +80,18 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // MarshalJSON renders +Inf bucket bounds as the string "+Inf" so the
-// snapshot is valid JSON.
+// snapshot is valid JSON. It allocates only the returned bytes.
 func (b BucketCount) MarshalJSON() ([]byte, error) {
-	le := "\"+Inf\""
-	if !math.IsInf(b.LE, 1) {
-		le = strconv.FormatFloat(b.LE, 'g', -1, 64)
+	out := make([]byte, 0, 64)
+	out = append(out, `{"le":`...)
+	if math.IsInf(b.LE, 1) {
+		out = append(out, `"+Inf"`...)
+	} else {
+		out = strconv.AppendFloat(out, b.LE, 'g', -1, 64)
 	}
-	return []byte(fmt.Sprintf(`{"le":%s,"count":%d}`, le, b.Count)), nil
+	out = append(out, `,"count":`...)
+	out = strconv.AppendUint(out, b.Count, 10)
+	return append(out, '}'), nil
 }
 
 // UnmarshalJSON accepts both numeric bounds and the "+Inf" string
@@ -155,13 +160,12 @@ func (s Snapshot) Counter(name string, labels ...Label) (float64, bool) {
 		}
 		return sum, found
 	}
-	want := sortLabels(labels)
 	for _, m := range s.Metrics {
-		if m.Name != name || len(m.Labels) != len(want) {
+		if m.Name != name || len(m.Labels) != len(labels) {
 			continue
 		}
 		match := true
-		for _, l := range want {
+		for _, l := range labels {
 			if m.Labels[l.Key] != l.Value {
 				match = false
 				break
@@ -187,22 +191,18 @@ func (s Snapshot) Quantile(name string, q float64, labels ...Label) (float64, bo
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return 0, false
 	}
-	var want []Label
-	if len(labels) > 0 {
-		want = sortLabels(labels)
-	}
 	// Merge the cumulative buckets of every matching series.
 	var merged []BucketCount
 	for _, m := range s.Metrics {
 		if m.Name != name || m.Kind != KindHistogram.String() || len(m.Buckets) == 0 {
 			continue
 		}
-		if want != nil {
-			if len(m.Labels) != len(want) {
+		if len(labels) > 0 {
+			if len(m.Labels) != len(labels) {
 				continue
 			}
 			match := true
-			for _, l := range want {
+			for _, l := range labels {
 				if m.Labels[l.Key] != l.Value {
 					match = false
 					break

@@ -13,6 +13,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -135,9 +136,18 @@ type Registry struct {
 	clock func() float64
 	sink  SampleSink
 
+	// sorted and key are getSeries' scratch: an update's labels, sorted,
+	// and their encoded series key. Used only under mu.
+	sorted []Label
+	key    []byte
+
 	nextSpanID uint64
-	spans      []SpanRecord
-	dropped    uint64
+	// spanChunk and attrChunk are the blocks open spans and their
+	// attributes are carved from (span.go).
+	spanChunk []Span
+	attrChunk []Label
+	spans     []SpanRecord
+	dropped   uint64
 }
 
 // NewRegistry returns an empty registry on the wall clock.
@@ -177,31 +187,10 @@ func (r *Registry) Now() float64 {
 	return fn()
 }
 
-// seriesKey encodes sorted labels into a map key.
-func seriesKey(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for _, l := range labels {
-		b.WriteString(l.Key)
-		b.WriteByte(0x1f)
-		b.WriteString(l.Value)
-		b.WriteByte(0x1e)
-	}
-	return b.String()
-}
-
-func sortLabels(labels []Label) []Label {
-	if len(labels) < 2 {
-		return labels
-	}
-	out := append([]Label{}, labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// getSeries finds or creates a series; caller holds r.mu.
+// getSeries finds or creates a series; caller holds r.mu. The labels
+// are sorted and encoded into the registry's scratch, so an update on an
+// existing series allocates nothing; a new series copies both, and the
+// caller's slice is never kept.
 func (r *Registry) getSeries(name string, kind Kind, labels []Label) *series {
 	f, ok := r.families[name]
 	if !ok {
@@ -212,11 +201,19 @@ func (r *Registry) getSeries(name string, kind Kind, labels []Label) *series {
 		r.families[name] = f
 		r.order = append(r.order, name)
 	}
-	labels = sortLabels(labels)
-	key := seriesKey(labels)
-	s, ok := f.series[key]
+	r.sorted = append(r.sorted[:0], labels...)
+	slices.SortStableFunc(r.sorted, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	r.key = r.key[:0]
+	for _, l := range r.sorted {
+		r.key = append(r.key, l.Key...)
+		r.key = append(r.key, 0x1f)
+		r.key = append(r.key, l.Value...)
+		r.key = append(r.key, 0x1e)
+	}
+	s, ok := f.series[string(r.key)]
 	if !ok {
-		s = &series{labels: labels, min: math.Inf(1), max: math.Inf(-1)}
+		key := string(r.key)
+		s = &series{labels: slices.Clone(r.sorted), min: math.Inf(1), max: math.Inf(-1)}
 		if kind == KindHistogram {
 			s.counts = make([]uint64, len(f.buckets)+1)
 		}

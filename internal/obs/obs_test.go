@@ -271,3 +271,107 @@ func TestAppendJSONFloat(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesKeepsOwnLabels: a series keeps its own copy of the labels
+// it was created with, so a caller that reuses or edits its label slice
+// afterwards cannot rename the series or split its updates.
+func TestSeriesKeepsOwnLabels(t *testing.T) {
+	for _, ls := range [][]Label{
+		{L("bw", "2GHz")},
+		{L("bw", "2GHz"), L("at", "a")},
+	} {
+		orig := append([]Label{}, ls...)
+		r := NewRegistry()
+		r.Add("x_total", 1, ls...)
+		r.SetAt(0, "x_gauge", 1, ls...)
+		r.Observe("x_hist", 1, ls...)
+		for i := range ls {
+			ls[i].Value = "edited"
+		}
+		r.Add("x_total", 1, orig...)
+		snap := r.Snapshot()
+		if len(snap.Metrics) != 3 {
+			t.Errorf("%d labels: %d series, want 3: %+v", len(ls), len(snap.Metrics), snap.Metrics)
+		}
+		for _, m := range snap.Metrics {
+			for _, l := range orig {
+				if m.Labels[l.Key] != l.Value {
+					t.Errorf("%d labels: %s%v — the series shows the caller's edited slice", len(ls), m.Name, m.Labels)
+				}
+			}
+		}
+		if v, ok := snap.Counter("x_total", orig...); !ok || v != 2 {
+			t.Errorf("%d labels: x_total%v = %g, %v; want 2", len(ls), orig, v, ok)
+		}
+	}
+}
+
+// TestBucketCountJSON pins the bytes a histogram bucket encodes to in
+// the metrics snapshot, and its round trip through UnmarshalJSON.
+func TestBucketCountJSON(t *testing.T) {
+	for _, tc := range []struct {
+		b    BucketCount
+		want string
+	}{
+		{BucketCount{LE: 0, Count: 0}, `{"le":0,"count":0}`},
+		{BucketCount{LE: 1e-06, Count: 0}, `{"le":1e-06,"count":0}`},
+		{BucketCount{LE: 0.25, Count: 7}, `{"le":0.25,"count":7}`},
+		{BucketCount{LE: 100, Count: math.MaxUint64}, `{"le":100,"count":18446744073709551615}`},
+		{BucketCount{LE: math.Inf(1), Count: 0}, `{"le":"+Inf","count":0}`},
+		{BucketCount{LE: math.Inf(1), Count: math.MaxUint64}, `{"le":"+Inf","count":18446744073709551615}`},
+	} {
+		got, err := tc.b.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%+v encodes as %s, want %s", tc.b, got, tc.want)
+		}
+		var back BucketCount
+		if err := back.UnmarshalJSON(got); err != nil {
+			t.Fatalf("%s: %v", got, err)
+		}
+		if back != tc.b {
+			t.Errorf("%s decodes to %+v, want %+v", got, back, tc.b)
+		}
+	}
+}
+
+// TestUpdateExistingSeriesAllocs: a labelled update on a series that
+// already exists finds it without allocating, so the caller's label
+// slice stays on its stack.
+func TestUpdateExistingSeriesAllocs(t *testing.T) {
+	EnableWith(NewRegistry())
+	defer Disable()
+	bw, mcs := L("bw", "2GHz"), L("mcs", "OOK")
+	for name, update := range map[string]func(){
+		"Inc":     func() { Inc("x_total", bw, mcs) },
+		"Observe": func() { Observe("x_hist", 3.5, bw) },
+		"SetAt":   func() { SetAt(1, "x_gauge", 7, mcs, bw) },
+	} {
+		update() // creates the series
+		if n := testing.AllocsPerRun(100, update); n != 0 {
+			t.Errorf("labelled %s on an existing series: %v allocs, want 0", name, n)
+		}
+	}
+}
+
+// TestSpanAllocs: spans are carved from the registry's chunks, so
+// opening and ending a labelled span costs a share of a chunk, not an
+// allocation of its own.
+func TestSpanAllocs(t *testing.T) {
+	const spans = 1000
+	EnableWith(NewRegistry())
+	defer Disable()
+	bw := L("bw", "2GHz")
+	n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < spans/2; i++ {
+			sp := StartSpan("outer", bw)
+			sp.StartChild("inner", bw).End()
+			sp.End()
+		}
+	})
+	if per := n / spans; per > 0.05 {
+		t.Errorf("%v allocs over %d labelled spans: %.3f per span, want ≤ 0.05", n, spans, per)
+	}
+}

@@ -3,6 +3,16 @@ package obs
 // maxSpans bounds a registry's finished-span buffer.
 const maxSpans = 4096
 
+// Open spans and their attributes are carved from chunks of these many
+// elements, so opening a span allocates once per chunk rather than once
+// per span. A chunk is never reused: a caller may hold a *Span after
+// End, and the chunk lives until the garbage collector finds no span
+// of it referenced.
+const (
+	spanChunkLen = 256
+	attrChunkLen = 512
+)
+
 // Span is one timed operation. Spans form trees through StartChild and
 // carry free-form attributes. A nil *Span is the no-op span: every
 // method is nil-safe, so disabled instrumentation costs a nil check.
@@ -32,13 +42,29 @@ func (r *Registry) StartSpan(name string, labels ...Label) *Span {
 	return r.StartSpanAt(name, r.Now(), labels...)
 }
 
-// StartSpanAt opens a root span at an explicit time in seconds.
+// StartSpanAt opens a root span at an explicit time in seconds. The span
+// and a copy of labels are carved from the registry's chunks.
 func (r *Registry) StartSpanAt(name string, at float64, labels ...Label) *Span {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.nextSpanID++
-	id := r.nextSpanID
-	r.mu.Unlock()
-	return &Span{reg: r, id: id, name: name, start: at, attrs: append([]Label{}, labels...)}
+	if len(r.spanChunk) == cap(r.spanChunk) {
+		r.spanChunk = make([]Span, 0, spanChunkLen)
+	}
+	r.spanChunk = append(r.spanChunk, Span{reg: r, id: r.nextSpanID, name: name, start: at})
+	s := &r.spanChunk[len(r.spanChunk)-1]
+	if len(labels) > 0 {
+		if cap(r.attrChunk)-len(r.attrChunk) < len(labels) {
+			r.attrChunk = make([]Label, 0, max(attrChunkLen, len(labels)))
+		}
+		i := len(r.attrChunk)
+		r.attrChunk = append(r.attrChunk, labels...)
+		// The full slice expression caps the span's attributes at its
+		// own, so SetAttr reallocates instead of writing over the next
+		// span's.
+		s.attrs = r.attrChunk[i:len(r.attrChunk):len(r.attrChunk)]
+	}
+	return s
 }
 
 // StartChild opens a sub-span at the registry clock's current time.

@@ -98,3 +98,29 @@ func TestConcurrentSpansAndReads(t *testing.T) {
 		t.Fatalf("kept+dropped = %d, want %d", got, 4*perWorker*2)
 	}
 }
+
+// TestChunkedSpansStayOwn: spans share chunks but not state. SetAttr on
+// one span leaves the attributes of the span carved right after it
+// alone, and a span held after End keeps its identity however many
+// spans open after it (chunks are never recycled).
+func TestChunkedSpansStayOwn(t *testing.T) {
+	r := NewRegistry()
+	a := r.StartSpanAt("a", 0, L("k", "a"))
+	b := r.StartSpanAt("b", 0, L("k", "b"))
+	a.SetAttr("extra", "x")
+	b.EndAt(1)
+	a.EndAt(1)
+	for i := 0; i < 2*spanChunkLen; i++ {
+		r.StartSpanAt("filler", 2, L("k", "filler")).EndAt(3)
+	}
+	spans, _ := r.Spans()
+	if got := spans[0]; got.Name != "b" || len(got.Attrs) != 1 || got.Attrs[0] != L("k", "b") {
+		t.Errorf("span b after a.SetAttr: %+v", got)
+	}
+	if got := spans[1]; got.Name != "a" || len(got.Attrs) != 2 || got.Attrs[1] != L("extra", "x") {
+		t.Errorf("span a: %+v", got)
+	}
+	if a.name != "a" || a.id != spans[1].ID || a.attrs[0] != L("k", "a") {
+		t.Errorf("a span held after End changed: %+v", *a)
+	}
+}
