@@ -1,9 +1,9 @@
-// Benchmarks: one per paper artifact (DESIGN.md §4). Each bench runs the
-// experiment driver that regenerates the corresponding figure/table, so
+// Benchmarks: BenchmarkExperiments regenerates every paper artifact
+// (DESIGN.md §4) through the driver cmd/mmtag and the grid run, so
 // `go test -bench=. -benchmem` exercises the full reproduction and its
-// cost. Correctness of the regenerated values is asserted by the tests in
-// internal/experiments; here we also re-check the headline anchors once
-// per bench so a silent regression cannot hide behind a fast run.
+// cost; the tests in internal/experiments assert the regenerated
+// values. The rest measure the hot paths, and benchTable lists the ones
+// the BENCH_N.json history tracks.
 package mmtag_test
 
 import (
@@ -17,6 +17,7 @@ import (
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/frame"
+	"github.com/mmtag/mmtag/internal/grid"
 	"github.com/mmtag/mmtag/internal/mac"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/event"
@@ -32,138 +33,19 @@ import (
 	"github.com/mmtag/mmtag/internal/vanatta"
 )
 
-// BenchmarkFigure6S11Sweep regenerates paper Fig. 6 (E1): the 201-point
-// S11 sweep of one tag element in both switch states.
-func BenchmarkFigure6S11Sweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.Figure6(201)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if math.Abs(r.CarrierOffDB+15) > 1 || math.Abs(r.CarrierOnDB+5) > 1 {
-			b.Fatalf("Fig. 6 anchors moved: off %.1f, on %.1f", r.CarrierOffDB, r.CarrierOnDB)
-		}
-	}
-}
-
-// BenchmarkFigure7LinkBudget regenerates paper Fig. 7 (E2): the 21-point
-// range sweep with noise floors and the rate table.
-func BenchmarkFigure7LinkBudget(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.Figure7(21)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.RateAt4ft < 1e9 || r.RateAt10ft < 1e7 {
-			b.Fatalf("Fig. 7 headline moved: %g @4ft, %g @10ft", r.RateAt4ft, r.RateAt10ft)
-		}
-	}
-}
-
-// BenchmarkRetrodirectivity regenerates E3: the Van Atta vs fixed-beam
-// incidence sweep (paper Fig. 3's argument, Eq. 5).
-func BenchmarkRetrodirectivity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.Retrodirectivity(25)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.WorstErrorDeg > 8 {
-			b.Fatalf("retrodirectivity broke: %.1f°", r.WorstErrorDeg)
-		}
-	}
-}
-
-// BenchmarkBeamwidth regenerates E4: the §7 geometry check.
-func BenchmarkBeamwidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.Beamwidth(6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.HPBWDeg < 15 || r.HPBWDeg > 21 {
-			b.Fatalf("beamwidth moved: %.1f°", r.HPBWDeg)
-		}
-	}
-}
-
-// BenchmarkComparisonTable regenerates E5: the §1/§3 baseline table.
-func BenchmarkComparisonTable(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.Comparison()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.MmTagAt4ft < 1e9 {
-			b.Fatal("comparison headline moved")
-		}
-	}
-}
-
-// BenchmarkOOKBER regenerates E6 at reduced Monte-Carlo depth: the OOK
-// waterfall validating the Fig. 7 thresholds.
-func BenchmarkOOKBER(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.BERValidation(20_000, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Points) == 0 {
-			b.Fatal("no BER points")
-		}
-	}
-}
-
-// BenchmarkMultiTagMAC regenerates E7: the §9 SDM + Aloha network sweep.
-func BenchmarkMultiTagMAC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.MultiTag([]int{1, 4, 16}, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Points) != 3 {
-			b.Fatal("multitag points")
-		}
-	}
-}
-
-// BenchmarkSelfInterference regenerates E8: the §9 isolation sweep with
-// full waveform-level decoding at each point.
-func BenchmarkSelfInterference(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.SelfInterference(mmtag.NewWorkspace(), uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.Points[0].Decoded {
-			b.Fatal("high-isolation decode failed")
-		}
-	}
-}
-
-// BenchmarkArraySizeAblation regenerates A1: the §8 element-count sweep.
-func BenchmarkArraySizeAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.ArraySizeAblation([]int{2, 6, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Points) != 3 {
-			b.Fatal("ablation points")
-		}
-	}
-}
-
-// BenchmarkImpairmentAblation regenerates A2: the phase-error sweep.
-func BenchmarkImpairmentAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.ImpairmentAblation([]float64{0, 20, 60}, 5, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Points) != 3 {
-			b.Fatal("impairment points")
-		}
+// BenchmarkExperiments regenerates each experiment of the catalogue at
+// its default parameters, one sub-benchmark per experiment, on one
+// reused workspace as a grid worker would.
+func BenchmarkExperiments(b *testing.B) {
+	for _, name := range grid.Drivers() {
+		b.Run(name, func(b *testing.B) {
+			ws := dsp.NewWorkspace()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := grid.RunDriver(name, grid.Params{Seed: uint64(i + 1)}, ws); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -460,87 +342,6 @@ func BenchmarkRateTable(b *testing.B) {
 	}
 }
 
-// BenchmarkEnergyFeasibility regenerates E9: the batteryless harvest
-// sweep.
-func BenchmarkEnergyFeasibility(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.EnergyFeasibility(11)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.BatterylessRangeFt < 10 {
-			b.Fatal("batteryless range regressed")
-		}
-	}
-}
-
-// BenchmarkAntiCollision regenerates E10: Aloha vs query tree.
-func BenchmarkAntiCollision(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.AntiCollision([]int{8, 32}, 10, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Points) != 2 {
-			b.Fatal("anticol points")
-		}
-	}
-}
-
-// BenchmarkBlockage regenerates E11: the §4 NLOS fallback sweep.
-func BenchmarkBlockage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.Blockage()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !r.SeveredWithoutReflector {
-			b.Fatal("blockage sanity broke")
-		}
-	}
-}
-
-// BenchmarkRateAdaptation regenerates E12: the OOK/4-ASK adaptation
-// sweep.
-func BenchmarkRateAdaptation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.RateAdaptation(21)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.PeakRateBps != 2e9 {
-			b.Fatal("adaptation peak regressed")
-		}
-	}
-}
-
-// BenchmarkFadingMargin regenerates E13: the Rician margin sweep
-// including ten waveform decodes per K.
-func BenchmarkFadingMargin(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.FadingMargin(mmtag.NewWorkspace(), uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Points) != 4 {
-			b.Fatal("fading points")
-		}
-	}
-}
-
-// BenchmarkBandScaling regenerates E14: the 24/39/60 GHz comparison.
-func BenchmarkBandScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.BandScaling()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Points[0].RateAt4ft < 1e9 {
-			b.Fatal("24 GHz anchor regressed")
-		}
-	}
-}
-
 // BenchmarkMobilityTrack measures the reader-tracks-walking-tag loop of
 // the AR-streaming scenario.
 func BenchmarkMobilityTrack(b *testing.B) {
@@ -564,47 +365,6 @@ func BenchmarkMobilityTrack(b *testing.B) {
 		}
 		if res.MaxRate < 1e8 {
 			b.Fatal("track rate regressed")
-		}
-	}
-}
-
-// BenchmarkCodedBER regenerates E15 at reduced Monte-Carlo depth.
-func BenchmarkCodedBER(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.CodedBER(40_000, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Points) == 0 {
-			b.Fatal("coded points")
-		}
-	}
-}
-
-// BenchmarkARQGoodput regenerates E16: waveform-level stop-and-wait ARQ
-// across the 2 GHz cliff.
-func BenchmarkARQGoodput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.ARQGoodput(6, uint64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.Points) != 7 {
-			b.Fatal("arq points")
-		}
-	}
-}
-
-// BenchmarkPlanarTag regenerates E17: the 2-D Van Atta comparison
-// (includes the 61×61 bistatic peak searches).
-func BenchmarkPlanarTag(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := mmtag.PlanarTag()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.PlanarGainDBi < 16 {
-			b.Fatal("planar gain regressed")
 		}
 	}
 }

@@ -1,35 +1,15 @@
 // Command mmtag regenerates every evaluation artifact of the mmTag paper
-// from the simulation library: each subcommand reproduces one figure,
-// table or claim (see DESIGN.md §4 for the experiment index).
+// from the simulation library: each experiment subcommand reproduces one
+// figure, table or claim. Run with no arguments, mmtag lists the
+// experiments with their paper labels in the order "all" runs them;
+// DESIGN.md §4 indexes them.
 //
 // Usage:
 //
 //	mmtag <experiment> [flags]
 //
-// Experiments:
+// Other subcommands:
 //
-//	fig6       E1: element S11 vs frequency, switch off/on (paper Fig. 6)
-//	fig7       E2: received power & data rate vs range     (paper Fig. 7)
-//	retro      E3: Van Atta vs fixed-beam across incidence (Fig. 3 / Eq. 5)
-//	beamwidth  E4: tag beamwidth & geometry                (paper §7)
-//	compare    E5: baseline systems vs mmTag               (paper §1/§3)
-//	ber        E6: OOK BER Monte-Carlo vs analytic
-//	mac        E7: multi-tag SDM + Aloha network           (paper §9)
-//	selfint    E8: decode health vs TX→RX isolation        (paper §9)
-//	arraysize  A1: element-count ablation                  (paper §8)
-//	energy     E9: batteryless feasibility (harvest vs draw)
-//	anticol    E10: Aloha vs binary query tree anti-collision
-//	blockage   E11: NLOS fallback when LOS is blocked (§4)
-//	rateadapt  E12: OOK vs 4-ASK modulation adaptation
-//	fading     E13: Rician fading margins
-//	bands      E14: 24/39/60 GHz band scaling (§7 footnote)
-//	coded      E15: Hamming(7,4)+interleaving coded vs uncoded BER
-//	arq        E16: link-layer goodput with stop-and-wait ARQ
-//	planar     E17: 2-D (planar) Van Atta vs fixed panel
-//	impair     A2: line phase-error ablation
-//	stream     E18: sustained streaming session (stage-parallel decode
-//	           pipeline) + flow-controlled offered-load sweep; -points
-//	           sets the session frame count
 //	all        run every experiment in order
 //	verify     re-hash a -rundir manifest (single run or grid) and fail
 //	           on any digest mismatch
@@ -102,7 +82,6 @@ import (
 	"time"
 
 	"github.com/mmtag/mmtag/internal/dsp"
-	"github.com/mmtag/mmtag/internal/experiments"
 	"github.com/mmtag/mmtag/internal/grid"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/alert"
@@ -153,16 +132,11 @@ type options struct {
 	diffSkip  string
 }
 
-// allExperiments is the "all" subcommand's order.
-var allExperiments = []string{"fig6", "fig7", "retro", "beamwidth", "compare", "ber",
-	"mac", "selfint", "energy", "anticol", "blockage", "rateadapt", "fading",
-	"bands", "coded", "arq", "planar", "arraysize", "impair", "stream"}
-
 func run(args []string) error {
 	fs := flag.NewFlagSet("mmtag", flag.ContinueOnError)
 	var opt options
 	fs.BoolVar(&opt.csv, "csv", false, "emit CSV instead of an aligned table")
-	fs.BoolVar(&opt.svg, "svg", false, "emit an SVG chart (fig6, fig7, retro)")
+	fs.BoolVar(&opt.svg, "svg", false, "emit an SVG chart ("+chartNames()+")")
 	fs.IntVar(&opt.points, "points", 0, "sweep resolution (0 = experiment default)")
 	fs.Uint64Var(&opt.seed, "seed", 1, "randomness seed")
 	fs.IntVar(&opt.bits, "bits", 200_000, "Monte-Carlo bits for the BER experiment")
@@ -185,7 +159,12 @@ func run(args []string) error {
 	fs.Float64Var(&opt.diffAbs, "abs", 1e-9, "absolute tolerance floor for the diff gate (diff subcommand)")
 	fs.StringVar(&opt.diffSkip, "skip", "", "comma-separated metric families to exclude from the diff gate")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: mmtag <fig6|fig7|retro|beamwidth|compare|ber|mac|selfint|energy|anticol|blockage|rateadapt|fading|bands|coded|arq|planar|arraysize|impair|stream|all|verify|grid|grid-report|diff> [flags]")
+		fmt.Fprint(os.Stderr, "usage: mmtag <experiment|all|verify|grid|grid-report|diff> [flags]\n\n"+
+			"experiments, in the order all runs them:\n")
+		for _, e := range grid.Experiments() {
+			fmt.Fprintf(os.Stderr, "  %-10s %s\n", e.Name, e.Usage)
+		}
+		fmt.Fprint(os.Stderr, "\nflags:\n")
 		fs.PrintDefaults()
 	}
 	if len(args) == 0 {
@@ -319,7 +298,7 @@ func run(args []string) error {
 
 	names := []string{name}
 	if name == "all" {
-		names = allExperiments
+		names = grid.Drivers()
 	}
 	if opt.repeat < 1 {
 		opt.repeat = 1
@@ -443,10 +422,21 @@ func writeObservability(s sinks.Sinks, eng *alert.Engine, started time.Time, exp
 }
 
 func emit(w io.Writer, name string, opt options) error {
+	p := grid.Params{Points: opt.points, Bits: opt.bits, Seed: opt.seed}
 	if opt.svg {
-		return emitSVG(w, name, opt)
+		for _, e := range grid.Experiments() {
+			if e.Name == name && e.Chart != nil {
+				svg, err := e.Chart(p)
+				if err != nil {
+					return err
+				}
+				fmt.Fprint(w, svg)
+				return nil
+			}
+		}
+		return fmt.Errorf("experiment %q has no SVG rendering (%s do)", name, chartNames())
 	}
-	tab, _, err := grid.RunDriver(name, grid.Params{Points: opt.points, Bits: opt.bits, Seed: opt.seed}, dsp.NewWorkspace())
+	tab, _, err := grid.RunDriver(name, p, dsp.NewWorkspace())
 	if err != nil {
 		return err
 	}
@@ -458,37 +448,13 @@ func emit(w io.Writer, name string, opt options) error {
 	return nil
 }
 
-// emitSVG renders the chart-capable experiments as SVG.
-func emitSVG(w io.Writer, name string, opt options) error {
-	var (
-		svg string
-		err error
-	)
-	switch name {
-	case "fig6":
-		r, e := experiments.Figure6(opt.points)
-		if e != nil {
-			return e
+// chartNames lists the experiments -svg can draw, in catalogue order.
+func chartNames() string {
+	var names []string
+	for _, e := range grid.Experiments() {
+		if e.Chart != nil {
+			names = append(names, e.Name)
 		}
-		svg, err = r.Chart().SVG()
-	case "fig7":
-		r, e := experiments.Figure7(opt.points)
-		if e != nil {
-			return e
-		}
-		svg, err = r.Chart().SVG()
-	case "retro":
-		r, e := experiments.Retrodirectivity(opt.points)
-		if e != nil {
-			return e
-		}
-		svg, err = r.Chart().SVG()
-	default:
-		return fmt.Errorf("experiment %q has no SVG rendering (fig6, fig7, retro do)", name)
 	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, svg)
-	return nil
+	return strings.Join(names, ", ")
 }

@@ -3,19 +3,6 @@
 // extensions DESIGN.md commits to. Each driver returns structured rows
 // plus a rendered text table so the CLI, the benchmarks and EXPERIMENTS.md
 // all share a single implementation.
-//
-// Index (see DESIGN.md §4):
-//
-//	E1  Figure6           S11 of a tag element, switch off/on
-//	E2  Figure7           received power & data rate vs range
-//	E3  Retrodirectivity  Van Atta vs fixed-beam across incidence angles
-//	E4  Beamwidth         6-element tag beamwidth (§7: "20 degree")
-//	E5  Comparison        baseline-vs-mmTag throughput table
-//	E6  BERValidation     Monte-Carlo OOK BER vs analytic at Fig. 7 points
-//	E7  MultiTag          SDM + Aloha network throughput (§9 extension)
-//	E8  SelfInterferenceWS rate vs reader isolation (§9 extension)
-//	A1  ArraySizeAblation range/rate vs element count (§8 remark)
-//	A2  ImpairmentAblation retro gain vs phase error & switch leakage
 package experiments
 
 import (

@@ -218,27 +218,6 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-func TestDriversRegistryCoversCLI(t *testing.T) {
-	// Every experiment cmd/mmtag dispatches (minus the chart-only and
-	// archival subcommands) should be runnable as a grid cell.
-	want := []string{"fig6", "fig7", "retro", "beamwidth", "compare", "ber",
-		"mac", "selfint", "energy", "anticol", "blockage", "rateadapt",
-		"fading", "bands", "coded", "arq", "planar", "arraysize", "impair",
-		"stream"}
-	have := map[string]bool{}
-	for _, d := range Drivers() {
-		have[d] = true
-	}
-	for _, w := range want {
-		if !have[w] {
-			t.Errorf("driver %q missing from the registry", w)
-		}
-	}
-	if len(want) != len(have) {
-		t.Errorf("registry has %d drivers, the CLI dispatch has %d", len(have), len(want))
-	}
-}
-
 func TestReportDeterministicArtifacts(t *testing.T) {
 	run := t.TempDir()
 	if _, err := Run(testSpec(), run, 2); err != nil {

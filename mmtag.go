@@ -292,7 +292,8 @@ func ReportGrid(runDir, reportDir string) error { return grid.Report(runDir, rep
 // VerifyGridDir checks every cell manifest of an archived grid run.
 func VerifyGridDir(dir string) error { return grid.VerifyDir(dir) }
 
-// GridDrivers lists the experiment drivers a grid spec may name.
+// GridDrivers lists the experiment drivers a grid spec may name, in
+// the order "mmtag all" runs them.
 func GridDrivers() []string { return grid.Drivers() }
 
 // NewTrace returns a trace with the given column names.
