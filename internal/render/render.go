@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Align selects the horizontal alignment of a column. The zero value is
@@ -205,8 +206,9 @@ func (t *Table) headers() []string {
 	return h
 }
 
-// widths returns per-column display widths over the header and every
-// row, growing past the header count when a row is ragged-long.
+// widths returns per-column display widths, in runes, over the header
+// and every row, growing past the header count when a row is
+// ragged-long.
 func (t *Table) widths() []int {
 	var w []int
 	grow := func(cells []string) {
@@ -214,8 +216,8 @@ func (t *Table) widths() []int {
 			for len(w) <= i {
 				w = append(w, 0)
 			}
-			if len(c) > w[i] {
-				w[i] = len(c)
+			if n := utf8.RuneCountInString(c); n > w[i] {
+				w[i] = n
 			}
 		}
 	}
@@ -251,7 +253,7 @@ func (t *Table) Plain() string {
 			}
 			pad := 0
 			if i < len(w) {
-				pad = w[i] - len(c)
+				pad = w[i] - utf8.RuneCountInString(c)
 			}
 			if t.align(i) == Right && pad > 0 {
 				b.WriteString(strings.Repeat(" ", pad))

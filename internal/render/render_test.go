@@ -64,17 +64,22 @@ func TestPlainAlignment(t *testing.T) {
 	)
 	tab.Add("a", 1)
 	tab.Add("longer", 12345)
+	// Cells are padded by runes, not bytes: σ and ° take two bytes each.
+	tab.AddRow("σ", "16.9°")
 	got := tab.Plain()
 	lines := strings.Split(got, "\n")
-	// Header, rule, two rows, trailing "".
-	if len(lines) != 5 {
-		t.Fatalf("want 5 lines, got %d: %q", len(lines), got)
+	// Header, rule, three rows, trailing "".
+	if len(lines) != 6 {
+		t.Fatalf("want 6 lines, got %d: %q", len(lines), got)
 	}
 	if lines[2] != "a           1" {
 		t.Errorf("right-aligned short row wrong: %q", lines[2])
 	}
 	if lines[3] != "longer  12345" {
 		t.Errorf("right-aligned long row wrong: %q", lines[3])
+	}
+	if lines[4] != "σ       16.9°" {
+		t.Errorf("multibyte row wrong: %q", lines[4])
 	}
 	// Legacy rule width: sum over columns of width+2.
 	if want := len("longer") + 2 + len("12345") + 2; len(lines[1]) != want {
