@@ -1,6 +1,9 @@
 package grid
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 )
@@ -39,6 +42,61 @@ func FuzzGridSpec(f *testing.F) {
 		for i := range cells {
 			if again[i] != cells[i] {
 				t.Fatalf("cell %d expands to %+v, then to %+v", i, cells[i], again[i])
+			}
+		}
+	})
+}
+
+// FuzzVerifyDir throws arbitrary bytes at the grid verifier: each input
+// replaces grid.json and the cell's manifest.json of a one-cell grid
+// that Run wrote. VerifyDir must never panic, must give the same error
+// text when called twice on the same directory, and an index that
+// ReadIndex accepts and VerifyDir passes may name only cells/<id>
+// directories that exist. The seed corpus in testdata/fuzz/FuzzVerifyDir
+// holds an index with a bad schema, one whose cell ID is "..", and a
+// manifest with two bad digests; the grid Run writes is added here.
+func FuzzVerifyDir(f *testing.F) {
+	dir := f.TempDir()
+	spec := &Spec{Schema: SpecSchema, Name: "fuzz", Seed: 1, Cells: []CellSpec{{Driver: "beamwidth"}}}
+	idx, err := Run(spec, dir, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	index := filepath.Join(dir, indexName)
+	manifest := filepath.Join(dir, idx.Cells[0].Dir, "manifest.json")
+	var seed [2][]byte
+	for i, path := range []string{index, manifest} {
+		if seed[i], err = os.ReadFile(path); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(seed[0], seed[1])
+	// Every input rewrites both files in place. The cell's other files
+	// stay as Run wrote them: VerifyDir only reads.
+	f.Fuzz(func(t *testing.T, indexData, manifestData []byte) {
+		if err := os.WriteFile(index, indexData, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifest, manifestData, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := VerifyDir(dir)
+		if again := VerifyDir(dir); fmt.Sprint(again) != fmt.Sprint(err) {
+			t.Fatalf("VerifyDir gave %v, then %v", err, again)
+		}
+		if err != nil {
+			return
+		}
+		got, err := ReadIndex(dir)
+		if err != nil {
+			t.Fatalf("VerifyDir passed an index ReadIndex rejects: %v", err)
+		}
+		for _, c := range got.Cells {
+			if c.Dir != filepath.Join(cellsDir, c.ID) {
+				t.Fatalf("verified cell %q has dir %q, not %s/<id>", c.ID, c.Dir, cellsDir)
+			}
+			if fi, err := os.Stat(filepath.Join(dir, c.Dir)); err != nil || !fi.IsDir() {
+				t.Fatalf("verified cell %q: no directory %s", c.ID, c.Dir)
 			}
 		}
 	})

@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -236,15 +237,22 @@ func IsBareName(name string) bool {
 }
 
 // Verify re-hashes every file the manifest lists and reports the first
-// mismatch — the integrity check for an archived run directory. A listed
-// name Write could not have written, such as ../outside.txt, is an
-// error: verification never reads outside dir.
+// mismatch — the integrity check for an archived run directory. Files
+// are checked in sorted name order so the first error is deterministic.
+// A listed name Write could not have written, such as ../outside.txt,
+// is an error: verification never reads outside dir.
 func Verify(dir string) error {
 	m, err := Read(dir)
 	if err != nil {
 		return err
 	}
-	for name, want := range m.Files {
+	names := make([]string, 0, len(m.Files))
+	for name := range m.Files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		want := m.Files[name]
 		if !IsBareName(name) {
 			return fmt.Errorf("manifest: %s lists %q, which is not a bare file name", dir, name)
 		}

@@ -111,14 +111,21 @@ func TestReadAndVerify(t *testing.T) {
 	if err := Verify(dir); err != nil {
 		t.Fatalf("verify clean dir: %v", err)
 	}
-	// Corrupt one artifact; Verify must name it.
-	path := filepath.Join(dir, "events.jsonl")
-	if err := os.WriteFile(path, []byte("tampered\n"), 0o644); err != nil {
-		t.Fatal(err)
+	// Corrupt two artifacts; Verify must name the first in sorted
+	// order, every time.
+	for _, name := range []string{"trace.json", "events.jsonl"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("tampered\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	err = Verify(dir)
 	if err == nil || !strings.Contains(err.Error(), "events.jsonl") {
 		t.Fatalf("verify after tamper: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		if again := Verify(dir); again == nil || again.Error() != err.Error() {
+			t.Fatalf("verify call %d: %v, first call: %v", i, again, err)
+		}
 	}
 }
 
@@ -155,7 +162,8 @@ func TestWriteNilStores(t *testing.T) {
 
 // TestEventsDeterministicAcrossWrites: the same log written into two run
 // directories produces byte-identical events.jsonl with equal digests —
-// the property the determinism CI job diffs across -workers counts.
+// the property cmd/mmtag's TestRunDirGolden checks across -workers
+// counts.
 func TestEventsDeterministicAcrossWrites(t *testing.T) {
 	events := sinks.Sinks{Events: populate().Events}
 	d1, d2 := t.TempDir(), t.TempDir()
