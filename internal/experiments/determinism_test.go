@@ -61,8 +61,8 @@ func renderAll(t *testing.T) string {
 // TestExperimentsWorkerCountInvariance is the repo's determinism
 // contract: every experiment's rendered output must be byte-identical
 // whether the sweeps run on one goroutine (the reference stream) or on
-// any other worker count. The CI determinism job enforces the same
-// property end to end through cmd/mmtag.
+// any other worker count. cmd/mmtag's TestExperimentOutputGolden
+// enforces the same property end to end at -workers 1 and 8.
 func TestExperimentsWorkerCountInvariance(t *testing.T) {
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)
@@ -96,8 +96,8 @@ func eventsAll(t *testing.T) []byte {
 // TestEventLogWorkerCountInvariance extends the determinism contract to
 // the structured event log: the events.jsonl exposition must be
 // byte-identical for any worker count, even though the emitting shards
-// interleave differently on every run. The CI determinism job diffs the
-// same artifact end to end through cmd/mmtag -rundir.
+// interleave differently on every run. cmd/mmtag's TestRunDirGolden
+// checks the same artifact end to end through -rundir.
 func TestEventLogWorkerCountInvariance(t *testing.T) {
 	prev := par.SetWorkers(1)
 	defer par.SetWorkers(prev)

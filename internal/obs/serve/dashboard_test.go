@@ -127,9 +127,9 @@ func TestDashboardWithoutTap(t *testing.T) {
 }
 
 // TestDashboardWorkerInvariance is the rendered-numbers counterpart of
-// the CI determinism job: the deterministic section of the dashboard
-// must be byte-identical when the same workload ran at different
-// -workers counts. The volatile process header (uptime, PID, scrapes)
+// cmd/mmtag's worker-count goldens: the deterministic section of the
+// dashboard must be byte-identical when the same workload ran at
+// different -workers counts. The volatile process header (uptime, PID, scrapes)
 // sits outside the markers and is allowed to differ.
 func TestDashboardWorkerInvariance(t *testing.T) {
 	s1 := feedDashboard(t, 1)

@@ -43,6 +43,7 @@ func TestEndpointsWhileRecording(t *testing.T) {
 	defer ts.Close()
 
 	stop := make(chan struct{})
+	recording := make(chan struct{}) // closed once every store holds a record
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -59,9 +60,13 @@ func TestEndpointsWhileRecording(t *testing.T) {
 			sp.EndAt(float64(i) + 0.5)
 			log.Emit(float64(i), event.LevelInfo, "core.burst", "decoded",
 				event.D("i", i))
+			if i == 0 {
+				close(recording)
+			}
 		}
 	}()
 	defer func() { close(stop); wg.Wait() }()
+	<-recording
 
 	status, ct, body := get(t, ts, "/metrics")
 	if status != 200 || ct != PrometheusContentType {
