@@ -28,8 +28,9 @@ import (
 // telemetryGoldenPath holds one SHA-256 per artifact of a sampled ARQ
 // run (sha256sum format: digest, two spaces, "<range>/<artifact>"). The
 // digests were taken before the registry, span and event stores were
-// rewritten to record without allocating, and are never re-pinned to
-// make this test pass.
+// rewritten to record without allocating, and the trace.json lines
+// before the metrics and trace exporters were hand-encoded; none is
+// ever re-pinned to make this test pass.
 var telemetryGoldenPath = filepath.Join("testdata", "telemetry7.sha256")
 
 // telemetryArtifacts runs one sampled ARQ op — 20 frames of 64 B at
@@ -64,6 +65,10 @@ func telemetryArtifacts(t *testing.T, ft float64) map[string][]byte {
 	if out["metrics.json"], err = reg.Snapshot().JSON(); err != nil {
 		t.Fatal(err)
 	}
+	spans, dropped := reg.Spans()
+	if out["trace.json"], err = obs.TraceJSON(spans, dropped); err != nil {
+		t.Fatal(err)
+	}
 	out["metrics.prom"] = []byte(reg.PrometheusText())
 	out["timeseries.json"] = smp.JSON()
 	trans, _ := alert.Default().Evaluate(smp.Snapshot())
@@ -89,13 +94,15 @@ func telemetryArtifacts(t *testing.T, ft float64) map[string][]byte {
 // telemetryArtifactNames fixes the digest order.
 var telemetryArtifactNames = []string{
 	"metrics.json", "metrics.prom", "timeseries.json", "alerts.jsonl", "events.jsonl", "flight",
+	"trace.json",
 }
 
 // TestTelemetryArtifactsGolden pins every telemetry artifact of a
 // sampled ARQ op on either side of the gigabit range edge: the metrics
 // snapshot with its spans (IDs, parents, attributes), the Prometheus
-// text, the time series, the alert transitions, the event lines and the
-// flight-recorder files. Floating-point output is only pinned on amd64.
+// text, the time series, the alert transitions, the event lines, the
+// flight-recorder files and the span trace. Floating-point output is
+// only pinned on amd64.
 func TestTelemetryArtifactsGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are pinned on amd64, not %s", runtime.GOARCH)
