@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -134,6 +135,64 @@ func TestSVGOutputGolden(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != digests[name] {
 			t.Errorf("%s -svg -seed 7: stdout sha256 %s, golden %s", name, got, digests[name])
 		}
+	}
+}
+
+// emptyManifestFiles rewrites dir's manifest.json with an empty files
+// map and writes garbage over dir/victim.
+func emptyManifestFiles(t *testing.T, dir, victim string) {
+	t.Helper()
+	path := filepath.Join(dir, "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["files"] = map[string]any{}
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, victim), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVerifyEmptiedManifest: a manifest whose files map was emptied
+// vouches for nothing, so verify must fail on the tampered file it no
+// longer lists, in a single run directory and in a grid cell.
+func TestVerifyEmptiedManifest(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	run := filepath.Join(dir, "run")
+	if _, errOut, code := mmtag(t, "fig6", "-rundir", run); code != 0 {
+		t.Fatalf("fig6 -rundir: exit %d: %s", code, errOut)
+	}
+	emptyManifestFiles(t, run, "metrics.json")
+	if _, errOut, code := mmtag(t, "verify", "-rundir", run); code != 1 || !strings.Contains(errOut, "does not list") {
+		t.Errorf("verify on an emptied manifest: exit %d, stderr %q; want exit 1 naming an unlisted file", code, errOut)
+	}
+
+	spec := filepath.Join(dir, "spec.json")
+	if err := os.WriteFile(spec, []byte(`{"schema": "mmtag-grid/1", "name": "one", "seed": 1, "cells": [{"driver": "beamwidth"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "grid")
+	if _, errOut, code := mmtag(t, "grid", "-f", spec, "-out", out); code != 0 {
+		t.Fatalf("grid: exit %d: %s", code, errOut)
+	}
+	cells, err := filepath.Glob(filepath.Join(out, "cells", "*"))
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("grid cells %v, %v; want one", cells, err)
+	}
+	emptyManifestFiles(t, cells[0], "table.txt")
+	if _, errOut, code := mmtag(t, "verify", "-rundir", out); code != 1 || !strings.Contains(errOut, "table.txt") {
+		t.Errorf("verify on a grid cell's emptied manifest: exit %d, stderr %q; want exit 1 naming table.txt", code, errOut)
 	}
 }
 

@@ -120,9 +120,12 @@ func TestGridCellManifestsVerify(t *testing.T) {
 func TestVerifyDirStaysInsideGrid(t *testing.T) {
 	root := t.TempDir()
 	grid := filepath.Join(root, "grid")
+	var cell []manifest.ExtraFile
+	for _, name := range cellFiles {
+		cell = append(cell, manifest.ExtraFile{Name: name, Data: []byte("t\n")})
+	}
 	for _, d := range []string{filepath.Join(grid, cellsDir, "x"), filepath.Join(root, "elsewhere")} {
-		if _, err := manifest.Write(d, manifest.RunInfo{Experiment: "beamwidth"}, sinks.Sinks{}, nil,
-			manifest.ExtraFile{Name: "table.txt", Data: []byte("t\n")}); err != nil {
+		if _, err := manifest.Write(d, manifest.RunInfo{Experiment: "beamwidth"}, sinks.Sinks{}, nil, cell...); err != nil {
 			t.Fatal(err)
 		}
 	}

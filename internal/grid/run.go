@@ -28,6 +28,10 @@ const (
 	cellsDir  = "cells"
 )
 
+// cellFiles are the tables and cell record Run archives in every cell;
+// VerifyDir requires each cell's manifest to list them.
+var cellFiles = []string{"table.txt", "table.csv", "cell.json"}
+
 // CellResult is one executed cell as recorded in the run index.
 type CellResult struct {
 	Cell
@@ -202,9 +206,10 @@ func IsGridDir(dir string) bool {
 
 // VerifyDir checks a grid run directory end to end: the index parses,
 // every indexed cell directory is cells/<id> (the layout Run writes, so
-// verification never reads outside dir) and exists, and every cell
-// manifest's digests match the archived bytes. Cells are checked in
-// sorted order so the first error is deterministic.
+// verification never reads outside dir) and exists, every cell
+// manifest's digests match the archived bytes, and every cell manifest
+// lists table.txt, table.csv and cell.json. Cells are checked in sorted
+// order so the first error is deterministic.
 func VerifyDir(dir string) error {
 	idx, err := ReadIndex(dir)
 	if err != nil {
@@ -216,8 +221,18 @@ func VerifyDir(dir string) error {
 		if !manifest.IsBareName(c.ID) || c.Dir != filepath.Join(cellsDir, c.ID) {
 			return fmt.Errorf("grid: cell %q: dir %q is not %s/<id>", c.ID, c.Dir, cellsDir)
 		}
-		if err := manifest.Verify(filepath.Join(dir, c.Dir)); err != nil {
+		cellDir := filepath.Join(dir, c.Dir)
+		if err := manifest.Verify(cellDir); err != nil {
 			return fmt.Errorf("grid: cell %s: %w", c.ID, err)
+		}
+		m, err := manifest.Read(cellDir)
+		if err != nil {
+			return fmt.Errorf("grid: cell %s: %w", c.ID, err)
+		}
+		for _, name := range cellFiles {
+			if _, ok := m.Files[name]; !ok {
+				return fmt.Errorf("grid: cell %s: manifest does not list %s", c.ID, name)
+			}
 		}
 	}
 	return nil

@@ -21,7 +21,7 @@ func FuzzIQRead(f *testing.F) {
 		if uint64(len(samples)) != hdr.Samples {
 			t.Fatalf("header claims %d samples, read %d", hdr.Samples, len(samples))
 		}
-		enc, err := Encode(hdr, samples)
+		enc, err := Encode(nil, hdr, samples)
 		if err != nil {
 			t.Fatalf("Encode rejects a capture Read accepted (%+v): %v", hdr, err)
 		}

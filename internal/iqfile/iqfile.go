@@ -13,11 +13,11 @@ package iqfile
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies an IQ capture file.
@@ -43,64 +43,44 @@ type Header struct {
 	Samples uint64
 }
 
-// Write serializes a capture.
+// headerLen is the encoded size of a Header with its magic and version.
+const headerLen = 32
+
+// Write serializes a capture: its Encode bytes, in one Write.
 func Write(w io.Writer, hdr Header, samples []complex128) error {
-	if uint64(len(samples)) != hdr.Samples {
-		return fmt.Errorf("iqfile: header says %d samples, got %d", hdr.Samples, len(samples))
-	}
-	if hdr.Samples > MaxSamples {
-		return fmt.Errorf("iqfile: %d samples exceeds max %d", hdr.Samples, MaxSamples)
-	}
-	if hdr.SampleRateHz <= 0 {
-		return fmt.Errorf("iqfile: non-positive sample rate")
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(Magic); err != nil {
+	data, err := Encode(nil, hdr, samples)
+	if err != nil {
 		return err
 	}
-	if err := bw.WriteByte(Version); err != nil {
-		return err
-	}
-	// flags + reserved
-	if _, err := bw.Write([]byte{0, 0, 0}); err != nil {
-		return err
-	}
-	var buf [8]byte
-	put := func(v uint64) error {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		_, err := bw.Write(buf[:])
-		return err
-	}
-	if err := put(math.Float64bits(hdr.SampleRateHz)); err != nil {
-		return err
-	}
-	if err := put(math.Float64bits(hdr.CarrierHz)); err != nil {
-		return err
-	}
-	if err := put(hdr.Samples); err != nil {
-		return err
-	}
-	var sb [8]byte
-	for _, s := range samples {
-		binary.LittleEndian.PutUint32(sb[0:4], math.Float32bits(float32(real(s))))
-		binary.LittleEndian.PutUint32(sb[4:8], math.Float32bits(float32(imag(s))))
-		if _, err := bw.Write(sb[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	_, err = w.Write(data)
+	return err
 }
 
-// Encode serializes a capture to an in-memory byte slice — the
-// flight-recorder path, where captures are handed to the run-directory
-// manifest writer rather than streamed to disk directly.
-func Encode(hdr Header, samples []complex128) ([]byte, error) {
-	var b bytes.Buffer
-	b.Grow(24 + 8*len(samples) + 8)
-	if err := Write(&b, hdr, samples); err != nil {
-		return nil, err
+// Encode appends a capture to dst: the header, then each sample as an
+// (I, Q) pair of little-endian float32s. It is the one sample encoder:
+// Write writes its bytes out, and the flight recorder keeps them in a
+// reused slot. With room in dst it does not allocate.
+func Encode(dst []byte, hdr Header, samples []complex128) ([]byte, error) {
+	if uint64(len(samples)) != hdr.Samples {
+		return dst, fmt.Errorf("iqfile: header says %d samples, got %d", hdr.Samples, len(samples))
 	}
-	return b.Bytes(), nil
+	if hdr.Samples > MaxSamples {
+		return dst, fmt.Errorf("iqfile: %d samples exceeds max %d", hdr.Samples, MaxSamples)
+	}
+	if hdr.SampleRateHz <= 0 {
+		return dst, fmt.Errorf("iqfile: non-positive sample rate")
+	}
+	dst = slices.Grow(dst, headerLen+8*len(samples))
+	dst = append(dst, Magic...)
+	dst = append(dst, Version, 0, 0, 0) // version, flags, reserved u16
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(hdr.SampleRateHz))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(hdr.CarrierHz))
+	dst = binary.LittleEndian.AppendUint64(dst, hdr.Samples)
+	for _, s := range samples {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(real(s))))
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(imag(s))))
+	}
+	return dst, nil
 }
 
 // Read parses a capture.

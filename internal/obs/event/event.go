@@ -203,9 +203,18 @@ func (l *Log) Lines() [][]byte {
 
 // WriteJSONL writes the sorted events as JSON Lines (one object per
 // line, trailing newline each): one Write per line, straight from the
-// stored bytes.
+// stored bytes. A writer with a Grow method, such as a bytes.Buffer or
+// a strings.Builder, is grown once to the whole output first.
 func (l *Log) WriteJSONL(w io.Writer) error {
-	for _, e := range l.sorted() {
+	sorted := l.sorted()
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		n := 0
+		for _, e := range sorted {
+			n += len(e.line) + 1
+		}
+		g.Grow(n)
+	}
+	for _, e := range sorted {
 		if _, err := w.Write(e.line[:len(e.line)+1]); err != nil {
 			return err
 		}

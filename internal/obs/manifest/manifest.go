@@ -236,11 +236,22 @@ func IsBareName(name string) bool {
 	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
 }
 
+// artifacts match the names of the files Write archives from the
+// sinks. Verify fails on any of them the manifest does not list, so an
+// emptied or trimmed files map cannot vouch for a directory whose
+// artifacts were replaced.
+var artifacts = []string{
+	"metrics.json", "trace.json", "events.jsonl", "timeseries.json", "alerts.jsonl",
+	"flight.json", "flight_*.iq",
+}
+
 // Verify re-hashes every file the manifest lists and reports the first
 // mismatch — the integrity check for an archived run directory. Files
 // are checked in sorted name order so the first error is deterministic.
 // A listed name Write could not have written, such as ../outside.txt,
-// is an error: verification never reads outside dir.
+// is an error: verification never reads outside dir. So is a file in
+// dir named like one of Write's artifacts (metrics.json, flight_*.iq,
+// ...) that the manifest does not list.
 func Verify(dir string) error {
 	m, err := Read(dir)
 	if err != nil {
@@ -266,5 +277,23 @@ func Verify(dir string) error {
 				name, got, want.SHA256)
 		}
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("manifest: %w", err)
+	}
+	for _, e := range entries {
+		if _, listed := m.Files[e.Name()]; !listed && isArtifact(e.Name()) {
+			return fmt.Errorf("manifest: %s holds %s, which the manifest does not list", dir, e.Name())
+		}
+	}
 	return nil
+}
+
+func isArtifact(name string) bool {
+	for _, pattern := range artifacts {
+		if ok, _ := filepath.Match(pattern, name); ok {
+			return true
+		}
+	}
+	return false
 }

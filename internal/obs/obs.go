@@ -143,10 +143,12 @@ type Registry struct {
 
 	nextSpanID uint64
 	// spanChunk and attrChunk are the blocks open spans and their
-	// attributes are carved from (span.go).
+	// attributes are carved from, and done holds the finished spans in
+	// chunks of the same length (span.go).
 	spanChunk []Span
 	attrChunk []Label
-	spans     []SpanRecord
+	done      [][]SpanRecord
+	nDone     int
 	dropped   uint64
 }
 

@@ -375,3 +375,36 @@ func TestSpanAllocs(t *testing.T) {
 		t.Errorf("%v allocs over %d labelled spans: %.3f per span, want ≤ 0.05", n, spans, per)
 	}
 }
+
+// TestSnapshotJSONAllocs: metrics.json and trace.json are written into
+// one buffer sized from the snapshot, so encoding a registry with wall
+// clock spans, labelled histograms and span attributes allocates the
+// buffer and the sorted label keys, and the trace only its buffer.
+func TestSnapshotJSONAllocs(t *testing.T) {
+	r := NewRegistry()
+	now := 1.7e9
+	r.SetClock(func() float64 { now += 1.234567e-4; return now })
+	for i := 0; i < 300; i++ {
+		bw := L("bw", []string{"2 GHz", "200 MHz"}[i%2])
+		r.Observe("core_burst_seconds", float64(i)*3.3e-7, bw, L("mcs", "OOK"))
+		r.Add("core_bursts_total", 1, bw)
+		sp := r.StartSpan("core.burst", bw)
+		sp.StartChild("phy.sync").End()
+		sp.End()
+	}
+	snap := r.Snapshot()
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := snap.JSON(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("Snapshot.JSON: %v allocs, want ≤ 2", n)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, err := TraceJSON(snap.Spans, snap.DroppedSpans); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("TraceJSON: %v allocs, want 1", n)
+	}
+}

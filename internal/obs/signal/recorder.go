@@ -2,17 +2,23 @@ package signal
 
 import (
 	"math"
+	"slices"
 
 	"github.com/mmtag/mmtag/internal/iqfile"
 )
 
-// entry is one flight-recorder ring slot. The iq buffer is reused
-// across overwrites so a warmed ring records with zero allocations.
+// entry is one flight-recorder ring slot. It keeps the capture as its
+// .iq file bytes, the header and then 8 bytes per sample (half the
+// capture's complex128 size). The buffer is reused across overwrites so
+// a warmed ring records with zero allocations.
 type entry struct {
-	used         bool
-	seq          uint64
-	trigger      string
-	iq           []complex128
+	used    bool
+	seq     uint64
+	trigger string
+	file    []byte
+	// err is why the capture could not be encoded; FlightFiles reports it.
+	err          error
+	samples      int
 	sampleRateHz float64
 	carrierHz    float64
 	bandwidth    string
@@ -40,7 +46,12 @@ func (r *recorder) record(trigger string, iq []complex128, sampleRateHz, carrier
 	e.used = true
 	e.seq = r.triggers
 	e.trigger = trigger
-	e.iq = append(e.iq[:0], iq...)
+	e.file, e.err = iqfile.Encode(e.file[:0], iqfile.Header{
+		SampleRateHz: sampleRateHz,
+		CarrierHz:    carrierHz,
+		Samples:      uint64(len(iq)),
+	}, iq)
+	e.samples = len(iq)
 	e.sampleRateHz = sampleRateHz
 	e.carrierHz = carrierHz
 	e.bandwidth = bandwidth
@@ -81,21 +92,16 @@ func (r *recorder) files() ([]File, error) {
 	files := make([]File, 0, len(ordered)+1)
 	metas := make([]flightMeta, 0, len(ordered))
 	for _, e := range ordered {
-		name := flightName(e.seq, e.trigger)
-		data, err := iqfile.Encode(iqfile.Header{
-			SampleRateHz: e.sampleRateHz,
-			CarrierHz:    e.carrierHz,
-			Samples:      uint64(len(e.iq)),
-		}, e.iq)
-		if err != nil {
-			return nil, err
+		if e.err != nil {
+			return nil, e.err
 		}
-		files = append(files, File{Name: name, Data: data})
+		name := flightName(e.seq, e.trigger)
+		files = append(files, File{Name: name, Data: slices.Clone(e.file)})
 		metas = append(metas, flightMeta{
 			File:         name,
 			Trigger:      e.trigger,
 			Seq:          e.seq,
-			Samples:      len(e.iq),
+			Samples:      e.samples,
 			SampleRateHz: e.sampleRateHz,
 			CarrierHz:    e.carrierHz,
 			Bandwidth:    e.bandwidth,

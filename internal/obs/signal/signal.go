@@ -292,7 +292,7 @@ func (t *Tap) SetFlightRecorder(k int) {
 
 // RecordFailure captures a failing burst's IQ into the flight recorder
 // (no-op without one). The IQ slice may be workspace-backed; it is
-// copied into a reusable ring slot.
+// encoded into a reusable ring slot.
 func (t *Tap) RecordFailure(trigger string, iq []complex128, sampleRateHz, carrierHz float64, bandwidth, mcs string, snrDB float64) {
 	// The Enabled guard keeps the label slice from being built (and
 	// heap-allocated) when no registry is installed — the failure path

@@ -210,6 +210,45 @@ func TestFlightRecorderWrapAndFiles(t *testing.T) {
 	}
 }
 
+// TestFlightSlotHoldsFileBytes: a ring slot keeps its capture as the
+// .iq file itself, 8 bytes per sample after the header, reused when a
+// shorter capture overwrites it, and FlightFiles hands out a copy equal
+// to iqfile.Encode of the capture.
+func TestFlightSlotHoldsFileBytes(t *testing.T) {
+	tap := &Tap{}
+	tap.SetFlightRecorder(1)
+	long := make([]complex128, 1000)
+	for i := range long {
+		long[i] = complex(float64(i)*1e-3, -float64(i)*1e-3)
+	}
+	short := long[:400]
+	tap.RecordFailure(TriggerCRCFail, long, 2e9, 24e9, "2 GHz", "OOK", 5)
+	slot := &tap.rec.entries[0]
+	if want := 32 + 8*len(long); len(slot.file) != want || cap(slot.file) > want+want/8 {
+		t.Fatalf("slot holds %d bytes (cap %d) for %d samples, want %d", len(slot.file), cap(slot.file), len(long), want)
+	}
+	buf := &slot.file[:1][0]
+	tap.RecordFailure(TriggerSyncLoss, short, 2e9, 24e9, "2 GHz", "OOK", 0)
+	if &slot.file[:1][0] != buf {
+		t.Error("a shorter capture did not reuse the slot's buffer")
+	}
+	files, err := tap.FlightFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := iqfile.Encode(nil, iqfile.Header{SampleRateHz: 2e9, CarrierHz: 24e9, Samples: uint64(len(short))}, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(files[0].Data, want) {
+		t.Fatal("flight capture differs from iqfile.Encode of the burst")
+	}
+	files[0].Data[0] = 'X'
+	if slot.file[0] != 'M' {
+		t.Error("FlightFiles handed out the slot's own buffer")
+	}
+}
+
 func TestRecordFailureSanitizesNaNSNR(t *testing.T) {
 	tap := &Tap{}
 	tap.SetFlightRecorder(1)

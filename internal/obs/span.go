@@ -7,7 +7,9 @@ const maxSpans = 4096
 // elements, so opening a span allocates once per chunk rather than once
 // per span. A chunk is never reused: a caller may hold a *Span after
 // End, and the chunk lives until the garbage collector finds no span
-// of it referenced.
+// of it referenced. Finished spans are kept in chunks of spanChunkLen
+// too, so the store grows by one chunk at a time and never copies what
+// it holds.
 const (
 	spanChunkLen = 256
 	attrChunkLen = 512
@@ -126,8 +128,13 @@ func (s *Span) EndAt(at float64) {
 	}
 	r := s.reg
 	r.mu.Lock()
-	if len(r.spans) < maxSpans {
-		r.spans = append(r.spans, rec)
+	if r.nDone < maxSpans {
+		if r.nDone%spanChunkLen == 0 {
+			r.done = append(r.done, make([]SpanRecord, 0, spanChunkLen))
+		}
+		last := &r.done[len(r.done)-1]
+		*last = append(*last, rec)
+		r.nDone++
 	} else {
 		r.dropped++
 	}
@@ -139,5 +146,15 @@ func (s *Span) EndAt(at float64) {
 func (r *Registry) Spans() ([]SpanRecord, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]SpanRecord{}, r.spans...), r.dropped
+	return r.finishedSpans(), r.dropped
+}
+
+// finishedSpans copies the finished spans, in completion order, into one
+// slice of their exact length; caller holds r.mu.
+func (r *Registry) finishedSpans() []SpanRecord {
+	out := make([]SpanRecord, 0, r.nDone)
+	for _, c := range r.done {
+		out = append(out, c...)
+	}
+	return out
 }

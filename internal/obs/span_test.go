@@ -2,8 +2,10 @@ package obs
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestSetMaxSpansTruncationAccounting: once the finished-span buffer
@@ -122,5 +124,24 @@ func TestChunkedSpansStayOwn(t *testing.T) {
 	}
 	if a.name != "a" || a.id != spans[1].ID || a.attrs[0] != L("k", "a") {
 		t.Errorf("a span held after End changed: %+v", *a)
+	}
+}
+
+// TestFinishedSpansGrowByChunks: finished spans are kept in fixed
+// chunks, never copied to grow, so filling the store allocates little
+// more than the records themselves and the open spans they came from.
+func TestFinishedSpansGrowByChunks(t *testing.T) {
+	r := NewRegistry()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < maxSpans; i++ {
+		r.StartSpanAt("s", 0).EndAt(1)
+	}
+	runtime.ReadMemStats(&after)
+	records := maxSpans * int(unsafe.Sizeof(SpanRecord{}))
+	open := maxSpans * int(unsafe.Sizeof(Span{}))
+	if got := int(after.TotalAlloc - before.TotalAlloc); got > open+records+records/8 {
+		t.Errorf("%d spans allocated %d bytes, want ≤ %d (open spans %d + records %d + 1/8)",
+			maxSpans, got, open+records+records/8, open, records)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/mmtag/mmtag/internal/obs"
@@ -331,15 +332,28 @@ func (s *Sampler) Snapshot() Snapshot {
 	}
 	order := make([]*seriesState, len(s.series))
 	copy(order, s.series)
-	sort.Slice(order, func(i, j int) bool { return order[i].key < order[j].key })
+	slices.SortFunc(order, func(a, b *seriesState) int { return strings.Compare(a.key, b.key) })
+	if len(order) == 0 {
+		return snap
+	}
+	// The series' labels, points and histogram bucket counts are copied
+	// into one block each, and every slice a series hands out is a window
+	// of its block capped at its own length.
+	var nl, np, nc int
 	for _, st := range order {
-		se := Series{
-			Name:    st.name,
-			Kind:    st.kind,
-			Labels:  append([]obs.Label{}, st.labels...),
-			Buckets: st.buckets,
-			Points:  make([]Point, 0, st.occupied),
+		nl += len(st.labels)
+		np += st.occupied
+		if st.kind == obs.KindHistogram {
+			nc += st.occupied * (len(st.buckets) + 1)
 		}
+	}
+	labels := make([]obs.Label, 0, nl)
+	points := make([]Point, 0, np)
+	counts := make([]uint64, 0, nc)
+	snap.Series = make([]Series, 0, len(order))
+	for _, st := range order {
+		l0, p0 := len(labels), len(points)
+		labels = append(labels, st.labels...)
 		nb := len(st.buckets) + 1
 		for i := 0; i < s.slotCap; i++ {
 			if !st.occ[i] {
@@ -348,11 +362,19 @@ func (s *Sampler) Snapshot() Snapshot {
 			p := Point{T: float64(uint64(i)*s.stride) * s.dt, V: st.val[i]}
 			if st.kind == obs.KindHistogram {
 				p.Count = st.count[i]
-				p.Counts = append([]uint64{}, st.counts[i*nb:(i+1)*nb]...)
+				c0 := len(counts)
+				counts = append(counts, st.counts[i*nb:(i+1)*nb]...)
+				p.Counts = counts[c0:len(counts):len(counts)]
 			}
-			se.Points = append(se.Points, p)
+			points = append(points, p)
 		}
-		snap.Series = append(snap.Series, se)
+		snap.Series = append(snap.Series, Series{
+			Name:    st.name,
+			Kind:    st.kind,
+			Labels:  labels[l0:len(labels):len(labels)],
+			Buckets: st.buckets,
+			Points:  points[p0:len(points):len(points)],
+		})
 	}
 	return snap
 }

@@ -175,6 +175,37 @@ func TestRecordSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSnapshotAllocsPerSeries: a snapshot copies its series' labels,
+// points and bucket counts into one block each, not one slice per
+// histogram point, so several labelled histogram series of many points
+// cost at most 3 allocations per series. Each point's Counts is capped
+// at its own buckets, so appending to one leaves the next point alone.
+func TestSnapshotAllocsPerSeries(t *testing.T) {
+	const series, points = 6, 64
+	reg := obs.NewRegistry()
+	s, _ := tsdb.New(1e-6)
+	reg.SetSampleSink(s)
+	for i := range series {
+		shard := obs.L("shard", strconv.Itoa(i))
+		for p := range points {
+			reg.ObserveAt(float64(p)*1e-6, "h_seconds", float64(p%9)*1e-6, shard)
+		}
+	}
+	snap := s.Snapshot()
+	if len(snap.Series) != series || len(snap.Series[0].Points) != points {
+		t.Fatalf("%d series of %d points, want %d of %d", len(snap.Series), len(snap.Series[0].Points), series, points)
+	}
+	if n := testing.AllocsPerRun(20, func() { s.Snapshot() }); n > 3*series {
+		t.Errorf("Snapshot of %d histogram series of %d points: %v allocs, want ≤ %d", series, points, n, 3*series)
+	}
+	p0, p1 := snap.Series[0].Points[0], snap.Series[0].Points[1]
+	want := p1.Counts[0]
+	_ = append(p0.Counts, 99)
+	if p1.Counts[0] != want {
+		t.Errorf("appending to one point's Counts changed the next point's: %d, want %d", p1.Counts[0], want)
+	}
+}
+
 func TestJSONShape(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, _ := tsdb.New(1e-6)
