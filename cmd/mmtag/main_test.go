@@ -76,27 +76,39 @@ func readGolden(t *testing.T, file string) (names []string, digests map[string]s
 // TestExperimentOutputGolden pins the stdout of "mmtag all -seed 7"
 // to testdata/seed7.sha256, one digest per experiment in catalogue
 // order, at -workers 1 (the sequential reference stream) and at
-// -workers 8. The digests were taken before the experiment table moved
-// into internal/grid, so they hold the command to its old bytes; the
-// five tables with multibyte cells (beamwidth, compare, energy, impair,
-// stream) were re-pinned when render.Plain began to pad by runes.
-// Floating-point output is only pinned on amd64: other architectures
-// may fuse multiply-adds and move the last digit.
+// -workers 8, and the stdout of "mmtag all -seed 7 -csv" to
+// testdata/csv7.sha256 (one worker count: the plain runs already hold
+// worker invariance). The plain digests were taken before the
+// experiment table moved into internal/grid, so they hold the command
+// to its old bytes; the five tables with multibyte cells (beamwidth,
+// compare, energy, impair, stream) were re-pinned when render.Plain
+// began to pad by runes. The CSV digests were taken before every
+// driver moved onto typed render columns. Floating-point output is
+// only pinned on amd64: other architectures may fuse multiply-adds and
+// move the last digit.
 func TestExperimentOutputGolden(t *testing.T) {
 	t.Parallel()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are pinned on amd64, not %s", runtime.GOARCH)
 	}
-	names, digests := readGolden(t, "seed7.sha256")
-	if drivers := grid.Drivers(); !reflect.DeepEqual(names, drivers) {
-		t.Fatalf("golden names %v, want the catalogue %v", names, drivers)
-	}
-	for _, w := range []string{"1", "8"} {
-		t.Run("workers="+w, func(t *testing.T) {
+	for _, run := range []struct {
+		name, golden string
+		args         []string
+	}{
+		{"workers=1", "seed7.sha256", []string{"-workers", "1"}},
+		{"workers=8", "seed7.sha256", []string{"-workers", "8"}},
+		{"csv", "csv7.sha256", []string{"-csv", "-workers", "8"}},
+	} {
+		t.Run(run.name, func(t *testing.T) {
 			t.Parallel()
-			out, errOut, code := mmtag(t, "all", "-seed", "7", "-workers", w)
+			names, digests := readGolden(t, run.golden)
+			if drivers := grid.Drivers(); !reflect.DeepEqual(names, drivers) {
+				t.Fatalf("%s names %v, want the catalogue %v", run.golden, names, drivers)
+			}
+			args := append([]string{"all", "-seed", "7"}, run.args...)
+			out, errOut, code := mmtag(t, args...)
 			if code != 0 {
-				t.Fatalf("all -workers %s: exit %d: %s", w, code, errOut)
+				t.Fatalf("%v: exit %d: %s", args, code, errOut)
 			}
 			// all prints a blank line after every experiment.
 			chunks := strings.SplitAfter(out, "\n\n")
@@ -110,7 +122,7 @@ func TestExperimentOutputGolden(t *testing.T) {
 			for i, name := range names {
 				sum := sha256.Sum256([]byte(strings.TrimSuffix(chunks[i], "\n")))
 				if got := hex.EncodeToString(sum[:]); got != digests[name] {
-					t.Errorf("%s -seed 7 -workers %s: stdout sha256 %s, golden %s", name, w, got, digests[name])
+					t.Errorf("%s %v: stdout sha256 %s, golden %s", name, args[1:], got, digests[name])
 				}
 			}
 		})
