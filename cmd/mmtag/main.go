@@ -443,7 +443,7 @@ func emit(w io.Writer, name string, opt options) error {
 	if opt.csv {
 		fmt.Fprint(w, tab.CSV())
 	} else {
-		fmt.Fprint(w, tab.Render())
+		fmt.Fprint(w, tab.Plain())
 	}
 	return nil
 }

@@ -94,8 +94,8 @@ func ArraySizeAblation(counts []int) (ArraySizeResult, error) {
 }
 
 // Table renders the ablation.
-func (r ArraySizeResult) Table() Table {
-	t := newTable("A1 / §8 — array-size ablation: more elements, more range",
+func (r ArraySizeResult) Table() *render.Table {
+	t := render.New("A1 / §8 — array-size ablation: more elements, more range",
 		render.Column{Header: "elements", Format: render.Int()},
 		render.Column{Header: "retro gain (dBi)", Format: render.Float(1)},
 		render.Column{Header: "Pr @4ft (dBm)", Format: render.Float(1)},
@@ -106,7 +106,7 @@ func (r ArraySizeResult) Table() Table {
 		"each doubling of N adds ≈6 dB two-way (3 dB aperture × 2 passes) ⇒ ≈1.41× more 1 Gb/s range",
 	}
 	for _, p := range r.Points {
-		t.add(p.Elements, p.RetroGainDBi, p.ReceivedDBmAt4ft, p.GbpsRangeFt, p.RateAt10ft)
+		t.Add(p.Elements, p.RetroGainDBi, p.ReceivedDBmAt4ft, p.GbpsRangeFt, p.RateAt10ft)
 	}
 	return t
 }
@@ -185,8 +185,8 @@ func ImpairmentAblation(sigmasDeg []float64, trials int, seed uint64) (Impairmen
 }
 
 // Table renders the ablation.
-func (r ImpairmentResult) Table() Table {
-	t := newTable("A2 — impairment ablation: retro-gain loss vs transmission-line phase error (30° incidence)",
+func (r ImpairmentResult) Table() *render.Table {
+	t := render.New("A2 — impairment ablation: retro-gain loss vs transmission-line phase error (30° incidence)",
 		render.Column{Header: "phase error σ (deg)", Format: render.Float(0)},
 		render.Column{Header: "mean retro-gain loss (dB)", Format: render.Float(2)},
 	)
@@ -195,7 +195,7 @@ func (r ImpairmentResult) Table() Table {
 		"equal line phases are the load-bearing assumption of paper Eq. 4",
 	}
 	for _, p := range r.Points {
-		t.add(p.PhaseErrSigmaDeg, p.RetroLossDB)
+		t.Add(p.PhaseErrSigmaDeg, p.RetroLossDB)
 	}
 	return t
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/mac"
 	"github.com/mmtag/mmtag/internal/par"
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/rng"
 )
 
@@ -94,27 +95,23 @@ func AntiCollision(populations []int, trials int, seed uint64) (AntiColResult, e
 }
 
 // Table renders the comparison.
-func (r AntiColResult) Table() Table {
-	t := Table{
-		Title: "E10 (extension) — anti-collision protocols: framed Aloha vs binary query tree",
-		Columns: []string{"tags", "aloha slots", "tree queries", "aloha eff",
-			"tree eff", "aloha/tag", "tree/tag"},
-		Notes: []string{
-			fmt.Sprintf("means over %d trials; theory: Aloha ≈ e·n ≈ %.2f·n slots, query tree ≈ 2.89·n queries",
-				r.Trials, math.E),
-			"Aloha wins slightly on raw cost; the tree is deterministic and never strands a tag",
-		},
+func (r AntiColResult) Table() *render.Table {
+	t := render.New("E10 (extension) — anti-collision protocols: framed Aloha vs binary query tree",
+		render.Column{Header: "tags", Format: render.Int()},
+		render.Column{Header: "aloha slots", Format: render.Float(1)},
+		render.Column{Header: "tree queries", Format: render.Float(1)},
+		render.Column{Header: "aloha eff", Format: render.Float(3)},
+		render.Column{Header: "tree eff", Format: render.Float(3)},
+		render.Column{Header: "aloha/tag", Format: render.Float(2)},
+		render.Column{Header: "tree/tag", Format: render.Float(2)},
+	)
+	t.Notes = []string{
+		fmt.Sprintf("means over %d trials; theory: Aloha ≈ e·n ≈ %.2f·n slots, query tree ≈ 2.89·n queries",
+			r.Trials, math.E),
+		"Aloha wins slightly on raw cost; the tree is deterministic and never strands a tag",
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", p.Tags),
-			fmt.Sprintf("%.1f", p.AlohaSlots),
-			fmt.Sprintf("%.1f", p.TreeQueries),
-			fmt.Sprintf("%.3f", p.AlohaEff),
-			fmt.Sprintf("%.3f", p.TreeEff),
-			fmt.Sprintf("%.2f", p.AlohaPerTag),
-			fmt.Sprintf("%.2f", p.TreePerTag),
-		})
+		t.Add(p.Tags, p.AlohaSlots, p.TreeQueries, p.AlohaEff, p.TreeEff, p.AlohaPerTag, p.TreePerTag)
 	}
 	return t
 }

@@ -94,8 +94,8 @@ func ARQGoodput(nFrames int, seed uint64) (ARQResult, error) {
 }
 
 // Table renders the sweep.
-func (r ARQResult) Table() Table {
-	t := newTable("E16 (extension) — link-layer goodput with stop-and-wait ARQ (2 GHz band, waveform-level)",
+func (r ARQResult) Table() *render.Table {
+	t := render.New("E16 (extension) — link-layer goodput with stop-and-wait ARQ (2 GHz band, waveform-level)",
 		render.Column{Header: "range (ft)", Format: render.Float(1)},
 		render.Column{Header: "SNR (dB)", Format: render.Float(1)},
 		render.Column{Header: "first-try FER", Format: render.Float(2)},
@@ -113,7 +113,7 @@ func (r ARQResult) Table() Table {
 			r.LatencyP50S*1e6, r.LatencyP99S*1e6))
 	}
 	for _, p := range r.Points {
-		t.add(p.RangeFt, p.BudgetSNRdB, p.FirstTryFER, p.Retransmissions, p.Residual, p.GoodputBps)
+		t.Add(p.RangeFt, p.BudgetSNRdB, p.FirstTryFER, p.Retransmissions, p.Residual, p.GoodputBps)
 	}
 	return t
 }

@@ -72,8 +72,8 @@ func BERValidation(nBits int, seed uint64) (BERResult, error) {
 }
 
 // Table renders the waterfall.
-func (r BERResult) Table() Table {
-	t := newTable("E6 / §8 method — OOK BER: Monte-Carlo receiver vs analytic curves",
+func (r BERResult) Table() *render.Table {
+	t := render.New("E6 / §8 method — OOK BER: Monte-Carlo receiver vs analytic curves",
 		render.Column{Header: "SNR (dB)", Format: render.Float(0)},
 		render.Column{Header: "Monte-Carlo", Format: render.Sci(2)},
 		render.Column{Header: "analytic (envelope)", Format: render.Sci(2)},
@@ -84,7 +84,7 @@ func (r BERResult) Table() Table {
 			"(a different SNR normalization — see EXPERIMENTS.md)", r.SNRForTarget, r.PaperThresholdDB),
 	}
 	for _, p := range r.Points {
-		t.add(p.SNRdB, p.MonteCarlo, p.Analytic, p.AnalyticCoh)
+		t.Add(p.SNRdB, p.MonteCarlo, p.Analytic, p.AnalyticCoh)
 	}
 	return t
 }

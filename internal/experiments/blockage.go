@@ -6,6 +6,7 @@ import (
 	"github.com/mmtag/mmtag/internal/channel"
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/geom"
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/units"
 )
 
@@ -114,25 +115,22 @@ func Blockage() (BlockageResult, error) {
 }
 
 // Table renders the sweep.
-func (r BlockageResult) Table() Table {
-	t := Table{
-		Title:   "E11 (extension) / §4 — NLOS fallback: blocked LOS rescued by a single bounce",
-		Columns: []string{"wall loss (dB)", "path", "length (ft)", "Pr (dBm)", "rate"},
-		Notes: []string{
-			fmt.Sprintf("unblocked LOS reference: %.1f dBm, %s", r.LOSReceivedDBm, units.FormatRate(r.LOSRateBps)),
-			fmt.Sprintf("blocked with no reflector: severed = %v", r.SeveredWithoutReflector),
-			"the tag retro-reflects along the arriving ray, so only the reader re-aims (paper §4)",
-			"two-way operation doubles every wall loss: lossy walls (≥10 dB one-way) sever the fallback",
-		},
+func (r BlockageResult) Table() *render.Table {
+	t := render.New("E11 (extension) / §4 — NLOS fallback: blocked LOS rescued by a single bounce",
+		render.Column{Header: "wall loss (dB)", Format: render.Float(1)},
+		render.Col("path"),
+		render.Column{Header: "length (ft)", Format: render.Float(1)},
+		render.Column{Header: "Pr (dBm)", Format: render.Float(1)},
+		rateColumn("rate"),
+	)
+	t.Notes = []string{
+		fmt.Sprintf("unblocked LOS reference: %.1f dBm, %s", r.LOSReceivedDBm, units.FormatRate(r.LOSRateBps)),
+		fmt.Sprintf("blocked with no reflector: severed = %v", r.SeveredWithoutReflector),
+		"the tag retro-reflects along the arriving ray, so only the reader re-aims (paper §4)",
+		"two-way operation doubles every wall loss: lossy walls (≥10 dB one-way) sever the fallback",
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f", p.ReflLossDB),
-			p.Kind,
-			fmt.Sprintf("%.1f", p.PathFt),
-			fmt.Sprintf("%.1f", p.ReceivedDBm),
-			units.FormatRate(p.RateBps),
-		})
+		t.Add(p.ReflLossDB, p.Kind, p.PathFt, p.ReceivedDBm, p.RateBps)
 	}
 	return t
 }

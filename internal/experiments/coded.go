@@ -6,6 +6,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/coding"
 	"github.com/mmtag/mmtag/internal/phy"
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/rng"
 )
 
@@ -139,22 +140,19 @@ func crossSNR(pts []CodedPoint, get func(CodedPoint) float64) float64 {
 }
 
 // Table renders the sweep.
-func (r CodedResult) Table() Table {
-	t := Table{
-		Title:   "E15 (extension) — Hamming(7,4)+interleaving on the OOK link: coded vs uncoded BER",
-		Columns: []string{"SNR (dB)", "raw BER", "coded BER", "FEC corrections /10k bits"},
-		Notes: []string{
-			fmt.Sprintf("net coding gain at BER 10⁻³: %.1f dB (after the 4/7 rate's 2.4 dB airtime penalty)", r.CodingGainDB),
-			"Hamming(7,4) is a handful of XOR gates — affordable on a batteryless tag's logic budget",
-		},
+func (r CodedResult) Table() *render.Table {
+	t := render.New("E15 (extension) — Hamming(7,4)+interleaving on the OOK link: coded vs uncoded BER",
+		render.Column{Header: "SNR (dB)", Format: render.Float(0)},
+		render.Column{Header: "raw BER", Format: render.Sci(2)},
+		render.Column{Header: "coded BER", Format: render.Sci(2)},
+		render.Column{Header: "FEC corrections /10k bits", Format: render.Float(1)},
+	)
+	t.Notes = []string{
+		fmt.Sprintf("net coding gain at BER 10⁻³: %.1f dB (after the 4/7 rate's 2.4 dB airtime penalty)", r.CodingGainDB),
+		"Hamming(7,4) is a handful of XOR gates — affordable on a batteryless tag's logic budget",
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", p.SNRdB),
-			fmt.Sprintf("%.2e", p.RawBER),
-			fmt.Sprintf("%.2e", p.CodedBER),
-			fmt.Sprintf("%.1f", p.CorrectionsPer10k),
-		})
+		t.Add(p.SNRdB, p.RawBER, p.CodedBER, p.CorrectionsPer10k)
 	}
 	return t
 }

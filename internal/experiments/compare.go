@@ -78,21 +78,21 @@ func Comparison() (CompareResult, error) {
 }
 
 // Table renders the comparison.
-func (r CompareResult) Table() Table {
-	t := newTable("E5 / §1,§3 — backscatter systems compared (paper-quoted baselines, simulated mmTag)",
-		render.Column{Header: "system"},
+func (r CompareResult) Table() *render.Table {
+	t := render.New("E5 / §1,§3 — backscatter systems compared (paper-quoted baselines, simulated mmTag)",
+		render.Col("system"),
 		render.Column{Header: "band", Format: render.Printf("%.1f GHz")},
 		render.Column{Header: "channel", Format: render.FloatFunc(fmtHz)},
 		rateColumn("throughput"),
 		render.Column{Header: "at range", Format: render.Printf("%.0f ft")},
-		render.Column{Header: "source"},
+		render.Col("source"),
 	)
 	t.Notes = []string{
 		fmt.Sprintf("mmTag: %s at 4 ft and %s at 10 ft — orders of magnitude above every baseline",
 			units.FormatRate(r.MmTagAt4ft), units.FormatRate(r.MmTagAt10ft)),
 	}
 	for _, row := range r.Rows {
-		t.add(row.Name, row.CarrierHz/1e9, row.ChannelHz, row.RateBps, row.AtRangeFt, row.Citation)
+		t.Add(row.Name, row.CarrierHz/1e9, row.ChannelHz, row.RateBps, row.AtRangeFt, row.Citation)
 	}
 	return t
 }

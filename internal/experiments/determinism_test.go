@@ -19,42 +19,42 @@ func renderAll(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += ber.Table().Render()
+	out += ber.Table().Plain()
 	ac, err := AntiCollision([]int{4, 16}, 10, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += ac.Table().Render()
+	out += ac.Table().Plain()
 	mt, err := MultiTag([]int{1, 4, 8}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += mt.Table().Render()
+	out += mt.Table().Plain()
 	arq, err := ARQGoodput(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += arq.Table().Render()
+	out += arq.Table().Plain()
 	ra, err := RateAdaptation(11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += ra.Table().Render()
+	out += ra.Table().Plain()
 	imp, err := ImpairmentAblation([]float64{0, 20, 60}, 6, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += imp.Table().Render()
+	out += imp.Table().Plain()
 	as, err := ArraySizeAblation([]int{2, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += as.Table().Render()
+	out += as.Table().Plain()
 	rt, err := Retrodirectivity(13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out += rt.Table().Render()
+	out += rt.Table().Plain()
 	return out
 }
 

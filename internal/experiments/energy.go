@@ -5,6 +5,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/energy"
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/tag"
 	"github.com/mmtag/mmtag/internal/units"
 )
@@ -92,29 +93,26 @@ func EnergyFeasibility(n int) (EnergyResult, error) {
 }
 
 // Table renders the sweep.
-func (r EnergyResult) Table() Table {
-	t := Table{
-		Title: "E9 (extension) — batteryless feasibility: harvest vs modulation draw over range",
-		Columns: []string{"range (ft)", "link rate", "draw (µW)", "RF harvest (µW)",
-			"ambient (µW)", "duty RF", "duty ambient", "duty both", "sustained"},
-		Notes: []string{
-			"RF = 20% rectenna on the reader carrier (−20 dBm sensitivity); ambient = 4 cm² PV @400 lux + 50 µW motion",
-			fmt.Sprintf("combined harvest keeps the tag alive (duty ≥ 1%%) out to %.0f ft", r.BatterylessRangeFt),
-			"the Gb/s burst draw (≈13.5 mW) exceeds any harvest: gigabit operation is inherently duty-cycled",
-		},
+func (r EnergyResult) Table() *render.Table {
+	t := render.New("E9 (extension) — batteryless feasibility: harvest vs modulation draw over range",
+		render.Column{Header: "range (ft)", Format: render.Float(1)},
+		rateColumn("link rate"),
+		render.Column{Header: "draw (µW)", Format: render.Float(1)},
+		render.Column{Header: "RF harvest (µW)", Format: render.Float(2)},
+		render.Column{Header: "ambient (µW)", Format: render.Float(1)},
+		render.Column{Header: "duty RF", Format: render.FloatFunc(fmtDuty)},
+		render.Column{Header: "duty ambient", Format: render.FloatFunc(fmtDuty)},
+		render.Column{Header: "duty both", Format: render.FloatFunc(fmtDuty)},
+		rateColumn("sustained"),
+	)
+	t.Notes = []string{
+		"RF = 20% rectenna on the reader carrier (−20 dBm sensitivity); ambient = 4 cm² PV @400 lux + 50 µW motion",
+		fmt.Sprintf("combined harvest keeps the tag alive (duty ≥ 1%%) out to %.0f ft", r.BatterylessRangeFt),
+		"the Gb/s burst draw (≈13.5 mW) exceeds any harvest: gigabit operation is inherently duty-cycled",
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f", p.RangeFt),
-			units.FormatRate(p.LinkRateBps),
-			fmt.Sprintf("%.1f", p.ActiveUW),
-			fmt.Sprintf("%.2f", p.RFHarvestUW),
-			fmt.Sprintf("%.1f", p.AmbientUW),
-			fmtDuty(p.DutyRF),
-			fmtDuty(p.DutyAmbient),
-			fmtDuty(p.DutyBoth),
-			units.FormatRate(p.SustainedBps),
-		})
+		t.Add(p.RangeFt, p.LinkRateBps, p.ActiveUW, p.RFHarvestUW, p.AmbientUW,
+			p.DutyRF, p.DutyAmbient, p.DutyBoth, p.SustainedBps)
 	}
 	return t
 }

@@ -6,25 +6,36 @@ import (
 	"testing"
 
 	"github.com/mmtag/mmtag/internal/dsp"
+	"github.com/mmtag/mmtag/internal/render"
 )
 
-func TestTableRenderAndCSV(t *testing.T) {
-	tab := Table{
-		Title:   "demo",
-		Columns: []string{"a", "b"},
-		Rows:    [][]string{{"1", "two,with comma"}},
-		Notes:   []string{"a note"},
-	}
-	s := tab.Render()
-	if !strings.Contains(s, "demo") || !strings.Contains(s, "note: a note") {
-		t.Errorf("render: %q", s)
-	}
-	csv := tab.CSV()
-	if !strings.Contains(csv, `"two,with comma"`) {
-		t.Errorf("csv quoting: %q", csv)
-	}
-	if !strings.HasPrefix(csv, "a,b\n") {
-		t.Errorf("csv header: %q", csv)
+// TestTablesPrintNaNAsNA puts a NaN into a float cell of every driver
+// table with typed float columns that once formatted its cells with
+// fmt.Sprintf: the column formatters must print it as n/a, never as
+// fmt's NaN, in the plain and the CSV backend alike.
+func TestTablesPrintNaNAsNA(t *testing.T) {
+	nan := math.NaN()
+	for _, c := range []struct {
+		name string
+		tab  *render.Table
+	}{
+		{"fig6", Fig6Result{Points: []Fig6Point{{FreqHz: 24e9, OffDB: nan}}}.Table()},
+		{"fig7", Fig7Result{Points: []Fig7Point{{RangeFt: 4, ReceivedDBm: nan}}}.Table()},
+		{"retro", RetroResult{Points: []RetroPoint{{VanAttaDB: nan}}}.Table()},
+		{"selfint", SelfIntResult{Points: []SelfIntPoint{{MeasuredSNRdB: nan}}}.Table()},
+		{"energy", EnergyResult{Points: []EnergyPoint{{RangeFt: 4, DutyBoth: nan}}}.Table()},
+		{"anticol", AntiColResult{Points: []AntiColPoint{{Tags: 4, AlohaEff: nan}}}.Table()},
+		{"blockage", BlockageResult{Points: []BlockagePoint{{PathFt: nan}}}.Table()},
+		{"fading", FadingResult{Points: []FadingPoint{{Margin1pct: nan}}}.Table()},
+		{"bands", Band60Result{Points: []Band60Point{{FreqGHz: 60, ReceivedDBmAt4ft: nan}}}.Table()},
+		{"coded", CodedResult{Points: []CodedPoint{{CodedBER: nan}}}.Table()},
+		{"planar", PlanarResult{Points: []PlanarPoint{{FixedDB: nan}}}.Table()},
+	} {
+		for backend, out := range map[string]string{"plain": c.tab.Plain(), "csv": c.tab.CSV()} {
+			if !strings.Contains(out, "n/a") || strings.Contains(out, "NaN") {
+				t.Errorf("%s %s: want n/a and no NaN:\n%s", c.name, backend, out)
+			}
+		}
 	}
 }
 

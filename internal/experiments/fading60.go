@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/mmtag/mmtag/internal/channel"
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/geom"
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/rng"
 	"github.com/mmtag/mmtag/internal/tag"
 	"github.com/mmtag/mmtag/internal/units"
@@ -92,23 +92,20 @@ func FadingMarginWS(ws *dsp.Workspace, seed uint64) (FadingResult, error) {
 }
 
 // Table renders the sweep.
-func (r FadingResult) Table() Table {
-	t := Table{
-		Title:   "E13 (extension) — Rician fading: outage margins and their cost to the 1 Gb/s range",
-		Columns: []string{"K (dB)", "margin @1% (dB)", "margin @0.1% (dB)", "1 Gb/s range (ft)", "decoded/10 @4ft"},
-		Notes: []string{
-			"K = dominant-to-diffuse power ratio; the retro-reflected LOS path keeps K high, blockage drops it",
-			"margins subtract directly from Fig. 7's deterministic budget",
-		},
+func (r FadingResult) Table() *render.Table {
+	t := render.New("E13 (extension) — Rician fading: outage margins and their cost to the 1 Gb/s range",
+		render.Column{Header: "K (dB)", Format: render.Float(0)},
+		render.Column{Header: "margin @1% (dB)", Format: render.Float(1)},
+		render.Column{Header: "margin @0.1% (dB)", Format: render.Float(1)},
+		render.Column{Header: "1 Gb/s range (ft)", Format: render.Float(1)},
+		render.Column{Header: "decoded/10 @4ft", Format: render.Int()},
+	)
+	t.Notes = []string{
+		"K = dominant-to-diffuse power ratio; the retro-reflected LOS path keeps K high, blockage drops it",
+		"margins subtract directly from Fig. 7's deterministic budget",
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", p.KdB),
-			fmt.Sprintf("%.1f", p.Margin1pct),
-			fmt.Sprintf("%.1f", p.Margin01pct),
-			fmt.Sprintf("%.1f", p.GbpsRangeFt),
-			fmt.Sprintf("%d", p.DecodedOfTen),
-		})
+		t.Add(p.KdB, p.Margin1pct, p.Margin01pct, p.GbpsRangeFt, p.DecodedOfTen)
 	}
 	return t
 }
@@ -194,25 +191,22 @@ func BandScaling() (Band60Result, error) {
 }
 
 // Table renders the comparison.
-func (r Band60Result) Table() Table {
-	t := Table{
-		Title:   "E14 (extension) / §7 footnote — band scaling at fixed 31 mm aperture: 24 vs 39 vs 60 GHz",
-		Columns: []string{"band (GHz)", "elements", "6-elem tag width (mm)", "Pr @4ft (dBm)", "rate @4ft", "1 Gb/s range (ft)"},
-		Notes: []string{
-			"same aperture: gain grows ∝ f (more elements) but two passes of λ²/4π shrink ∝ f⁴ ⇒ net f⁻² — higher bands lose range",
-			"60 GHz additionally pays ~15 dB/km oxygen absorption (negligible at these ranges)",
-			"the §7 benefit is the smaller tag (6-elem width column), not more range",
-		},
+func (r Band60Result) Table() *render.Table {
+	t := render.New("E14 (extension) / §7 footnote — band scaling at fixed 31 mm aperture: 24 vs 39 vs 60 GHz",
+		render.Column{Header: "band (GHz)", Format: render.Float(0)},
+		render.Column{Header: "elements", Format: render.Int()},
+		render.Column{Header: "6-elem tag width (mm)", Format: render.Float(1)},
+		render.Column{Header: "Pr @4ft (dBm)", Format: render.Float(1)},
+		rateColumn("rate @4ft"),
+		render.Column{Header: "1 Gb/s range (ft)", Format: render.Float(1)},
+	)
+	t.Notes = []string{
+		"same aperture: gain grows ∝ f (more elements) but two passes of λ²/4π shrink ∝ f⁴ ⇒ net f⁻² — higher bands lose range",
+		"60 GHz additionally pays ~15 dB/km oxygen absorption (negligible at these ranges)",
+		"the §7 benefit is the smaller tag (6-elem width column), not more range",
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", p.FreqGHz),
-			fmt.Sprintf("%d", p.Elements),
-			fmt.Sprintf("%.1f", p.SixElemWidthMM),
-			fmt.Sprintf("%.1f", p.ReceivedDBmAt4ft),
-			units.FormatRate(p.RateAt4ft),
-			fmt.Sprintf("%.1f", p.GbpsRangeFt),
-		})
+		t.Add(p.FreqGHz, p.Elements, p.SixElemWidthMM, p.ReceivedDBmAt4ft, p.RateAt4ft, p.GbpsRangeFt)
 	}
 	return t
 }

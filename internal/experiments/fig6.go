@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/mmtag/mmtag/internal/circuit"
+	"github.com/mmtag/mmtag/internal/render"
 )
 
 // Fig6Point is one frequency sample of the S11 sweep.
@@ -48,14 +49,15 @@ func Figure6(n int) (Fig6Result, error) {
 }
 
 // Table renders the sweep at a readable decimation.
-func (r Fig6Result) Table() Table {
-	t := Table{
-		Title:   "E1 / Fig 6 — S11 of a tag antenna element vs frequency (switch off/on)",
-		Columns: []string{"freq (GHz)", "S11 off (dB)", "S11 on (dB)"},
-		Notes: []string{
-			fmt.Sprintf("at 24 GHz: off %.1f dB (paper: −15), on %.1f dB (paper: −5)", r.CarrierOffDB, r.CarrierOnDB),
-			"off = antenna tuned (tag reflects); on = antenna shorted to ground (tag absorbs)",
-		},
+func (r Fig6Result) Table() *render.Table {
+	t := render.New("E1 / Fig 6 — S11 of a tag antenna element vs frequency (switch off/on)",
+		render.Column{Header: "freq (GHz)", Format: render.Float(3)},
+		render.Column{Header: "S11 off (dB)", Format: render.Float(2)},
+		render.Column{Header: "S11 on (dB)", Format: render.Float(2)},
+	)
+	t.Notes = []string{
+		fmt.Sprintf("at 24 GHz: off %.1f dB (paper: −15), on %.1f dB (paper: −5)", r.CarrierOffDB, r.CarrierOnDB),
+		"off = antenna tuned (tag reflects); on = antenna shorted to ground (tag absorbs)",
 	}
 	step := len(r.Points) / 20
 	if step < 1 {
@@ -63,11 +65,7 @@ func (r Fig6Result) Table() Table {
 	}
 	for i := 0; i < len(r.Points); i += step {
 		p := r.Points[i]
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.3f", p.FreqHz/1e9),
-			fmt.Sprintf("%.2f", p.OffDB),
-			fmt.Sprintf("%.2f", p.OnDB),
-		})
+		t.Add(p.FreqHz/1e9, p.OffDB, p.OnDB)
 	}
 	return t
 }

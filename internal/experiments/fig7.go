@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/mmtag/mmtag/internal/core"
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/units"
 )
 
@@ -102,34 +103,30 @@ func fig7Point(ft float64) (Fig7Point, error) {
 }
 
 // Table renders the sweep in the figure's terms.
-func (r Fig7Result) Table() Table {
-	t := Table{
-		Title: "E2 / Fig 7 — tag signal power at the reader vs range, with noise floors and data rates",
-		Columns: []string{"range (ft)", "tag signal (dBm)", "SNR@20MHz", "SNR@200MHz", "SNR@2GHz",
-			"rate", "via"},
-		Notes: []string{
-			fmt.Sprintf("noise floors: 20 MHz %.1f, 200 MHz %.1f, 2 GHz %.1f dBm (kTB + NF=5 dB, T=300 K)",
-				r.Floors["20 MHz"], r.Floors["200 MHz"], r.Floors["2 GHz"]),
-			fmt.Sprintf("headline: %s at 4 ft (paper: 1 Gb/s), %s at 10 ft (paper: 10 Mb/s)",
-				units.FormatRate(r.RateAt4ft), units.FormatRate(r.RateAt10ft)),
-			fmt.Sprintf("max range: 1 Gb/s to %.1f ft, 100 Mb/s to %.1f ft, 10 Mb/s to %.1f ft",
-				r.MaxRangeFt["1.00 Gb/s"], r.MaxRangeFt["100.00 Mb/s"], r.MaxRangeFt["10.00 Mb/s"]),
-		},
+func (r Fig7Result) Table() *render.Table {
+	t := render.New("E2 / Fig 7 — tag signal power at the reader vs range, with noise floors and data rates",
+		render.Column{Header: "range (ft)", Format: render.Float(1)},
+		render.Column{Header: "tag signal (dBm)", Format: render.Float(1)},
+		render.Column{Header: "SNR@20MHz", Format: render.Float(1)},
+		render.Column{Header: "SNR@200MHz", Format: render.Float(1)},
+		render.Column{Header: "SNR@2GHz", Format: render.Float(1)},
+		rateColumn("rate"),
+		render.Col("via"),
+	)
+	t.Notes = []string{
+		fmt.Sprintf("noise floors: 20 MHz %.1f, 200 MHz %.1f, 2 GHz %.1f dBm (kTB + NF=5 dB, T=300 K)",
+			r.Floors["20 MHz"], r.Floors["200 MHz"], r.Floors["2 GHz"]),
+		fmt.Sprintf("headline: %s at 4 ft (paper: 1 Gb/s), %s at 10 ft (paper: 10 Mb/s)",
+			units.FormatRate(r.RateAt4ft), units.FormatRate(r.RateAt10ft)),
+		fmt.Sprintf("max range: 1 Gb/s to %.1f ft, 100 Mb/s to %.1f ft, 10 Mb/s to %.1f ft",
+			r.MaxRangeFt["1.00 Gb/s"], r.MaxRangeFt["100.00 Mb/s"], r.MaxRangeFt["10.00 Mb/s"]),
 	}
 	for _, p := range r.Points {
 		via := p.RateLabel
 		if via == "" {
 			via = "-"
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.1f", p.RangeFt),
-			fmt.Sprintf("%.1f", p.ReceivedDBm),
-			fmt.Sprintf("%.1f", p.SNRdB["20 MHz"]),
-			fmt.Sprintf("%.1f", p.SNRdB["200 MHz"]),
-			fmt.Sprintf("%.1f", p.SNRdB["2 GHz"]),
-			units.FormatRate(p.RateBps),
-			via,
-		})
+		t.Add(p.RangeFt, p.ReceivedDBm, p.SNRdB["20 MHz"], p.SNRdB["200 MHz"], p.SNRdB["2 GHz"], p.RateBps, via)
 	}
 	return t
 }

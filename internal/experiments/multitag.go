@@ -114,8 +114,8 @@ func MultiTag(populations []int, seed uint64) (MultiTagResult, error) {
 }
 
 // Table renders the sweep.
-func (r MultiTagResult) Table() Table {
-	t := newTable("E7 / §9 extension — multi-tag network: SDM scan + framed Aloha",
+func (r MultiTagResult) Table() *render.Table {
+	t := render.New("E7 / §9 extension — multi-tag network: SDM scan + framed Aloha",
 		render.Column{Header: "tags", Format: render.Int()},
 		render.Column{Header: "detected", Format: render.Int()},
 		rateColumn("aggregate"),
@@ -134,7 +134,7 @@ func (r MultiTagResult) Table() Table {
 			r.CycleP50S*1e3, r.CycleP99S*1e3))
 	}
 	for _, p := range r.Points {
-		t.add(p.Tags, p.Detected, p.AggregateBps, p.PerTagMeanBps, p.Fairness, p.CycleMs, p.Aggregate4Beam)
+		t.Add(p.Tags, p.Detected, p.AggregateBps, p.PerTagMeanBps, p.Fairness, p.CycleMs, p.Aggregate4Beam)
 	}
 	return t
 }

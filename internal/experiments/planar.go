@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/vanatta"
 )
 
@@ -86,24 +87,21 @@ func dbOrFloor(r float64) float64 {
 }
 
 // Table renders the comparison.
-func (r PlanarResult) Table() Table {
-	t := Table{
-		Title:   "E17 (extension) — planar 4×4 Van Atta vs planar fixed-beam reflector across (az, el)",
-		Columns: []string{"az (deg)", "el (deg)", "Van Atta (dB)", "fixed-beam (dB)", "VA beam err (deg)"},
-		Notes: []string{
-			fmt.Sprintf("boresight retro gain: paper's 6-element line %.1f dBi → 4×4 panel %.1f dBi (same PCB class)",
-				r.LinearGainDBi, r.PlanarGainDBi),
-			"the planar pairing keeps the return within the element rolloff in BOTH planes; the fixed panel collapses off boresight",
-		},
+func (r PlanarResult) Table() *render.Table {
+	t := render.New("E17 (extension) — planar 4×4 Van Atta vs planar fixed-beam reflector across (az, el)",
+		render.Column{Header: "az (deg)", Format: render.Float(0)},
+		render.Column{Header: "el (deg)", Format: render.Float(0)},
+		render.Column{Header: "Van Atta (dB)", Format: render.Float(1)},
+		render.Column{Header: "fixed-beam (dB)", Format: render.Float(1)},
+		render.Column{Header: "VA beam err (deg)", Format: render.Float(1)},
+	)
+	t.Notes = []string{
+		fmt.Sprintf("boresight retro gain: paper's 6-element line %.1f dBi → 4×4 panel %.1f dBi (same PCB class)",
+			r.LinearGainDBi, r.PlanarGainDBi),
+		"the planar pairing keeps the return within the element rolloff in BOTH planes; the fixed panel collapses off boresight",
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", p.AzDeg),
-			fmt.Sprintf("%.0f", p.ElDeg),
-			fmt.Sprintf("%.1f", p.VanAttaDB),
-			fmt.Sprintf("%.1f", p.FixedDB),
-			fmt.Sprintf("%.1f", p.BeamErrDeg),
-		})
+		t.Add(p.AzDeg, p.ElDeg, p.VanAttaDB, p.FixedDB, p.BeamErrDeg)
 	}
 	return t
 }

@@ -138,21 +138,21 @@ func RateAdaptation(n int) (RateAdaptResult, error) {
 }
 
 // Table renders the sweep.
-func (r RateAdaptResult) Table() Table {
-	t := newTable("E12 (extension) — modulation adaptation: OOK vs 4-ASK across range",
+func (r RateAdaptResult) Table() *render.Table {
+	t := render.New("E12 (extension) — modulation adaptation: OOK vs 4-ASK across range",
 		render.Column{Header: "range (ft)", Format: render.Float(1)},
 		render.Column{Header: "Pr (dBm)", Format: render.Float(1)},
 		rateColumn("OOK rate (paper)"),
 		rateColumn("adapted rate"),
-		render.Column{Header: "scheme"},
-		render.Column{Header: "bandwidth"},
+		render.Col("scheme"),
+		render.Col("bandwidth"),
 	)
 	t.Notes = []string{
 		fmt.Sprintf("4-ASK needs %.1f dB more SNR than binary ASK at BER 10⁻³ (analytic)", r.ASK4ExtraSNRdB),
 		fmt.Sprintf("peak adapted rate %s; 4-ASK stops paying at ≈%.1f ft", units.FormatRate(r.PeakRateBps), r.CrossoverFt),
 	}
 	for _, p := range r.Points {
-		t.add(p.RangeFt, p.ReceivedDBm, p.OOKRateBps, p.AdaptedRateBps, p.Scheme, p.Bandwidth)
+		t.Add(p.RangeFt, p.ReceivedDBm, p.OOKRateBps, p.AdaptedRateBps, p.Scheme, p.Bandwidth)
 	}
 	return t
 }

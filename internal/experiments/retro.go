@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"github.com/mmtag/mmtag/internal/antenna"
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/vanatta"
 )
 
@@ -76,26 +77,23 @@ func Retrodirectivity(n int) (RetroResult, error) {
 }
 
 // Table renders the sweep.
-func (r RetroResult) Table() Table {
-	t := Table{
-		Title:   "E3 / Fig 3 & Eq 5 — monostatic return vs incidence: Van Atta (mmTag) vs fixed-beam tag",
-		Columns: []string{"incidence (deg)", "mmTag (dB)", "fixed-beam (dB)", "mmTag beam error (deg)"},
-		Notes: []string{
-			fmt.Sprintf("worst mmTag pointing error %.2f° across ±60° (Eq. 5: reflection tracks incidence)", r.WorstErrorDeg),
-			fmt.Sprintf("fixed-beam tag loses 10 dB by %.1f° off boresight (the Kimionis-style limitation, §3)", r.FixedBeamCollapseDeg),
-		},
+func (r RetroResult) Table() *render.Table {
+	t := render.New("E3 / Fig 3 & Eq 5 — monostatic return vs incidence: Van Atta (mmTag) vs fixed-beam tag",
+		render.Column{Header: "incidence (deg)", Format: render.Float(0)},
+		render.Column{Header: "mmTag (dB)", Format: render.Float(1)},
+		render.Column{Header: "fixed-beam (dB)", Format: render.Float(1)},
+		render.Column{Header: "mmTag beam error (deg)", Format: render.Float(2)},
+	)
+	t.Notes = []string{
+		fmt.Sprintf("worst mmTag pointing error %.2f° across ±60° (Eq. 5: reflection tracks incidence)", r.WorstErrorDeg),
+		fmt.Sprintf("fixed-beam tag loses 10 dB by %.1f° off boresight (the Kimionis-style limitation, §3)", r.FixedBeamCollapseDeg),
 	}
 	for _, p := range r.Points {
-		fixed := fmt.Sprintf("%.1f", p.FixedDB)
+		var fixed any = p.FixedDB
 		if math.IsInf(p.FixedDB, -1) {
 			fixed = "-inf"
 		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", p.IncidenceDeg),
-			fmt.Sprintf("%.1f", p.VanAttaDB),
-			fixed,
-			fmt.Sprintf("%.2f", p.PeakErrorDeg),
-		})
+		t.Add(p.IncidenceDeg, p.VanAttaDB, fixed, p.PeakErrorDeg)
 	}
 	return t
 }
@@ -138,17 +136,16 @@ func Beamwidth(n int) (BeamwidthResult, error) {
 }
 
 // Table renders the beamwidth check.
-func (r BeamwidthResult) Table() Table {
-	return Table{
-		Title:   "E4 / §7 — tag beamwidth and geometry",
-		Columns: []string{"quantity", "simulated", "paper"},
-		Rows: [][]string{
-			{"elements", fmt.Sprintf("%d", r.Elements), "6"},
-			{"half-power beamwidth", fmt.Sprintf("%.1f°", r.HPBWDeg), fmt.Sprintf("%.0f°", r.PaperDeg)},
-			{"aperture width", fmt.Sprintf("%.1f mm", r.ApertureWidthMM), fmt.Sprintf("fits %g×%g mm PCB", r.TagWidthMM, r.TagHeightMM)},
-		},
-		Notes: []string{
-			"uniform-ULA theory gives 0.886·λ/(N·d) ≈ 17°; the paper rounds its measured beam to \"20 degree\"",
-		},
+// Its rows change format from row to row, so they are appended
+// pre-formatted.
+func (r BeamwidthResult) Table() *render.Table {
+	t := render.New("E4 / §7 — tag beamwidth and geometry",
+		render.Col("quantity"), render.Col("simulated"), render.Col("paper"))
+	t.AddRow("elements", fmt.Sprintf("%d", r.Elements), "6")
+	t.AddRow("half-power beamwidth", fmt.Sprintf("%.1f°", r.HPBWDeg), fmt.Sprintf("%.0f°", r.PaperDeg))
+	t.AddRow("aperture width", fmt.Sprintf("%.1f mm", r.ApertureWidthMM), fmt.Sprintf("fits %g×%g mm PCB", r.TagWidthMM, r.TagHeightMM))
+	t.Notes = []string{
+		"uniform-ULA theory gives 0.886·λ/(N·d) ≈ 17°; the paper rounds its measured beam to \"20 degree\"",
 	}
+	return t
 }

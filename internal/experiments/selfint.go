@@ -6,6 +6,7 @@ import (
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
+	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/rng"
 	"github.com/mmtag/mmtag/internal/units"
 )
@@ -73,24 +74,21 @@ func SelfInterferenceWS(ws *dsp.Workspace, seed uint64) (SelfIntResult, error) {
 }
 
 // Table renders the sweep.
-func (r SelfIntResult) Table() Table {
-	t := Table{
-		Title:   "E8 / §9 extension — self-interference: decode health vs TX→RX isolation (4 ft, 200 MHz)",
-		Columns: []string{"isolation (dB)", "leakage (dBm)", "decoded", "bit errors", "measured SNR (dB)"},
-		Notes: []string{
-			fmt.Sprintf("smallest isolation that still decodes cleanly: %.0f dB "+
-				"(the tag idles in the absorbing state so the reader can calibrate static leakage)",
-				r.MinWorkingIsolationDB),
-		},
+func (r SelfIntResult) Table() *render.Table {
+	t := render.New("E8 / §9 extension — self-interference: decode health vs TX→RX isolation (4 ft, 200 MHz)",
+		render.Column{Header: "isolation (dB)", Format: render.Float(0)},
+		render.Column{Header: "leakage (dBm)", Format: render.Float(1)},
+		render.Col("decoded"),
+		render.Column{Header: "bit errors", Format: render.Int()},
+		render.Column{Header: "measured SNR (dB)", Format: render.Float(1)},
+	)
+	t.Notes = []string{
+		fmt.Sprintf("smallest isolation that still decodes cleanly: %.0f dB "+
+			"(the tag idles in the absorbing state so the reader can calibrate static leakage)",
+			r.MinWorkingIsolationDB),
 	}
 	for _, p := range r.Points {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%.0f", p.IsolationDB),
-			fmt.Sprintf("%.1f", p.LeakageDBm),
-			fmt.Sprintf("%v", p.Decoded),
-			fmt.Sprintf("%d", p.BitErrors),
-			fmt.Sprintf("%.1f", p.MeasuredSNRdB),
-		})
+		t.Add(p.IsolationDB, p.LeakageDBm, p.Decoded, p.BitErrors, p.MeasuredSNRdB)
 	}
 	return t
 }

@@ -150,8 +150,8 @@ func (r StreamResult) PeakDeliveredFPS() float64 {
 }
 
 // Table renders the session summary and the offered-load sweep.
-func (r StreamResult) Table() Table {
-	t := newTable("E18 (extension) — sustained streaming sessions: pipelined decode + flow-controlled offered-load sweep (2 GHz, 2 ft)",
+func (r StreamResult) Table() *render.Table {
+	t := render.New("E18 (extension) — sustained streaming sessions: pipelined decode + flow-controlled offered-load sweep (2 GHz, 2 ft)",
 		render.Column{Header: "load", Format: render.Float(2)},
 		render.Column{Header: "offered (fps)", Format: render.Float(0)},
 		render.Column{Header: "delivered (fps)", Format: render.Float(0)},
@@ -175,7 +175,7 @@ func (r StreamResult) Table() Table {
 			r.ARQLatencyP50S*1e6, r.ARQLatencyP99S*1e6))
 	}
 	for _, p := range r.Points {
-		t.add(p.Load, p.OfferedFPS, p.DeliveredFPS, p.GoodputBps,
+		t.Add(p.Load, p.OfferedFPS, p.DeliveredFPS, p.GoodputBps,
 			p.QueueDepthP99, p.Retransmissions, p.Drops, p.LatencyP99S*1e6)
 	}
 	return t

@@ -10,13 +10,13 @@ import (
 	"time"
 
 	"github.com/mmtag/mmtag/internal/dsp"
-	"github.com/mmtag/mmtag/internal/experiments"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/alert"
 	"github.com/mmtag/mmtag/internal/obs/manifest"
 	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 	"github.com/mmtag/mmtag/internal/par"
+	"github.com/mmtag/mmtag/internal/render"
 )
 
 // IndexSchema identifies the grid run-index format (grid.json).
@@ -80,7 +80,7 @@ func Run(spec *Spec, outDir string, workers int) (*Index, error) {
 		func(ws *dsp.Workspace, i int) error {
 			c := cells[i]
 			var (
-				tab     experiments.Table
+				tab     *render.Table
 				metrics map[string]float64
 				smp     *tsdb.Sampler
 				trans   []alert.Transition
@@ -120,7 +120,7 @@ func Run(spec *Spec, outDir string, workers int) (*Index, error) {
 			// when sampled) plus manifest.json, the one file allowed to
 			// differ between runs.
 			if _, err := manifest.Write(filepath.Join(outDir, rel), info, sinks.Sinks{Series: smp}, trans,
-				manifest.ExtraFile{Name: "table.txt", Data: []byte(tab.Render())},
+				manifest.ExtraFile{Name: "table.txt", Data: []byte(tab.Plain())},
 				manifest.ExtraFile{Name: "table.csv", Data: []byte(tab.CSV())},
 				manifest.ExtraFile{Name: "cell.json", Data: append(cellJSON, '\n')}); err != nil {
 				return err
@@ -151,18 +151,18 @@ var sampleMu sync.Mutex
 // and returns the sampler and the default rules' transitions over it,
 // plus alerts_fired / alerts_total summary metrics. The registry is
 // installed only for the duration of the cell (see sampleMu).
-func runCellSampled(spec *Spec, c Cell, ws *dsp.Workspace) (experiments.Table, map[string]float64, *tsdb.Sampler, []alert.Transition, error) {
+func runCellSampled(spec *Spec, c Cell, ws *dsp.Workspace) (*render.Table, map[string]float64, *tsdb.Sampler, []alert.Transition, error) {
 	sampleMu.Lock()
 	defer sampleMu.Unlock()
 	reg := obs.NewRegistry()
 	smp, err := tsdb.Attach(reg, spec.SampleDT)
 	if err != nil {
-		return experiments.Table{}, nil, nil, nil, fmt.Errorf("grid: cell %s: %w", c.ID, err)
+		return nil, nil, nil, nil, fmt.Errorf("grid: cell %s: %w", c.ID, err)
 	}
 	defer sinks.Install(sinks.Sinks{Registry: reg, Series: smp})()
 	tab, metrics, err := runCell(c, ws)
 	if err != nil {
-		return experiments.Table{}, nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	if metrics == nil {
 		metrics = map[string]float64{}

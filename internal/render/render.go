@@ -1,22 +1,20 @@
 // Package render is the repo-wide table renderer: one structured table,
 // four backends (plain aligned text, CSV, GitHub markdown, LaTeX). The
-// experiment drivers in internal/experiments and the grid analyzer in
-// internal/grid both emit their tables through it, so column alignment,
-// escaping and NaN hygiene are implemented exactly once.
+// experiment drivers in internal/experiments, the grid analyzer in
+// internal/grid and the run comparison in internal/rundiff all build
+// their tables with it, so column alignment, escaping and NaN hygiene
+// are implemented exactly once.
 //
 // A Table carries typed columns: each Column may declare an alignment
 // and a Formatter, and Add applies the formatter of column i to value i,
-// so drivers append raw floats/ints and the formatting policy lives in
-// the column declaration rather than being sprinkled through fmt.Sprintf
-// calls at every append site (the pre-render idiom this package
-// replaces).
+// so callers append raw floats and ints and the formatting policy lives
+// in the column declaration. AddRow appends pre-formatted cells, for a
+// table whose rows change format from row to row. Every numeric
+// formatter prints a NaN as "n/a".
 //
-// The plain backend reproduces the historical internal/experiments
-// layout byte for byte (two-space gutters, a full-width dash rule,
-// "note:" lines), so migrating a driver onto render does not change its
-// CLI output. Unlike the historical renderer it tolerates ragged rows:
-// a row longer than the header no longer panics, it just widens the
-// table.
+// The plain backend prints the title, the header, a full-width dash
+// rule, the rows with two-space gutters, then "note:" lines. A row
+// longer than the header widens the table instead of panicking.
 package render
 
 import (
@@ -27,7 +25,7 @@ import (
 )
 
 // Align selects the horizontal alignment of a column. The zero value is
-// Left, matching the historical plain-text tables.
+// Left, the layout of every experiment table.
 type Align int
 
 const (
@@ -146,10 +144,10 @@ func Printf(format string) Formatter {
 	return func(v any) string { return fmt.Sprintf(format, v) }
 }
 
-// FormatRow applies per-column formatters to a value row. Extra values
+// formatRow applies per-column formatters to a value row. Extra values
 // beyond the declared columns fall back to the default formatter, so a
 // ragged row degrades to %v instead of dropping cells.
-func FormatRow(cols []Column, vals []any) []string {
+func formatRow(cols []Column, vals []any) []string {
 	cells := make([]string, len(vals))
 	for i, v := range vals {
 		f := Formatter(nil)
@@ -181,7 +179,7 @@ func New(title string, cols ...Column) *Table {
 // Add appends one row of raw values, formatted through the column
 // formatters, and returns the table for chaining.
 func (t *Table) Add(vals ...any) *Table {
-	t.Rows = append(t.Rows, FormatRow(t.Columns, vals))
+	t.Rows = append(t.Rows, formatRow(t.Columns, vals))
 	return t
 }
 
@@ -236,9 +234,9 @@ func (t *Table) align(i int) Align {
 	return Left
 }
 
-// Plain renders the historical aligned-text layout: title, two-space
-// gutters, a dash rule sized like the legacy renderer (sum of width+2
-// over all columns), rows, then "note:" lines.
+// Plain renders the aligned-text layout: title, two-space gutters, a
+// dash rule as wide as the sum of width+2 over all columns, rows, then
+// "note:" lines.
 func (t *Table) Plain() string {
 	var b strings.Builder
 	if t.Title != "" {

@@ -81,16 +81,16 @@ func TestPlainAlignment(t *testing.T) {
 	if lines[4] != "σ       16.9°" {
 		t.Errorf("multibyte row wrong: %q", lines[4])
 	}
-	// Legacy rule width: sum over columns of width+2.
+	// Rule width: sum over columns of width+2.
 	if want := len("longer") + 2 + len("12345") + 2; len(lines[1]) != want {
 		t.Errorf("rule width %d, want %d", len(lines[1]), want)
 	}
 }
 
-// TestPlainMatchesLegacyLayout locks the exact historical
-// internal/experiments format for left-aligned tables: padding after
-// every cell (including the last), two-space gutters, full-width rule,
-// note: prefix.
+// TestPlainMatchesLegacyLayout locks the plain format of left-aligned
+// tables, the one every experiment table prints: padding after every
+// cell (including the last), two-space gutters, full-width rule, note:
+// prefix.
 func TestPlainMatchesLegacyLayout(t *testing.T) {
 	tab := New("T",
 		Column{Header: "colA"},
@@ -104,14 +104,13 @@ func TestPlainMatchesLegacyLayout(t *testing.T) {
 		"x     yyy\n" +
 		"note: hello\n"
 	if got := tab.Plain(); got != want {
-		t.Errorf("legacy layout drift:\n got %q\nwant %q", got, want)
+		t.Errorf("plain layout drift:\n got %q\nwant %q", got, want)
 	}
 }
 
-// TestRaggedRowNoPanic is the regression test for the historical
-// renderer, which indexed widths by the header count and panicked when
-// a row carried more cells than the header (the column-drift failure
-// mode the render migration is meant to catch gracefully).
+// TestRaggedRowNoPanic: a row with more cells than the header widens
+// the table in every backend instead of indexing past the header's
+// widths and panicking.
 func TestRaggedRowNoPanic(t *testing.T) {
 	tab := New("t", Col("only"))
 	tab.AddRow("a", "extra", "cells")
@@ -208,8 +207,8 @@ func TestLaTeXAlignmentSpec(t *testing.T) {
 
 func TestFormatRowRagged(t *testing.T) {
 	cols := []Column{{Header: "a", Format: Int()}}
-	row := FormatRow(cols, []any{1, "spill"})
+	row := formatRow(cols, []any{1, "spill"})
 	if len(row) != 2 || row[0] != "1" || row[1] != "spill" {
-		t.Errorf("ragged FormatRow: %v", row)
+		t.Errorf("ragged formatRow: %v", row)
 	}
 }

@@ -167,7 +167,6 @@ var uncalledAllowed = map[string]string{
 	"antenna.ULA.Pattern":             "facade: public through mmtag.VanAttaArray's Geometry field",
 	"antenna.ULA.BoresightGainDBi":    "facade: public through mmtag.VanAttaArray's Geometry field",
 	"circuit.ABCD.Cascade":            "facade: public through mmtag.VanAttaArray's Line field, whose ABCD method returns circuit.ABCD",
-	"render.Table.AddRow":             "facade: public through mmtag.RunDiffResult's Table field",
 	"tag.EnergyModel.SupportsBitrate": "facade: public through mmtag.Tag's Energy field",
 }
 
