@@ -102,22 +102,12 @@ type Burst struct {
 }
 
 // Snapshot is a coherent copy of the most recent committed burst, for
-// the dashboard's constellation and spectrum panels.
+// the dashboard's constellation and spectrum panels: the burst record
+// with its 1-based commit number. Its IQ and Decisions are copies,
+// never the committed burst's own slices.
 type Snapshot struct {
-	Seq          uint64
-	IQ           []complex128
-	Decisions    []complex128
-	SampleRateHz float64
-	CarrierHz    float64
-	Bandwidth    string
-	MCS          string
-	SyncOffset   int
-	SyncMetric   float64
-	Threshold    float64
-	SNRdB        float64
-	Quality      phy.DecisionQuality
-	HasQuality   bool
-	Decoded      bool
+	Seq uint64
+	Burst
 }
 
 // Tap is the signal-observability sink. All methods are safe for
@@ -211,20 +201,13 @@ func (t *Tap) Commit(b Burst) {
 	t.mu.Lock()
 	t.bursts++
 	s := &t.last
+	// b's slices may be workspace-backed: take the snapshot's own
+	// buffers out before the assignment and copy into them after it.
+	iq, decisions := s.IQ, s.Decisions
 	s.Seq = t.bursts
-	s.IQ = append(s.IQ[:0], b.IQ...)
-	s.Decisions = append(s.Decisions[:0], b.Decisions...)
-	s.SampleRateHz = b.SampleRateHz
-	s.CarrierHz = b.CarrierHz
-	s.Bandwidth = b.Bandwidth
-	s.MCS = b.MCS
-	s.SyncOffset = b.SyncOffset
-	s.SyncMetric = b.SyncMetric
-	s.Threshold = b.Threshold
-	s.SNRdB = b.SNRdB
-	s.Quality = b.Quality
-	s.HasQuality = b.HasQuality
-	s.Decoded = b.Decoded
+	s.Burst = b
+	s.IQ = append(iq[:0], b.IQ...)
+	s.Decisions = append(decisions[:0], b.Decisions...)
 	t.haveLast = true
 	if !math.IsNaN(b.SNRdB) {
 		t.recentSNR.push(b.SNRdB)

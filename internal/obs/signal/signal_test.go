@@ -78,7 +78,10 @@ func TestCommitAndLastSnapshot(t *testing.T) {
 		t.Fatal("snapshot before any commit")
 	}
 	tap.Commit(okBurst(1))
-	tap.Commit(okBurst(2))
+	b := okBurst(2)
+	tap.Commit(b)
+	// Commit copies the burst's slices: the caller may reuse them.
+	b.IQ[0], b.Decisions[0] = complex(99, 99), complex(99, 99)
 	if got := tap.Bursts(); got != 2 {
 		t.Fatalf("Bursts = %d, want 2", got)
 	}
@@ -91,6 +94,9 @@ func TestCommitAndLastSnapshot(t *testing.T) {
 	}
 	if len(snap.IQ) != 3 || len(snap.Decisions) != 4 {
 		t.Fatalf("snapshot slices wrong: %d IQ, %d decisions", len(snap.IQ), len(snap.Decisions))
+	}
+	if snap.IQ[0] == complex(99, 99) || snap.Decisions[0] == complex(99, 99) {
+		t.Fatal("snapshot aliases the committed burst's buffers")
 	}
 	// The snapshot must be a deep copy: mutating it cannot reach the tap.
 	snap.IQ[0] = complex(99, 99)
