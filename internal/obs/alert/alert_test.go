@@ -2,6 +2,7 @@ package alert_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -148,6 +149,30 @@ func TestEncodeJSONLOrderAndShape(t *testing.T) {
 	}
 	if !bytes.Equal(out, alert.EncodeJSONL(trs)) {
 		t.Fatal("encoding must be deterministic")
+	}
+}
+
+// TestEncodeJSONLAllocs: the lines share one buffer and the sorted
+// output is copied once at its exact size, so the encoder allocates the
+// same few times for any number of transitions, even when every float
+// takes its longest form.
+func TestEncodeJSONLAllocs(t *testing.T) {
+	for _, n := range []int{1, 10, 300} {
+		trs := make([]alert.Transition, n)
+		for i := range trs {
+			trs[i] = alert.Transition{
+				T: float64((n - i) / 3), Rule: fmt.Sprintf("rule-%d", i%7), State: "firing",
+				Metric: "core_bit_errors_total", Value: -2.2250738585072014e-308,
+				Threshold: -0.00012345678901234567, Severity: "warn",
+			}
+		}
+		out := alert.EncodeJSONL(trs)
+		if got := bytes.Count(out, []byte("\n")); got != n || cap(out) != len(out) {
+			t.Fatalf("%d transitions: %d lines, len %d cap %d", n, got, len(out), cap(out))
+		}
+		if allocs := testing.AllocsPerRun(20, func() { alert.EncodeJSONL(trs) }); allocs > 3 {
+			t.Errorf("%d transitions: EncodeJSONL allocates %.0f times, want at most 3", n, allocs)
+		}
 	}
 }
 

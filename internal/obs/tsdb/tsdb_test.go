@@ -227,6 +227,31 @@ func TestJSONShape(t *testing.T) {
 	}
 }
 
+// TestSnapshotJSONOneAlloc: timeseries.json is encoded into a single
+// buffer sized from the snapshot, for counter, gauge and histogram
+// series alike and with gauge values at their longest float form.
+func TestSnapshotJSONOneAlloc(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, _ := tsdb.New(1e-6)
+	reg.SetSampleSink(s)
+	for i := range 600 {
+		at := float64(i) * 2.5e-7
+		reg.AddAt(at, "test_ctr_total", 1, obs.L("shard", strconv.Itoa(i%3)))
+		reg.SetAt(at, "test_gauge", -2.2250738585072014e-308*float64(i%7+1))
+		reg.ObserveAt(at, "test_hist_seconds", float64(i%10)*1e-6)
+	}
+	snap := s.Snapshot()
+	if len(snap.Series) != 5 {
+		t.Fatalf("%d series, want 3 counters, a gauge and a histogram", len(snap.Series))
+	}
+	if !bytes.Equal(snap.JSON(), s.JSON()) {
+		t.Fatal("Snapshot.JSON differs from Sampler.JSON")
+	}
+	if n := testing.AllocsPerRun(20, func() { snap.JSON() }); n != 1 {
+		t.Errorf("Snapshot.JSON: %v allocs, want 1", n)
+	}
+}
+
 func TestNewRejectsBadInterval(t *testing.T) {
 	for _, dt := range []float64{0, -1, nan()} {
 		if _, err := tsdb.New(dt); err == nil {
