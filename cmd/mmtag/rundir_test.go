@@ -33,7 +33,12 @@ var rundirArtifacts = []string{"events.jsonl", "timeseries.json", "alerts.jsonl"
 // equal at -workers 1 and -workers 8, and must match
 // testdata/rundir7.sha256 (amd64 only, like the stdout golden). With a
 // registry installed, the three tables carry quantile notes that the
-// plain stdout golden never sees.
+// plain stdout golden never sees. It also pins the stdout of
+// "mmtag diff" from the -workers 1 arq directory to the -workers 1
+// stream directory, which fails its gates (exit 1): the count, p50 and
+// p99 rows of every histogram series the two runs record. Only the
+// -workers 1 pair is pinned, because the note's count of skipped
+// wall-clock series depends on the worker count.
 func TestRunDirGolden(t *testing.T) {
 	t.Parallel()
 	_, golden := readGolden(t, "rundir7.sha256")
@@ -77,6 +82,17 @@ func TestRunDirGolden(t *testing.T) {
 				t.Errorf("%s: sha256 %s, golden %s", key, got, golden[key])
 			}
 		}
+	}
+	out, errOut, code := mmtag(t, "diff", "-a", filepath.Join(dir, "arq-w1"), "-b", filepath.Join(dir, "stream-w1"))
+	if code != 1 {
+		t.Fatalf("diff arq stream: exit %d, want 1: %s", code, errOut)
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); got != golden["diff/stdout"] {
+		t.Errorf("diff/stdout: sha256 %s, golden %s", got, golden["diff/stdout"])
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -18,6 +19,7 @@ import (
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/alert"
 	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/serve"
 	"github.com/mmtag/mmtag/internal/obs/signal"
 	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
@@ -28,16 +30,21 @@ import (
 // telemetryGoldenPath holds one SHA-256 per artifact of a sampled ARQ
 // run (sha256sum format: digest, two spaces, "<range>/<artifact>"). The
 // digests were taken before the registry, span and event stores were
-// rewritten to record without allocating, and the trace.json lines
-// before the metrics and trace exporters were hand-encoded; none is
-// ever re-pinned to make this test pass.
+// rewritten to record without allocating, the trace.json lines before
+// the metrics and trace exporters were hand-encoded, and the
+// dashboard.html and alerts.json lines before the histogram quantile
+// and the slot-grid family merge each became one implementation; none
+// is ever re-pinned to make this test pass.
 var telemetryGoldenPath = filepath.Join("testdata", "telemetry7.sha256")
 
 // telemetryArtifacts runs one sampled ARQ op — 20 frames of 64 B at
 // 2 GHz, seed 7, up to 3 retries — at ft feet with every sink on: a
 // fresh registry on a fixed clock, a 1 µs sampler with the default alert
 // rules, an event log and a tap with an 8-slot flight recorder. It
-// returns each artifact the run directory and the live server expose.
+// returns each artifact the run directory and the live server expose:
+// of the server's, the deterministic section of /dashboard and the
+// /alerts body, read last because a request counts itself into the
+// registry.
 func telemetryArtifacts(t *testing.T, ft float64) map[string][]byte {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -88,21 +95,37 @@ func telemetryArtifacts(t *testing.T, ft float64) map[string][]byte {
 		flight.Write(f.Data)
 	}
 	out["flight"] = flight.Bytes()
+
+	h := serve.New(sinks.Sinks{Registry: reg, Events: log, Tap: tap, Series: smp}, alert.Default()).Handler()
+	get := func(path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Body.String()
+	}
+	dash := get("/dashboard")
+	begin := strings.Index(dash, "<!-- begin-deterministic -->")
+	end := strings.Index(dash, "<!-- end-deterministic -->")
+	if begin < 0 || end < begin {
+		t.Fatalf("%g ft: dashboard has no deterministic section:\n%s", ft, dash)
+	}
+	out["dashboard.html"] = []byte(dash[begin+len("<!-- begin-deterministic -->") : end])
+	out["alerts.json"] = []byte(get("/alerts"))
 	return out
 }
 
 // telemetryArtifactNames fixes the digest order.
 var telemetryArtifactNames = []string{
 	"metrics.json", "metrics.prom", "timeseries.json", "alerts.jsonl", "events.jsonl", "flight",
-	"trace.json",
+	"trace.json", "dashboard.html", "alerts.json",
 }
 
 // TestTelemetryArtifactsGolden pins every telemetry artifact of a
 // sampled ARQ op on either side of the gigabit range edge: the metrics
 // snapshot with its spans (IDs, parents, attributes), the Prometheus
 // text, the time series, the alert transitions, the event lines, the
-// flight-recorder files and the span trace. Floating-point output is
-// only pinned on amd64.
+// flight-recorder files, the span trace, and the live server's
+// dashboard (its deterministic section) and rule states. Floating-point
+// output is only pinned on amd64.
 func TestTelemetryArtifactsGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden digests are pinned on amd64, not %s", runtime.GOARCH)
