@@ -257,76 +257,31 @@ func (e *Engine) Evaluate(snap tsdb.Snapshot) ([]Transition, []RuleState) {
 func evalRule(r Rule, snap tsdb.Snapshot) ([]Transition, RuleState) {
 	st := RuleState{Rule: r.Name, Metric: r.Metric, Severity: r.severity(),
 		State: "inactive", Value: math.NaN()}
-	slotDur := float64(snap.Stride) * snap.DT
-	nSlots := int(snap.MaxTick/snap.Stride) + 1
-	if nSlots > snap.SlotCap {
-		nSlots = snap.SlotCap
-	}
-
-	// Merge matching series into slot-indexed aggregates.
-	var kind obs.Kind
-	var found bool
-	var bounds []float64
-	occ := make([]bool, nSlots)
-	val := make([]float64, nSlots) // counter delta sum / gauge max
-	var count []uint64
-	var counts []uint64 // nSlots × (len(bounds)+1)
-	for _, se := range snap.Series {
-		if se.Name != r.Metric {
-			continue
-		}
-		if !found {
-			kind, bounds, found = se.Kind, se.Buckets, true
-			if kind == obs.KindHistogram {
-				count = make([]uint64, nSlots)
-				counts = make([]uint64, nSlots*(len(bounds)+1))
-			}
-		}
-		for _, p := range se.Points {
-			// p.T is slotIndex·slotDur exactly; round back to the index.
-			i := int(math.Round(p.T / slotDur))
-			if i < 0 || i >= nSlots {
-				continue
-			}
-			switch kind {
-			case obs.KindCounter:
-				val[i] += p.V
-			case obs.KindGauge:
-				// Gauge series merge across labels by max.
-				if !occ[i] || p.V > val[i] {
-					val[i] = p.V
-				}
-			case obs.KindHistogram:
-				count[i] += p.Count
-				nb := len(bounds) + 1
-				for b := 0; b < nb && b < len(p.Counts); b++ {
-					counts[i*nb+b] += p.Counts[b]
-				}
-			}
-			occ[i] = true
-		}
+	f, found := snap.Family(r.Metric)
+	if !found {
+		return nil, st
 	}
 
 	// Replay the grid through the state machine.
 	wSlots := 0
-	if slotDur > 0 {
-		wSlots = int(r.WindowS / slotDur)
+	if f.SlotDur > 0 {
+		wSlots = int(r.WindowS / f.SlotDur)
 	}
 	var trans []Transition
 	cum := 0.0          // running counter total for agg "value"
 	gauge := math.NaN() // latest gauge value for agg "value"
-	scratch := make([]uint64, len(bounds)+1)
-	for i := 0; i < nSlots; i++ {
-		t := float64(i) * slotDur
-		if occ[i] {
-			if kind == obs.KindCounter {
-				cum += val[i]
+	scratch := make([]uint64, len(f.Buckets)+1)
+	for i, occ := range f.Occ {
+		t := float64(i) * f.SlotDur
+		if occ {
+			if f.Kind == obs.KindCounter {
+				cum += f.V[i]
 			}
-			if kind == obs.KindGauge {
-				gauge = val[i]
+			if f.Kind == obs.KindGauge {
+				gauge = f.V[i]
 			}
 		}
-		v, ok := aggregate(r, kind, found, i, wSlots, slotDur, occ, val, count, counts, bounds, cum, gauge, scratch)
+		v, ok := aggregate(r, &f, i, wSlots, cum, gauge, scratch)
 		st.Value = v
 		cond := ok && compare(v, r.Op, r.Threshold)
 		switch {
@@ -356,41 +311,36 @@ func evalRule(r Rule, snap tsdb.Snapshot) ([]Transition, RuleState) {
 
 // aggregate computes the rule's windowed value at slot i; ok is false
 // when the window holds no data or the agg does not fit the kind.
-func aggregate(r Rule, kind obs.Kind, found bool, i, wSlots int, slotDur float64,
-	occ []bool, val []float64, count, counts []uint64, bounds []float64,
-	cum, gauge float64, scratch []uint64) (float64, bool) {
-	if !found {
-		return math.NaN(), false
-	}
+func aggregate(r Rule, f *tsdb.Family, i, wSlots int, cum, gauge float64, scratch []uint64) (float64, bool) {
 	lo := i - wSlots
 	if lo < 0 {
 		lo = 0
 	}
 	windowOcc := false
 	for j := lo; j <= i; j++ {
-		if occ[j] {
+		if f.Occ[j] {
 			windowOcc = true
 			break
 		}
 	}
 	switch r.Agg {
 	case "value":
-		switch kind {
+		switch f.Kind {
 		case obs.KindCounter:
 			return cum, true
 		case obs.KindGauge:
 			return gauge, !math.IsNaN(gauge)
 		}
 	case "sum", "rate":
-		if kind != obs.KindCounter {
+		if f.Kind != obs.KindCounter {
 			return math.NaN(), false
 		}
 		s := 0.0
 		for j := lo; j <= i; j++ {
-			s += val[j]
+			s += f.V[j]
 		}
 		if r.Agg == "rate" {
-			dur := float64(i-lo+1) * slotDur
+			dur := float64(i-lo+1) * f.SlotDur
 			if dur <= 0 {
 				return math.NaN(), false
 			}
@@ -398,45 +348,48 @@ func aggregate(r Rule, kind obs.Kind, found bool, i, wSlots int, slotDur float64
 		}
 		return s, windowOcc
 	case "count":
-		if kind != obs.KindHistogram {
+		if f.Kind != obs.KindHistogram {
 			return math.NaN(), false
 		}
 		var n uint64
 		for j := lo; j <= i; j++ {
-			n += count[j]
+			n += f.Count[j]
 		}
 		return float64(n), true
 	case "p50", "p90", "p99":
-		if kind != obs.KindHistogram {
+		if f.Kind != obs.KindHistogram {
 			return math.NaN(), false
 		}
-		nb := len(bounds) + 1
-		for b := 0; b < nb; b++ {
-			scratch[b] = 0
-		}
+		clear(scratch)
 		for j := lo; j <= i; j++ {
-			for b := 0; b < nb; b++ {
-				scratch[b] += counts[j*nb+b]
+			for b, c := range f.SlotCounts(j) {
+				scratch[b] += c
 			}
 		}
-		q := map[string]float64{"p50": 0.5, "p90": 0.9, "p99": 0.99}[r.Agg]
-		return tsdb.Quantile(bounds, scratch, q)
+		q := 0.99
+		switch r.Agg {
+		case "p50":
+			q = 0.5
+		case "p90":
+			q = 0.9
+		}
+		return obs.BucketQuantile(f.Buckets, scratch, q)
 	case "max", "min":
-		if kind != obs.KindGauge {
+		if f.Kind != obs.KindGauge {
 			return math.NaN(), false
 		}
 		best := math.NaN()
 		for j := lo; j <= i; j++ {
-			if !occ[j] {
+			if !f.Occ[j] {
 				continue
 			}
 			switch {
 			case math.IsNaN(best):
-				best = val[j]
-			case r.Agg == "max" && val[j] > best:
-				best = val[j]
-			case r.Agg == "min" && val[j] < best:
-				best = val[j]
+				best = f.V[j]
+			case r.Agg == "max" && f.V[j] > best:
+				best = f.V[j]
+			case r.Agg == "min" && f.V[j] < best:
+				best = f.V[j]
 			}
 		}
 		return best, !math.IsNaN(best)

@@ -188,114 +188,138 @@ func TraceJSON(spans []SpanRecord, dropped uint64) ([]byte, error) {
 // SeriesCount returns the number of metric series in the snapshot.
 func (s Snapshot) SeriesCount() int { return len(s.Metrics) }
 
-// Counter returns the value of a counter/gauge series matching name and
-// labels (ok=false when absent). With no labels it sums every series in
-// the family, so `Counter("core_bursts_attempted_total")` is the total
-// across bandwidths without knowing the label set.
+// Counter returns the value of a counter or gauge family: the series
+// whose label set is exactly labels, or with no labels the sum over
+// every series of the family, so `Counter("core_bursts_attempted_total")`
+// is the total across bandwidths without knowing the label set. ok is
+// false when no series matches.
 func (s Snapshot) Counter(name string, labels ...Label) (float64, bool) {
-	if len(labels) == 0 {
-		var sum float64
-		found := false
-		for _, m := range s.Metrics {
-			if m.Name == name && m.Kind != KindHistogram.String() {
-				sum += m.Value
-				found = true
-			}
+	var sum float64
+	found := false
+	for i := range s.Metrics {
+		if m := &s.Metrics[i]; m.Kind != KindHistogram.String() && m.matches(name, labels) {
+			sum += m.Value
+			found = true
 		}
-		return sum, found
 	}
-	for _, m := range s.Metrics {
-		if m.Name != name || len(m.Labels) != len(labels) {
+	return sum, found
+}
+
+// Histogram returns a histogram family's finite bucket bounds and its
+// per-bucket sample counts (a bucket's cumulative count minus the one
+// below it), the last bucket being the +Inf overflow the registry
+// writes: those of the series whose label set is exactly labels, or
+// with no labels their sum over every series of the family. ok is false
+// for an unknown family, a non-histogram, or series whose bucket
+// layouts differ.
+func (s Snapshot) Histogram(name string, labels ...Label) (bounds []float64, counts []uint64, ok bool) {
+	for i := range s.Metrics {
+		m := &s.Metrics[i]
+		if m.Kind != KindHistogram.String() || len(m.Buckets) == 0 || !m.matches(name, labels) {
 			continue
 		}
-		match := true
-		for _, l := range labels {
-			if m.Labels[l.Key] != l.Value {
-				match = false
-				break
+		if counts == nil {
+			counts = make([]uint64, len(m.Buckets))
+			for _, b := range m.Buckets[:len(m.Buckets)-1] {
+				bounds = append(bounds, b.LE)
 			}
+		} else if len(m.Buckets) != len(counts) {
+			return nil, nil, false
 		}
-		if match {
-			return m.Value, true
+		var below uint64
+		for j, b := range m.Buckets {
+			counts[j] += b.Count - below
+			below = b.Count
 		}
 	}
-	return 0, false
+	return bounds, counts, counts != nil
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) of a histogram family
-// by linear interpolation inside the bucket holding the target rank —
-// the same estimator as Prometheus's histogram_quantile. With labels it
-// reads one series; with none it aggregates every series in the family
-// (bucket layouts agree within a family by construction). Ranks landing
-// in the +Inf bucket clamp to the highest finite bound, since that
-// bucket has no upper edge to interpolate toward. ok is false for an
-// unknown family, a non-histogram, an empty histogram, or q outside
-// [0, 1].
+// with BucketQuantile, over the counts Histogram returns. ok is false
+// where Histogram's is, for an empty histogram, or for q outside [0, 1].
 func (s Snapshot) Quantile(name string, q float64, labels ...Label) (float64, bool) {
+	bounds, counts, ok := s.Histogram(name, labels...)
+	if !ok {
+		return 0, false
+	}
+	return BucketQuantile(bounds, counts, q)
+}
+
+// Quantile estimates the q-quantile of this one series: the family
+// quantile of a snapshot that holds only m.
+func (m *MetricSnapshot) Quantile(q float64) (float64, bool) {
+	return Snapshot{Metrics: []MetricSnapshot{*m}}.Quantile(m.Name, q)
+}
+
+// matches reports whether m is a series of the family name that labels
+// select: with no labels every series of the family, else the one whose
+// label set is exactly labels, each queried key present with its value.
+func (m *MetricSnapshot) matches(name string, labels []Label) bool {
+	if m.Name != name {
+		return false
+	}
+	if len(labels) == 0 {
+		return true
+	}
+	if len(m.Labels) != len(labels) {
+		return false
+	}
+	for _, l := range labels {
+		if v, ok := m.Labels[l.Key]; !ok || v != l.Value {
+			return false
+		}
+	}
+	return true
+}
+
+// BucketQuantile estimates the q-quantile (0 ≤ q ≤ 1) of a histogram
+// from its per-bucket counts: counts[i] holds the samples in
+// (bounds[i-1], bounds[i]], from 0 for i = 0, and any count past the
+// last bound the +Inf overflow. It interpolates linearly inside the
+// first non-empty bucket whose cumulative count reaches the rank
+// q·total, so q = 0 gives that bucket's lower edge; a rank in the
+// overflow clamps to the last finite bound, or 0 with none. ok is false
+// for an empty histogram or q outside [0, 1]. Every histogram quantile
+// the repository prints or archives comes from here.
+func BucketQuantile(bounds []float64, counts []uint64, q float64) (float64, bool) {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return 0, false
 	}
-	// Merge the cumulative buckets of every matching series.
-	var merged []BucketCount
-	for _, m := range s.Metrics {
-		if m.Name != name || m.Kind != KindHistogram.String() || len(m.Buckets) == 0 {
-			continue
-		}
-		if len(labels) > 0 {
-			if len(m.Labels) != len(labels) {
-				continue
-			}
-			match := true
-			for _, l := range labels {
-				if m.Labels[l.Key] != l.Value {
-					match = false
-					break
-				}
-			}
-			if !match {
-				continue
-			}
-		}
-		if merged == nil {
-			merged = append([]BucketCount{}, m.Buckets...)
-			continue
-		}
-		if len(m.Buckets) != len(merged) {
-			return 0, false
-		}
-		for i, b := range m.Buckets {
-			merged[i].Count += b.Count
-		}
+	var total uint64
+	for _, c := range counts {
+		total += c
 	}
-	if merged == nil {
-		return 0, false
-	}
-	total := merged[len(merged)-1].Count
 	if total == 0 {
 		return 0, false
 	}
 	rank := q * float64(total)
-	for i, b := range merged {
-		if float64(b.Count) < rank {
+	var cum uint64
+	for i, c := range counts {
+		cum += c
+		if float64(cum) < rank || c == 0 {
 			continue
 		}
-		if math.IsInf(b.LE, 1) {
-			// No upper edge: clamp to the last finite bound.
-			if i > 0 {
-				return merged[i-1].LE, true
+		if i >= len(bounds) {
+			// +Inf bucket: clamp to the last finite bound.
+			if len(bounds) == 0 {
+				return 0, true
 			}
-			return 0, false
+			return bounds[len(bounds)-1], true
 		}
-		lo, below := 0.0, uint64(0)
+		lo := 0.0
 		if i > 0 {
-			lo, below = merged[i-1].LE, merged[i-1].Count
+			lo = bounds[i-1]
 		}
-		in := b.Count - below
-		if in == 0 {
-			return b.LE, true
+		frac := (rank - float64(cum-c)) / float64(c)
+		if frac < 0 {
+			frac = 0
+		} else if frac > 1 {
+			frac = 1
 		}
-		return lo + (b.LE-lo)*(rank-float64(below))/float64(in), true
+		return lo + (bounds[i]-lo)*frac, true
 	}
+	// rank ≤ total guarantees the loop returned; keep the compiler happy.
 	return 0, false
 }
 

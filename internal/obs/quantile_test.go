@@ -74,6 +74,68 @@ func TestQuantileLabelsAndAggregate(t *testing.T) {
 	if _, ok := snap.Quantile("quantile_test_lat", 0.5, L("bw", "nope")); ok {
 		t.Fatal("unknown series must report !ok")
 	}
+	// A series' own quantile is the family's read with its labels.
+	for i := range snap.Metrics {
+		m := &snap.Metrics[i]
+		got, ok := m.Quantile(0.5)
+		want, _ := snap.Quantile(m.Name, 0.5, L("bw", m.Labels["bw"]))
+		if !ok || got != want {
+			t.Errorf("%v: MetricSnapshot.Quantile = %v, %v; want %v", m.Labels, got, ok, want)
+		}
+	}
+}
+
+// TestBucketQuantile holds the one histogram estimator on per-bucket
+// counts over the bounds {1, 2, 4}, the fourth count being the +Inf
+// overflow.
+func TestBucketQuantile(t *testing.T) {
+	bounds := []float64{1, 2, 4}
+	for _, tc := range []struct {
+		name   string
+		bounds []float64
+		counts []uint64
+		q      float64
+		want   float64
+		ok     bool
+	}{
+		{"empty window", bounds, []uint64{0, 0, 0, 0}, 0.99, 0, false},
+		{"q above 1", bounds, []uint64{1, 0, 0, 0}, 1.5, 0, false},
+		{"q below 0", bounds, []uint64{1, 0, 0, 0}, -0.1, 0, false},
+		{"q NaN", bounds, []uint64{1, 0, 0, 0}, math.NaN(), 0, false},
+		{"overflow clamps to the last finite bound", bounds, []uint64{0, 0, 0, 5}, 0.5, 4, true},
+		{"interpolates inside its bucket", bounds, []uint64{5, 0, 5, 0}, 0.75, 3, true},
+		{"rank on a bucket edge", bounds, []uint64{5, 0, 5, 0}, 0.5, 1, true},
+		{"q = 0 is the first non-empty bucket's lower edge", bounds, []uint64{0, 3, 0, 1}, 0, 1, true},
+		{"q = 1 is the last non-empty bucket's upper bound", bounds, []uint64{0, 3, 0, 0}, 1, 2, true},
+		{"no finite bound", nil, []uint64{5}, 0.5, 0, true},
+	} {
+		if got, ok := BucketQuantile(tc.bounds, tc.counts, tc.q); got != tc.want || ok != tc.ok {
+			t.Errorf("%s: BucketQuantile(%v, %v, %v) = %v, %v; want %v, %v",
+				tc.name, tc.bounds, tc.counts, tc.q, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
+// TestLabelMatcher: Counter and Quantile select a labelled series only
+// when every queried key is present with its value, so a key the series
+// lacks does not match an empty value.
+func TestLabelMatcher(t *testing.T) {
+	r := quantileRegistry()
+	r.Add("x_total", 3, L("mcs", "OOK"))
+	r.Observe("quantile_test_lat", 0.5, L("mcs", "OOK"))
+	snap := r.Snapshot()
+	if v, ok := snap.Counter("x_total", L("bw", "")); ok {
+		t.Errorf("Counter with an absent key = %v, true; want not found", v)
+	}
+	if v, ok := snap.Quantile("quantile_test_lat", 0.5, L("bw", "")); ok {
+		t.Errorf("Quantile with an absent key = %v, true; want not found", v)
+	}
+	if v, ok := snap.Counter("x_total", L("mcs", "OOK")); !ok || v != 3 {
+		t.Errorf("Counter{mcs=OOK} = %v, %v; want 3, true", v, ok)
+	}
+	if v, ok := snap.Quantile("quantile_test_lat", 1, L("mcs", "OOK")); !ok || v != 1 {
+		t.Errorf("Quantile{mcs=OOK} = %v, %v; want 1, true", v, ok)
+	}
 }
 
 func TestQuantileRejects(t *testing.T) {

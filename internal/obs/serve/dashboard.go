@@ -254,67 +254,27 @@ func (s *Server) writeTimeseriesCharts(b *strings.Builder) {
 	}
 }
 
-// mergeSeries folds every series of the chart's metric family into one
-// (x, y) sequence on the slot grid: counter deltas sum across labels,
-// histogram windows merge their bucket counts before the quantile.
+// mergeSeries turns the chart's metric family, merged on the slot grid,
+// into one (x, y) point per occupied slot: the counter's delta sum, or
+// the histogram quantile of the slot's bucket counts.
 func mergeSeries(snap tsdb.Snapshot, spec timeseriesChart) (xs, ys []float64) {
-	slotDur := float64(snap.Stride) * snap.DT
-	if slotDur <= 0 {
+	f, ok := snap.Family(spec.metric)
+	if !ok || spec.hist != (f.Kind == obs.KindHistogram) {
 		return nil, nil
 	}
-	type slot struct {
-		occupied bool
-		v        float64
-		counts   []uint64
-	}
-	slots := map[int]*slot{}
-	var bounds []float64
-	maxIdx := -1
-	for _, se := range snap.Series {
-		if se.Name != spec.metric {
+	for i, occ := range f.Occ {
+		if !occ {
 			continue
 		}
-		if spec.hist != (se.Kind == obs.KindHistogram) {
-			continue
-		}
-		bounds = se.Buckets
-		for _, p := range se.Points {
-			i := int(math.Round(p.T / slotDur))
-			sl := slots[i]
-			if sl == nil {
-				sl = &slot{}
-				slots[i] = sl
-			}
-			sl.occupied = true
-			if spec.hist {
-				if sl.counts == nil {
-					sl.counts = make([]uint64, len(se.Buckets)+1)
-				}
-				for b := 0; b < len(sl.counts) && b < len(p.Counts); b++ {
-					sl.counts[b] += p.Counts[b]
-				}
-			} else {
-				sl.v += p.V
-			}
-			if i > maxIdx {
-				maxIdx = i
-			}
-		}
-	}
-	for i := 0; i <= maxIdx; i++ {
-		sl := slots[i]
-		if sl == nil || !sl.occupied {
-			continue
-		}
-		y := sl.v
+		var y float64
 		if spec.hist {
-			v, ok := tsdb.Quantile(bounds, sl.counts, spec.q)
-			if !ok {
+			if y, ok = obs.BucketQuantile(f.Buckets, f.SlotCounts(i), spec.q); !ok {
 				continue
 			}
-			y = v
+		} else {
+			y = f.V[i]
 		}
-		xs = append(xs, float64(i)*slotDur*1e6)
+		xs = append(xs, float64(i)*f.SlotDur*1e6)
 		ys = append(ys, y*spec.scale)
 	}
 	return xs, ys

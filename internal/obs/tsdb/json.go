@@ -81,7 +81,7 @@ func appendSeries(b []byte, se Series) []byte {
 				name string
 				q    float64
 			}{{"q50", 0.5}, {"q90", 0.9}, {"q99", 0.99}} {
-				if v, ok := Quantile(se.Buckets, p.Counts, q.q); ok {
+				if v, ok := obs.BucketQuantile(se.Buckets, p.Counts, q.q); ok {
 					b = append(b, ',', '"')
 					b = append(b, q.name...)
 					b = append(b, `":`...)

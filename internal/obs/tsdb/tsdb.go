@@ -379,49 +379,80 @@ func (s *Sampler) Snapshot() Snapshot {
 	return snap
 }
 
-// Quantile interpolates the q-quantile from bucket deltas the same way
-// the registry snapshot does: linear within the winning bucket, with
-// the +Inf overflow bucket clamped to the last finite bound. ok is
-// false for an empty window or q outside [0, 1].
-func Quantile(bounds []float64, counts []uint64, q float64) (float64, bool) {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, false
-	}
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if float64(cum) < rank || c == 0 {
+// Family is one metric family merged across its labels onto the
+// snapshot's slot grid: slot i starts at i·SlotDur, and each per-slot
+// slice has one entry for every slot up to the last the sampler
+// reached.
+type Family struct {
+	Kind    obs.Kind
+	Buckets []float64 // histogram bucket bounds
+	SlotDur float64
+	// Occ marks the slots that hold at least one update.
+	Occ []bool
+	// V is a counter slot's delta sum, or a gauge slot's largest value.
+	V []float64
+	// Count is a histogram slot's sample count, and Counts its bucket
+	// counts, len(Buckets)+1 a slot (SlotCounts).
+	Count  []uint64
+	Counts []uint64
+}
+
+// SlotCounts returns histogram slot i's bucket counts, the +Inf overflow
+// last.
+func (f *Family) SlotCounts(i int) []uint64 {
+	nb := len(f.Buckets) + 1
+	return f.Counts[i*nb : (i+1)*nb]
+}
+
+// Family merges every series named name onto the slot grid: counter
+// deltas sum across labels, gauges keep the largest value, and
+// histogram bucket counts sum. The grid ends at min(MaxTick/Stride+1,
+// SlotCap) slots; a point at or past its end is dropped. ok is false
+// when no series has that name.
+func (sn Snapshot) Family(name string) (f Family, ok bool) {
+	for _, se := range sn.Series {
+		if se.Name != name {
 			continue
 		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		if i >= len(bounds) {
-			// +Inf bucket: clamp to the last finite bound.
-			if len(bounds) == 0 {
-				return 0, true
+		if !ok {
+			ok = true
+			f = Family{Kind: se.Kind, Buckets: se.Buckets, SlotDur: float64(sn.Stride) * sn.DT}
+			n := 0
+			if sn.Stride > 0 {
+				n = min(int(sn.MaxTick/sn.Stride)+1, sn.SlotCap)
 			}
-			return bounds[len(bounds)-1], true
+			f.Occ = make([]bool, n)
+			if f.Kind == obs.KindHistogram {
+				f.Count = make([]uint64, n)
+				f.Counts = make([]uint64, n*(len(f.Buckets)+1))
+			} else {
+				f.V = make([]float64, n)
+			}
 		}
-		frac := (rank - float64(cum-c)) / float64(c)
-		if frac < 0 {
-			frac = 0
-		} else if frac > 1 {
-			frac = 1
+		for _, p := range se.Points {
+			// p.T is slotIndex·SlotDur exactly; round back to the index.
+			i := int(math.Round(p.T / f.SlotDur))
+			if i < 0 || i >= len(f.Occ) {
+				continue
+			}
+			switch f.Kind {
+			case obs.KindCounter:
+				f.V[i] += p.V
+			case obs.KindGauge:
+				if !f.Occ[i] || p.V > f.V[i] {
+					f.V[i] = p.V
+				}
+			case obs.KindHistogram:
+				f.Count[i] += p.Count
+				dst := f.SlotCounts(i)
+				for b := 0; b < len(dst) && b < len(p.Counts); b++ {
+					dst[b] += p.Counts[b]
+				}
+			}
+			f.Occ[i] = true
 		}
-		return lo + (bounds[i]-lo)*frac, true
 	}
-	// rank ≤ total guarantees the loop returned; keep the compiler happy.
-	return 0, false
+	return f, ok
 }
 
 func seriesSortKey(name string, labels []obs.Label) string {

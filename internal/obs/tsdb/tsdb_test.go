@@ -2,6 +2,7 @@ package tsdb_test
 
 import (
 	"bytes"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -103,17 +104,40 @@ func TestGaugeLastWriteWinsWithinSlot(t *testing.T) {
 	}
 }
 
-func TestQuantileEmptyWindow(t *testing.T) {
-	bounds := []float64{1, 2, 4}
-	if _, ok := tsdb.Quantile(bounds, []uint64{0, 0, 0, 0}, 0.99); ok {
-		t.Fatal("quantile on an empty histogram window must report !ok")
+// TestFamilyMerge merges two labelled series of each kind on a grid of
+// three slots (MaxTick 5 at stride 2, under SlotCap 4): counters sum,
+// gauges keep the larger value, histogram bucket counts sum, and a point
+// in slot 3 is dropped.
+func TestFamilyMerge(t *testing.T) {
+	a, b := []obs.Label{obs.L("bw", "a")}, []obs.Label{obs.L("bw", "b")}
+	snap := tsdb.Snapshot{DT: 1e-6, Stride: 2, SlotCap: 4, MaxTick: 5, Series: []tsdb.Series{
+		{Name: "c_total", Kind: obs.KindCounter, Labels: a, Points: []tsdb.Point{{T: 0, V: 1}, {T: 4e-6, V: 2}, {T: 6e-6, V: 9}}},
+		{Name: "c_total", Kind: obs.KindCounter, Labels: b, Points: []tsdb.Point{{T: 0, V: 3}}},
+		{Name: "g", Kind: obs.KindGauge, Labels: a, Points: []tsdb.Point{{T: 2e-6, V: 5}}},
+		{Name: "g", Kind: obs.KindGauge, Labels: b, Points: []tsdb.Point{{T: 2e-6, V: 7}, {T: 4e-6, V: -1}}},
+		{Name: "h", Kind: obs.KindHistogram, Labels: a, Buckets: []float64{1, 2},
+			Points: []tsdb.Point{{T: 0, Count: 2, Counts: []uint64{1, 1, 0}}}},
+		{Name: "h", Kind: obs.KindHistogram, Labels: b, Buckets: []float64{1, 2},
+			Points: []tsdb.Point{{T: 0, Count: 1, Counts: []uint64{0, 0, 1}}, {T: 6e-6, Count: 1, Counts: []uint64{1, 0, 0}}}},
+	}}
+	for _, tc := range []struct {
+		name string
+		want tsdb.Family
+	}{
+		{"c_total", tsdb.Family{Kind: obs.KindCounter, SlotDur: 2e-6,
+			Occ: []bool{true, false, true}, V: []float64{4, 0, 2}}},
+		{"g", tsdb.Family{Kind: obs.KindGauge, SlotDur: 2e-6,
+			Occ: []bool{false, true, true}, V: []float64{0, 7, -1}}},
+		{"h", tsdb.Family{Kind: obs.KindHistogram, Buckets: []float64{1, 2}, SlotDur: 2e-6,
+			Occ: []bool{true, false, false}, Count: []uint64{3, 0, 0}, Counts: []uint64{1, 1, 1, 0, 0, 0, 0, 0, 0}}},
+	} {
+		got, ok := snap.Family(tc.name)
+		if !ok || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Family(%q) = %+v, %v; want %+v", tc.name, got, ok, tc.want)
+		}
 	}
-	if _, ok := tsdb.Quantile(bounds, []uint64{1, 0, 0, 0}, 1.5); ok {
-		t.Fatal("quantile outside [0,1] must report !ok")
-	}
-	// All mass in the overflow bucket clamps to the last finite bound.
-	if v, ok := tsdb.Quantile(bounds, []uint64{0, 0, 0, 5}, 0.5); !ok || v != 4 {
-		t.Fatalf("overflow-bucket quantile = %g, %v; want 4, true", v, ok)
+	if _, ok := snap.Family("absent"); ok {
+		t.Error("Family of an unsampled name must report !ok")
 	}
 }
 

@@ -87,7 +87,7 @@ func Diff(aDir, bDir string, opt Options) (*Result, error) {
 				skipped++
 				continue
 			}
-			for _, s := range seriesStats(snap, m) {
+			for _, s := range seriesStats(m) {
 				key := s.metric + "\x1f" + s.labels + "\x1f" + s.name
 				st, ok := stats[key]
 				if !ok {
@@ -155,7 +155,7 @@ func Diff(aDir, bDir string, opt Options) (*Result, error) {
 // seriesStats derives the comparable numbers for one series. The
 // returned stats carry the value in both a and b; Diff keeps the side
 // it is folding.
-func seriesStats(snap *obs.Snapshot, m obs.MetricSnapshot) []stat {
+func seriesStats(m obs.MetricSnapshot) []stat {
 	labels := labelString(m.Labels)
 	switch m.Kind {
 	case "counter", "gauge":
@@ -167,7 +167,7 @@ func seriesStats(snap *obs.Snapshot, m obs.MetricSnapshot) []stat {
 			name string
 			q    float64
 		}{{"p50", 0.5}, {"p99", 0.99}} {
-			if v, ok := snap.Quantile(m.Name, q.q, labelList(m.Labels)...); ok {
+			if v, ok := m.Quantile(q.q); ok {
 				out = append(out, stat{metric: m.Name, labels: labels, name: q.name, a: v, b: v})
 			}
 		}
@@ -193,19 +193,6 @@ func labelString(labels map[string]string) string {
 		s += k + "=" + labels[k]
 	}
 	return s
-}
-
-func labelList(labels map[string]string) []obs.Label {
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]obs.Label, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, obs.L(k, labels[k]))
-	}
-	return out
 }
 
 func relDiff(a, b float64) float64 {
