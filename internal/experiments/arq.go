@@ -6,7 +6,6 @@ import (
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/mac"
-	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/rng"
@@ -38,9 +37,10 @@ type ARQResult struct {
 	// Frames per point.
 	Frames int
 	// LatencyP50S / LatencyP99S are virtual-clock frame-latency
-	// quantiles read from the mac_arq_frame_latency_seconds histogram.
-	// Filled only when a metrics registry is enabled; zero otherwise, in
-	// which case the table omits the note.
+	// quantiles of the samples this run added to the
+	// mac_arq_frame_latency_seconds histogram. Filled only when a metrics
+	// registry is enabled; zero otherwise, in which case the table omits
+	// the note.
 	LatencyP50S, LatencyP99S float64
 }
 
@@ -51,6 +51,7 @@ func ARQGoodput(nFrames int, seed uint64) (ARQResult, error) {
 		nFrames = 12
 	}
 	res := ARQResult{Frames: nFrames}
+	latency := quantilesSince("mac_arq_frame_latency_seconds")
 	cfg := mac.DefaultARQConfig()
 	ranges := []float64{3, 4, 4.5, 5, 5.5, 6, 7}
 	// Every range point builds its own link and seeds its own generator
@@ -85,11 +86,7 @@ func ARQGoodput(nFrames int, seed uint64) (ARQResult, error) {
 		return res, err
 	}
 	res.Points = points
-	if reg := obs.Active(); reg != nil {
-		snap := reg.Snapshot()
-		res.LatencyP50S, _ = snap.Quantile("mac_arq_frame_latency_seconds", 0.50)
-		res.LatencyP99S, _ = snap.Quantile("mac_arq_frame_latency_seconds", 0.99)
-	}
+	res.LatencyP50S, res.LatencyP99S = latency()
 	return res, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/geom"
 	"github.com/mmtag/mmtag/internal/mac"
-	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/rng"
@@ -31,9 +30,9 @@ type MultiTagPoint struct {
 // MultiTagResult is experiment E7: the §9 multi-tag network built out.
 type MultiTagResult struct {
 	Points []MultiTagPoint
-	// CycleP50S / CycleP99S are scan-cycle quantiles read from the
-	// mac_sdm_cycle_seconds histogram, filled only when a metrics
-	// registry is enabled (the table omits the note otherwise).
+	// CycleP50S / CycleP99S are scan-cycle quantiles of the samples this
+	// run added to the mac_sdm_cycle_seconds histogram, filled only when
+	// a metrics registry is enabled (the table omits the note otherwise).
 	CycleP50S, CycleP99S float64
 }
 
@@ -45,6 +44,7 @@ func MultiTag(populations []int, seed uint64) (MultiTagResult, error) {
 	}
 	src := rng.New(seed)
 	var res MultiTagResult
+	cycle := quantilesSince("mac_sdm_cycle_seconds")
 	// Pre-split the three per-population streams in the order the old
 	// sequential loop drew them (placement, SDM, 4-beam SDM per
 	// population), then run the populations on the worker pool: each
@@ -105,11 +105,7 @@ func MultiTag(populations []int, seed uint64) (MultiTagResult, error) {
 		return res, err
 	}
 	res.Points = points
-	if reg := obs.Active(); reg != nil {
-		snap := reg.Snapshot()
-		res.CycleP50S, _ = snap.Quantile("mac_sdm_cycle_seconds", 0.50)
-		res.CycleP99S, _ = snap.Quantile("mac_sdm_cycle_seconds", 0.99)
-	}
+	res.CycleP50S, res.CycleP99S = cycle()
 	return res, nil
 }
 

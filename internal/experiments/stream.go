@@ -6,7 +6,6 @@ import (
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
-	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/render"
 	"github.com/mmtag/mmtag/internal/rng"
@@ -56,8 +55,9 @@ type StreamResult struct {
 	// SessionFrames / FlowFrames are the per-phase stream lengths.
 	SessionFrames, FlowFrames int
 	// ARQLatencyP50S / ARQLatencyP99S are virtual-clock delivery-latency
-	// quantiles read from the mac_arq_frame_latency_seconds histogram.
-	// Filled only when a metrics registry is enabled; zero otherwise.
+	// quantiles of the samples this run added to the
+	// mac_arq_frame_latency_seconds histogram. Filled only when a metrics
+	// registry is enabled; zero otherwise.
 	ARQLatencyP50S, ARQLatencyP99S float64
 }
 
@@ -76,6 +76,7 @@ func StreamThroughput(nFrames int, seed uint64) (StreamResult, error) {
 		flowFrames = 20
 	}
 	res := StreamResult{SessionFrames: nFrames, FlowFrames: flowFrames}
+	latency := quantilesSince("mac_arq_frame_latency_seconds")
 
 	sess, err := stream.RunSession(stream.SessionConfig{
 		Frames:     nFrames,
@@ -131,11 +132,7 @@ func StreamThroughput(nFrames int, seed uint64) (StreamResult, error) {
 		return res, err
 	}
 	res.CapacityFPS = l.Reader.Bandwidths[0].BandwidthHz * units.OOKSpectralEfficiency / float64(burstSyms)
-	if reg := obs.Active(); reg != nil {
-		snap := reg.Snapshot()
-		res.ARQLatencyP50S, _ = snap.Quantile("mac_arq_frame_latency_seconds", 0.50)
-		res.ARQLatencyP99S, _ = snap.Quantile("mac_arq_frame_latency_seconds", 0.99)
-	}
+	res.ARQLatencyP50S, res.ARQLatencyP99S = latency()
 	return res, nil
 }
 
