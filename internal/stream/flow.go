@@ -3,7 +3,7 @@ package stream
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/mmtag/mmtag/internal/core"
 	"github.com/mmtag/mmtag/internal/dsp"
@@ -290,30 +290,21 @@ func RunFlowWS(ws *dsp.Workspace, l *core.Link, bw units.ReaderBandwidth, nFrame
 		res.DeliveredFPS = float64(res.FramesDelivered) / res.SpanS
 		res.GoodputBps = float64(res.FramesDelivered*payloadBits) / res.SpanS
 	}
-	res.QueueDepthP99 = quantileInts(depths, 0.99)
-	res.LatencyP50S = quantileFloats(latencies, 0.50)
-	res.LatencyP99S = quantileFloats(latencies, 0.99)
+	res.QueueDepthP99 = quantile(depths, 0.99)
+	res.LatencyP50S = quantile(latencies, 0.50)
+	res.LatencyP99S = quantile(latencies, 0.99)
 	return res, nil
 }
 
-// quantileInts is the exact q-quantile of xs (nearest-rank).
-func quantileInts(xs []int, q float64) float64 {
+// quantile is the exact q-quantile of xs (nearest-rank); NaN when xs is
+// empty.
+func quantile[T int | float64](xs []T, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	s := append([]int(nil), xs...)
-	sort.Ints(s)
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return float64(s[rank(len(s), q)])
-}
-
-// quantileFloats is the exact q-quantile of xs (nearest-rank).
-func quantileFloats(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	return s[rank(len(s), q)]
 }
 
 func rank(n int, q float64) int {
