@@ -2,6 +2,7 @@ package rundiff
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,12 +14,17 @@ import (
 
 // FuzzLoadSnapshot throws arbitrary bytes at loadSnapshot as a run
 // directory's metrics.json, through obs.BucketCount.UnmarshalJSON. It
-// must never panic, and a snapshot it accepts whose values are finite
-// (an overflow bound of +Inf included) must re-encode through
-// Snapshot.JSON and parse back to the same snapshot. The seed corpus in
-// testdata/fuzz/FuzzLoadSnapshot holds the 4 ft metrics.json of the
-// root telemetry golden op, bucket bounds written as "+Inf", "Inf",
-// "-Inf", "NaN" and numbers, and counts of math.MaxUint64.
+// must never panic. Every snapshot it accepts also runs Diff's
+// per-series statistics (a counter's value; a histogram's count, and
+// its p50 and p99 through MetricSnapshot.Quantile), which must give the
+// same values on a second call, whatever the bounds and counts. One
+// whose values are finite (an overflow bound of +Inf included) must
+// re-encode through Snapshot.JSON and parse back to the same snapshot.
+// The seed corpus in testdata/fuzz/FuzzLoadSnapshot holds the 4 ft
+// metrics.json of the root telemetry golden op, bucket bounds written
+// as "+Inf", "Inf", "-Inf", "NaN" and numbers, counts of
+// math.MaxUint64, cumulative counts that fall, and a histogram without
+// an overflow bucket.
 func FuzzLoadSnapshot(f *testing.F) {
 	dir := f.TempDir()
 	path := filepath.Join(dir, "metrics.json")
@@ -27,7 +33,16 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatal(err)
 		}
 		snap, err := loadSnapshot(dir)
-		if err != nil || !finite(snap) {
+		if err != nil {
+			return
+		}
+		for i := range snap.Metrics {
+			// %v tells apart every two values but NaNs, which all print NaN.
+			if a, b := fmt.Sprint(seriesStats(snap.Metrics[i])), fmt.Sprint(seriesStats(snap.Metrics[i])); a != b {
+				t.Fatalf("series statistics differ between two calls:\n%s\n%s", a, b)
+			}
+		}
+		if !finite(snap) {
 			return
 		}
 		enc, err := snap.JSON()
