@@ -12,13 +12,12 @@ func RectPulse(sps int) []float64 {
 }
 
 // ShapeSymbolsWS upsamples symbols by sps and convolves with the pulse,
-// returning exactly len(symbols)·sps samples aligned so that sample
-// k·sps + delay corresponds to symbol k's pulse center, where delay is
-// (len(pulse)-1)/2 truncated... To keep call sites simple the function
-// compensates the pulse's group delay internally: output sample k·sps is
-// the center of symbol k. Every intermediate (impulse train, complex
-// pulse, convolution scratch) and the output are checked out of ws. The
-// returned slice is valid until the next ws.Reset; a nil ws allocates.
+// returning exactly len(symbols)·sps samples. It drops the pulse's
+// group delay, (len(pulse)-1)/2 samples, from the front of the
+// convolution, so output sample k·sps is the center of symbol k's
+// pulse. Every intermediate (impulse train, complex pulse, convolution
+// scratch) and the output are checked out of ws. The returned slice is
+// valid until the next ws.Reset; a nil ws allocates.
 func ShapeSymbolsWS(ws *Workspace, symbols []complex128, pulse []float64, sps int) []complex128 {
 	up := ws.Complex(len(symbols) * sps)
 	for i, s := range symbols {

@@ -120,9 +120,8 @@ func (w Waveform) DetectBurstWS(ws *dsp.Workspace, samples []complex128, leakage
 	// The moving-average envelope peaks at the *end* of each symbol
 	// period; search all sample offsets by correlating the envelope with
 	// the template upsampled to sample rate (one nonzero chip every SPS).
-	// XCorrRealWS skips the exact-zero template taps on its direct path,
-	// so the sums match the old strided loop bit for bit; long/dense
-	// searches take its FFT path automatically.
+	// XCorrRealWS skips the exact-zero template taps, so each lag costs
+	// only the n nonzero chips.
 	maxOfs := len(samples) - n*w.SPS
 	tdense := ws.Float((n-1)*w.SPS + 1)
 	for k := 0; k < n; k++ {
