@@ -79,25 +79,20 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"github.com/mmtag/mmtag/internal/dsp"
 	"github.com/mmtag/mmtag/internal/grid"
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/alert"
 	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/lifecycle"
 	"github.com/mmtag/mmtag/internal/obs/manifest"
-	"github.com/mmtag/mmtag/internal/obs/serve"
 	"github.com/mmtag/mmtag/internal/obs/signal"
 	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
 	"github.com/mmtag/mmtag/internal/par"
 	"github.com/mmtag/mmtag/internal/rundiff"
 )
-
-// eventLogCapacity bounds the in-memory event log (~40 MB worst case at
-// full). Drops void the determinism guarantee, so the run warns on any.
-const eventLogCapacity = 1 << 18
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -248,7 +243,6 @@ func run(args []string) error {
 		return nil
 	}
 	par.SetWorkers(opt.workers)
-	started := time.Now()
 	if opt.alerts != "" && opt.sample == 0 {
 		return fmt.Errorf("-alerts requires -sample (alert rules evaluate over sampled time series)")
 	}
@@ -259,49 +253,51 @@ func run(args []string) error {
 		opt.taps || opt.flightrec > 0 {
 		s.Registry = obs.NewRegistry()
 	}
-	var eng *alert.Engine
+	var rules *alert.Engine // nil with a sampler: the default rules
 	if opt.sample != 0 {
 		var err error
 		if s.Series, err = tsdb.Attach(s.Registry, opt.sample); err != nil {
 			return err
 		}
 		if opt.alerts != "" {
-			rules, err := alert.LoadRulesFile(opt.alerts)
+			loaded, err := alert.LoadRulesFile(opt.alerts)
 			if err != nil {
 				return err
 			}
-			if eng, err = alert.New(rules); err != nil {
+			if rules, err = alert.New(loaded); err != nil {
 				return err
 			}
-		} else {
-			eng = alert.Default()
 		}
 	}
 	if opt.events != "" || opt.serveAt != "" || opt.rundir != "" {
-		s.Events = event.New(eventLogCapacity)
+		s.Events = event.New(0)
 	}
 	if opt.taps || opt.flightrec > 0 {
 		s.Tap = &signal.Tap{}
 		s.Tap.SetFlightRecorder(opt.flightrec)
 	}
-	defer sinks.Install(s)()
-	var srv *serve.Server
-	if opt.serveAt != "" {
-		srv = serve.New(s, eng)
-		running, err := srv.Start(opt.serveAt)
-		if err != nil {
-			return err
-		}
-		defer running.Close()
-		fmt.Fprintf(os.Stderr, "mmtag: telemetry on http://%s/\n", running.Addr())
+	opt.repeat = max(opt.repeat, 1)
+	tel, err := lifecycle.Start(lifecycle.Config{
+		Name: "mmtag", Sinks: s, Rules: rules, Serve: opt.serveAt, Dir: opt.rundir,
+		Info: manifest.RunInfo{
+			Experiment: name,
+			Seed:       opt.seed,
+			Workers:    opt.workers,
+			Extra: map[string]string{
+				"points": fmt.Sprintf("%d", opt.points),
+				"bits":   fmt.Sprintf("%d", opt.bits),
+				"repeat": fmt.Sprintf("%d", opt.repeat),
+			},
+		},
+	})
+	if err != nil {
+		return err
 	}
+	defer tel.Close()
 
 	names := []string{name}
 	if name == "all" {
 		names = grid.Drivers()
-	}
-	if opt.repeat < 1 {
-		opt.repeat = 1
 	}
 	for pass := 0; pass < opt.repeat; pass++ {
 		// Repeat passes rerun the workload for -serve watchers without
@@ -311,9 +307,7 @@ func run(args []string) error {
 			out = io.Discard
 		}
 		for _, n := range names {
-			if srv != nil {
-				srv.SetPhase(n)
-			}
+			tel.SetPhase(n)
 			if err := emit(out, n, opt); err != nil {
 				return err
 			}
@@ -322,19 +316,19 @@ func run(args []string) error {
 			}
 		}
 	}
-	if srv != nil {
-		srv.SetPhase("done")
+	// Finish writes the alert transitions into the event log before it
+	// archives -rundir, so -events and events.jsonl both carry them.
+	transitions, err := tel.Finish()
+	if err != nil {
+		return err
 	}
-	return writeObservability(s, eng, started, name, opt)
+	return writeObservability(s, transitions, opt)
 }
 
-// writeObservability dumps the run's metrics, span trace, event log and
-// run manifest to the paths the -metrics / -trace / -events / -rundir
-// flags name. eng is set exactly when s has a sampler.
-func writeObservability(s sinks.Sinks, eng *alert.Engine, started time.Time, experiment string, opt options) error {
-	if s.Registry == nil && s.Events == nil {
-		return nil
-	}
+// writeObservability reports the run's firing alerts and any dropped
+// events on stderr and writes its event log, metrics and span trace to
+// the paths the -events / -metrics / -trace flags name.
+func writeObservability(s sinks.Sinks, transitions []alert.Transition, opt options) error {
 	write := func(path string, data []byte) error {
 		if path == "-" {
 			_, err := os.Stdout.Write(data)
@@ -342,24 +336,18 @@ func writeObservability(s sinks.Sinks, eng *alert.Engine, started time.Time, exp
 		}
 		return os.WriteFile(path, data, 0o644)
 	}
-	// Alert transitions land in the event log before it is exported, so
-	// -events and the rundir's events.jsonl both carry them.
-	var transitions []alert.Transition
-	if eng != nil {
-		transitions, _ = eng.Evaluate(s.Series.Snapshot())
-		alert.Emit(transitions)
-		for _, tr := range transitions {
-			if tr.State == "firing" {
-				fmt.Fprintf(os.Stderr, "mmtag: alert %s firing at t=%.3gs (%s %s %g, threshold %g)\n",
-					tr.Rule, tr.T, tr.Metric, tr.State, tr.Value, tr.Threshold)
-			}
+	for _, tr := range transitions {
+		if tr.State == "firing" {
+			fmt.Fprintf(os.Stderr, "mmtag: alert %s firing at t=%.3gs (%s %s %g, threshold %g)\n",
+				tr.Rule, tr.T, tr.Metric, tr.State, tr.Value, tr.Threshold)
 		}
 	}
+	// Drops void the determinism guarantee, so the run warns on any.
 	if s.Events != nil {
 		if dropped := s.Events.Dropped(); dropped > 0 {
 			fmt.Fprintf(os.Stderr, "mmtag: event log dropped %d events at capacity %d; "+
 				"the exposition is truncated and no longer worker-count invariant\n",
-				dropped, eventLogCapacity)
+				dropped, event.DefaultCapacity)
 		}
 	}
 	if opt.events != "" && s.Events != nil {
@@ -369,23 +357,6 @@ func writeObservability(s sinks.Sinks, eng *alert.Engine, started time.Time, exp
 		}
 		if err := write(opt.events, buf.Bytes()); err != nil {
 			return fmt.Errorf("write events: %w", err)
-		}
-	}
-	if opt.rundir != "" {
-		info := manifest.RunInfo{
-			Experiment: experiment,
-			Seed:       opt.seed,
-			Workers:    opt.workers,
-			Args:       os.Args,
-			Started:    started,
-			Extra: map[string]string{
-				"points": fmt.Sprintf("%d", opt.points),
-				"bits":   fmt.Sprintf("%d", opt.bits),
-				"repeat": fmt.Sprintf("%d", opt.repeat),
-			},
-		}
-		if _, err := manifest.Write(opt.rundir, info, s, transitions); err != nil {
-			return err
 		}
 	}
 	if s.Registry == nil {

@@ -61,8 +61,10 @@ func (l Level) String() string {
 	return "unknown"
 }
 
-// DefaultCapacity bounds a Log constructed with New(0).
-const DefaultCapacity = 1 << 16
+// DefaultCapacity bounds a Log constructed with New(0): 262,144 events,
+// about 40 MB at full. Events past it are dropped and counted, which
+// voids the log's worker-count invariance.
+const DefaultCapacity = 1 << 18
 
 // lineChunkLen sizes the blocks kept lines are appended to; a line
 // longer than a block gets a block of its own.

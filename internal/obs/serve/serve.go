@@ -1,8 +1,8 @@
 // Package serve is the live telemetry service over internal/obs: a
 // stdlib net/http server that exposes the metrics registry, the span
 // tracer and the structured event log while a simulation is running,
-// plus the runtime profiling endpoints of net/http/pprof. The -serve
-// flag of cmd/mmtag (and the long-running examples) lands here.
+// plus the runtime profiling endpoints of net/http/pprof. A run's
+// -serve address (internal/obs/lifecycle) serves Handler.
 //
 // Endpoints:
 //
@@ -27,7 +27,6 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -362,29 +361,4 @@ func (s *Server) Handler() http.Handler {
 			"  /debug/pprof/   Go profiling suite\n")
 	})
 	return mux
-}
-
-// Running is a started telemetry server.
-type Running struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Addr returns the bound listen address (useful with ":0").
-func (r *Running) Addr() string { return r.ln.Addr().String() }
-
-// Close stops the listener and the server.
-func (r *Running) Close() error { return r.srv.Close() }
-
-// Start binds addr (host:port; empty host binds all interfaces, port 0
-// picks a free port) and serves the telemetry mux on a background
-// goroutine until Close.
-func (s *Server) Start(addr string) (*Running, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("serve: listen %s: %w", addr, err)
-	}
-	srv := &http.Server{Handler: s.Handler()}
-	go srv.Serve(ln)
-	return &Running{ln: ln, srv: srv}, nil
 }

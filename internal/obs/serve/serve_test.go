@@ -190,29 +190,6 @@ func TestNilStores(t *testing.T) {
 	}
 }
 
-// TestStartAndClose runs the real listener path on an ephemeral port.
-func TestStartAndClose(t *testing.T) {
-	s := New(sinks.Sinks{Registry: obs.NewRegistry(), Events: event.New(0)}, nil)
-	run, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + run.Addr() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	if err := run.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + run.Addr() + "/healthz"); err == nil {
-		t.Fatal("server still answering after Close")
-	}
-}
-
 // TestScrapeCounter: scrapes themselves are visible in the registry.
 func TestScrapeCounter(t *testing.T) {
 	reg := obs.NewRegistry()

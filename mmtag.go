@@ -33,8 +33,8 @@ import (
 	"github.com/mmtag/mmtag/internal/obs"
 	"github.com/mmtag/mmtag/internal/obs/alert"
 	"github.com/mmtag/mmtag/internal/obs/event"
+	"github.com/mmtag/mmtag/internal/obs/lifecycle"
 	"github.com/mmtag/mmtag/internal/obs/manifest"
-	"github.com/mmtag/mmtag/internal/obs/serve"
 	"github.com/mmtag/mmtag/internal/obs/signal"
 	"github.com/mmtag/mmtag/internal/obs/sinks"
 	"github.com/mmtag/mmtag/internal/obs/tsdb"
@@ -119,7 +119,7 @@ type (
 	// Trace accumulates named time-series columns and renders CSV.
 	Trace = sim.Trace
 	// Sinks are a run's telemetry stores (registry, event log, signal
-	// tap, sampler; a nil field is off); see Install.
+	// tap, sampler; a nil field is off); see StartRun and Install.
 	Sinks = sinks.Sinks
 	// Registry is the observability metric + span store.
 	Registry = obs.Registry
@@ -132,17 +132,18 @@ type (
 	EventLog = event.Log
 	// RunManifest is the manifest.json body a run directory carries.
 	RunManifest = manifest.Manifest
-	// RunInfo describes a run for WriteRunDir.
+	// RunInfo describes a run in its manifest; see RunConfig.
 	RunInfo = manifest.RunInfo
+	// RunConfig describes a program run for StartRun: its sinks, alert
+	// rules, live-server address, run directory and manifest record,
+	// and whether it keeps serving until interrupted.
+	RunConfig = lifecycle.Config
+	// Run is a started program run; Finish ends it.
+	Run = lifecycle.Run
 	// SignalTap is the signal-level observability sink: per-burst scalar
 	// telemetry, the last-burst snapshot and the flight recorder; see
 	// NewSignalTap.
 	SignalTap = signal.Tap
-	// TelemetryServer answers live /metrics, /trace, /events, /healthz,
-	// /dashboard and /debug/pprof/ queries; see ServeTelemetry.
-	TelemetryServer = serve.Server
-	// RunningTelemetry is a started telemetry listener (Close to stop).
-	RunningTelemetry = serve.Running
 	// Workspace is a reusable DSP scratch arena: every waveform-level
 	// call takes one (Link.RunWaveformWS and friends) and draws every
 	// hot-path buffer and FFT plan from it, so repeated bursts amortize
@@ -175,6 +176,7 @@ type (
 // leaves its store off. Install is for run boundaries, not for
 // concurrent use. The sinks' event log is byte-identical for any worker
 // count, and so is the sampler's timeseries.json (see DESIGN.md §7).
+// StartRun installs a program run's sinks through it.
 func Install(s Sinks) (restore func()) { return sinks.Install(s) }
 
 // NewRegistry returns an empty metrics + span registry.
@@ -188,7 +190,7 @@ func NewEventLog() *EventLog { return event.New(0) }
 // soft-margin histograms plus the dashboard's last-burst snapshot.
 // flightRecorderK > 0 adds a flight recorder keeping the K most recent
 // failing bursts as IQ captures (CRC fail, sync loss, ARQ residual,
-// rate-adapt downshift); WriteRunDir archives them with digests.
+// rate-adapt downshift); a run directory archives them with digests.
 func NewSignalTap(flightRecorderK int) *SignalTap {
 	t := &signal.Tap{}
 	t.SetFlightRecorder(flightRecorderK)
@@ -223,40 +225,16 @@ func DiffRunDirs(aDir, bDir string, opt RunDiffOptions) (*RunDiffResult, error) 
 	return rundiff.Diff(aDir, bDir, opt)
 }
 
-// ServeTelemetry starts the live telemetry HTTP server over s on addr
-// (":0" picks a free port). It serves /metrics, /metrics.json, /trace,
-// /events, /healthz, /dashboard and /debug/pprof/ until Close, reading
-// concurrently with any running simulation. A tap adds the dashboard's
-// constellation and spectrum panels; a sampler adds /timeseries,
-// /alerts (default SLO rules) and the SSE /stream feed plus the
-// dashboard's time-axis charts and alert panel. The returned server's
-// SetPhase labels /healthz.
-func ServeTelemetry(addr string, s Sinks) (*TelemetryServer, *RunningTelemetry, error) {
-	var rules *AlertEngine
-	if s.Series != nil {
-		rules = alert.Default()
-	}
-	srv := serve.New(s, rules)
-	run, err := srv.Start(addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, run, nil
-}
-
-// WriteRunDir archives s into dir as a self-describing run manifest:
-// manifest.json plus metrics.json and trace.json (registry),
-// events.jsonl (event log), flight_*.iq and flight.json (tap with a
-// flight recorder), and timeseries.json with the default SLO rules'
-// transitions as alerts.jsonl (sampler). The manifest records a SHA-256
-// digest of every artifact, so VerifyRunDir covers them all.
-func WriteRunDir(dir string, info RunInfo, s Sinks) (RunManifest, error) {
-	var trans []AlertTransition
-	if s.Series != nil {
-		trans, _ = alert.Default().Evaluate(s.Series.Snapshot())
-	}
-	return manifest.Write(dir, info, s, trans)
-}
+// StartRun begins a program run: it installs cfg.Sinks (a registry and
+// an event log when none is named) and, with cfg.Serve set, serves them
+// live (/metrics, /trace, /events, /healthz, /dashboard, pprof; a
+// sampler adds /timeseries, /alerts and /stream), reporting "NAME:
+// telemetry on http://ADDR/" on stderr. Run.Finish writes the alert
+// rules' (nil = DefaultAlertRules) transitions over the sampler into the
+// event log, archives cfg.Dir as a run directory VerifyRunDir checks,
+// keeps serving until interrupted when cfg.Hold asks, then stops the
+// server and puts back the sinks StartRun replaced.
+func StartRun(cfg RunConfig) (*Run, error) { return lifecycle.Start(cfg) }
 
 // VerifyRunDir re-hashes every artifact a run directory's manifest lists
 // and reports the first digest mismatch.

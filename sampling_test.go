@@ -1,12 +1,16 @@
 // Facade-level tests for the sampling / alerting / run-diff layer:
-// NewSampler folding a real workload into the virtual-time store,
-// WriteRunDir archiving timeseries.json + alerts.jsonl under manifest
-// digests, and DiffRunDirs gating two archived runs.
+// NewSampler folding a real workload into the virtual-time store, a
+// run's Finish archiving timeseries.json + alerts.jsonl under manifest
+// digests and its alert transitions into events.jsonl, and DiffRunDirs
+// gating two archived runs.
 package mmtag_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -61,11 +65,29 @@ func TestEnableSamplingRejectsBadInterval(t *testing.T) {
 	}
 }
 
-func TestWriteRunDirArchivesTimeseriesAndAlerts(t *testing.T) {
+// archive runs a program run over s that archives into dir as soon as
+// it starts.
+func archive(t *testing.T, dir string, s mmtag.Sinks) {
+	t.Helper()
+	run, err := mmtag.StartRun(mmtag.RunConfig{Sinks: s, Dir: dir, Info: mmtag.RunInfo{Experiment: "facade-test"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRunArchivesTimeseriesAndAlerts(t *testing.T) {
 	s := sampledRun(t)
 	dir := t.TempDir()
-	man, err := mmtag.WriteRunDir(dir, mmtag.RunInfo{Experiment: "facade-test"}, s)
+	archive(t, dir, s)
+	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
+		t.Fatal(err)
+	}
+	var man mmtag.RunManifest
+	if err := json.Unmarshal(data, &man); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"timeseries.json", "alerts.jsonl"} {
@@ -81,15 +103,69 @@ func TestWriteRunDirArchivesTimeseriesAndAlerts(t *testing.T) {
 	}
 }
 
+// TestRunArchivesAlertEvents: a run with a registry, a sampler and an
+// event log writes its alert transitions into events.jsonl before it
+// archives, as "mmtag arq -seed 7 -sample 1e-6 -rundir DIR" does. Over
+// the same E16 sweep its alert lines are that command's two lines
+// (byte for byte on amd64, where the bit-error count is pinned), one
+// per line of alerts.jsonl.
+func TestRunArchivesAlertEvents(t *testing.T) {
+	reg := mmtag.NewRegistry()
+	smp, err := mmtag.NewSampler(reg, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	run, err := mmtag.StartRun(mmtag.RunConfig{
+		Sinks: mmtag.Sinks{Registry: reg, Events: mmtag.NewEventLog(), Series: smp},
+		Dir:   dir,
+		Info:  mmtag.RunInfo{Experiment: "arq", Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	if _, err := mmtag.ARQGoodput(0, 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := os.ReadFile(filepath.Join(dir, "events.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.SplitAfter(string(events), "\n") {
+		if strings.Contains(line, `"cat":"alert"`) {
+			got = append(got, line)
+		}
+	}
+	alerts, err := os.ReadFile(filepath.Join(dir, "alerts.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(alerts, []byte("\n")); len(got) != n || n == 0 {
+		t.Fatalf("events.jsonl holds %d alert lines for %d transitions in alerts.jsonl", len(got), n)
+	}
+	if runtime.GOARCH != "amd64" {
+		return
+	}
+	want := `{"t":0,"lvl":"warn","cat":"alert","msg":"ber-bit-errors firing","fields":{"metric":"core_bit_errors_total","severity":"warn","threshold":"0","value":"126549"}}
+{"t":1e-06,"lvl":"info","cat":"alert","msg":"ber-bit-errors resolved","fields":{"metric":"core_bit_errors_total","severity":"warn","threshold":"0","value":"0"}}
+`
+	if g := strings.Join(got, ""); g != want {
+		t.Fatalf("events.jsonl alert lines:\n%swant mmtag arq's:\n%s", g, want)
+	}
+}
+
 func TestDiffRunDirsGatesRegressions(t *testing.T) {
 	run := func(bits int) string {
 		reg := mmtag.NewRegistry()
 		reg.Add("core_bit_errors_total", float64(bits/100))
 		reg.Add("core_bursts_decoded_total", 40)
 		dir := t.TempDir()
-		if _, err := mmtag.WriteRunDir(dir, mmtag.RunInfo{Experiment: "diff-test"}, mmtag.Sinks{Registry: reg}); err != nil {
-			t.Fatal(err)
-		}
+		archive(t, dir, mmtag.Sinks{Registry: reg})
 		return dir
 	}
 	a, b, worse := run(10000), run(10000), run(90000)
