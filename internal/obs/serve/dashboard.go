@@ -62,19 +62,27 @@ table.score th { background: #f0f0f0; text-align: left; font-weight: normal; }
 </style></head><body>
 <h1>mmtag link health</h1>
 `)
-	fmt.Fprintf(&b, `<p class="proc">phase %s · uptime %.1fs · pid %d · %s · scrapes %.0f</p>`+"\n",
-		html.EscapeString(s.Phase()), time.Since(s.start).Seconds(), os.Getpid(),
-		runtime.Version(), s.health().Scrapes)
-	b.WriteString(beginDeterministic + "\n")
-
-	var snap obs.Snapshot
+	// One snapshot of each store serves every section of the render.
+	var (
+		snap   obs.Snapshot
+		series tsdb.Snapshot
+	)
 	if s.reg != nil {
 		snap = s.reg.Snapshot()
 	}
+	if s.ts != nil {
+		series = s.ts.Snapshot()
+	}
+	scrapes, _ := snap.Counter("serve_requests_total")
+	fmt.Fprintf(&b, `<p class="proc">phase %s · uptime %.1fs · pid %d · %s · scrapes %.0f</p>`+"\n",
+		html.EscapeString(s.Phase()), time.Since(s.start).Seconds(), os.Getpid(),
+		runtime.Version(), scrapes)
+	b.WriteString(beginDeterministic + "\n")
+
 	s.writeScoreboard(&b, snap)
-	s.writeAlerts(&b)
+	s.writeAlerts(&b, series)
 	s.writeEventSummary(&b)
-	s.writeTimeseriesCharts(&b)
+	writeTimeseriesCharts(&b, series)
 	s.writeTrends(&b)
 	s.writeLastBurst(&b)
 
@@ -149,11 +157,11 @@ func (s *Server) writeScoreboard(b *strings.Builder, snap obs.Snapshot) {
 // writeAlerts renders the SLO rule panel: one row per rule with its
 // live state, plus the most recent transitions. Pure function of the
 // sampler snapshot, so it lives inside the deterministic section.
-func (s *Server) writeAlerts(b *strings.Builder) {
+func (s *Server) writeAlerts(b *strings.Builder, series tsdb.Snapshot) {
 	if s.alerts == nil || s.ts == nil {
 		return
 	}
-	trans, states := s.alerts.Evaluate(s.ts.Snapshot())
+	trans, states := s.alerts.Evaluate(series)
 	b.WriteString("<h2>Alerts</h2>\n<table class=\"score\">\n")
 	for _, rs := range states {
 		class := "ok"
@@ -222,11 +230,7 @@ var timeseriesCharts = []timeseriesChart{
 // whitelisted metric with at least two sampled slots. The sampler
 // snapshot is deterministic (sorted series, schedule-independent
 // folds), so these charts live inside the deterministic section.
-func (s *Server) writeTimeseriesCharts(b *strings.Builder) {
-	if s.ts == nil {
-		return
-	}
-	snap := s.ts.Snapshot()
+func writeTimeseriesCharts(b *strings.Builder, snap tsdb.Snapshot) {
 	if len(snap.Series) == 0 {
 		return
 	}
