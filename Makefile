@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race outputs bench bench-json bench-gate vet fmt experiments figures clean
+.PHONY: all build test race bench bench-json bench-gate vet fmt experiments figures clean
 
 all: build test
 
@@ -14,11 +14,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Regenerate the outputs EXPERIMENTS.md records.
-outputs:
-	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -54,4 +49,4 @@ figures:
 	$(GO) run ./cmd/mmtag retro -svg > retro.svg
 
 clean:
-	rm -f fig6.svg fig7.svg retro.svg test_output.txt bench_output.txt
+	rm -f fig6.svg fig7.svg retro.svg
